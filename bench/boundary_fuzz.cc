@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
 
   // Shrink demonstration: arm the planted ring wrap-around reap bug and let
   // the fuzzer catch + ddmin it — the measured failure path, mirroring the
-  // conformance sweep's planted-miscompile demo.
+  // conformance sweep's planted-decoder-bug demo.
   BoundaryFuzzConfig pcfg;
   pcfg.seed = seed;
   pcfg.iterations = 8;

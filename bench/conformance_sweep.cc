@@ -1,7 +1,7 @@
 // Conformance sweep: runs N generated seeds through every conformance
-// invariant (engine parity, determinism, serializer round-trip, store
-// coherence, baseline, the three fault planes) and emits per-seed accounting
-// plus a shrink demonstration against the planted operand-folding miscompile.
+// invariant (determinism, serializer round-trip, store coherence, baseline,
+// the three fault planes, measurement) and emits per-seed accounting plus a
+// shrink demonstration against the planted binary decoder bug.
 // Emits BENCH_conformance.json. Deterministic: two runs with the same flags
 // produce byte-identical output (wall-clock goes to stdout only).
 //
@@ -14,7 +14,7 @@
 
 #include "src/workload/deploy_util.h"
 #include "src/check/conformance.h"
-#include "src/core/compiled_program.h"
+#include "src/core/serialize_binary.h"
 
 int main(int argc, char** argv) {
   using namespace dlt;
@@ -76,17 +76,17 @@ int main(int argc, char** argv) {
   std::printf("%d/%d seeds conform, %llu events executed\n", num_seeds - failures, num_seeds,
               static_cast<unsigned long long>(events_total));
 
-  // Shrink demonstration: arm the planted constant-folding miscompile, catch
-  // it with the cross-engine oracle, and report how small the shrinker gets.
+  // Shrink demonstration: arm the planted decoder bug, catch it with the
+  // serialize-roundtrip invariant, and report how small the shrinker gets.
   // This keeps the harness's failure path measured, not just its happy path.
-  SetCompiledFoldQuirkForTest(true);
+  SetBinaryValueQuirkForTest(true);
   size_t shrunk_events = 0, original_events = 0;
   int shrink_steps = 0;
   uint64_t caught_seed = 0;
   for (uint64_t seed = base_seed; seed < base_seed + 30; ++seed) {
     GeneratedCase g = GenerateCase(seed);
-    if (RunConformance(g, {"engine-parity"}).ok()) continue;
-    auto s = Shrink(g, {"engine-parity"});
+    if (RunConformance(g, {"serialize-roundtrip"}).ok()) continue;
+    auto s = Shrink(g, {"serialize-roundtrip"});
     if (s.ok()) {
       caught_seed = seed;
       original_events = s->original_events;
@@ -95,8 +95,8 @@ int main(int argc, char** argv) {
     }
     break;
   }
-  SetCompiledFoldQuirkForTest(false);
-  std::printf("planted miscompile: seed %llu shrunk %zu -> %zu events (%d steps)\n",
+  SetBinaryValueQuirkForTest(false);
+  std::printf("planted decoder bug: seed %llu shrunk %zu -> %zu events (%d steps)\n",
               static_cast<unsigned long long>(caught_seed), original_events, shrunk_events,
               shrink_steps);
   PrintRule();
@@ -120,13 +120,13 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
 
   // Regression guards: the sweep must conform, the shrinker must have caught
-  // the planted miscompile, and the shrunk repro must be genuinely small.
+  // the planted decoder bug, and the shrunk repro must be genuinely small.
   if (failures > 0) {
     std::fprintf(stderr, "FAIL: %d seeds did not conform\n", failures);
     return 1;
   }
   if (caught_seed == 0 || shrunk_events == 0) {
-    std::fprintf(stderr, "FAIL: planted miscompile not caught\n");
+    std::fprintf(stderr, "FAIL: planted decoder bug not caught\n");
     return 1;
   }
   if (shrunk_events > 5) {

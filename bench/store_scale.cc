@@ -13,12 +13,10 @@
 //    mismatch;
 //  - candidates-scanned deltas around each loop give scans/invoke for the
 //    indexed vs linear path; hydration counters bound lazy work to the touched
-//    winners; SelectCompiled runs cold then warm for compile-cache behavior,
-//    then again against a fresh store sharing an on-disk program cache
-//    directory (disk hits on store B must equal disk stores from store A);
+//    winners;
 //  - self-guards: indexed scans/invoke <= 8 whenever every slot indexed,
 //    linear scans grow with the corpus while indexed scans do not, lazy
-//    hydration stays bounded by sampled targets, disk-cache parity.
+//    hydration stays bounded by sampled targets.
 //
 // Emits BENCH_store_scale.json (byte-stable by default; --timing adds a
 // wall-clock section for human runs, p50/p99 prints to stdout regardless).
@@ -69,11 +67,6 @@ struct SizeResult {
   uint64_t hydrated_after_sel = 0;
   size_t lazy_after_reg = 0;
   bool parity = false;
-  uint64_t compile_cold_misses = 0;
-  uint64_t compile_warm_hits = 0;
-  uint64_t disk_stores = 0;
-  uint64_t disk_hits = 0;
-  bool disk_parity = false;
   double eager_register_ms = 0;
   double lazy_register_ms = 0;
   uint64_t select_p50_ns = 0;
@@ -200,55 +193,6 @@ bool RunSize(size_t n, const std::string& tmpdir, SizeResult* out) {
     digest_eager = FoldSelection(digest_eager, k, r.status(), r.ok() ? *r : nullptr);
   }
   out->parity = digest_indexed == digest_linear && digest_indexed == digest_eager;
-
-  // Compiled path: cold (compiles the winners) then warm (memoized).
-  uint64_t miss0 = lazy.compile_cache_misses();
-  for (size_t k : targets) {
-    Bindings scalars = ScaleInvokeScalars(corpus, k);
-    if (!lazy.SelectCompiled(kScaleDriverlet, ScaleEntry(cfg, k), scalars).ok()) {
-      std::fprintf(stderr, "SelectCompiled failed for %zu at size %zu\n", k, n);
-      return false;
-    }
-  }
-  out->compile_cold_misses = lazy.compile_cache_misses() - miss0;
-  uint64_t hit0 = lazy.compile_cache_hits();
-  for (size_t k : targets) {
-    Bindings scalars = ScaleInvokeScalars(corpus, k);
-    if (!lazy.SelectCompiled(kScaleDriverlet, ScaleEntry(cfg, k), scalars).ok()) {
-      return false;
-    }
-  }
-  out->compile_warm_hits = lazy.compile_cache_hits() - hit0;
-
-  // Disk cache: store A compiles + persists, a fresh store B restarts against
-  // the same directory and must serve every compile from disk.
-  std::string cache_dir = tmpdir + "/pcache_" + std::to_string(n);
-  (void)std::system(("mkdir -p '" + cache_dir + "'").c_str());
-  TemplateStore disk_a;
-  if (!Ok(disk_a.AddPackageFile(pkg_path, kDeveloperKey))) {
-    return false;
-  }
-  disk_a.set_compile_cache_dir(cache_dir);
-  for (size_t k : targets) {
-    Bindings scalars = ScaleInvokeScalars(corpus, k);
-    if (!disk_a.SelectCompiled(kScaleDriverlet, ScaleEntry(cfg, k), scalars).ok()) {
-      return false;
-    }
-  }
-  out->disk_stores = disk_a.disk_compile_stores();
-  TemplateStore disk_b;
-  if (!Ok(disk_b.AddPackageFile(pkg_path, kDeveloperKey))) {
-    return false;
-  }
-  disk_b.set_compile_cache_dir(cache_dir);
-  for (size_t k : targets) {
-    Bindings scalars = ScaleInvokeScalars(corpus, k);
-    if (!disk_b.SelectCompiled(kScaleDriverlet, ScaleEntry(cfg, k), scalars).ok()) {
-      return false;
-    }
-  }
-  out->disk_hits = disk_b.disk_compile_hits();
-  out->disk_parity = out->disk_stores > 0 && out->disk_hits == out->disk_stores;
   return true;
 }
 
@@ -304,17 +248,13 @@ int main(int argc, char** argv) {
         "  %7zu templates: scans/invoke indexed %6.2f vs linear %8.2f, "
         "select p50/p99 %llu/%llu ns\n"
         "           register eager %8.2f ms vs mmap %6.2f ms; package %zu bytes "
-        "(directory %zu); hydrated %llu/%zu after %zu selects\n"
-        "           compile cold/warm %llu/%llu, disk store/hit %llu/%llu, parity %s\n",
+        "(directory %zu); hydrated %llu/%zu after %zu selects, parity %s\n",
         r.templates, r.scans_indexed, r.scans_linear,
         static_cast<unsigned long long>(r.select_p50_ns),
         static_cast<unsigned long long>(r.select_p99_ns), r.eager_register_ms,
         r.lazy_register_ms, r.package_bytes, r.directory_bytes,
         static_cast<unsigned long long>(r.hydrated_after_sel), r.lazy_after_reg, r.sampled,
-        static_cast<unsigned long long>(r.compile_cold_misses),
-        static_cast<unsigned long long>(r.compile_warm_hits),
-        static_cast<unsigned long long>(r.disk_stores),
-        static_cast<unsigned long long>(r.disk_hits), r.parity ? "ok" : "MISMATCH");
+        r.parity ? "ok" : "MISMATCH");
     results.push_back(r);
   }
 
@@ -346,12 +286,6 @@ int main(int argc, char** argv) {
     if (r.indexed_slots == r.entries && r.scans_indexed > 8.0) {
       std::fprintf(stderr, "FAIL: indexed scans/invoke %.2f > 8 at %zu templates\n",
                    r.scans_indexed, r.templates);
-      ok = false;
-    }
-    if (!r.disk_parity) {
-      std::fprintf(stderr, "FAIL: disk cache stores %llu vs restart hits %llu at %zu\n",
-                   static_cast<unsigned long long>(r.disk_stores),
-                   static_cast<unsigned long long>(r.disk_hits), r.templates);
       ok = false;
     }
   }
@@ -387,19 +321,13 @@ int main(int argc, char** argv) {
                  "\"index_probes\": %llu,\n"
                  "     \"hydrated\": {\"after_registration\": %llu, \"after_selects\": %llu, "
                  "\"lazy_total\": %zu},\n"
-                 "     \"compile\": {\"cold_misses\": %llu, \"warm_hits\": %llu},\n"
-                 "     \"disk_cache\": {\"stores\": %llu, \"hits\": %llu, \"parity\": %s},\n"
                  "     \"selection_parity\": %s}%s\n",
                  r.templates, r.entries, r.indexed_slots, r.sampled, r.package_bytes,
                  r.directory_bytes, r.scans_indexed, r.scans_linear,
                  static_cast<unsigned long long>(r.index_probes),
                  static_cast<unsigned long long>(r.hydrated_after_reg),
                  static_cast<unsigned long long>(r.hydrated_after_sel), r.lazy_after_reg,
-                 static_cast<unsigned long long>(r.compile_cold_misses),
-                 static_cast<unsigned long long>(r.compile_warm_hits),
-                 static_cast<unsigned long long>(r.disk_stores),
-                 static_cast<unsigned long long>(r.disk_hits),
-                 r.disk_parity ? "true" : "false", r.parity ? "true" : "false",
+                 r.parity ? "true" : "false",
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

@@ -6,7 +6,6 @@
 #include <optional>
 #include <set>
 
-#include "src/core/compiled_program.h"
 #include "src/core/integrity.h"
 #include "src/core/package.h"
 #include "src/core/replayer.h"
@@ -32,7 +31,7 @@ GenHarness::GenHarness()
 namespace {
 
 // Everything about one replay run the normal world can observe — the oracle
-// surface every cross-engine/cross-run invariant compares.
+// surface every cross-run invariant compares.
 struct Obs {
   Status load = Status::kOk;      // package load outcome (setup, not replay)
   Status status = Status::kOk;    // Invoke outcome
@@ -57,14 +56,13 @@ DriverletPackage PackageOf(const InteractionTemplate& tpl) {
 
 // One replay on a fresh harness. |tpl_override| substitutes the loaded
 // template (round-trip re-replay) while the invoke inputs stay |g|'s.
-Obs RunOnce(const GeneratedCase& g, ReplayEngine engine, const FaultPlan* plan,
+Obs RunOnce(const GeneratedCase& g, const FaultPlan* plan,
             const InteractionTemplate* tpl_override = nullptr) {
   Obs o;
   GenHarness h;
   h.dev.Configure(g.script);
   Replayer rep(&h.tee, kGenSigningKey);
   o.load = rep.LoadPackage(PackageOf(tpl_override ? *tpl_override : g.tpl));
-  rep.set_engine(engine);
   FaultInjector inj(&h.machine);
   if (plan != nullptr) {
     inj.Arm(*plan);
@@ -100,10 +98,7 @@ Obs RunOnce(const GeneratedCase& g, ReplayEngine engine, const FaultPlan* plan,
 std::string Num(uint64_t v) { return std::to_string(v); }
 
 // First observable difference between two runs, or nullopt when none.
-// |engine_agnostic| skips the fields that legitimately differ across engines
-// (compiled flag, model cost, coalesced-op count); cross-run comparisons of
-// the same engine check those too.
-std::optional<std::string> DiffObs(const Obs& a, const Obs& b, bool engine_agnostic) {
+std::optional<std::string> DiffObs(const Obs& a, const Obs& b) {
   if (a.load != b.load) {
     return std::string("load: ") + StatusName(a.load) + " vs " + StatusName(b.load);
   }
@@ -130,7 +125,7 @@ std::optional<std::string> DiffObs(const Obs& a, const Obs& b, bool engine_agnos
   if (a.stats.resets != b.stats.resets) {
     return "resets: " + Num(a.stats.resets) + " vs " + Num(b.stats.resets);
   }
-  // The integrity chain is part of the oracle surface: engines must fold the
+  // The integrity chain is part of the oracle surface: runs must fold the
   // same structural descriptors in the same order (docs/architecture.md).
   if (a.stats.measurement != b.stats.measurement) {
     return "stats.measurement: " + a.stats.measurement + " vs " + b.stats.measurement;
@@ -153,18 +148,6 @@ std::optional<std::string> DiffObs(const Obs& a, const Obs& b, bool engine_agnos
     }
     if (a.meas.matches_golden != b.meas.matches_golden) {
       return std::string("measurement.matches_golden differs");
-    }
-  }
-  if (!engine_agnostic) {
-    if (a.stats.compiled != b.stats.compiled) {
-      return std::string("compiled flag: ") + (a.stats.compiled ? "true" : "false") +
-             " vs " + (b.stats.compiled ? "true" : "false");
-    }
-    if (a.stats.cpu_model_ns != b.stats.cpu_model_ns) {
-      return "cpu_model_ns: " + Num(a.stats.cpu_model_ns) + " vs " + Num(b.stats.cpu_model_ns);
-    }
-    if (a.stats.bulk_ops != b.stats.bulk_ops) {
-      return "bulk_ops: " + Num(a.stats.bulk_ops) + " vs " + Num(b.stats.bulk_ops);
     }
   }
   if (a.total_events != b.total_events) {
@@ -217,20 +200,13 @@ std::optional<std::string> DiffObs(const Obs& a, const Obs& b, bool engine_agnos
 using InvariantFn =
     std::function<std::optional<std::string>(const GeneratedCase&, ConformanceOutcome*)>;
 
-// compiled ≡ interpreter on every normal-world observable.
-std::optional<std::string> CheckEngineParity(const GeneratedCase& g, ConformanceOutcome*) {
-  Obs interp = RunOnce(g, ReplayEngine::kInterpreter, nullptr);
-  Obs compiled = RunOnce(g, ReplayEngine::kCompiled, nullptr);
-  return DiffObs(interp, compiled, /*engine_agnostic=*/true);
-}
-
 // Two fresh harnesses agree byte-for-byte; two invokes on one harness agree on
 // everything but durations (the TEE's sub-µs overhead remainder legitimately
 // carries across invokes).
 std::optional<std::string> CheckDeterminism(const GeneratedCase& g, ConformanceOutcome*) {
-  Obs first = RunOnce(g, ReplayEngine::kCompiled, nullptr);
-  Obs second = RunOnce(g, ReplayEngine::kCompiled, nullptr);
-  if (auto d = DiffObs(first, second, /*engine_agnostic=*/false)) {
+  Obs first = RunOnce(g, nullptr);
+  Obs second = RunOnce(g, nullptr);
+  if (auto d = DiffObs(first, second)) {
     return "fresh-harness repeat: " + *d;
   }
 
@@ -259,7 +235,7 @@ std::optional<std::string> CheckDeterminism(const GeneratedCase& g, ConformanceO
   if (outs[0] != outs[1]) return std::string("same-harness repeat output bytes differ");
   if (stats[0].attempts != stats[1].attempts ||
       stats[0].events_executed != stats[1].events_executed ||
-      stats[0].resets != stats[1].resets || stats[0].compiled != stats[1].compiled) {
+      stats[0].resets != stats[1].resets) {
     return std::string("same-harness repeat stats differ");
   }
   return std::nullopt;
@@ -288,69 +264,35 @@ std::optional<std::string> CheckSerializeRoundtrip(const GeneratedCase& g,
     return std::string("binary round-trip not a fixpoint");
   }
 
-  Obs original = RunOnce(g, ReplayEngine::kCompiled, nullptr);
-  Obs rereplay = RunOnce(g, ReplayEngine::kCompiled, nullptr, &(*from_bin)[0]);
-  if (auto d = DiffObs(original, rereplay, /*engine_agnostic=*/false)) {
+  Obs original = RunOnce(g, nullptr);
+  Obs rereplay = RunOnce(g, nullptr, &(*from_bin)[0]);
+  if (auto d = DiffObs(original, rereplay)) {
     return "round-tripped template replays differently: " + *d;
   }
   return std::nullopt;
 }
 
-// TemplateStore selection + compile caches agree with uncached selection and
-// with the template's own initial constraint.
+// Indexed selection agrees with the reference linear scan, and the selected
+// template's own initial constraint accepts the generated scalars.
 std::optional<std::string> CheckStoreCoherence(const GeneratedCase& g, ConformanceOutcome*) {
   TemplateStore store;
   if (!Ok(store.AddPackage(PackageOf(g.tpl)))) return std::string("AddPackage failed");
 
-  auto first = store.SelectCompiled(kGenDriverlet, g.tpl.entry, g.scalars);
-  if (!first.ok()) {
-    return std::string("SelectCompiled (cold): ") + StatusName(first.status());
-  }
-  auto second = store.SelectCompiled(kGenDriverlet, g.tpl.entry, g.scalars);
-  if (!second.ok()) {
-    return std::string("SelectCompiled (warm): ") + StatusName(second.status());
-  }
-  if (first->tpl != second->tpl) return std::string("cold/warm selected different templates");
-  if (first->program != second->program) {
-    return std::string("cold/warm returned different compiled programs");
-  }
-  if (store.select_cache_misses() != 1 || store.select_cache_hits() != 1) {
-    return "selection cache counters: misses=" + Num(store.select_cache_misses()) +
-           " hits=" + Num(store.select_cache_hits()) + ", want 1/1";
-  }
-  if (store.compile_cache_misses() != 1) {
-    return "compile cache misses: " + Num(store.compile_cache_misses()) + ", want 1";
-  }
+  auto indexed = store.Select(kGenDriverlet, g.tpl.entry, g.scalars);
+  if (!indexed.ok()) return std::string("Select: ") + StatusName(indexed.status());
+  auto linear = store.SelectLinear(kGenDriverlet, g.tpl.entry, g.scalars);
+  if (!linear.ok()) return std::string("SelectLinear: ") + StatusName(linear.status());
+  if (*indexed != *linear) return std::string("Select and SelectLinear disagree");
 
-  auto plain = store.Select(kGenDriverlet, g.tpl.entry, g.scalars);
-  if (!plain.ok()) return std::string("Select: ") + StatusName(plain.status());
-  if (*plain != first->tpl) return std::string("Select and SelectCompiled disagree");
-
-  auto src = first->tpl->initial.Eval(g.scalars);
+  auto src = (*indexed)->initial.Eval(g.scalars);
   if (!src.ok() || !*src) return std::string("initial constraint rejects generated scalars");
-  if (first->program != nullptr) {
-    auto compiled = first->program->EvalInitial(g.scalars);
-    if (!compiled.ok() || *compiled != *src) {
-      return std::string("EvalInitial disagrees with initial.Eval");
-    }
-  } else {
-    // A null cached program is only legal as a remembered compile failure.
-    auto direct = CompileTemplate(first->tpl);
-    if (direct.ok()) {
-      return std::string("store cached interpreter fallback for a compilable template");
-    }
-    if (direct.status() != Status::kUnsupported) {
-      return std::string("CompileTemplate failed with ") + StatusName(direct.status()) +
-             ", want unsupported";
-    }
-  }
   return std::nullopt;
 }
 
 // The clean run succeeds first-attempt and produces the generator's expected
 // output bytes.
 std::optional<std::string> CheckBaseline(const GeneratedCase& g, ConformanceOutcome* outcome) {
-  Obs o = RunOnce(g, ReplayEngine::kCompiled, nullptr);
+  Obs o = RunOnce(g, nullptr);
   if (!Ok(o.load)) return std::string("package load: ") + StatusName(o.load);
   if (o.status != Status::kOk) return std::string("clean run: ") + StatusName(o.status);
   if (o.out != g.expected_out) {
@@ -368,33 +310,52 @@ std::optional<std::string> CheckBaseline(const GeneratedCase& g, ConformanceOutc
   return std::nullopt;
 }
 
-// Runtime integrity measurement (ninth property, ROADMAP item 3): a complete
-// run's hash chain equals the template's golden measurement on both engines; a
-// failing run's chain is a strict prefix and must NOT claim the golden value.
+// A failed run's record must be a strict prefix of the golden chain: fewer
+// events than the template has, folded in template order, never the golden
+// value itself.
+std::optional<std::string> CheckStrictPrefix(const GeneratedCase& g, const Obs& o,
+                                             const std::string& golden) {
+  if (o.meas.matches_golden || o.meas.Hex() == golden) {
+    return std::string("still claims the golden measurement");
+  }
+  if (o.meas.events_measured >= g.tpl.events.size()) {
+    return "measured " + Num(o.meas.events_measured) + " of " + Num(g.tpl.events.size()) +
+           " events";
+  }
+  IntegrityChain prefix;
+  prefix.Begin(g.tpl);
+  for (size_t i = 0; i < o.meas.events_measured; ++i) {
+    prefix.FoldEvent(g.tpl.events[i], i);
+  }
+  if (prefix.Hex() != o.meas.Hex()) {
+    return "chain is not the golden prefix of " + Num(o.meas.events_measured) + " events";
+  }
+  return std::nullopt;
+}
+
+// Runtime integrity measurement (ROADMAP item 3): a complete run's hash chain
+// equals the template's golden measurement and repeats exactly on a fresh
+// harness; a failing run's chain is a strict prefix of it, with or without
+// seeded faults.
 std::optional<std::string> CheckMeasurement(const GeneratedCase& g, ConformanceOutcome*) {
   const std::string golden = GoldenMeasurementHex(g.tpl);
-  Obs interp = RunOnce(g, ReplayEngine::kInterpreter, nullptr);
-  Obs compiled = RunOnce(g, ReplayEngine::kCompiled, nullptr);
-  if (!interp.meas.valid || !compiled.meas.valid) {
+  Obs clean = RunOnce(g, nullptr);
+  if (!clean.meas.valid) {
     return std::string("clean run left no measurement record");
   }
-  if (interp.meas.Hex() != compiled.meas.Hex()) {
-    return "engines measured different chains: " + interp.meas.Hex() + " vs " +
-           compiled.meas.Hex();
-  }
-  if (compiled.status == Status::kOk) {
-    if (!compiled.meas.matches_golden || compiled.meas.Hex() != golden) {
-      return "successful run's measurement is not the golden hash (got " +
-             compiled.meas.Hex() + ", want " + golden + ")";
+  if (clean.status == Status::kOk) {
+    if (!clean.meas.matches_golden || clean.meas.Hex() != golden) {
+      return "successful run's measurement is not the golden hash (got " + clean.meas.Hex() +
+             ", want " + golden + ")";
     }
-    if (compiled.stats.measurement != golden) {
+    if (clean.stats.measurement != golden) {
       return std::string("ReplayStats.measurement disagrees with golden hash");
     }
-  } else if (compiled.meas.matches_golden || compiled.meas.Hex() == golden) {
-    return std::string("failed run still claims the golden measurement");
+  } else if (auto d = CheckStrictPrefix(g, clean, golden)) {
+    return "failed run: " + *d;
   }
-  Obs again = RunOnce(g, ReplayEngine::kCompiled, nullptr);
-  if (!again.meas.valid || again.meas.Hex() != compiled.meas.Hex()) {
+  Obs again = RunOnce(g, nullptr);
+  if (!again.meas.valid || again.meas.Hex() != clean.meas.Hex()) {
     return std::string("measurement unstable across identical runs");
   }
   // Under seeded faults a *failing* run must never present the golden chain.
@@ -403,23 +364,26 @@ std::optional<std::string> CheckMeasurement(const GeneratedCase& g, ConformanceO
   targets.irq_line = kGenIrqLine;
   targets.dma_via_engine = true;
   FaultPlan plan = MakePresetPlan(FaultPlane::kMmio, g.seed, targets);
-  Obs faulted = RunOnce(g, ReplayEngine::kCompiled, &plan);
-  if (faulted.status != Status::kOk && faulted.meas.valid &&
-      (faulted.meas.matches_golden || faulted.meas.Hex() == golden)) {
-    return std::string("faulted failing run still claims the golden measurement");
+  Obs faulted = RunOnce(g, &plan);
+  if (faulted.status != Status::kOk && faulted.meas.valid) {
+    if (auto d = CheckStrictPrefix(g, faulted, golden)) {
+      return "faulted failing run: " + *d;
+    }
   }
   return std::nullopt;
 }
 
+// The same seeded fault plan on two fresh harnesses yields identical runs:
+// injection, recovery and every normal-world observable are deterministic.
 std::optional<std::string> CheckFaultPlane(const GeneratedCase& g, FaultPlane plane) {
   FaultTargets targets;
   targets.device = kGenDeviceId;
   targets.irq_line = kGenIrqLine;
   targets.dma_via_engine = true;
   FaultPlan plan = MakePresetPlan(plane, g.seed, targets);
-  Obs interp = RunOnce(g, ReplayEngine::kInterpreter, &plan);
-  Obs compiled = RunOnce(g, ReplayEngine::kCompiled, &plan);
-  if (auto d = DiffObs(interp, compiled, /*engine_agnostic=*/true)) {
+  Obs first = RunOnce(g, &plan);
+  Obs second = RunOnce(g, &plan);
+  if (auto d = DiffObs(first, second)) {
     return std::string("under ") + FaultPlaneName(plane) + " faults: " + *d;
   }
   return std::nullopt;
@@ -432,7 +396,6 @@ struct NamedInvariant {
 
 const std::vector<NamedInvariant>& Registry() {
   static const std::vector<NamedInvariant>* reg = new std::vector<NamedInvariant>{
-      {"engine-parity", CheckEngineParity},
       {"determinism", CheckDeterminism},
       {"serialize-roundtrip", CheckSerializeRoundtrip},
       {"store-coherence", CheckStoreCoherence},

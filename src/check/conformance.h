@@ -1,11 +1,12 @@
 // Property-based conformance runner over generated templates (the tentpole of
 // docs/conformance.md). For a GeneratedCase it asserts a pluggable invariant
-// set — compiled ≡ interpreter on every normal-world observable, serializer
-// round-trip + re-replay identity, TemplateStore selection/compile cache
-// coherence, replay determinism across repeated invokes, and byte-identical
-// behaviour under each seeded {mmio, dma, irq} fault plane. Failing cases are
-// shrunk (event-list bisection + operand simplification) to a minimal template
-// and written to a repro file that `driverletc check --repro <file>` replays.
+// set — replay determinism across fresh harnesses and repeated invokes,
+// serializer round-trip + re-replay identity, indexed ≡ linear TemplateStore
+// selection, the generator's expected output, byte-identical repeats under
+// each seeded {mmio, dma, irq} fault plane, and golden/strict-prefix integrity
+// measurements. Failing cases are shrunk (event-list bisection + operand
+// simplification) to a minimal template and written to a repro file that
+// `driverletc check --repro <file>` replays.
 #ifndef SRC_CHECK_CONFORMANCE_H_
 #define SRC_CHECK_CONFORMANCE_H_
 
@@ -43,7 +44,7 @@ struct ConformanceFailure {
 struct ConformanceOutcome {
   std::vector<ConformanceFailure> failures;
   int invariants_run = 0;
-  // Clean compiled-run accounting (filled when the "baseline" invariant runs).
+  // Clean-run accounting (filled when the "baseline" invariant runs).
   uint64_t events_executed = 0;
   uint64_t end_us = 0;
 
@@ -51,7 +52,7 @@ struct ConformanceOutcome {
 };
 
 // Invariant names, in the order RunConformance evaluates them. The
-// self-relative invariants (parity first) precede "baseline" so a shrink
+// self-relative invariants (determinism first) precede "baseline" so a shrink
 // anchors on an invariant that stays meaningful for event subsets.
 std::vector<std::string> AllInvariants();
 // AllInvariants minus "baseline": repro files don't carry expected output

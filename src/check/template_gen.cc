@@ -222,9 +222,9 @@ void TemplateGen::PollBlock() {
   Emit(std::move(p));
 }
 
-// A dma_alloc plus a run of consecutive +4 word writes (the compiled engine
-// coalesces these into one bulk op), optionally read back under constraints,
-// shm-polled, and copied out to the trustlet buffer.
+// A dma_alloc plus a run of consecutive +4 word writes (a descriptor-table
+// fill), optionally read back under constraints, shm-polled, and copied out
+// to the trustlet buffer.
 void TemplateGen::ShmRunBlock() {
   uint64_t words = rng_.Range(2, 6);
   std::string sym = NewSym("dma");
@@ -499,10 +499,9 @@ void TemplateGen::MiscBlock() {
 }
 
 // The fTPM-pipe shape: a FIFO read whose byte length is a symbolic function
-// of a scalar parameter (the variable-length response slot the compiled
-// engine lowers with postfix length folding), preceded by an unconstrained
-// statistic read (the RspLen idiom: observed, bound, never branched), and
-// optionally followed by a symbolic-length request push.
+// of a scalar parameter (the variable-length response slot), preceded by an
+// unconstrained statistic read (the RspLen idiom: observed, bound, never
+// branched), and optionally followed by a symbolic-length request push.
 void TemplateGen::VarLenPioBlock() {
   const char* param = rng_.Chance(50) ? "a" : "b";
   // len = (param & 0x18) + 8 ∈ {8, 16, 24, 32}: word-aligned and bounded, so
@@ -788,8 +787,9 @@ GeneratedCase TemplateGen::Generate() {
   }
 
   if (cfg_.force_deep_expr) {
-    // A right-nested chain deeper than kMaxExprStack: CompileTemplate returns
-    // kUnsupported and the replayer takes the interpreter-fallback path.
+    // A right-nested chain 30 levels deep, written and read back under a
+    // constraint: deep operand trees must evaluate and round-trip like
+    // shallow ones.
     ExprRef v = Expr::Input("a");
     for (int i = 0; i < 30; ++i) {
       v = Expr::Binary(ExprOp::kAdd, Expr::Const(1), v);

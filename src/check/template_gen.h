@@ -43,8 +43,8 @@ struct GenConfig {
   uint64_t seed = 1;
   int min_blocks = 2;
   int max_blocks = 6;
-  // Adds one operand expression deeper than kMaxExprStack, forcing the
-  // template down the compile-unsupported interpreter-fallback path.
+  // Adds one 30-level-deep operand expression (written, read back and
+  // constrained), the shape a bounded evaluation stack would reject.
   bool force_deep_expr = false;
 };
 

@@ -5,7 +5,7 @@
 // (10k–100k templates per entry) that collapses, so at registration we factor
 // each candidate's initial-constraint conjunction into per-scalar
 // *discriminating gates* — necessary conditions of three machine-checkable
-// shapes, mirroring the baked compare forms CompileTemplate lowers:
+// shapes:
 //
 //   eq     input == C            (either operand order)
 //   range  input <= / < / >= / > C   → an inclusive [lo, hi] window

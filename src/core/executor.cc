@@ -5,18 +5,20 @@
 #include <cstring>
 #include <sstream>
 
-#include "src/core/compiled_program.h"
 #include "src/core/integrity.h"
+#include "src/obs/edge.h"
 #include "src/obs/telemetry.h"
 #include "src/soc/log.h"
 
 namespace dlt {
 
-// Per-kind replay latency histograms, resolved once per kind (registrations
-// are permanent, so the cached pointers stay valid across Telemetry::Reset).
-// Atomic slots: fleet shards replay concurrently, and a racing double-resolve
-// is harmless — histogram(name) is idempotent, both writers store the same
-// pointer.
+namespace {
+
+// Per-kind replay latency histograms ("replay.us.<kind>"), resolved once per
+// kind (registrations are permanent, so the cached pointers stay valid across
+// Telemetry::Reset). Atomic slots: fleet shards replay concurrently, and a
+// racing double-resolve is harmless — histogram(name) is idempotent, both
+// writers store the same pointer.
 Histogram& ReplayKindHistogram(EventKind k) {
   static std::array<std::atomic<Histogram*>, 16> cache{};
   size_t i = static_cast<size_t>(k);
@@ -27,6 +29,8 @@ Histogram& ReplayKindHistogram(EventKind k) {
   }
   return *h;
 }
+
+}  // namespace
 
 std::string DescribeEvent(const TemplateEvent& e) {
   std::ostringstream os;
@@ -89,20 +93,19 @@ Result<PhysAddr> Executor::EvalAddr(const ExprRef& e, size_t access_len) const {
   return addr;
 }
 
-void FillDivergenceReport(ReplayContext* ctx, const InteractionTemplate& tpl,
-                          const TemplateEvent& e, size_t index, uint64_t observed,
-                          DivergenceReport* report) {
+void Executor::FillDivergence(const TemplateEvent& e, size_t index, uint64_t observed,
+                              DivergenceReport* report) const {
   // Single choke point for every divergence flavour (constraint violation,
-  // poll/IRQ timeout, allocation failure) across both replay engines —
-  // telemetry taps it here.
+  // poll/IRQ timeout, allocation failure) — telemetry taps it here.
   Telemetry& t = Telemetry::Get();
   if (t.enabled()) {
     t.metrics().counter("replay.divergences").Inc();
-    t.metrics().counter("replay.constraint_failures." + tpl.name).Inc();
-    t.Instant(TraceKind::kDivergence, ctx->TimestampUs(), tpl.name, observed, index, e.device);
+    t.metrics().counter("replay.constraint_failures." + tpl_->name).Inc();
+    t.Instant(TraceKind::kDivergence, ctx_->TimestampUs(), tpl_->name, observed, index,
+              e.device);
   }
   report->valid = true;
-  report->template_name = tpl.name;
+  report->template_name = tpl_->name;
   report->event_index = index;
   report->event_desc = DescribeEvent(e);
   report->file = e.file;
@@ -110,14 +113,9 @@ void FillDivergenceReport(ReplayContext* ctx, const InteractionTemplate& tpl,
   report->observed = observed;
   report->expected_constraint = e.constraint.ToString();
   report->rewound.clear();
-  for (size_t i = 0; i <= index && i < tpl.events.size(); ++i) {
-    report->rewound.push_back(DescribeEvent(tpl.events[i]));
+  for (size_t i = 0; i <= index && i < tpl_->events.size(); ++i) {
+    report->rewound.push_back(DescribeEvent(tpl_->events[i]));
   }
-}
-
-void Executor::FillDivergence(const TemplateEvent& e, size_t index, uint64_t observed,
-                              DivergenceReport* report) const {
-  FillDivergenceReport(ctx_, *tpl_, e, index, observed, report);
 }
 
 Status Executor::BindAndCheck(const TemplateEvent& e, size_t index, uint64_t observed,
@@ -212,6 +210,7 @@ Status Executor::RunOne(const TemplateEvent& e, size_t index, DivergenceReport* 
 Status Executor::ExecuteOne(const TemplateEvent& e, size_t index, DivergenceReport* report) {
   ctx_->ChargeReplayOverheadNs(kReplayInterpEventNs);
   ++events_executed_;
+  EdgeCoverage::Get().HitIndex(kEdgeKindBase + static_cast<size_t>(e.kind));
   switch (e.kind) {
     case EventKind::kRegRead: {
       DLT_ASSIGN_OR_RETURN(uint32_t v, ctx_->RegRead32(e.device, e.reg_off));

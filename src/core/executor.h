@@ -13,8 +13,12 @@
 
 namespace dlt {
 
-class Histogram;
 class IntegrityChain;
+
+// Deterministic replay CPU cost: the virtual time the executor charges per
+// executed event (poll-body events included) through the context's
+// replay-overhead hook.
+inline constexpr uint64_t kReplayInterpEventNs = 800;
 
 class Executor {
  public:
@@ -26,8 +30,8 @@ class Executor {
   size_t events_executed() const { return events_executed_; }
 
   // Optional integrity measurement: Run folds every completed top-level event
-  // into |chain| (integrity.h). Poll bodies are excluded by the parity
-  // contract — only Run's own loop folds.
+  // into |chain| (integrity.h). Poll bodies are excluded — only Run's own
+  // loop folds, so the chain is computable statically from the template.
   void set_integrity_chain(IntegrityChain* chain) { chain_ = chain; }
 
  private:
@@ -73,17 +77,6 @@ class Executor {
 
 // Renders an event for reports: "reg_write mmc+0x34 @bcm_sdhost.cc:210".
 std::string DescribeEvent(const TemplateEvent& e);
-
-// Divergence-report choke point shared by the interpreter and the compiled
-// executor (compiled_executor.cc): telemetry taps, report fields, and the
-// rewound-event listing must stay byte-identical between engines.
-void FillDivergenceReport(ReplayContext* ctx, const InteractionTemplate& tpl,
-                          const TemplateEvent& e, size_t index, uint64_t observed,
-                          DivergenceReport* report);
-
-// Per-kind replay latency histogram, shared between engines so both record
-// into the same "replay.us.<kind>" series.
-Histogram& ReplayKindHistogram(EventKind k);
 
 }  // namespace dlt
 

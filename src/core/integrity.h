@@ -5,14 +5,14 @@
 // tells a verifier not just *that* an invoke failed but exactly how much of
 // the golden trace executed before it stopped.
 //
-// Parity contract: both engines fold one descriptor per completed *top-level*
-// template event, in template order. The descriptor covers only the fields
-// that are static template structure (kind, index, device, register offset,
-// irq line, bind/buffer names) — never runtime values — so interpreter and
-// compiled runs of one template produce byte-identical chains, including the
-// failure prefix when an attempt diverges mid-template. Poll bodies are
-// excluded: their iteration count is device timing, not template structure,
-// and the poll event itself is folded once on success.
+// The executor folds one descriptor per completed *top-level* template event,
+// in template order. The descriptor covers only the fields that are static
+// template structure (kind, index, device, register offset, irq line,
+// bind/buffer names) — never runtime values — so every run of one template
+// produces the same chain, and a run that diverges mid-template folds a strict
+// prefix of it. Poll bodies are excluded: their iteration count is device
+// timing, not template structure, and the poll event itself is folded once on
+// success.
 #ifndef SRC_CORE_INTEGRITY_H_
 #define SRC_CORE_INTEGRITY_H_
 

@@ -44,12 +44,6 @@ struct ReplayStats {
   int attempts = 0;
   size_t events_executed = 0;
   int resets = 0;
-  // Engine accounting: whether the compiled engine ran the successful attempt,
-  // its deterministic model cost, and the coalesced block transfers it issued
-  // (see docs/replay_compiler.md). All zero on interpreter runs.
-  bool compiled = false;
-  uint64_t cpu_model_ns = 0;
-  uint64_t bulk_ops = 0;
   // Runtime integrity measurement of the successful attempt (integrity.h):
   // hex SHA-256 chain over the executed top-level events and how many were
   // folded. A successful invoke's chain always equals the template's golden

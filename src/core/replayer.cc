@@ -1,6 +1,5 @@
 #include "src/core/replayer.h"
 
-#include "src/core/compiled_executor.h"
 #include "src/core/executor.h"
 #include "src/obs/telemetry.h"
 #include "src/soc/log.h"
@@ -47,37 +46,17 @@ Result<ReplayStats> Replayer::Invoke(std::string_view entry, const ReplayArgs& a
   measurement_ = MeasurementRecord{};
 
   // Selection goes through the store's (driverlet, entry) index; args.scalars
-  // doubles as the constraint bindings (no per-invoke rebuild). The compiled
-  // engine uses the cached selection path, which also hands back the
-  // template's compiled program (null = interpreter fallback).
+  // doubles as the constraint bindings (no per-invoke rebuild).
   std::vector<const InteractionTemplate*> rejected;
-  const InteractionTemplate* tpl = nullptr;
-  std::shared_ptr<const CompiledProgram> prog;
-  if (engine_ == ReplayEngine::kCompiled) {
-    Result<TemplateStore::CompiledSelection> sel =
-        store_->SelectCompiled(scope_, entry, args.scalars, tel.enabled() ? &rejected : nullptr);
-    if (!sel.ok()) {
-      if (tel.enabled() && sel.status() == Status::kNoTemplate) {
-        tel.metrics().counter("replay.template_miss").Inc();
-      }
-      return sel.status();
+  Result<const InteractionTemplate*> sel =
+      store_->Select(scope_, entry, args.scalars, tel.enabled() ? &rejected : nullptr);
+  if (!sel.ok()) {
+    if (tel.enabled() && sel.status() == Status::kNoTemplate) {
+      tel.metrics().counter("replay.template_miss").Inc();
     }
-    tpl = sel->tpl;
-    prog = sel->program;
-    if (prog == nullptr && tel.enabled()) {
-      tel.metrics().counter("replay.compile_fallbacks").Inc();
-    }
-  } else {
-    Result<const InteractionTemplate*> sel =
-        store_->Select(scope_, entry, args.scalars, tel.enabled() ? &rejected : nullptr);
-    if (!sel.ok()) {
-      if (tel.enabled() && sel.status() == Status::kNoTemplate) {
-        tel.metrics().counter("replay.template_miss").Inc();
-      }
-      return sel.status();
-    }
-    tpl = *sel;
+    return sel.status();
   }
+  const InteractionTemplate* tpl = *sel;
   if (tel.enabled()) {
     for (const InteractionTemplate* r : rejected) {
       tel.Instant(TraceKind::kTemplateRejected, ctx_->TimestampUs(), r->name, 0, 0,
@@ -90,7 +69,6 @@ Result<ReplayStats> Replayer::Invoke(std::string_view entry, const ReplayArgs& a
 
   ReplayStats stats;
   stats.template_name = tpl->name;
-  stats.compiled = prog != nullptr;
   report_ = DivergenceReport{};
 
   for (int attempt = 1; attempt <= max_attempts_; ++attempt) {
@@ -127,22 +105,10 @@ Result<ReplayStats> Replayer::Invoke(std::string_view entry, const ReplayArgs& a
     // execution, not the union of retries.
     IntegrityChain chain;
     chain.Begin(*tpl);
-    Status s = Status::kOk;
-    size_t events = 0;
-    if (prog != nullptr) {
-      CompiledExecutor exec(ctx_, prog.get(), &args);
-      exec.set_model_clock(compiled_model_clock_);
-      exec.set_integrity_chain(&chain);
-      s = exec.Run(&report_);
-      events = exec.events_executed();
-      stats.cpu_model_ns += exec.cpu_model_ns();
-      stats.bulk_ops += exec.bulk_ops();
-    } else {
-      Executor exec(ctx_, tpl, &args);
-      exec.set_integrity_chain(&chain);
-      s = exec.Run(&report_);
-      events = exec.events_executed();
-    }
+    Executor exec(ctx_, tpl, &args);
+    exec.set_integrity_chain(&chain);
+    Status s = exec.Run(&report_);
+    size_t events = exec.events_executed();
     stats.events_executed += events;
     total_events_ += events;
     measurement_.valid = true;

@@ -24,12 +24,6 @@
 
 namespace dlt {
 
-// Which execution engine Invoke uses. kCompiled (the default) runs the
-// template's CompiledProgram via the store's caches, falling back to the
-// interpreter per template when compilation is unsupported; kInterpreter
-// forces the event-by-event Executor (the differential-testing oracle).
-enum class ReplayEngine : uint8_t { kCompiled, kInterpreter };
-
 class Replayer {
  public:
   // Standalone replayer owning a private TemplateStore. |signing_key| is the
@@ -60,7 +54,7 @@ class Replayer {
   const TemplateStore& store() const { return *store_; }
   const DivergenceReport& last_report() const { return report_; }
   // Integrity measurement of the last Invoke's final attempt (valid after the
-  // engines actually ran — a selection miss leaves it invalid). Failed invokes
+  // executor actually ran — a selection miss leaves it invalid). Failed invokes
   // return a bare Status, so the chain of a diverged/aborted run is only
   // reachable here; the service's quarantine policy reads it.
   const MeasurementRecord& last_measurement() const { return measurement_; }
@@ -84,15 +78,6 @@ class Replayer {
   uint64_t total_events_executed() const { return total_events_; }
   uint64_t total_resets() const { return total_resets_; }
 
-  ReplayEngine engine() const { return engine_; }
-  void set_engine(ReplayEngine e) { engine_ = e; }
-
-  // Bench/ablation knob: charge the compiled engine's deterministic cost model
-  // to the virtual clock instead of the interpreter-parity charge. Off by
-  // default — parity charging keeps both engines' virtual timelines (and the
-  // seeded fault-opportunity streams derived from them) byte-identical.
-  void set_compiled_model_clock(bool v) { compiled_model_clock_ = v; }
-
  private:
   ReplayContext* ctx_;
   std::string signing_key_;
@@ -105,8 +90,6 @@ class Replayer {
   int max_attempts_ = 3;
   uint64_t retry_backoff_us_ = 0;
   bool reset_between_templates_ = true;
-  ReplayEngine engine_ = ReplayEngine::kCompiled;
-  bool compiled_model_clock_ = false;
   uint64_t total_events_ = 0;
   uint64_t total_resets_ = 0;
 };

@@ -1,12 +1,17 @@
 #include "src/core/serialize_binary.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <set>
 
 namespace dlt {
 
 namespace {
+
+// Planted decoder bug for the conformance harness's regression guard
+// (SetBinaryValueQuirkForTest). Atomic: fleet shards hydrate concurrently.
+std::atomic<bool> g_value_quirk{false};
 
 constexpr uint32_t kMagic = 0x544c4442;  // "BDLT"
 constexpr uint8_t kVersion = 1;
@@ -200,6 +205,10 @@ class Cursor {
     e.state_changing = (sc != 0);
     DLT_ASSIGN_OR_RETURN(e.constraint, ConstraintSet());
     DLT_ASSIGN_OR_RETURN(e.value, ExprTree());
+    if (e.value != nullptr && e.value->is_const() &&
+        g_value_quirk.load(std::memory_order_relaxed)) {
+      e.value = Expr::Const(e.value->constant() + 1);
+    }
     DLT_ASSIGN_OR_RETURN(e.buffer, String());
     DLT_ASSIGN_OR_RETURN(e.buf_offset, ExprTree());
     DLT_ASSIGN_OR_RETURN(uint64_t irq, Varint());
@@ -314,6 +323,8 @@ Sha256::Digest TemplateContentHash(const InteractionTemplate& t) {
   AppendTemplateBinary(t, &bytes);
   return Sha256::Hash(bytes.data(), bytes.size());
 }
+
+void SetBinaryValueQuirkForTest(bool on) { g_value_quirk.store(on, std::memory_order_relaxed); }
 
 std::vector<uint8_t> TemplatesToBinary(const std::vector<InteractionTemplate>& templates) {
   std::vector<uint8_t> out;

@@ -34,12 +34,17 @@ std::vector<uint8_t> TemplatesToBinaryV2(const std::vector<InteractionTemplate>&
 Result<std::vector<InteractionTemplate>> TemplatesFromBinary(const uint8_t* data, size_t len);
 
 // Appends one template's canonical v1 encoding (the unit the v2 body section
-// and the compile-cache content hash are built from).
+// and the content hash are built from).
 void AppendTemplateBinary(const InteractionTemplate& t, std::vector<uint8_t>* out);
 
 // Content identity of a template: SHA-256 over its canonical v1 encoding.
-// Keys the disk-persisted compile cache (src/core/program_cache.h).
 Sha256::Digest TemplateContentHash(const InteractionTemplate& t);
+
+// Test hook: arms a deliberate decoder bug — every constant event `value`
+// decodes one larger than it was written. Exists so the conformance harness
+// can prove its serialize-roundtrip invariant catches real codec bugs; never
+// set outside tests.
+void SetBinaryValueQuirkForTest(bool on);
 
 // Zero-copy reader over a v2 payload. Non-owning: |data| must outlive the
 // view (the mmap'ed package file, see package.h MappedPackage). Parse()

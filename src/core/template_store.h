@@ -35,10 +35,9 @@
 //
 // A store created with the default constructor owns its population. Shards of
 // a replay fleet call NewShardView() instead: every view shares the same
-// population (and candidates_scanned aggregate) but keeps its *own* selection
-// and compile caches — the mutable hot-path state — so concurrent shards never
-// contend on a cache lock. A view that observes a population swap lazily
-// flushes its caches on the next SelectCompiled.
+// population (and candidates_scanned aggregate). Selection keeps no per-view
+// mutable state; the only lock a reader can take is a lazy template's one-time
+// hydration latch.
 #ifndef SRC_CORE_TEMPLATE_STORE_H_
 #define SRC_CORE_TEMPLATE_STORE_H_
 
@@ -51,7 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/compiled_program.h"
 #include "src/core/constraint_index.h"
 #include "src/core/interaction_template.h"
 #include "src/core/package.h"
@@ -84,11 +82,10 @@ class TemplateStore {
 
   TemplateStore();
 
-  // A facade over the same shared population with fresh per-shard caches.
-  // Packages registered through any view (or the origin) become visible to
-  // all of them; cache counters and cache contents stay per-view. The origin
-  // store must outlive nothing in particular — views keep the shared state
-  // alive on their own.
+  // A facade over the same shared population. Packages registered through any
+  // view (or the origin) become visible to all of them. The origin store must
+  // outlive nothing in particular — views keep the shared state alive on their
+  // own.
   std::unique_ptr<TemplateStore> NewShardView() const;
 
   // Verifies, decompresses and parses a sealed package, then adds it.
@@ -105,11 +102,6 @@ class TemplateStore {
   // the mapping, and vice versa).
   Status AddPackageFile(const std::string& path, std::string_view signing_key);
   Status AddMappedPackage(std::shared_ptr<const MappedPackage> pkg);
-
-  // Arms the disk-persisted compile cache (program_cache.h): ProgramFor
-  // consults |dir| before compiling and persists fresh programs there. Set it
-  // before serving traffic; the directory must exist. Shared by every view.
-  void set_compile_cache_dir(std::string dir);
 
   bool HasDriverlet(std::string_view driverlet) const;
   size_t package_count() const;
@@ -169,63 +161,13 @@ class TemplateStore {
   // Entry slots carrying a discriminating constraint index.
   size_t indexed_slot_count() const;
 
-  // Compiled selection result: the selected template plus its compiled program.
-  // A null |program| means the template didn't compile (kUnsupported shapes);
-  // callers fall back to the interpreter for that template.
-  struct CompiledSelection {
-    const InteractionTemplate* tpl = nullptr;
-    std::shared_ptr<const CompiledProgram> program;
-  };
-
-  // Select + compile with two caches in front (docs/replay_compiler.md):
-  //  - a per-(driverlet, entry, scalar-name signature) selection cache holding
-  //    the param-filtered candidate list with programs attached, so repeat
-  //    invokes skip the index walk, the param-subset filter and all compile
-  //    lookups. Initial constraints are still evaluated per invoke — selection
-  //    depends on scalar *values*, which are deliberately not part of the key.
-  //  - a per-template compile cache (programs are immutable per load), which
-  //    also remembers failed compiles as interpreter-fallback markers, and is
-  //    optionally backed by the on-disk program cache (set_compile_cache_dir).
-  // Constraint-indexed slots take a faster route when no rejected report is
-  // requested: probe the index, evaluate the handful of survivors, hydrate and
-  // compile only the winner — the signature cache is skipped because probing
-  // is already cheaper than its lookup would be at scale, and materializing a
-  // 100k-candidate compiled list per signature is exactly the cold-start cost
-  // this store exists to avoid.
-  // Semantics match Select exactly, including rejected reporting, ambiguity
-  // warnings and candidates_scanned accounting. Both caches belong to this
-  // view only and are guarded by a per-view mutex (uncontended when each
-  // fleet shard drives its own view).
-  Result<CompiledSelection> SelectCompiled(
-      std::string_view driverlet, std::string_view entry, const Bindings& scalars,
-      std::vector<const InteractionTemplate*>* rejected = nullptr) const;
-
-  // Cache observability (also exported as replay.select_cache.* /
-  // replay.compile_cache.* telemetry counters when tracing is armed).
-  // Per-view: a fleet sums these over its shards.
-  uint64_t select_cache_hits() const { return select_cache_hits_.load(std::memory_order_relaxed); }
-  uint64_t select_cache_misses() const {
-    return select_cache_misses_.load(std::memory_order_relaxed);
-  }
-  uint64_t select_cache_evictions() const {
-    return select_cache_evictions_.load(std::memory_order_relaxed);
-  }
-  uint64_t compile_cache_hits() const {
-    return compile_cache_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t compile_cache_misses() const {
-    return compile_cache_misses_.load(std::memory_order_relaxed);
-  }
-  uint64_t compile_cache_evictions() const {
-    return compile_cache_evictions_.load(std::memory_order_relaxed);
-  }
-  // Disk program-cache traffic (0 unless set_compile_cache_dir was called).
-  uint64_t disk_compile_hits() const {
-    return disk_compile_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t disk_compile_stores() const {
-    return disk_compile_stores_.load(std::memory_order_relaxed);
-  }
+  // The store caches neither selections nor programs; these always return
+  // zero. Their only reader is perfbench/workloads.cc:91-94 (the repo
+  // benchmark's core.store.*_cache_hit_ratio lines), kept building as is.
+  uint64_t select_cache_hits() const { return 0; }
+  uint64_t select_cache_misses() const { return 0; }
+  uint64_t compile_cache_hits() const { return 0; }
+  uint64_t compile_cache_misses() const { return 0; }
 
   // True when |other| reads the same shared population (fleet shard views).
   bool SharesPopulationWith(const TemplateStore& other) const {
@@ -272,27 +214,12 @@ class TemplateStore {
     // RCU publish pointer; readers load it once per call, lock-free.
     std::atomic<const Population*> pop{nullptr};
     // Every population ever published, newest last. Retired snapshots are kept
-    // alive so template pointers pinned by readers (or sitting in per-view
-    // caches that have not resynced yet) never dangle. Registration is rare —
-    // this grows by one small snapshot per AddPackage call.
+    // alive so template pointers pinned by readers never dangle. Registration
+    // is rare — this grows by one small snapshot per AddPackage call.
     std::vector<std::unique_ptr<const Population>> epochs;
     std::atomic<uint64_t> candidates_scanned{0};
     std::atomic<uint64_t> index_probes{0};
     std::atomic<uint64_t> hydrated_templates{0};
-    // Disk program-cache directory; empty = disabled. Guarded by cfg_mu (set
-    // once at deploy time, read on compile misses only).
-    std::mutex cfg_mu;
-    std::string compile_cache_dir;
-  };
-
-  // One param-filtered candidate with its program attached (selection cache).
-  struct CachedCandidate {
-    const InteractionTemplate* tpl = nullptr;
-    std::shared_ptr<const CompiledProgram> program;
-  };
-  struct SelectCacheEntry {
-    std::vector<CachedCandidate> candidates;
-    uint64_t tick = 0;  // LRU stamp
   };
 
   explicit TemplateStore(std::shared_ptr<Shared> shared);
@@ -314,32 +241,8 @@ class TemplateStore {
   // Registration core: exactly one of |eager| / |mapped| is set.
   Status AddPackageInternal(const DriverletPackage* eager,
                             std::shared_ptr<const MappedPackage> mapped);
-  // Compile-cache lookup; remembers failures as null programs, consults the
-  // disk cache when configured. cache_mu_ held; |tpl| must be hydrated.
-  std::shared_ptr<const CompiledProgram> ProgramFor(const InteractionTemplate* tpl) const;
-  // Drops both caches, counting evictions. cache_mu_ held.
-  void FlushCachesLocked() const;
 
   std::shared_ptr<Shared> shared_;
-
-  // Per-view mutable state: the selection/compile caches and the population
-  // generation they were built against. Guarded by cache_mu_ — uncontended in
-  // the fleet (one shard, one view, one executing thread at a time).
-  static constexpr size_t kSelectCacheCapacity = 128;
-  mutable std::mutex cache_mu_;
-  mutable const Population* cache_pop_ = nullptr;
-  mutable std::map<const InteractionTemplate*, std::shared_ptr<const CompiledProgram>>
-      compile_cache_;
-  mutable std::map<std::string, SelectCacheEntry, std::less<>> select_cache_;
-  mutable uint64_t select_cache_tick_ = 0;
-  mutable std::atomic<uint64_t> select_cache_hits_{0};
-  mutable std::atomic<uint64_t> select_cache_misses_{0};
-  mutable std::atomic<uint64_t> select_cache_evictions_{0};
-  mutable std::atomic<uint64_t> compile_cache_hits_{0};
-  mutable std::atomic<uint64_t> compile_cache_misses_{0};
-  mutable std::atomic<uint64_t> compile_cache_evictions_{0};
-  mutable std::atomic<uint64_t> disk_compile_hits_{0};
-  mutable std::atomic<uint64_t> disk_compile_stores_{0};
 };
 
 }  // namespace dlt

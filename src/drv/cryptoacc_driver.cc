@@ -82,8 +82,8 @@ Status CryptoaccDriver::Transform(const TValue& op, const TValue& key, const TVa
     return Status::kNoMemory;
   }
 
-  // Stage the inputs and build the descriptor ring — a run of bulk shared
-  // memory writes the compiled engine coalesces.
+  // Stage the inputs and build the descriptor ring — a run of consecutive
+  // shared-memory word writes.
   TValue off(0);
   for (size_t i = 0; i < n; ++i) {
     io_->CopyToDma(srcs[i], buf, off, lens[i], DLT_HERE);

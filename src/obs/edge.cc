@@ -36,16 +36,25 @@ const char* EdgeName(size_t index) {
       "ring.push",                "ring.full",
       "ring.wrap",                "ring.doorbell",
       "ring.empty_doorbell",      "ring.pop",
-      "ring.pop_empty",           "compiled.bulk_fast",
-      "compiled.bulk_exact",      "compiled.poll_iter",
+      "ring.pop_empty",
   };
   static_assert(sizeof(kNames) / sizeof(kNames[0]) ==
                 static_cast<size_t>(Edge::kNamedCount));
+  // EventKind order (src/core/event.h); dlt_obs sits below dlt_core, so the
+  // labels are spelled out rather than taken from EventKindName.
+  static const char* kKindNames[] = {
+      "exec.reg_read",      "exec.shm_read",    "exec.dma_alloc",   "exec.get_rand_bytes",
+      "exec.get_ts",        "exec.wait_for_irq", "exec.copy_from_dma", "exec.pio_in",
+      "exec.reg_write",     "exec.shm_write",   "exec.delay",       "exec.copy_to_dma",
+      "exec.pio_out",       "exec.poll_reg",    "exec.poll_shm",
+  };
+  static_assert(sizeof(kKindNames) / sizeof(kKindNames[0]) <= kEdgeKindCells);
   if (index < static_cast<size_t>(Edge::kNamedCount)) {
     return kNames[index];
   }
-  if (index >= kEdgeOpBase && index < kEdgeMapSize) {
-    return "cop";
+  if (index >= kEdgeKindBase && index < kEdgeMapSize) {
+    size_t kind = index - kEdgeKindBase;
+    return kind < sizeof(kKindNames) / sizeof(kKindNames[0]) ? kKindNames[kind] : "exec";
   }
   return "?";
 }

@@ -2,7 +2,7 @@
 // signal the boundary fuzzer (src/check/fuzz.h, docs/fuzzing.md) feeds on.
 // Unlike the Telemetry counters (string-keyed, registration-order visited),
 // this is a fixed array of relaxed atomics indexed by a compile-time site id,
-// so instrumented hot paths (ReplayService, InvocationRing, CompiledExecutor
+// so instrumented hot paths (ReplayService, InvocationRing, Executor
 // dispatch) pay one predictable branch when the map is disarmed and one
 // relaxed fetch_add when armed. The fuzzer arms it around each boundary
 // program, buckets the counts, and keeps inputs that light new cells.
@@ -44,18 +44,16 @@ enum class Edge : uint32_t {
   kRingEmptyDoorbell,
   kRingPop,
   kRingPopEmpty,
-  // CompiledExecutor paths (per-opcode hits live at kEdgeOpBase + COp).
-  kCompiledBulkFast,
-  kCompiledBulkExact,
-  kCompiledPollIter,
 
   kNamedCount,
 };
 
-// Compiled opcode hits occupy [kEdgeOpBase, kEdgeOpBase + 32).
-inline constexpr size_t kEdgeOpBase = 64;
-inline constexpr size_t kEdgeMapSize = 96;
-static_assert(static_cast<size_t>(Edge::kNamedCount) <= kEdgeOpBase);
+// Executor hits, one cell per executed EventKind, occupy
+// [kEdgeKindBase, kEdgeKindBase + kEdgeKindCells).
+inline constexpr size_t kEdgeKindBase = 32;
+inline constexpr size_t kEdgeKindCells = 16;
+inline constexpr size_t kEdgeMapSize = kEdgeKindBase + kEdgeKindCells;
+static_assert(static_cast<size_t>(Edge::kNamedCount) <= kEdgeKindBase);
 
 class EdgeCoverage {
  public:
@@ -88,7 +86,8 @@ class EdgeCoverage {
   std::array<std::atomic<uint32_t>, kEdgeMapSize> cells_{};
 };
 
-// Human-readable site label for fuzz logs ("cop+17" for the opcode range).
+// Human-readable site label for fuzz logs ("exec.reg_write" for the executor
+// cells).
 const char* EdgeName(size_t index);
 
 }  // namespace dlt

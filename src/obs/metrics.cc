@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <sstream>
 
 namespace dlt {
@@ -51,18 +52,20 @@ uint64_t Histogram::Percentile(double p) const {
   if (n == 0) {
     return 0;
   }
-  uint64_t rank = static_cast<uint64_t>(p / 100.0 * static_cast<double>(n));
-  if (rank == 0) {
-    rank = 1;
-  }
+  // Nearest rank: the smallest sample with at least p% of samples at or below.
+  uint64_t rank = static_cast<uint64_t>(std::ceil(p * static_cast<double>(n) / 100.0));
+  rank = std::clamp<uint64_t>(rank, 1, n);
+  uint64_t bound = max();
   uint64_t seen = 0;
   for (int i = 0; i < kBuckets; ++i) {
     seen += bucket(i);
     if (seen >= rank) {
-      return i == 0 ? 0 : (1ull << i) - 1;  // inclusive upper bound of bucket i
+      bound = i == 0 ? 0 : (1ull << i) - 1;  // inclusive upper bound of bucket i
+      break;
     }
   }
-  return max();
+  // A bucket bound can lie outside the observed range; the true sample cannot.
+  return std::clamp(bound, min(), max());
 }
 
 void Histogram::Reset() {

@@ -72,7 +72,9 @@ class Histogram {
   uint64_t min() const;  // 0 when empty
   uint64_t max() const { return max_.load(std::memory_order_relaxed); }
   double mean() const;
-  // Upper bound of the bucket holding the p-th percentile sample (0 < p <= 100).
+  // Upper bound of the bucket holding the nearest-rank p-th percentile sample
+  // (rank ceil(p/100 * count), 0 < p <= 100), clamped to [min(), max()] so a
+  // quantile never leaves the observed range.
   uint64_t Percentile(double p) const;
   uint64_t bucket(int i) const { return buckets_[i].load(std::memory_order_relaxed); }
 

@@ -17,7 +17,7 @@ ReplayFleet::ReplayFleet(std::string signing_key, ReplayFleetConfig cfg)
 
   // Shard 0 owns the origin TemplateStore; every other shard's service drives
   // a view of it, so one RegisterDriverlet population publish is visible to
-  // all shards while selection/compile caches stay shard-private.
+  // all shards.
   auto origin = std::make_unique<TemplateStore>();
   std::vector<std::unique_ptr<TemplateStore>> stores;
   stores.push_back(nullptr);  // placeholder; origin moves in below

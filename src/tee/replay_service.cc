@@ -24,11 +24,7 @@ ReplayService::ReplayService(SecureWorld* tee, std::string signing_key,
     : tee_(tee),
       signing_key_(std::move(signing_key)),
       cfg_(cfg),
-      store_(store != nullptr ? std::move(store) : std::make_unique<TemplateStore>()) {
-  if (!cfg_.compile_cache_dir.empty()) {
-    store_->set_compile_cache_dir(cfg_.compile_cache_dir);
-  }
-}
+      store_(store != nullptr ? std::move(store) : std::make_unique<TemplateStore>()) {}
 
 Result<std::string> ReplayService::RegisterDriverlet(const uint8_t* data, size_t len) {
   DLT_ASSIGN_OR_RETURN(DriverletPackage pkg, OpenPackage(data, len, signing_key_));
@@ -52,16 +48,10 @@ Result<std::string> ReplayService::RegisterDriverlet(const DriverletPackage& pkg
     auto replayer =
         std::make_unique<Replayer>(tee_, signing_key_, store_.get(), pkg.driverlet);
     replayer->set_retry_backoff_us(cfg_.retry_backoff_us);
-    replayer->set_engine(cfg_.use_compiled ? ReplayEngine::kCompiled
-                                           : ReplayEngine::kInterpreter);
     DLT_RETURN_IF_ERROR(replayer->LoadPackage(pkg));
     replayers_.emplace(pkg.driverlet, std::move(replayer));
   } else {
-    // Re-registering a device class replaces its templates only; re-apply the
-    // engine in case the config changed between service instances sharing one
-    // replayer map (defensive — the map is per-service today).
-    it->second->set_engine(cfg_.use_compiled ? ReplayEngine::kCompiled
-                                             : ReplayEngine::kInterpreter);
+    // Re-registering a device class replaces its templates only.
     DLT_RETURN_IF_ERROR(it->second->LoadPackage(pkg));
   }
   EdgeCoverage::Get().Hit(Edge::kServiceRegister);
@@ -100,16 +90,10 @@ Result<std::string> ReplayService::RegisterDriverlet(std::shared_ptr<const Mappe
     }
   }
   DLT_RETURN_IF_ERROR(store_->AddMappedPackage(std::move(pkg)));
-  auto it = replayers_.find(name);
-  if (it == replayers_.end()) {
+  if (replayers_.find(name) == replayers_.end()) {
     auto replayer = std::make_unique<Replayer>(tee_, signing_key_, store_.get(), name);
     replayer->set_retry_backoff_us(cfg_.retry_backoff_us);
-    replayer->set_engine(cfg_.use_compiled ? ReplayEngine::kCompiled
-                                           : ReplayEngine::kInterpreter);
     replayers_.emplace(name, std::move(replayer));
-  } else {
-    it->second->set_engine(cfg_.use_compiled ? ReplayEngine::kCompiled
-                                             : ReplayEngine::kInterpreter);
   }
   EdgeCoverage::Get().Hit(Edge::kServiceRegister);
   Telemetry& tel = Telemetry::Get();

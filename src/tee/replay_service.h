@@ -62,21 +62,12 @@ struct ReplayServiceConfig {
   //     only CloseSession frees the slot. 0 disables quarantine.
   uint64_t retry_backoff_us = 0;
   uint64_t quarantine_threshold = 4;
-  // Execution engine for every registered replayer: compiled programs with
-  // per-template interpreter fallback (default), or the pure interpreter
-  // (differential-testing oracle / ablation baseline).
-  bool use_compiled = true;
   // Integrity policy (docs/architecture.md "Runtime integrity measurement"):
   // when set, a device-health failure whose runtime measurement diverges from
   // the template's golden hash quarantines the session immediately — rung 0
   // of the recovery ladder, below the consecutive-failure threshold. Off by
   // default: measurement is always recorded, enforcement is opt-in.
   bool enforce_integrity = false;
-  // Directory for the disk-persisted program cache (program_cache.h). When
-  // non-empty, the store loads previously compiled programs from here instead
-  // of recompiling and persists fresh ones — fleet restarts over large
-  // corpora skip the whole compile warm-up. Empty disables persistence.
-  std::string compile_cache_dir;
 };
 
 // Per-session accounting, aggregated from each invoke's ReplayStats.

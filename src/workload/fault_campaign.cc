@@ -164,7 +164,6 @@ FaultMatrixCell RunCell(FaultPlane plane, const std::string& driverlet, uint64_t
   ReplayServiceConfig scfg;
   scfg.retry_backoff_us = cfg.retry_backoff_us;
   scfg.quarantine_threshold = cfg.quarantine_threshold;
-  scfg.use_compiled = cfg.use_compiled;
   Deployment d = MakeDeployment(pkg, scfg);
   if (d.session == 0) {
     return cell;  // registration failed; zero-op cell is visible in the matrix

@@ -25,11 +25,6 @@ struct FaultMatrixConfig {
   // Recovery ladder configuration for every cell's service.
   uint64_t retry_backoff_us = 100;
   uint64_t quarantine_threshold = 3;
-  // Replay engine for every cell's service (compiled programs by default; the
-  // interpreter is the differential oracle). Not part of the JSON: both
-  // engines must produce identical matrices, and the differential tests
-  // compare the serialized bytes across engines to prove it.
-  bool use_compiled = true;
 };
 
 struct FaultMatrixCell {

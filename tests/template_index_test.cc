@@ -1,6 +1,6 @@
-// Differential coverage for the ISSUE 9 tentpole: constraint-indexed
-// selection vs the linear oracle, the v2 zero-copy package format, lazy
-// hydration, and the disk-persisted compile cache.
+// Differential coverage for the scaled template store: constraint-indexed
+// selection vs the linear oracle, the v2 zero-copy package format, and lazy
+// hydration.
 //
 //   TemplateIndexTest  index-vs-linear parity on the production-shaped scale
 //                      corpus plus crafted ambiguity / missing-param /
@@ -8,21 +8,19 @@
 //   PackageV2Test      seal/open round trips across wire generations, every-
 //                      byte truncation + corruption sweeps, mmap registration
 //                      without up-front hydration
-//   StoreScaleTest     disk program-cache restart behaviour and concurrent
-//                      shard-view selection over one lazily mapped population
-//                      (the TSan job runs this suite)
+//   StoreScaleTest     concurrent shard-view selection over one lazily mapped
+//                      population and zero-copy service registration (the
+//                      TSan job runs this suite)
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "src/check/scale_corpus.h"
 #include "src/check/template_gen.h"
 #include "src/core/constraint_index.h"
 #include "src/core/package.h"
-#include "src/core/program_cache.h"
 #include "src/core/serialize_binary.h"
 #include "src/core/template_store.h"
 #include "src/tee/replay_service.h"
@@ -230,24 +228,6 @@ TEST(TemplateIndexTest, SmallSlotsSkipTheIndex) {
   EXPECT_EQ(store.index_probes(), probes_before);
 }
 
-TEST(TemplateIndexTest, SelectCompiledAgreesWithSelect) {
-  ScaleCorpusConfig cfg;
-  cfg.templates = 300;
-  cfg.entries = 6;
-  ScaleCorpus corpus = BuildScaleCorpus(cfg);
-  TemplateStore store;
-  ASSERT_TRUE(Ok(store.AddPackage(corpus.pkg)));
-  for (size_t target = 0; target < cfg.templates; target += 11) {
-    Bindings scalars = ScaleInvokeScalars(corpus, target);
-    std::string entry = ScaleEntry(cfg, target);
-    Result<const InteractionTemplate*> sel = store.Select(kScaleDriverlet, entry, scalars);
-    Result<TemplateStore::CompiledSelection> comp =
-        store.SelectCompiled(kScaleDriverlet, entry, scalars);
-    ASSERT_TRUE(sel.ok() && comp.ok()) << "target " << target;
-    EXPECT_EQ((*sel)->name, comp->tpl->name) << "target " << target;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // PackageV2Test
 // ---------------------------------------------------------------------------
@@ -415,97 +395,9 @@ TEST(PackageV2Test, EagerReRegistrationReplacesTheMapping) {
   std::remove(path.c_str());
 }
 
-TEST(PackageV2Test, ProgramSerializationRoundTripsByDisassembly) {
-  ScaleCorpusConfig cfg;
-  cfg.templates = 8;
-  cfg.entries = 2;
-  ScaleCorpus corpus = BuildScaleCorpus(cfg);
-  size_t round_tripped = 0;
-  for (const InteractionTemplate& tpl : corpus.pkg.templates) {
-    Result<std::shared_ptr<const CompiledProgram>> p = CompileTemplate(&tpl);
-    if (!p.ok()) continue;  // kUnsupported shapes fall back to the interpreter
-    Result<std::vector<uint8_t>> bytes = SerializeProgram(**p);
-    ASSERT_TRUE(bytes.ok());
-    Result<std::shared_ptr<const CompiledProgram>> back =
-        DeserializeProgram(bytes->data(), bytes->size(), &tpl);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ((*p)->Disassemble(), (*back)->Disassemble());
-    ++round_tripped;
-  }
-  EXPECT_GT(round_tripped, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // StoreScaleTest
 // ---------------------------------------------------------------------------
-
-TEST(StoreScaleTest, DiskCompileCacheSurvivesRestart) {
-  ScaleCorpusConfig cfg;
-  cfg.templates = 60;
-  cfg.entries = 4;
-  ScaleCorpus corpus = BuildScaleCorpus(cfg);
-  // Wipe any .dcp files a previous run left behind: the first pass below
-  // asserts the directory is cold.
-  std::string dir = ::testing::TempDir() + "/dcp_restart";
-  ASSERT_EQ(0, std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str()));
-
-  uint64_t stores = 0;
-  {
-    TemplateStore first;
-    first.set_compile_cache_dir(dir);
-    ASSERT_TRUE(Ok(first.AddPackage(corpus.pkg)));
-    for (size_t target = 0; target < cfg.templates; target += 3) {
-      Result<TemplateStore::CompiledSelection> r = first.SelectCompiled(
-          kScaleDriverlet, ScaleEntry(cfg, target), ScaleInvokeScalars(corpus, target));
-      ASSERT_TRUE(r.ok());
-    }
-    stores = first.disk_compile_stores();
-    EXPECT_GT(stores, 0u);
-    EXPECT_EQ(first.disk_compile_hits(), 0u);  // cold directory
-  }
-  // "Restart": a fresh store over the same directory compiles nothing anew.
-  TemplateStore second;
-  second.set_compile_cache_dir(dir);
-  ASSERT_TRUE(Ok(second.AddPackage(corpus.pkg)));
-  for (size_t target = 0; target < cfg.templates; target += 3) {
-    Result<TemplateStore::CompiledSelection> r = second.SelectCompiled(
-        kScaleDriverlet, ScaleEntry(cfg, target), ScaleInvokeScalars(corpus, target));
-    ASSERT_TRUE(r.ok());
-  }
-  EXPECT_EQ(second.disk_compile_hits(), stores);
-  EXPECT_EQ(second.disk_compile_stores(), 0u);
-}
-
-TEST(StoreScaleTest, DiskCacheRejectsCorruptEntries) {
-  // A corrupt .dcp file is a miss, never a wrong program or a crash.
-  ScaleCorpusConfig cfg;
-  cfg.templates = 8;
-  cfg.entries = 2;
-  ScaleCorpus corpus = BuildScaleCorpus(cfg);
-  const InteractionTemplate& tpl = corpus.pkg.templates[0];
-  Result<std::shared_ptr<const CompiledProgram>> p = CompileTemplate(&tpl);
-  ASSERT_TRUE(p.ok());
-  std::string dir = ::testing::TempDir() + "/dcp_corrupt";
-  ASSERT_EQ(0, std::system(("mkdir -p " + dir).c_str()));
-  DiskProgramCache cache(dir);
-  Sha256::Digest h = TemplateContentHash(tpl);
-  ASSERT_TRUE(cache.Store(h, **p));
-  ASSERT_NE(cache.Load(h, &tpl), nullptr);
-
-  // Flip every 17th byte of the cache file; each variant must load as a miss
-  // or as a program identical to the original (header bytes may be benign).
-  Result<std::vector<uint8_t>> good = SerializeProgram(**p);
-  ASSERT_TRUE(good.ok());
-  for (size_t pos = 0; pos < good->size(); pos += 17) {
-    std::vector<uint8_t> bad = *good;
-    bad[pos] ^= 0xff;
-    Result<std::shared_ptr<const CompiledProgram>> r =
-        DeserializeProgram(bad.data(), bad.size(), &tpl);
-    if (r.ok()) {
-      EXPECT_EQ((*r)->Disassemble(), (*p)->Disassemble()) << "flip at " << pos;
-    }
-  }
-}
 
 TEST(StoreScaleTest, ConcurrentShardViewsHydrateOneMappedPopulation) {
   // The TSan target: four threads race selections (and thus first-touch
@@ -529,10 +421,10 @@ TEST(StoreScaleTest, ConcurrentShardViewsHydrateOneMappedPopulation) {
     threads.emplace_back([&, t] {
       TemplateStore& view = *views[t];
       for (size_t target = 0; target < cfg.templates; ++target) {
-        Result<TemplateStore::CompiledSelection> r = view.SelectCompiled(
+        Result<const InteractionTemplate*> r = view.Select(
             kScaleDriverlet, ScaleEntry(cfg, target), ScaleInvokeScalars(corpus, target));
-        if (!r.ok() || r->tpl->name != "scale_" + std::to_string(target) ||
-            r->tpl->events.empty()) {
+        if (!r.ok() || (*r)->name != "scale_" + std::to_string(target) ||
+            (*r)->events.empty()) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -557,9 +449,7 @@ TEST(StoreScaleTest, ServiceRegistersMappedFileZeroCopy) {
   opts.secure_io = true;
   opts.probe_drivers = false;
   Rpi3Testbed tb(opts);
-  ReplayServiceConfig svc_cfg;
-  svc_cfg.compile_cache_dir = ::testing::TempDir();
-  ReplayService service(&tb.tee(), kDeveloperKey, svc_cfg);
+  ReplayService service(&tb.tee(), kDeveloperKey);
   Result<std::string> name = service.RegisterDriverletFile(path);
   ASSERT_TRUE(name.ok()) << StatusName(name.status());
   EXPECT_EQ(*name, kScaleDriverlet);

@@ -15,13 +15,7 @@
 //   driverletc trace <pkg.dlt> -o trace.json
 //       Smoke replay with telemetry armed; writes a Chrome trace-event JSON
 //       file (open in chrome://tracing or https://ui.perfetto.dev) and prints
-//       the metrics summary plus the replay cache counters. See
-//       docs/observability.md.
-//   driverletc compile <pkg.dlt> [--dump]
-//       Lowers every template through the replay compiler and prints the
-//       program shape (ops / bulk words / atoms / expr steps) with the static
-//       cost model vs the interpreter; --dump adds the full op listing. See
-//       docs/replay_compiler.md.
+//       the metrics summary. See docs/observability.md.
 //   driverletc faultsweep [--seeds N] [--base-seed S] [--ops K] [-o matrix.json]
 //       Runs the seeded fault-matrix campaign (fault planes x driverlets x
 //       seeds) through the recovery policy ladder and prints per-cell recovery
@@ -29,9 +23,9 @@
 //       docs/fault_injection.md.
 //   driverletc check [--seeds N] [--base-seed S] [--out DIR]
 //       Property-based conformance sweep: generates N seeded templates and
-//       runs every conformance invariant (engine parity, determinism,
-//       serializer round-trip, store coherence, fault-plane parity) against
-//       each. Failures are shrunk to minimal templates and written as repro
+//       runs every conformance invariant (determinism, serializer
+//       round-trip, store coherence, fault-plane determinism, measurement)
+//       against each. Failures are shrunk to minimal templates and written as repro
 //       files under DIR (default .). See docs/conformance.md.
 //   driverletc check --repro <file>
 //       Re-executes a shrunk repro file through the self-relative invariants.
@@ -70,7 +64,6 @@
 
 #include "src/check/conformance.h"
 #include "src/check/fuzz.h"
-#include "src/core/compiled_program.h"
 #include "src/core/executor.h"
 #include "src/core/replayer.h"
 #include "src/obs/chrome_trace.h"
@@ -93,7 +86,6 @@ int Usage() {
                "       driverletc verify <pkg>\n"
                "       driverletc smoke <pkg>\n"
                "       driverletc trace <pkg> -o <trace.json>\n"
-               "       driverletc compile <pkg> [--dump]\n"
                "       driverletc faultsweep [--seeds N] [--base-seed S] [--ops K]"
                " [-o <matrix.json>]\n"
                "       driverletc check [--seeds N] [--base-seed S] [--out <dir>]\n"
@@ -197,26 +189,9 @@ int CmdVerify(const char* path) {
   return pkg.ok() ? 0 : 1;
 }
 
-// Prints the store's selection-cache and compile-cache counters in the same
-// one-line-per-cache shape as the telemetry metrics summary.
-void PrintCacheCounters(const TemplateStore& store) {
-  std::printf("replay caches:\n");
-  std::printf("  select cache : %llu hits / %llu misses / %llu evictions"
-              " (%llu candidates scanned)\n",
-              static_cast<unsigned long long>(store.select_cache_hits()),
-              static_cast<unsigned long long>(store.select_cache_misses()),
-              static_cast<unsigned long long>(store.select_cache_evictions()),
-              static_cast<unsigned long long>(store.candidates_scanned()));
-  std::printf("  compile cache: %llu hits / %llu misses / %llu evictions\n",
-              static_cast<unsigned long long>(store.compile_cache_hits()),
-              static_cast<unsigned long long>(store.compile_cache_misses()),
-              static_cast<unsigned long long>(store.compile_cache_evictions()));
-}
-
 // Loads |path| into a deployment TEE and replays one covered request for its
-// first entry. Shared by `smoke` (correctness check) and `trace` (telemetry,
-// which also wants the replayer's cache counters).
-int ReplayOnce(const char* path, bool print_caches = false) {
+// first entry. Shared by `smoke` (correctness check) and `trace` (telemetry).
+int ReplayOnce(const char* path) {
   Result<std::vector<uint8_t>> data = ReadFile(path);
   if (!data.ok()) {
     std::fprintf(stderr, "cannot read %s\n", path);
@@ -257,13 +232,8 @@ int ReplayOnce(const char* path, bool print_caches = false) {
     }
     return 1;
   }
-  std::printf("OK: template %s, %zu events replayed (%s engine, %llu bulk ops)\n",
-              r->template_name.c_str(), r->events_executed,
-              r->compiled ? "compiled" : "interpreter",
-              static_cast<unsigned long long>(r->bulk_ops));
-  if (print_caches) {
-    PrintCacheCounters(replayer.store());
-  }
+  std::printf("OK: template %s, %zu events replayed\n", r->template_name.c_str(),
+              r->events_executed);
   return 0;
 }
 
@@ -286,7 +256,7 @@ int CmdTrace(int argc, char** argv) {
   Telemetry& tel = Telemetry::Get();
   tel.Enable(1 << 18);
   tel.Reset();
-  int rc = ReplayOnce(pkg, /*print_caches=*/true);
+  int rc = ReplayOnce(pkg);
   if (rc != 0) {
     return rc;  // even a failed replay leaves a trace; but keep the exit honest
   }
@@ -303,69 +273,6 @@ int CmdTrace(int argc, char** argv) {
               static_cast<unsigned long long>(tel.ring().dropped()));
   std::printf("open in chrome://tracing or https://ui.perfetto.dev\n\n%s",
               tel.metrics().Summary().c_str());
-  return 0;
-}
-
-// Lowers every template in the package through the replay compiler and prints
-// the resulting program shape next to the static cost model, so a developer
-// can see what the deployment TEE will actually run (and which templates fall
-// back to the interpreter, and why that is cheap to tolerate).
-int CmdCompile(int argc, char** argv) {
-  const char* path = nullptr;
-  bool dump = false;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--dump") == 0) {
-      dump = true;
-    } else if (path == nullptr) {
-      path = argv[i];
-    } else {
-      return Usage();
-    }
-  }
-  if (path == nullptr) {
-    return Usage();
-  }
-  Result<std::vector<uint8_t>> data = ReadFile(path);
-  if (!data.ok()) {
-    std::fprintf(stderr, "cannot read %s\n", path);
-    return 1;
-  }
-  Result<DriverletPackage> pkg = OpenPackage(data->data(), data->size(), kDeveloperKey);
-  if (!pkg.ok()) {
-    std::fprintf(stderr, "%s: signature/integrity check FAILED\n", path);
-    return 1;
-  }
-  std::printf("driverlet \"%s\": lowering %zu templates\n", pkg->driverlet.c_str(),
-              pkg->templates.size());
-  size_t fallbacks = 0;
-  for (const auto& t : pkg->templates) {
-    Result<std::shared_ptr<const CompiledProgram>> prog = CompileTemplate(&t);
-    if (!prog.ok()) {
-      std::printf("  %-12s entry=%-16s UNSUPPORTED (%s) -> interpreter fallback\n",
-                  t.name.c_str(), t.entry.c_str(), StatusName(prog.status()));
-      ++fallbacks;
-      continue;
-    }
-    const CompiledProgram& p = **prog;
-    size_t bulk = 0;
-    for (const auto& op : p.ops) {
-      if (op.code == COp::kShmReadBulk || op.code == COp::kShmWriteBulk) {
-        ++bulk;
-      }
-    }
-    std::printf("  %-12s entry=%-16s %4zu ops (%zu bulk, %zu words) %3zu atoms"
-                " %4zu steps  model %llu -> %llu ns\n",
-                t.name.c_str(), t.entry.c_str(), p.ops.size(), bulk, p.words.size(),
-                p.atoms.size(), p.steps.size(),
-                static_cast<unsigned long long>(p.StaticInterpNs()),
-                static_cast<unsigned long long>(p.StaticCompiledNs()));
-    if (dump) {
-      std::printf("%s", p.Disassemble().c_str());
-    }
-  }
-  if (fallbacks > 0) {
-    std::printf("%zu template(s) will run on the interpreter\n", fallbacks);
-  }
   return 0;
 }
 
@@ -923,9 +830,6 @@ int main(int argc, char** argv) {
   }
   if (std::strcmp(argv[1], "trace") == 0) {
     return CmdTrace(argc, argv);
-  }
-  if (std::strcmp(argv[1], "compile") == 0) {
-    return CmdCompile(argc, argv);
   }
   if (std::strcmp(argv[1], "fleet") == 0) {
     return CmdFleet(argc, argv);
