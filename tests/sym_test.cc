@@ -41,10 +41,16 @@ TEST(ExprTest, ToStringParseRoundTrip) {
 }
 
 struct ExprRoundTripCase {
+  const char* name;
   const char* text;
   uint64_t x;
   uint64_t expect;
 };
+
+// gtest (and ctest's test discovery) name each case by its printed value.
+// Without this, the case prints as raw bytes, pointer included, so the
+// test names would change from build to build.
+void PrintTo(const ExprRoundTripCase& c, std::ostream* os) { *os << c.name; }
 
 class ExprRoundTripTest : public ::testing::TestWithParam<ExprRoundTripCase> {};
 
@@ -64,16 +70,16 @@ TEST_P(ExprRoundTripTest, ParsePrintEvalAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ExprRoundTripTest,
-    ::testing::Values(ExprRoundTripCase{"0x2a", 0, 0x2a},
-                      ExprRoundTripCase{"x", 7, 7},
-                      ExprRoundTripCase{"(x + 0x1)", 7, 8},
-                      ExprRoundTripCase{"(x * 0x200)", 8, 4096},
-                      ExprRoundTripCase{"((x * 0x200) - 0x1000)", 16, 4096},
-                      ExprRoundTripCase{"(x & (~0x7))", 43, 40},
-                      ExprRoundTripCase{"((0x8000 | (x << 0x6)) | 0x12)", 1, 0x8052},
-                      ExprRoundTripCase{"(x >> 0x3)", 24, 3},
-                      ExprRoundTripCase{"(x % 0x8)", 43, 3},
-                      ExprRoundTripCase{"((x / 0x2) ^ 0xff)", 6, 0xfc}));
+    ::testing::Values(ExprRoundTripCase{"const", "0x2a", 0, 0x2a},
+                      ExprRoundTripCase{"input", "x", 7, 7},
+                      ExprRoundTripCase{"add", "(x + 0x1)", 7, 8},
+                      ExprRoundTripCase{"mul", "(x * 0x200)", 8, 4096},
+                      ExprRoundTripCase{"mul_sub", "((x * 0x200) - 0x1000)", 16, 4096},
+                      ExprRoundTripCase{"and_not", "(x & (~0x7))", 43, 40},
+                      ExprRoundTripCase{"or_shl", "((0x8000 | (x << 0x6)) | 0x12)", 1, 0x8052},
+                      ExprRoundTripCase{"shr", "(x >> 0x3)", 24, 3},
+                      ExprRoundTripCase{"mod", "(x % 0x8)", 43, 3},
+                      ExprRoundTripCase{"div_xor", "((x / 0x2) ^ 0xff)", 6, 0xfc}));
 
 TEST(ExprTest, ParseRejectsGarbage) {
   EXPECT_FALSE(Expr::Parse("").ok());
