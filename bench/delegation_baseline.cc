@@ -67,6 +67,9 @@ int main() {
   std::printf(
       "\nDelegation matches native throughput (it IS the native path plus two world\n"
       "switches per request) but the OS observes the entire plaintext IO stream —\n"
-      "the leak driverlets close while staying within the paper's 1.4-2.7x overhead.\n");
+      "the leak driverlets close. The driverlet column runs the default reset policy\n"
+      "(no soft reset after templates recorded as leaving the device clean); with a\n"
+      "reset before every template, the paper's design, the driverlet stays within\n"
+      "the paper's 1.4-2.7x overhead.\n");
   return 0;
 }

@@ -165,10 +165,11 @@ int main(int argc, char** argv) {
   if (tel.enabled()) {
     dlt::MetricsRegistry& m = tel.metrics();
     std::printf("\n-- telemetry metrics (virtual time) --\n");
-    std::printf("template hits=%llu misses=%llu soft_resets=%llu\n",
+    std::printf("template hits=%llu misses=%llu soft_resets=%llu soft_resets_elided=%llu\n",
                 static_cast<unsigned long long>(m.counter("replay.template_hit").value()),
                 static_cast<unsigned long long>(m.counter("replay.template_miss").value()),
-                static_cast<unsigned long long>(m.counter("replay.soft_resets").value()));
+                static_cast<unsigned long long>(m.counter("replay.soft_resets").value()),
+                static_cast<unsigned long long>(m.counter("replay.soft_resets_elided").value()));
     std::printf("%s", m.Summary().c_str());
   }
   return 0;

@@ -14,9 +14,10 @@
 //
 // SoftReset() restores the scripted initial register file, rewinds every read
 // queue and cancels in-flight doorbell raises. That property is load-bearing:
-// the replayer soft-resets the primary device before every attempt, and the
-// determinism/fault-plane invariants rely on attempt N seeing exactly the
-// byte stream attempt 1 saw.
+// the replayer soft-resets the primary device before every attempt (a
+// GenDevice has no StateDigest, so its templates never prove clean and no
+// reset is elided), and the determinism/fault-plane invariants rely on
+// attempt N seeing exactly the byte stream attempt 1 saw.
 #ifndef SRC_CHECK_GEN_DEVICE_H_
 #define SRC_CHECK_GEN_DEVICE_H_
 

@@ -3,8 +3,10 @@
 namespace dlt {
 
 bool RecordCampaign::AddTemplate(InteractionTemplate t) {
-  for (const auto& existing : templates_) {
+  for (auto& existing : templates_) {
     if (InteractionTemplate::Mergeable(existing, t)) {
+      // The kept template now stands for both runs: clean only if both were.
+      existing.leaves_clean_state = existing.leaves_clean_state && t.leaves_clean_state;
       return false;
     }
   }

@@ -18,7 +18,8 @@ class RecordCampaign {
       : driverlet_name_(std::move(driverlet_name)) {}
 
   // Adds a template produced by a record run. Returns false when an existing
-  // template already covers the same state-transition path (merged away).
+  // template already covers the same state-transition path (merged away); the
+  // existing template then keeps leaves_clean_state only if |t| had it too.
   bool AddTemplate(InteractionTemplate t);
 
   const std::vector<InteractionTemplate>& templates() const { return templates_; }

@@ -37,6 +37,12 @@ struct InteractionTemplate {
   // Device to soft-reset between executions and upon divergence.
   uint16_t primary_device = 0;
 
+  // Record-time fact, signed with the package: every record run merged into
+  // this template ended with the primary device in its post-reset state as
+  // far as MmioDevice::StateDigest can observe. After a first-attempt success
+  // of such a template the replayer may skip the next reset on that device.
+  bool leaves_clean_state = false;
+
   std::vector<TemplateEvent> events;
 
   EventBreakdown CountEvents() const;

@@ -43,7 +43,10 @@ struct ReplayStats {
   std::string template_name;
   int attempts = 0;
   size_t events_executed = 0;
-  int resets = 0;
+  int resets = 0;  // soft resets actually performed, retries included
+  // The first attempt ran without a reset (ResetPolicy): the previous
+  // template provably left the device clean, or the policy is kNever.
+  bool reset_elided = false;
   // Runtime integrity measurement of the successful attempt (integrity.h):
   // hex SHA-256 chain over the executed top-level events and how many were
   // folded. A successful invoke's chain always equals the template's golden

@@ -1,5 +1,7 @@
 #include "src/core/replayer.h"
 
+#include <utility>
+
 #include "src/core/executor.h"
 #include "src/obs/telemetry.h"
 #include "src/soc/log.h"
@@ -44,6 +46,9 @@ Result<ReplayStats> Replayer::Invoke(std::string_view entry, const ReplayArgs& a
   // Reset before selection: a selection miss must not leave the previous
   // invoke's measurement looking like this one's.
   measurement_ = MeasurementRecord{};
+  // Only the previous invoke can vouch for the device; this one vouches for
+  // the next only if it succeeds cleanly (below).
+  std::optional<uint16_t> clean_device = std::exchange(clean_device_, std::nullopt);
 
   // Selection goes through the store's (driverlet, entry) index; args.scalars
   // doubles as the constraint bindings (no per-invoke rebuild).
@@ -84,8 +89,19 @@ Result<ReplayStats> Replayer::Invoke(std::string_view entry, const ReplayArgs& a
       ctx_->DelayUs(backoff);
     }
     // Reset the device before executing each template and upon divergence —
-    // constrains the device state space exactly as a record run did (§3.3, §5).
-    if (reset_between_templates_ || attempt > 1) {
+    // constrains the device state space exactly as a record run did (§3.3,
+    // §5). A first attempt skips it when the previous template provably left
+    // the device in that state already.
+    bool elide = attempt == 1 && (reset_policy_ == ResetPolicy::kNever ||
+                                  (reset_policy_ == ResetPolicy::kUnlessClean &&
+                                   clean_device == tpl->primary_device));
+    if (elide) {
+      stats.reset_elided = true;
+      ++total_resets_elided_;
+      if (tel.enabled()) {
+        tel.metrics().counter("replay.soft_resets_elided").Inc();
+      }
+    } else {
       if (tel.enabled()) {
         tel.metrics().counter("replay.soft_resets").Inc();
         tel.Instant(TraceKind::kSoftReset, ctx_->TimestampUs(),
@@ -120,6 +136,12 @@ Result<ReplayStats> Replayer::Invoke(std::string_view entry, const ReplayArgs& a
     // cannot collide with the full one.
     measurement_.matches_golden = Ok(s);
     if (Ok(s)) {
+      // Started from the post-reset state, ended in it (the recorder's proof),
+      // and never diverged: the next template may skip its reset.
+      bool started_clean = !elide || clean_device == tpl->primary_device;
+      if (attempt == 1 && started_clean && tpl->leaves_clean_state) {
+        clean_device_ = tpl->primary_device;
+      }
       stats.measurement = measurement_.Hex();
       stats.events_measured = measurement_.events_measured;
       if (tel.enabled()) {

@@ -1,8 +1,10 @@
 // The in-TEE replayer (paper §5): selects an interaction template by
 // constraint matching through an indexed TemplateStore, instantiates it, and
-// executes its events with a transactional, single-threaded executor. Device
-// state divergence triggers soft reset + bounded re-execution; persistent
-// divergence aborts with a rewound event report.
+// executes its events with a transactional, single-threaded executor. The
+// device is soft-reset before each template unless the previous invoke proved
+// it still clean (ResetPolicy). Device state divergence triggers soft reset +
+// bounded re-execution; persistent divergence aborts with a rewound event
+// report.
 //
 // A replayer either owns a private store (standalone use: one trustlet, its
 // own packages) or attaches to a shared store scoped to one driverlet — the
@@ -12,6 +14,7 @@
 #ifndef SRC_CORE_REPLAYER_H_
 #define SRC_CORE_REPLAYER_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,19 @@
 #include "src/core/template_store.h"
 
 namespace dlt {
+
+// When the replayer soft-resets a template's primary device before the first
+// attempt. Divergence retries reset under every policy.
+enum class ResetPolicy : uint8_t {
+  // Before every template: the paper's behaviour (§5).
+  kAlways,
+  // Skip it when the device is provably still in its post-reset state: the
+  // previous invoke on this replayer succeeded on its first attempt with a
+  // template flagged leaves_clean_state on the same primary device.
+  kUnlessClean,
+  // Ablation: never before a first attempt; residue state may diverge.
+  kNever,
+};
 
 class Replayer {
  public:
@@ -69,14 +85,13 @@ class Replayer {
   uint64_t retry_backoff_us() const { return retry_backoff_us_; }
   void set_retry_backoff_us(uint64_t us) { retry_backoff_us_ = us; }
 
-  // Ablation knob: skip the soft reset before first execution of a template
-  // (divergence recovery still resets). The paper's design always resets
-  // between templates (§5); disabling shows why — residue state diverges.
-  void set_reset_between_templates(bool v) { reset_between_templates_ = v; }
+  void set_reset_policy(ResetPolicy p) { reset_policy_ = p; }
 
-  // Cumulative statistics.
+  // Cumulative statistics. total_resets counts resets actually performed;
+  // total_resets_elided counts first attempts that ran without one.
   uint64_t total_events_executed() const { return total_events_; }
   uint64_t total_resets() const { return total_resets_; }
+  uint64_t total_resets_elided() const { return total_resets_elided_; }
 
  private:
   ReplayContext* ctx_;
@@ -89,9 +104,13 @@ class Replayer {
   MeasurementRecord measurement_;
   int max_attempts_ = 3;
   uint64_t retry_backoff_us_ = 0;
-  bool reset_between_templates_ = true;
+  ResetPolicy reset_policy_ = ResetPolicy::kUnlessClean;
+  // The device the previous invoke provably left in its post-reset state;
+  // cleared by every invoke that does not prove it again.
+  std::optional<uint16_t> clean_device_;
   uint64_t total_events_ = 0;
   uint64_t total_resets_ = 0;
+  uint64_t total_resets_elided_ = 0;
 };
 
 }  // namespace dlt

@@ -18,6 +18,13 @@ constexpr uint8_t kVersion = 1;
 constexpr uint8_t kVersionV2 = 2;
 // v2 fixed header: magic(4) version(1) count(4, LE) dir_len(4, LE).
 constexpr size_t kV2HeaderBytes = 13;
+// Per-template flag byte (v1 template header, v2 directory entry). Decoders
+// reject every other bit, so a flag a newer writer sets is never dropped.
+constexpr uint8_t kFlagLeavesClean = 0x1;
+
+uint8_t TemplateFlags(const InteractionTemplate& t) {
+  return t.leaves_clean_state ? kFlagLeavesClean : 0;
+}
 
 void PutVarint(uint64_t v, std::vector<uint8_t>* out) {
   while (v >= 0x80) {
@@ -166,6 +173,15 @@ class Cursor {
     }
   }
 
+  Status Flags(InteractionTemplate* t) {
+    DLT_ASSIGN_OR_RETURN(uint8_t flags, Byte());
+    if ((flags & ~kFlagLeavesClean) != 0) {
+      return Status::kCorrupt;
+    }
+    t->leaves_clean_state = (flags & kFlagLeavesClean) != 0;
+    return Status::kOk;
+  }
+
   Result<Constraint> ConstraintSet() {
     DLT_ASSIGN_OR_RETURN(uint64_t n, Varint());
     Constraint c;
@@ -286,6 +302,7 @@ void PutDirectoryEntry(const InteractionTemplate& t, const std::vector<uint16_t>
   PutString(t.name, out);
   PutString(t.entry, out);
   PutVarint(t.primary_device, out);
+  out->push_back(TemplateFlags(t));
   PutVarint(t.params.size(), out);
   for (const auto& p : t.params) {
     PutString(p.name, out);
@@ -306,6 +323,7 @@ void AppendTemplateBinary(const InteractionTemplate& t, std::vector<uint8_t>* ou
   PutString(t.name, out);
   PutString(t.entry, out);
   PutVarint(t.primary_device, out);
+  out->push_back(TemplateFlags(t));
   PutVarint(t.params.size(), out);
   for (const auto& p : t.params) {
     PutString(p.name, out);
@@ -411,6 +429,7 @@ Result<PackageView> PackageView::Parse(const uint8_t* data, size_t len) {
     DLT_ASSIGN_OR_RETURN(t.entry, cur.String());
     DLT_ASSIGN_OR_RETURN(uint64_t dev, cur.Varint());
     t.primary_device = static_cast<uint16_t>(dev);
+    DLT_RETURN_IF_ERROR(cur.Flags(&t));
     DLT_ASSIGN_OR_RETURN(uint64_t nparams, cur.Varint());
     for (uint64_t p = 0; p < nparams; ++p) {
       ParamSpec spec;
@@ -497,6 +516,7 @@ Result<std::vector<InteractionTemplate>> TemplatesFromBinary(const uint8_t* data
     DLT_ASSIGN_OR_RETURN(t.entry, cur.String());
     DLT_ASSIGN_OR_RETURN(uint64_t dev, cur.Varint());
     t.primary_device = static_cast<uint16_t>(dev);
+    DLT_RETURN_IF_ERROR(cur.Flags(&t));
     DLT_ASSIGN_OR_RETURN(uint64_t nparams, cur.Varint());
     for (uint64_t p = 0; p < nparams; ++p) {
       ParamSpec spec;

@@ -7,8 +7,9 @@
 //  - v1: templates stored back to back, parsed eagerly and in full.
 //  - v2: a length-prefixed, offset-table layout built for zero-copy loads. A
 //    fixed header carries the template count and directory length; the
-//    directory holds everything selection and admission need (name, entry,
-//    params, the initial constraint, touched devices) plus each template's
+//    directory holds everything selection, admission and the replayer's
+//    reset decision need (name, entry, primary device, flags, params, the
+//    initial constraint, touched devices) plus each template's
 //    body offset/length; event bodies live in a separate section that is only
 //    parsed when a template is actually executed. PackageView is the
 //    non-owning reader: Parse() touches header + directory bytes only,

@@ -231,6 +231,9 @@ std::string TemplateToText(const InteractionTemplate& t) {
   os << "template " << t.name << "\n";
   os << "entry " << t.entry << "\n";
   os << "device " << t.primary_device << "\n";
+  if (t.leaves_clean_state) {
+    os << "clean 1\n";  // absent: not proven clean, as in packages from before the flag
+  }
   for (const auto& p : t.params) {
     os << "param " << p.name << " " << (p.is_buffer ? "buffer" : "scalar") << "\n";
   }
@@ -268,6 +271,11 @@ Result<std::vector<InteractionTemplate>> TemplatesFromText(std::string_view text
       } else if (line.substr(0, 7) == "device ") {
         DLT_ASSIGN_OR_RETURN(uint64_t v, ParseU64(Trim(line.substr(7))));
         t.primary_device = static_cast<uint16_t>(v);
+      } else if (line.substr(0, 6) == "clean ") {
+        if (Trim(line.substr(6)) != "1") {
+          return Status::kCorrupt;
+        }
+        t.leaves_clean_state = true;
       } else if (line.substr(0, 6) == "param ") {
         std::string_view rest = Trim(line.substr(6));
         size_t sp = rest.find(' ');

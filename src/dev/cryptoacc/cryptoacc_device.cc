@@ -202,4 +202,15 @@ void CryptoaccDevice::SoftReset() {
   UpdateIrq();
 }
 
+std::optional<uint64_t> CryptoaccDevice::StateDigest() const {
+  // Left out: the ring latches. Every crypto template writes RING_BASE, then
+  // RING_SIZE (which also zeroes the absolute head and tail counters), then
+  // KEY, before its HEAD doorbell; only the pending window head - tail
+  // survives that sequence.
+  StateHasher h;
+  h.Add(pending_ != SimClock::kInvalidEvent).Add(irq_->Pending(irq_line_));
+  h.Add(ctrl_).Add(status_).Add(head_ - tail_);
+  return h.digest();
+}
+
 }  // namespace dlt

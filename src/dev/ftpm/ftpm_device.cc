@@ -218,4 +218,15 @@ void FtpmDevice::SoftReset() {
   UpdateIrq();
 }
 
+std::optional<uint64_t> FtpmDevice::StateDigest() const {
+  // Left out: the request latches. Every fTPM template writes ORD and ARG, and
+  // its REQLEN write empties the request FIFO, before GO; GO's Execute() then
+  // empties the response FIFO and rewinds its cursor before any DATA or
+  // RSPLEN read. The PCR bank and DRBG are NV state SoftReset keeps.
+  StateHasher h;
+  h.Add(pending_ != SimClock::kInvalidEvent).Add(irq_->Pending(irq_line_));
+  h.Add(ctrl_).Add(status_);
+  return h.digest();
+}
+
 }  // namespace dlt

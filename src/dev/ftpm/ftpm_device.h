@@ -56,6 +56,7 @@ class FtpmDevice : public MmioDevice {
   uint32_t MmioRead32(uint64_t offset) override;
   void MmioWrite32(uint64_t offset, uint32_t value) override;
   void SoftReset() override;
+  std::optional<uint64_t> StateDigest() const override;
 
   int irq_line() const { return irq_line_; }
 

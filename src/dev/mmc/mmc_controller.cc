@@ -233,4 +233,21 @@ void MmcController::SoftReset() {
   card_->ResetToTransferState();
 }
 
+std::optional<uint64_t> MmcController::StateDigest() const {
+  // Left out: request latches every MMC template writes before anything reads
+  // them. ConfigureForRequest writes SDVDD, SDTOUT, SDCDIV, SDHCFG, SDHBCT and
+  // SDHBLC before its first register read (SDEDM); SendCommand writes SDARG
+  // and then SDCMD before it reads SDCMD back, and reads SDRSP0 only after a
+  // command that succeeded and so overwrote it.
+  StateHasher h;
+  h.Add(pending_event_ != SimClock::kInvalidEvent).Add(irq_->Pending(irq_line_));
+  h.Add(fifo_.size());
+  for (uint8_t b : fifo_) {
+    h.Add(b);
+  }
+  h.Add(write_pending_).Add(edm_state_).Add(sdhsts_);
+  card_->HashState(&h);
+  return h.digest();
+}
+
 }  // namespace dlt

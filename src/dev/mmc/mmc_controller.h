@@ -81,6 +81,7 @@ class MmcController : public MmioDevice, public DmaDataPort {
   uint32_t MmioRead32(uint64_t offset) override;
   void MmioWrite32(uint64_t offset, uint32_t value) override;
   void SoftReset() override;
+  std::optional<uint64_t> StateDigest() const override;
 
   // DREQ-paced data port (the system DMA engine addresses SDDATA).
   size_t DmaPull(void* dst, size_t n) override;

@@ -145,6 +145,11 @@ void SdCard::ResetToTransferState() {
   set_block_count_ = 0;
 }
 
+void SdCard::HashState(StateHasher* h) const {
+  h->Add(static_cast<uint64_t>(state_)).Add(rca_).Add(app_cmd_).Add(blocklen_).Add(
+      set_block_count_);
+}
+
 void SdCard::PowerOnReset() {
   state_ = State::kIdle;
   rca_ = 0;

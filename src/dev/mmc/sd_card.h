@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/dev/mmc/block_medium.h"
+#include "src/soc/device.h"
 
 namespace dlt {
 
@@ -59,6 +60,10 @@ class SdCard {
   BlockMedium* medium() { return medium_; }
 
   uint32_t StatusWord() const;
+
+  // Feeds every field ResetToTransferState assigns into the controller's
+  // StateDigest (the card is only observable through its controller).
+  void HashState(StateHasher* h) const;
 
  private:
   BlockMedium* medium_;

@@ -338,4 +338,17 @@ void Vc4Firmware::SoftReset() {
   irq_->Clear(irq_line_);
 }
 
+std::optional<uint64_t> Vc4Firmware::StateDigest() const {
+  // No exclusions: a capture leaves the service connected and the frame
+  // sequence advanced, so no camera template ever proves clean.
+  StateHasher h;
+  h.Add(pending_ != SimClock::kInvalidEvent).Add(irq_->Pending(irq_line_));
+  h.Add(queue_base_).Add(master_tx_).Add(connected_).Add(port_open_);
+  h.Add(component_created_).Add(component_enabled_).Add(port_enabled_);
+  h.Add(camera_inited_).Add(capture_in_flight_).Add(capture_streaming_);
+  h.Add(resolution_).Add(slave_rx_pos_).Add(bell0_pending_).Add(frame_seq_);
+  h.AddBytes(current_frame_.data(), current_frame_.size());
+  return h.digest();
+}
+
 }  // namespace dlt

@@ -37,8 +37,10 @@ Status AddressSpace::AddRam(PhysAddr base, uint64_t size) {
   RamWindow w;
   w.base = base;
   w.size = size;
-  w.bytes = std::make_unique<uint8_t[]>(size);
-  std::memset(w.bytes.get(), 0, size);
+  w.bytes.reset(static_cast<uint8_t*>(std::calloc(size, 1)));
+  if (w.bytes == nullptr) {
+    return Status::kNoMemory;
+  }
   ram_.push_back(std::move(w));
   return Status::kOk;
 }

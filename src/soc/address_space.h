@@ -5,6 +5,7 @@
 #ifndef SRC_SOC_ADDRESS_SPACE_H_
 #define SRC_SOC_ADDRESS_SPACE_H_
 
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -33,10 +34,15 @@ class BusFaultHook {
 
 class AddressSpace {
  private:
+  struct FreeDeleter {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
   struct RamWindow {
     PhysAddr base;
     uint64_t size;
-    std::unique_ptr<uint8_t[]> bytes;
+    // calloc'ed: the allocator hands out zero pages lazily, so a window costs
+    // nothing until a page is first touched.
+    std::unique_ptr<uint8_t[], FreeDeleter> bytes;
   };
   struct MmioWindow {
     PhysAddr base;

@@ -206,6 +206,7 @@ Result<ReplayStats> ReplayService::DoInvokeOne(Session& s, std::string_view entr
     EdgeCoverage::Get().Hit(Edge::kServiceInvokeOk);
     s.stats.events_executed += r->events_executed;
     s.stats.resets += static_cast<uint64_t>(r->resets);
+    s.stats.resets_elided += r->reset_elided ? 1 : 0;
     s.stats.attempts += static_cast<uint64_t>(r->attempts);
     s.stats.consecutive_device_failures = 0;
     ++s.stats.per_template[r->template_name];

@@ -76,7 +76,8 @@ struct SessionStats {
   uint64_t invokes = 0;           // completed Invoke calls (direct + queued)
   uint64_t failures = 0;          // invokes that returned an error
   uint64_t events_executed = 0;
-  uint64_t resets = 0;
+  uint64_t resets = 0;            // soft resets performed (retries included)
+  uint64_t resets_elided = 0;     // first attempts run without a reset
   uint64_t attempts = 0;          // execution attempts incl. divergence retries
   uint64_t submitted = 0;         // requests admitted (FIFO Submit + RingPush)
   std::map<std::string, uint64_t> per_template;  // completed, by template name

@@ -1,5 +1,6 @@
 #include "src/workload/record_campaigns.h"
 
+#include <optional>
 #include <vector>
 
 #include "src/core/record_session.h"
@@ -19,14 +20,30 @@ void FillPattern(std::vector<uint8_t>* buf, uint64_t seed) {
   }
 }
 
+// Constrains the device state space before a record run (paper §3.2) and
+// returns the primary device's post-reset digest.
+std::optional<uint64_t> BeginRun(Rpi3Testbed* tb, uint16_t device) {
+  tb->ResetDevices();
+  tb->kern_io().ReleaseDma();
+  return tb->DeviceStateDigest(device);
+}
+
+// Distils the run's template. It leaves its device clean when the device's
+// digest now, after the gold driver returned, equals |clean|, the digest
+// BeginRun took; a device without a digest never proves clean.
+Result<InteractionTemplate> FinishRun(RecordSession* sess, Rpi3Testbed* tb, uint16_t device,
+                                      std::optional<uint64_t> clean) {
+  std::optional<uint64_t> after = tb->DeviceStateDigest(device);
+  DLT_ASSIGN_OR_RETURN(InteractionTemplate t, sess->Finish());
+  t.leaves_clean_state = clean.has_value() && after == clean;
+  return t;
+}
+
 }  // namespace
 
 Result<InteractionTemplate> RecordMmcRun(Rpi3Testbed* tb, const std::string& name, uint64_t rw,
                                          uint64_t blkcnt, uint64_t blkid) {
-  // Constrain the device state space before every record run (paper §3.2).
-  tb->ResetDevices();
-  tb->kern_io().ReleaseDma();
-
+  std::optional<uint64_t> clean = BeginRun(tb, tb->mmc_id());
   RecordSession sess(&tb->kern_io(), kMmcEntry, name, tb->mmc_id());
   TValue rw_v = sess.ScalarParam("rw", rw);
   TValue cnt_v = sess.ScalarParam("blkcnt", blkcnt);
@@ -42,14 +59,12 @@ Result<InteractionTemplate> RecordMmcRun(Rpi3Testbed* tb, const std::string& nam
     DLT_LOG(kError) << "MMC record run " << name << " failed: " << StatusName(s);
     return s;
   }
-  return sess.Finish();
+  return FinishRun(&sess, tb, tb->mmc_id(), clean);
 }
 
 Result<InteractionTemplate> RecordUsbRun(Rpi3Testbed* tb, const std::string& name, uint64_t rw,
                                          uint64_t blkcnt, uint64_t blkid) {
-  tb->ResetDevices();
-  tb->kern_io().ReleaseDma();
-
+  std::optional<uint64_t> clean = BeginRun(tb, tb->usb_id());
   RecordSession sess(&tb->kern_io(), kUsbEntry, name, tb->usb_id());
   TValue rw_v = sess.ScalarParam("rw", rw);
   TValue cnt_v = sess.ScalarParam("blkcnt", blkcnt);
@@ -65,14 +80,12 @@ Result<InteractionTemplate> RecordUsbRun(Rpi3Testbed* tb, const std::string& nam
     DLT_LOG(kError) << "USB record run " << name << " failed: " << StatusName(s);
     return s;
   }
-  return sess.Finish();
+  return FinishRun(&sess, tb, tb->usb_id(), clean);
 }
 
 Result<InteractionTemplate> RecordCameraRun(Rpi3Testbed* tb, const std::string& name,
                                             uint64_t frames, uint64_t resolution) {
-  tb->ResetDevices();
-  tb->kern_io().ReleaseDma();
-
+  std::optional<uint64_t> clean = BeginRun(tb, tb->vchiq_id());
   RecordSession sess(&tb->kern_io(), kCameraEntry, name, tb->vchiq_id());
   TValue frames_v = sess.ScalarParam("frame", frames);
   TValue res_v = sess.ScalarParam("resolution", resolution);
@@ -89,14 +102,12 @@ Result<InteractionTemplate> RecordCameraRun(Rpi3Testbed* tb, const std::string& 
     DLT_LOG(kError) << "camera record run " << name << " failed: " << StatusName(s);
     return s;
   }
-  return sess.Finish();
+  return FinishRun(&sess, tb, tb->vchiq_id(), clean);
 }
 
 Result<InteractionTemplate> RecordDisplayRun(Rpi3Testbed* tb, const std::string& name, uint64_t x,
                                              uint64_t y, uint64_t w, uint64_t h) {
-  tb->ResetDevices();
-  tb->kern_io().ReleaseDma();
-
+  std::optional<uint64_t> clean = BeginRun(tb, tb->display_id());
   RecordSession sess(&tb->kern_io(), kDisplayEntry, name, tb->display_id());
   TValue x_v = sess.ScalarParam("x", x);
   TValue y_v = sess.ScalarParam("y", y);
@@ -112,13 +123,12 @@ Result<InteractionTemplate> RecordDisplayRun(Rpi3Testbed* tb, const std::string&
     DLT_LOG(kError) << "display record run " << name << " failed: " << StatusName(s);
     return s;
   }
-  return sess.Finish();
+  return FinishRun(&sess, tb, tb->display_id(), clean);
 }
 
 Result<RecordCampaign> RecordTouchCampaign(Rpi3Testbed* tb) {
   RecordCampaign campaign("touch");
-  tb->ResetDevices();
-  tb->kern_io().ReleaseDma();
+  std::optional<uint64_t> clean = BeginRun(tb, tb->touch_id());
   // The record run needs a user: inject a sample press shortly after the wait
   // begins (the developer taps the panel during recording).
   tb->touch().InjectTouch(400, 240, /*delay_us=*/3'000);
@@ -131,7 +141,7 @@ Result<RecordCampaign> RecordTouchCampaign(Rpi3Testbed* tb) {
     DLT_LOG(kError) << "touch record run failed: " << StatusName(s);
     return s;
   }
-  DLT_ASSIGN_OR_RETURN(InteractionTemplate t, sess.Finish());
+  DLT_ASSIGN_OR_RETURN(InteractionTemplate t, FinishRun(&sess, tb, tb->touch_id(), clean));
   campaign.AddTemplate(std::move(t));
   return campaign;
 }
@@ -160,9 +170,7 @@ Result<RecordCampaign> RecordDisplayCampaign(Rpi3Testbed* tb) {
 
 Result<InteractionTemplate> RecordFtpmRun(Rpi3Testbed* tb, const std::string& name, uint64_t ord,
                                           uint64_t arg) {
-  tb->ResetDevices();
-  tb->kern_io().ReleaseDma();
-
+  std::optional<uint64_t> clean = BeginRun(tb, tb->ftpm_id());
   RecordSession sess(&tb->kern_io(), kFtpmEntry, name, tb->ftpm_id());
   TValue ord_v = sess.ScalarParam("ord", ord);
   TValue arg_v = sess.ScalarParam("arg", arg);
@@ -180,14 +188,12 @@ Result<InteractionTemplate> RecordFtpmRun(Rpi3Testbed* tb, const std::string& na
     DLT_LOG(kError) << "ftpm record run " << name << " failed: " << StatusName(s);
     return s;
   }
-  return sess.Finish();
+  return FinishRun(&sess, tb, tb->ftpm_id(), clean);
 }
 
 Result<InteractionTemplate> RecordCryptoaccRun(Rpi3Testbed* tb, const std::string& name,
                                                uint64_t op, uint64_t key, uint64_t len) {
-  tb->ResetDevices();
-  tb->kern_io().ReleaseDma();
-
+  std::optional<uint64_t> clean = BeginRun(tb, tb->crypto_id());
   RecordSession sess(&tb->kern_io(), kCryptoaccEntry, name, tb->crypto_id());
   TValue op_v = sess.ScalarParam("op", op);
   TValue key_v = sess.ScalarParam("key", key);
@@ -204,7 +210,7 @@ Result<InteractionTemplate> RecordCryptoaccRun(Rpi3Testbed* tb, const std::strin
     DLT_LOG(kError) << "cryptoacc record run " << name << " failed: " << StatusName(s);
     return s;
   }
-  return sess.Finish();
+  return FinishRun(&sess, tb, tb->crypto_id(), clean);
 }
 
 Result<RecordCampaign> RecordFtpmCampaign(Rpi3Testbed* tb) {

@@ -6,6 +6,9 @@
 //   Camera — 9 runs: {1,10,100} frames x {720,1080,1440}p, which merge into 3
 //            templates (OneShot/ShortBurst/LongBurst, Table 5) because the
 //            driver's state-transition path is resolution-independent.
+// Every run also sets InteractionTemplate::leaves_clean_state: whether the
+// primary device's StateDigest after the gold driver returned equals the one
+// taken right after the run's pre-record reset.
 #ifndef SRC_WORKLOAD_RECORD_CAMPAIGNS_H_
 #define SRC_WORKLOAD_RECORD_CAMPAIGNS_H_
 

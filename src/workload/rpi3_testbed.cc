@@ -121,6 +121,11 @@ Rpi3Testbed::Rpi3Testbed(const TestbedOptions& opts) {
   }
 }
 
+std::optional<uint64_t> Rpi3Testbed::DeviceStateDigest(uint16_t id) const {
+  Result<Machine::DeviceEntry> e = machine_.DeviceById(id);
+  return e.ok() ? e->dev->StateDigest() : std::nullopt;
+}
+
 void Rpi3Testbed::ResetDevices() {
   mmc_->SoftReset();
   usb_->SoftReset();

@@ -12,6 +12,7 @@
 #define SRC_WORKLOAD_RPI3_TESTBED_H_
 
 #include <memory>
+#include <optional>
 
 #include "src/dev/display/display_controller.h"
 #include "src/dev/display/touch_controller.h"
@@ -98,6 +99,10 @@ class Rpi3Testbed {
 
   // Returns every IO device (not the DMA engine) to the post-init clean state.
   void ResetDevices();
+
+  // MmioDevice::StateDigest of device |id|; nullopt for an unknown id or a
+  // device that never proves clean.
+  std::optional<uint64_t> DeviceStateDigest(uint16_t id) const;
 
  private:
   Machine machine_;

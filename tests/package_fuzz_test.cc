@@ -105,10 +105,21 @@ TEST_F(PackageFuzzTest, CrossFormatAgreement) {
                                                   kDeveloperKey);
   ASSERT_TRUE(from_text.ok());
   ASSERT_TRUE(from_bin.ok());
+  std::vector<uint8_t> v2_pkg = SealPackageV2(campaign_->MakePackage(), kDeveloperKey);
+  Result<DriverletPackage> from_v2 = OpenPackage(v2_pkg.data(), v2_pkg.size(), kDeveloperKey);
+  ASSERT_TRUE(from_v2.ok());
   ASSERT_EQ(from_text->templates.size(), from_bin->templates.size());
+  ASSERT_EQ(from_text->templates.size(), from_v2->templates.size());
   for (size_t i = 0; i < from_text->templates.size(); ++i) {
     EXPECT_TRUE(InteractionTemplate::Mergeable(from_text->templates[i], from_bin->templates[i]))
         << i;
+    EXPECT_TRUE(InteractionTemplate::Mergeable(from_text->templates[i], from_v2->templates[i]))
+        << i;
+    // The clean-state proof survives every wire format (every MMC template
+    // is recorded clean, so a dropped flag shows up as false here).
+    EXPECT_TRUE(from_text->templates[i].leaves_clean_state) << i;
+    EXPECT_TRUE(from_bin->templates[i].leaves_clean_state) << i;
+    EXPECT_TRUE(from_v2->templates[i].leaves_clean_state) << i;
   }
 }
 
@@ -168,6 +179,9 @@ InteractionTemplate MakeRandomTemplate(FuzzRng& rng, int index) {
   t.name = "fz_" + std::to_string(index) + "_" + std::to_string(rng.Below(1000));
   t.entry = "replay_fuzz";
   t.primary_device = static_cast<uint16_t>(rng.Below(16));
+  // Alternate the clean-state flag without drawing from |rng|, so every
+  // campaign of two or more templates round-trips both values.
+  t.leaves_clean_state = (index % 2) == 0;
   t.params.push_back(ParamSpec{"blkcnt", false});
   t.params.push_back(ParamSpec{"buf", true});
   if (rng.Chance(70)) {
@@ -310,9 +324,21 @@ TEST(SerializePropertyTest, RandomTemplatesBinaryRoundTripExact) {
     for (size_t i = 0; i < ts.size(); ++i) {
       EXPECT_TRUE(SameStateTransition(ts[i].events, (*parsed)[i].events))
           << "seed " << seed << " template " << i;
+      EXPECT_EQ(ts[i].leaves_clean_state, (*parsed)[i].leaves_clean_state)
+          << "seed " << seed << " template " << i;
     }
     // Binary is full-fidelity: re-emission is byte-identical.
     EXPECT_EQ(bin, TemplatesToBinary(*parsed)) << "seed " << seed;
+
+    // The v2 directory carries the flag too (read without hydration).
+    std::vector<uint8_t> v2 = TemplatesToBinaryV2(ts);
+    Result<PackageView> view = PackageView::Parse(v2.data(), v2.size());
+    ASSERT_TRUE(view.ok()) << "seed " << seed;
+    ASSERT_EQ(ts.size(), view->size()) << "seed " << seed;
+    for (size_t i = 0; i < ts.size(); ++i) {
+      EXPECT_EQ(ts[i].leaves_clean_state, view->header(i).leaves_clean_state)
+          << "seed " << seed << " template " << i;
+    }
   }
 }
 
@@ -327,9 +353,55 @@ TEST(SerializePropertyTest, RandomTemplatesTextRoundTripFixpoint) {
       EXPECT_TRUE(SameStateTransition(ts[i].events, (*parsed)[i].events))
           << "seed " << seed << " template " << i;
       EXPECT_EQ(ts[i].initial.ToString(), (*parsed)[i].initial.ToString());
+      EXPECT_EQ(ts[i].leaves_clean_state, (*parsed)[i].leaves_clean_state)
+          << "seed " << seed << " template " << i;
     }
     EXPECT_EQ(text, TemplatesToText(*parsed)) << "seed " << seed;
   }
+}
+
+TEST(SerializePropertyTest, TextWithoutCleanLineParsesUnflagged) {
+  // Packages sealed before the flag existed carry no `clean` line.
+  std::vector<InteractionTemplate> ts = MakeRandomCampaign(23, 1);
+  ASSERT_TRUE(ts[0].leaves_clean_state);
+  std::string text = TemplatesToText(ts);
+  size_t at = text.find("clean 1\n");
+  ASSERT_NE(std::string::npos, at);
+  text.erase(at, 8);
+  Result<std::vector<InteractionTemplate>> parsed = TemplatesFromText(text);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_FALSE((*parsed)[0].leaves_clean_state);
+
+  // The writer emits only `clean 1`; any other value is corrupt.
+  for (const char* bad : {"clean 0\n", "clean 2\n"}) {
+    std::string corrupt = text;
+    corrupt.insert(at, bad);
+    EXPECT_EQ(Status::kCorrupt, TemplatesFromText(corrupt).status()) << bad;
+  }
+}
+
+TEST(SerializePropertyTest, UnknownTemplateFlagBitsRejected) {
+  // The flag byte follows the primary-device varint in both the v1 template
+  // header and the v2 directory entry. Any bit but bit 0 is corrupt.
+  std::vector<InteractionTemplate> ts = MakeRandomCampaign(29, 1);
+  ts[0].primary_device = 3;  // one-byte varint
+  ts[0].leaves_clean_state = true;
+  // v1: magic(4) version(1) count varint(1), then name/entry strings.
+  std::vector<uint8_t> v1 = TemplatesToBinary(ts);
+  size_t off = 6 + 1 + ts[0].name.size() + 1 + ts[0].entry.size() + 1;
+  ASSERT_EQ(0x1, v1[off]);
+  ASSERT_TRUE(TemplatesFromBinary(v1.data(), v1.size()).ok());
+  for (uint8_t bad : {0x2, 0x3, 0x80}) {
+    v1[off] = bad;
+    EXPECT_EQ(Status::kCorrupt, TemplatesFromBinary(v1.data(), v1.size()).status()) << +bad;
+  }
+  // v2: the 13-byte fixed header, then the same name/entry/device prefix.
+  std::vector<uint8_t> v2 = TemplatesToBinaryV2(ts);
+  off = 13 + 1 + ts[0].name.size() + 1 + ts[0].entry.size() + 1;
+  ASSERT_EQ(0x1, v2[off]);
+  ASSERT_TRUE(PackageView::Parse(v2.data(), v2.size()).ok());
+  v2[off] = 0x4;
+  EXPECT_EQ(Status::kCorrupt, PackageView::Parse(v2.data(), v2.size()).status());
 }
 
 // Builds a deliberately small sealed package so the every-byte sweeps below

@@ -13,9 +13,10 @@
 //       Loads the package into a simulated deployment TEE and replays one
 //       covered request per entry as a smoke test.
 //   driverletc trace <pkg.dlt> -o trace.json
-//       Smoke replay with telemetry armed; writes a Chrome trace-event JSON
-//       file (open in chrome://tracing or https://ui.perfetto.dev) and prints
-//       the metrics summary. See docs/observability.md.
+//       Two smoke replays with telemetry armed; writes a Chrome trace-event
+//       JSON file (open in chrome://tracing or https://ui.perfetto.dev) and
+//       prints the metrics summary plus how many soft resets were performed
+//       and how many were elided. See docs/observability.md.
 //   driverletc faultsweep [--seeds N] [--base-seed S] [--ops K] [-o matrix.json]
 //       Runs the seeded fault-matrix campaign (fault planes x driverlets x
 //       seeds) through the recovery policy ladder and prints per-cell recovery
@@ -172,8 +173,8 @@ int CmdInspect(const char* path) {
   std::printf("coverage: %s\n", CoverageReport(ComputeCoverage(pkg->templates)).c_str());
   for (const auto& t : pkg->templates) {
     EventBreakdown b = t.CountEvents();
-    std::printf("  %-12s entry=%-16s %4d in / %4d out / %3d meta\n", t.name.c_str(),
-                t.entry.c_str(), b.input, b.output, b.meta);
+    std::printf("  %-12s entry=%-16s %4d in / %4d out / %3d meta  clean=%s\n", t.name.c_str(),
+                t.entry.c_str(), b.input, b.output, b.meta, t.leaves_clean_state ? "yes" : "no");
   }
   return 0;
 }
@@ -189,9 +190,10 @@ int CmdVerify(const char* path) {
   return pkg.ok() ? 0 : 1;
 }
 
-// Loads |path| into a deployment TEE and replays one covered request for its
-// first entry. Shared by `smoke` (correctness check) and `trace` (telemetry).
-int ReplayOnce(const char* path) {
+// Loads |path| into a deployment TEE and replays |invokes| covered requests
+// for its first entry. Shared by `smoke` (one invoke, a correctness check) and
+// `trace` (two, so the trace shows the second invoke's reset decision).
+int ReplayCovered(const char* path, int invokes) {
   Result<std::vector<uint8_t>> data = ReadFile(path);
   if (!data.ok()) {
     std::fprintf(stderr, "cannot read %s\n", path);
@@ -209,31 +211,33 @@ int ReplayOnce(const char* path) {
   const std::string entry = replayer.templates().front()->entry;
   std::printf("replaying entry %s on a simulated deployment machine...\n", entry.c_str());
 
-  ReplayArgs args;
-  std::vector<uint8_t> buf;
-  std::vector<uint8_t> aux;
-  if (entry == kTouchEntry) {
-    // Touch is the one entry the shared table cannot drive: its covered
-    // invoke consumes an injected input event.
-    machine.touch().InjectTouch(100, 100, 1'000);
-    buf.assign(4, 0);
-    args.buffers["evt"] = BufferView{buf.data(), buf.size()};
-  } else if (!CoveredArgsFor(entry, 0, &buf, &aux, &args)) {
-    std::fprintf(stderr, "unknown entry %s\n", entry.c_str());
-    return 1;
-  }
-  Result<ReplayStats> r = replayer.Invoke(entry, args);
-  if (!r.ok()) {
-    std::fprintf(stderr, "replay failed: %s\n", StatusName(r.status()));
-    const DivergenceReport& rep = replayer.last_report();
-    if (rep.valid) {
-      std::fprintf(stderr, "  diverged at #%zu %s (recorded %s:%d)\n", rep.event_index,
-                   rep.event_desc.c_str(), rep.file.c_str(), rep.line);
+  for (int round = 0; round < invokes; ++round) {
+    ReplayArgs args;
+    std::vector<uint8_t> buf;
+    std::vector<uint8_t> aux;
+    if (entry == kTouchEntry) {
+      // Touch is the one entry the shared table cannot drive: its covered
+      // invoke consumes an injected input event.
+      machine.touch().InjectTouch(100, 100, 1'000);
+      buf.assign(4, 0);
+      args.buffers["evt"] = BufferView{buf.data(), buf.size()};
+    } else if (!CoveredArgsFor(entry, round, &buf, &aux, &args)) {
+      std::fprintf(stderr, "unknown entry %s\n", entry.c_str());
+      return 1;
     }
-    return 1;
+    Result<ReplayStats> r = replayer.Invoke(entry, args);
+    if (!r.ok()) {
+      std::fprintf(stderr, "replay failed: %s\n", StatusName(r.status()));
+      const DivergenceReport& rep = replayer.last_report();
+      if (rep.valid) {
+        std::fprintf(stderr, "  diverged at #%zu %s (recorded %s:%d)\n", rep.event_index,
+                     rep.event_desc.c_str(), rep.file.c_str(), rep.line);
+      }
+      return 1;
+    }
+    std::printf("OK: template %s, %zu events replayed%s\n", r->template_name.c_str(),
+                r->events_executed, r->reset_elided ? " (reset elided)" : "");
   }
-  std::printf("OK: template %s, %zu events replayed\n", r->template_name.c_str(),
-              r->events_executed);
   return 0;
 }
 
@@ -256,7 +260,7 @@ int CmdTrace(int argc, char** argv) {
   Telemetry& tel = Telemetry::Get();
   tel.Enable(1 << 18);
   tel.Reset();
-  int rc = ReplayOnce(pkg);
+  int rc = ReplayCovered(pkg, /*invokes=*/2);
   if (rc != 0) {
     return rc;  // even a failed replay leaves a trace; but keep the exit honest
   }
@@ -273,6 +277,10 @@ int CmdTrace(int argc, char** argv) {
               static_cast<unsigned long long>(tel.ring().dropped()));
   std::printf("open in chrome://tracing or https://ui.perfetto.dev\n\n%s",
               tel.metrics().Summary().c_str());
+  std::printf("soft resets: %llu performed, %llu elided\n",
+              static_cast<unsigned long long>(tel.metrics().counter("replay.soft_resets").value()),
+              static_cast<unsigned long long>(
+                  tel.metrics().counter("replay.soft_resets_elided").value()));
   return 0;
 }
 
@@ -826,7 +834,7 @@ int main(int argc, char** argv) {
     return CmdVerify(argv[2]);
   }
   if (std::strcmp(argv[1], "smoke") == 0) {
-    return ReplayOnce(argv[2]);
+    return ReplayCovered(argv[2], /*invokes=*/1);
   }
   if (std::strcmp(argv[1], "trace") == 0) {
     return CmdTrace(argc, argv);
