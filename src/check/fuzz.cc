@@ -133,30 +133,23 @@ const DriverletPackage& FzzPackage() {
 // Pre-seal serialized payload per wire framing — the bytes SealPackageRaw
 // wraps, and the mutation substrate for the re-sign class.
 const std::vector<uint8_t>& FzzPayload(PackageWire wire) {
-  static const std::vector<uint8_t>* payloads[3] = {nullptr, nullptr, nullptr};
-  size_t i = static_cast<size_t>(wire) % 3;
+  static const std::vector<uint8_t>* payloads[2] = {nullptr, nullptr};
+  size_t i = static_cast<size_t>(wire) % 2;
   if (payloads[i] == nullptr) {
     const DriverletPackage& pkg = FzzPackage();
-    switch (static_cast<PackageWire>(i)) {
-      case PackageWire::kV1Text: {
-        std::string text = TemplatesToText(pkg.templates);
-        payloads[i] = new std::vector<uint8_t>(text.begin(), text.end());
-        break;
-      }
-      case PackageWire::kV1Binary:
-        payloads[i] = new std::vector<uint8_t>(TemplatesToBinary(pkg.templates));
-        break;
-      default:
-        payloads[i] = new std::vector<uint8_t>(TemplatesToBinaryV2(pkg.templates));
-        break;
+    if (static_cast<PackageWire>(i) == PackageWire::kV1Text) {
+      std::string text = TemplatesToText(pkg.templates);
+      payloads[i] = new std::vector<uint8_t>(text.begin(), text.end());
+    } else {
+      payloads[i] = new std::vector<uint8_t>(TemplatesToBinary(pkg.templates));
     }
   }
   return *payloads[i];
 }
 
 const std::vector<uint8_t>& FzzSealed(PackageWire wire) {
-  static const std::vector<uint8_t>* sealed[3] = {nullptr, nullptr, nullptr};
-  size_t i = static_cast<size_t>(wire) % 3;
+  static const std::vector<uint8_t>* sealed[2] = {nullptr, nullptr};
+  size_t i = static_cast<size_t>(wire) % 2;
   if (sealed[i] == nullptr) {
     sealed[i] = new std::vector<uint8_t>(
         SealPackageRaw("fzz", static_cast<PackageWire>(i), FzzPayload(wire), kDeveloperKey));
@@ -222,7 +215,7 @@ class BoundaryExec {
     // the one-time record campaigns emit counters, and a run's feature set
     // must not depend on whether an earlier run already paid that cost.
     for (size_t cls = 0; cls < NumClasses(); ++cls) SealedPackage(cls);
-    for (size_t w = 0; w < 3; ++w) FzzSealed(static_cast<PackageWire>(w));
+    for (size_t w = 0; w < 2; ++w) FzzSealed(static_cast<PackageWire>(w));
     Telemetry::Get().Enable();
     Telemetry::Get().Reset();
     EdgeCoverage::Get().Reset();
@@ -550,7 +543,7 @@ class BoundaryExec {
         break;
       }
       case BoundaryOp::kRegisterPackage: {
-        PackageWire wire = static_cast<PackageWire>(act.b % 3);
+        PackageWire wire = static_cast<PackageWire>(act.b % 2);
         std::vector<uint8_t> bytes = MutantPackageBytes(act.a, wire, act.c);
         size_t count_before = service_->store().template_count();
         bool had_before = service_->store().HasDriverlet("fzz");
@@ -583,7 +576,7 @@ class BoundaryExec {
           Fail("register-atomic",
                "failed registration changed store state at action #" + std::to_string(idx));
         }
-        line += std::string(" ") + StatusName(s) + " w=" + std::to_string(act.b % 3) +
+        line += std::string(" ") + StatusName(s) + " w=" + std::to_string(act.b % 2) +
                 " m=" + std::to_string(act.c % 4);
         break;
       }
@@ -900,14 +893,13 @@ std::vector<BoundaryProgram> BuiltinBoundaryCorpus() {
       p.actions.push_back(BoundaryAction{op, a, b, c});
     };
     add(BoundaryOp::kOpen, 0, 0, 0);
-    add(BoundaryOp::kRegisterPackage, 0, 0, 0);  // intact, v1 text
-    add(BoundaryOp::kRegisterPackage, 0, 1, 0);  // intact, v1 binary
-    add(BoundaryOp::kRegisterPackage, 0, 2, 0);  // intact, v2
+    add(BoundaryOp::kRegisterPackage, 0, 0, 0);  // intact, text
+    add(BoundaryOp::kRegisterPackage, 0, 1, 0);  // intact, binary
     add(BoundaryOp::kInvoke, 0, 0, 7);
-    add(BoundaryOp::kRegisterPackage, 1, 2, 1);  // post-seal bit flips
-    add(BoundaryOp::kRegisterPackage, 2, 2, 2);  // truncation
-    add(BoundaryOp::kRegisterPackage, 3, 1, 3);  // re-signed mutated v1 payload
-    add(BoundaryOp::kRegisterPackage, 4, 2, 3);  // re-signed mutated v2 payload
+    add(BoundaryOp::kRegisterPackage, 1, 1, 1);  // post-seal bit flips
+    add(BoundaryOp::kRegisterPackage, 2, 0, 2);  // truncation
+    add(BoundaryOp::kRegisterPackage, 3, 1, 3);  // re-signed mutated binary payload
+    add(BoundaryOp::kRegisterPackage, 4, 0, 3);  // re-signed mutated text payload
     add(BoundaryOp::kInvoke, 0, 0, 7);
     add(BoundaryOp::kClose, 0, 0, 0);
     corpus.push_back(std::move(p));

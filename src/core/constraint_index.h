@@ -62,8 +62,8 @@ struct ConstraintGate {
 std::vector<ConstraintGate> FactorGates(const Constraint& c);
 
 // The per-slot decision structure. Built once at registration (Population
-// build time, under the store's swap mutex), immutable afterwards — shard
-// views share it read-only through Population snapshots.
+// build time, under the store's swap mutex), immutable afterwards — fleet
+// shards share it read-only through Population snapshots.
 class EntryConstraintIndex {
  public:
   // Slots smaller than this keep the plain linear scan: the probe set-up costs

@@ -1,13 +1,8 @@
 #include "src/core/package.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstring>
 
+#include "src/core/serialize_binary.h"
 #include "src/core/serialize_text.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/lzss.h"
@@ -16,15 +11,12 @@ namespace dlt {
 
 namespace {
 constexpr char kMagic[8] = {'D', 'L', 'T', 'P', 'K', 'G', '0', '1'};
-constexpr char kMagicV2[8] = {'D', 'L', 'T', 'P', 'K', 'G', '0', '2'};
 
-// Envelope body shared by both generations: magic | name_len | name |
-// payload_len(u32) | payload, followed by the HMAC trailer.
-std::vector<uint8_t> SealEnvelope(const char (&magic)[8], uint8_t format_byte,
-                                  std::string_view driverlet,
+// Envelope body: magic | format | name_len | name | payload_len(u32) |
+// payload, followed by the HMAC trailer.
+std::vector<uint8_t> SealEnvelope(uint8_t format_byte, std::string_view driverlet,
                                   const std::vector<uint8_t>& payload, std::string_view key) {
-  std::vector<uint8_t> out;
-  out.insert(out.end(), magic, magic + 8);
+  std::vector<uint8_t> out(kMagic, kMagic + 8);
   out.push_back(format_byte);
   out.push_back(static_cast<uint8_t>(driverlet.size()));
   out.insert(out.end(), driverlet.begin(), driverlet.end());
@@ -38,9 +30,8 @@ std::vector<uint8_t> SealEnvelope(const char (&magic)[8], uint8_t format_byte,
   return out;
 }
 
-// Verifies the HMAC and locates the payload; shared by all open paths.
+// Verifies the HMAC and locates the payload.
 struct Envelope {
-  bool v2 = false;
   uint8_t format_byte = 0;
   std::string driverlet;
   const uint8_t* payload = nullptr;
@@ -49,15 +40,7 @@ struct Envelope {
 
 Result<Envelope> VerifyEnvelope(const uint8_t* data, size_t len, std::string_view key) {
   constexpr size_t kMinLen = 8 + 2 + 4 + Sha256::kDigestSize;
-  if (len < kMinLen) {
-    return Status::kCorrupt;
-  }
-  Envelope env;
-  if (std::memcmp(data, kMagic, 8) == 0) {
-    env.v2 = false;
-  } else if (std::memcmp(data, kMagicV2, 8) == 0) {
-    env.v2 = true;
-  } else {
+  if (len < kMinLen || std::memcmp(data, kMagic, 8) != 0) {
     return Status::kCorrupt;
   }
   size_t body_len = len - Sha256::kDigestSize;
@@ -66,6 +49,7 @@ Result<Envelope> VerifyEnvelope(const uint8_t* data, size_t len, std::string_vie
   if (!HmacVerify(key, data, body_len, mac)) {
     return Status::kCorrupt;
   }
+  Envelope env;
   size_t pos = 8;
   env.format_byte = data[pos++];
   uint8_t name_len = data[pos++];
@@ -104,7 +88,7 @@ std::vector<uint8_t> SealPackage(const DriverletPackage& pkg, PackageFormat form
   }
   std::vector<uint8_t> compressed = LzssCompress(serialized.data(), serialized.size());
   std::vector<uint8_t> out =
-      SealEnvelope(kMagic, static_cast<uint8_t>(format), pkg.driverlet, compressed, key);
+      SealEnvelope(static_cast<uint8_t>(format), pkg.driverlet, compressed, key);
 
   if (sizes != nullptr) {
     sizes->serialized = serialized.size();
@@ -114,27 +98,10 @@ std::vector<uint8_t> SealPackage(const DriverletPackage& pkg, PackageFormat form
   return out;
 }
 
-std::vector<uint8_t> SealPackageV2(const DriverletPackage& pkg, std::string_view key,
-                                   PackageSizes* sizes) {
-  // Uncompressed on purpose: LZSS would force a decompress copy and defeat the
-  // mmap-in-place load path.
-  std::vector<uint8_t> payload = TemplatesToBinaryV2(pkg.templates);
-  std::vector<uint8_t> out = SealEnvelope(kMagicV2, /*format_byte=*/2, pkg.driverlet, payload, key);
-  if (sizes != nullptr) {
-    sizes->serialized = payload.size();
-    sizes->compressed = payload.size();
-    sizes->sealed = out.size();
-  }
-  return out;
-}
-
 std::vector<uint8_t> SealPackageRaw(std::string_view driverlet, PackageWire wire,
                                     const std::vector<uint8_t>& payload, std::string_view key) {
-  if (wire == PackageWire::kV2) {
-    return SealEnvelope(kMagicV2, /*format_byte=*/2, driverlet, payload, key);
-  }
   std::vector<uint8_t> compressed = LzssCompress(payload.data(), payload.size());
-  return SealEnvelope(kMagic, static_cast<uint8_t>(wire), driverlet, compressed, key);
+  return SealEnvelope(static_cast<uint8_t>(wire), driverlet, compressed, key);
 }
 
 #pragma GCC diagnostic pop
@@ -143,10 +110,6 @@ Result<DriverletPackage> OpenPackage(const uint8_t* data, size_t len, std::strin
   DLT_ASSIGN_OR_RETURN(Envelope env, VerifyEnvelope(data, len, key));
   DriverletPackage pkg;
   pkg.driverlet = std::move(env.driverlet);
-  if (env.v2) {
-    DLT_ASSIGN_OR_RETURN(pkg.templates, TemplatesFromBinary(env.payload, env.payload_len));
-    return pkg;
-  }
   if (env.format_byte > static_cast<uint8_t>(PackageFormat::kBinary)) {
     return Status::kCorrupt;
   }
@@ -159,62 +122,6 @@ Result<DriverletPackage> OpenPackage(const uint8_t* data, size_t len, std::strin
     DLT_ASSIGN_OR_RETURN(pkg.templates, TemplatesFromBinary(serialized.data(), serialized.size()));
   }
   return pkg;
-}
-
-Result<SealedView> OpenPackageView(const uint8_t* data, size_t len, std::string_view key) {
-  DLT_ASSIGN_OR_RETURN(Envelope env, VerifyEnvelope(data, len, key));
-  if (!env.v2) {
-    return Status::kUnsupported;
-  }
-  SealedView out;
-  out.driverlet = std::move(env.driverlet);
-  DLT_ASSIGN_OR_RETURN(out.view, PackageView::Parse(env.payload, env.payload_len));
-  return out;
-}
-
-Result<std::shared_ptr<const MappedPackage>> MappedPackage::Map(const std::string& path,
-                                                                std::string_view key) {
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::kNotFound;
-  }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-    ::close(fd);
-    return Status::kCorrupt;
-  }
-  std::shared_ptr<MappedPackage> pkg(new MappedPackage());
-  pkg->len_ = static_cast<size_t>(st.st_size);
-  void* map = ::mmap(nullptr, pkg->len_, PROT_READ, MAP_PRIVATE, fd, 0);
-  if (map != MAP_FAILED) {
-    pkg->data_ = static_cast<const uint8_t*>(map);
-    pkg->mapped_ = true;
-  } else {
-    // Heap fallback keeps the API working on hosts without mmap semantics.
-    pkg->fallback_.resize(pkg->len_);
-    size_t got = 0;
-    while (got < pkg->len_) {
-      ssize_t n = ::read(fd, pkg->fallback_.data() + got, pkg->len_ - got);
-      if (n <= 0) {
-        ::close(fd);
-        return Status::kCorrupt;
-      }
-      got += static_cast<size_t>(n);
-    }
-    pkg->data_ = pkg->fallback_.data();
-  }
-  ::close(fd);
-
-  DLT_ASSIGN_OR_RETURN(SealedView sealed, OpenPackageView(pkg->data_, pkg->len_, key));
-  pkg->driverlet_ = std::move(sealed.driverlet);
-  pkg->view_ = std::move(sealed.view);
-  return std::shared_ptr<const MappedPackage>(std::move(pkg));
-}
-
-MappedPackage::~MappedPackage() {
-  if (mapped_ && data_ != nullptr) {
-    ::munmap(const_cast<uint8_t*>(data_), len_);
-  }
 }
 
 }  // namespace dlt

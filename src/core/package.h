@@ -3,23 +3,16 @@
 // package of interaction templates" (paper §5); the replayer verifies the
 // developer signature before use and decompresses inside the TEE.
 //
-// Two envelope generations (docs/template_store.md):
-//  - v1 ("DLTPKG01"): text or binary-v1 payload, LZSS-compressed. Must be
-//    decompressed and fully parsed before any template is usable.
-//  - v2 ("DLTPKG02"): binary-v2 payload (serialize_binary.h PackageView
-//    layout), stored UNCOMPRESSED so the sealed file can be mmap'ed and read
-//    in place — signature check + directory parse at load, event bodies
-//    hydrated on first use. The size cost of skipping LZSS is the price of
-//    zero-copy; bench/store_scale quantifies the trade.
+// One envelope ("DLTPKG01", docs/template_store.md): a text or binary
+// payload, LZSS-compressed, verified, decompressed and fully parsed before any
+// template is usable. Any other magic is refused.
 #ifndef SRC_CORE_PACKAGE_H_
 #define SRC_CORE_PACKAGE_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/core/interaction_template.h"
-#include "src/core/serialize_binary.h"
 
 namespace dlt {
 
@@ -35,7 +28,7 @@ struct DriverletPackage {
 
 struct PackageSizes {
   size_t serialized = 0;  // before compression
-  size_t compressed = 0;  // LZSS payload (== serialized for v2: uncompressed)
+  size_t compressed = 0;  // LZSS payload
   size_t sealed = 0;      // full envelope incl. signature
 };
 
@@ -43,67 +36,23 @@ struct PackageSizes {
 std::vector<uint8_t> SealPackage(const DriverletPackage& pkg, PackageFormat format,
                                  std::string_view key, PackageSizes* sizes = nullptr);
 
-// Seals into the v2 zero-copy envelope: binary-v2 payload, uncompressed.
-std::vector<uint8_t> SealPackageV2(const DriverletPackage& pkg, std::string_view key,
-                                   PackageSizes* sizes = nullptr);
-
 // Package wire framings, for callers (fuzzer, tools) that speak bytes.
 enum class PackageWire : uint8_t {
   kV1Text = 0,    // v1 envelope, text payload
   kV1Binary = 1,  // v1 envelope, binary-v1 payload
-  kV2 = 2,        // v2 envelope, binary-v2 payload
 };
 
-// Seals a caller-supplied SERIALIZED payload (pre-compression bytes for v1
-// framings, raw binary-v2 bytes for kV2) into a correctly signed envelope.
-// This exists so the boundary fuzzer can mutate the payload the parser sees
-// while keeping the signature valid — a correctly signed envelope with a
-// garbage interior is exactly the adversarial input RegisterDriverlet must
-// reject cleanly.
+// Seals a caller-supplied SERIALIZED (pre-compression) payload into a
+// correctly signed envelope. This exists so the boundary fuzzer can mutate the
+// payload the parser sees while keeping the signature valid — a correctly
+// signed envelope with a garbage interior is exactly the adversarial input
+// RegisterDriverlet must reject cleanly.
 std::vector<uint8_t> SealPackageRaw(std::string_view driverlet, PackageWire wire,
                                     const std::vector<uint8_t>& payload, std::string_view key);
 
-// Verifies the signature and parses either envelope generation (v2 payloads
-// are hydrated eagerly here). Any tampering yields kCorrupt.
+// Verifies the signature, decompresses and parses. Any tampering, and any
+// envelope or payload this build does not write, yields kCorrupt.
 Result<DriverletPackage> OpenPackage(const uint8_t* data, size_t len, std::string_view key);
-
-// Zero-copy open of a v2 envelope: verifies the signature and parses only the
-// directory. |data| must outlive the returned view. v1 envelopes yield
-// kUnsupported (they cannot be read in place).
-struct SealedView {
-  std::string driverlet;
-  PackageView view;
-};
-Result<SealedView> OpenPackageView(const uint8_t* data, size_t len, std::string_view key);
-
-// A verified v2 package mapped read-only from disk. Owns the mapping (mmap,
-// with a heap-read fallback); the embedded PackageView points into it, so the
-// object must outlive every template hydrated from it — TemplateStore keeps a
-// shared_ptr in each Population snapshot that references the package.
-class MappedPackage {
- public:
-  static Result<std::shared_ptr<const MappedPackage>> Map(const std::string& path,
-                                                          std::string_view key);
-  ~MappedPackage();
-
-  MappedPackage(const MappedPackage&) = delete;
-  MappedPackage& operator=(const MappedPackage&) = delete;
-
-  const std::string& driverlet() const { return driverlet_; }
-  const PackageView& view() const { return view_; }
-  size_t file_bytes() const { return len_; }
-  bool mmapped() const { return mapped_; }
-
- private:
-  MappedPackage() = default;
-
-  const uint8_t* data_ = nullptr;
-  size_t len_ = 0;
-  bool mapped_ = false;            // mmap'ed vs heap fallback
-  std::vector<uint8_t> fallback_;  // owns bytes when !mapped_
-  std::string driverlet_;
-  PackageView view_;
-};
 
 }  // namespace dlt
 

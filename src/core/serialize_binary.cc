@@ -1,25 +1,21 @@
 #include "src/core/serialize_binary.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <set>
 
 namespace dlt {
 
 namespace {
 
 // Planted decoder bug for the conformance harness's regression guard
-// (SetBinaryValueQuirkForTest). Atomic: fleet shards hydrate concurrently.
+// (SetBinaryValueQuirkForTest). Atomic: packages may be decoded on several
+// threads at once.
 std::atomic<bool> g_value_quirk{false};
 
 constexpr uint32_t kMagic = 0x544c4442;  // "BDLT"
 constexpr uint8_t kVersion = 1;
-constexpr uint8_t kVersionV2 = 2;
-// v2 fixed header: magic(4) version(1) count(4, LE) dir_len(4, LE).
-constexpr size_t kV2HeaderBytes = 13;
-// Per-template flag byte (v1 template header, v2 directory entry). Decoders
-// reject every other bit, so a flag a newer writer sets is never dropped.
+// Per-template flag byte in the template header. The decoder rejects every
+// other bit, so a flag a newer writer sets is never dropped.
 constexpr uint8_t kFlagLeavesClean = 0x1;
 
 uint8_t TemplateFlags(const InteractionTemplate& t) {
@@ -262,63 +258,6 @@ class Cursor {
   size_t pos_ = 0;
 };
 
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-// Mirrors TemplateStore's admission-time device walk so a v2 directory can
-// answer PackageDevices without touching event bodies.
-void CollectEventDevices(const std::vector<TemplateEvent>& events, std::set<uint16_t>* out) {
-  for (const TemplateEvent& e : events) {
-    switch (e.kind) {
-      case EventKind::kRegRead:
-      case EventKind::kRegWrite:
-      case EventKind::kPollReg:
-      case EventKind::kPioIn:
-      case EventKind::kPioOut:
-        out->insert(e.device);
-        break;
-      default:
-        break;
-    }
-    if (!e.body.empty()) {
-      CollectEventDevices(e.body, out);
-    }
-  }
-}
-
-// Directory content for one template: everything selection and admission need,
-// without the event bodies. Shared by the v2 writer and PackageView::Parse.
-void PutDirectoryEntry(const InteractionTemplate& t, const std::vector<uint16_t>& devices,
-                       uint64_t body_off, uint64_t body_len, std::vector<uint8_t>* out) {
-  PutString(t.name, out);
-  PutString(t.entry, out);
-  PutVarint(t.primary_device, out);
-  out->push_back(TemplateFlags(t));
-  PutVarint(t.params.size(), out);
-  for (const auto& p : t.params) {
-    PutString(p.name, out);
-    out->push_back(p.is_buffer ? 1 : 0);
-  }
-  PutConstraint(t.initial, out);
-  PutVarint(devices.size(), out);
-  for (uint16_t d : devices) {
-    PutVarint(d, out);
-  }
-  PutVarint(body_off, out);
-  PutVarint(body_len, out);
-}
-
-}  // namespace
-
 void AppendTemplateBinary(const InteractionTemplate& t, std::vector<uint8_t>* out) {
   PutString(t.name, out);
   PutString(t.entry, out);
@@ -336,11 +275,7 @@ void AppendTemplateBinary(const InteractionTemplate& t, std::vector<uint8_t>* ou
   }
 }
 
-Sha256::Digest TemplateContentHash(const InteractionTemplate& t) {
-  std::vector<uint8_t> bytes;
-  AppendTemplateBinary(t, &bytes);
-  return Sha256::Hash(bytes.data(), bytes.size());
-}
+}  // namespace
 
 void SetBinaryValueQuirkForTest(bool on) { g_value_quirk.store(on, std::memory_order_relaxed); }
 
@@ -357,154 +292,13 @@ std::vector<uint8_t> TemplatesToBinary(const std::vector<InteractionTemplate>& t
   return out;
 }
 
-std::vector<uint8_t> TemplatesToBinaryV2(const std::vector<InteractionTemplate>& templates) {
-  // Body section first: each template's events as one varint-prefixed blob,
-  // so the directory can carry final offsets.
-  std::vector<uint8_t> body;
-  std::vector<std::pair<uint64_t, uint64_t>> ranges;  // (off, len) per template
-  ranges.reserve(templates.size());
-  for (const auto& t : templates) {
-    uint64_t off = body.size();
-    PutVarint(t.events.size(), &body);
-    for (const auto& e : t.events) {
-      PutEvent(e, &body);
-    }
-    ranges.emplace_back(off, body.size() - off);
-  }
-
-  std::vector<uint8_t> dir;
-  for (size_t i = 0; i < templates.size(); ++i) {
-    const InteractionTemplate& t = templates[i];
-    std::set<uint16_t> devs;
-    devs.insert(t.primary_device);
-    CollectEventDevices(t.events, &devs);
-    PutDirectoryEntry(t, std::vector<uint16_t>(devs.begin(), devs.end()), ranges[i].first,
-                      ranges[i].second, &dir);
-  }
-
-  std::vector<uint8_t> out;
-  out.reserve(kV2HeaderBytes + dir.size() + body.size());
-  uint32_t magic = kMagic;
-  out.resize(4);
-  std::memcpy(out.data(), &magic, 4);
-  out.push_back(kVersionV2);
-  PutU32(static_cast<uint32_t>(templates.size()), &out);
-  PutU32(static_cast<uint32_t>(dir.size()), &out);
-  out.insert(out.end(), dir.begin(), dir.end());
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
-}
-
-Result<PackageView> PackageView::Parse(const uint8_t* data, size_t len) {
-  if (len < kV2HeaderBytes) {
-    return Status::kCorrupt;
-  }
-  uint32_t magic = 0;
-  std::memcpy(&magic, data, 4);
-  if (magic != kMagic || data[4] != kVersionV2) {
-    return Status::kCorrupt;
-  }
-  uint32_t count = GetU32(data + 5);
-  uint32_t dir_len = GetU32(data + 9);
-  if (kV2HeaderBytes + static_cast<size_t>(dir_len) > len) {
-    return Status::kCorrupt;
-  }
-  // Every directory entry occupies at least one byte, so a count beyond
-  // dir_len is provably corrupt — and must be rejected BEFORE reserve(count)
-  // turns a flipped header byte into a multi-gigabyte allocation.
-  if (count > dir_len) {
-    return Status::kCorrupt;
-  }
-  PackageView view;
-  view.body_ = data + kV2HeaderBytes + dir_len;
-  view.body_len_ = len - kV2HeaderBytes - dir_len;
-  view.total_bytes_ = len;
-
-  Cursor cur(data + kV2HeaderBytes, dir_len);
-  view.entries_.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    Entry ent;
-    InteractionTemplate& t = ent.header;
-    DLT_ASSIGN_OR_RETURN(t.name, cur.String());
-    DLT_ASSIGN_OR_RETURN(t.entry, cur.String());
-    DLT_ASSIGN_OR_RETURN(uint64_t dev, cur.Varint());
-    t.primary_device = static_cast<uint16_t>(dev);
-    DLT_RETURN_IF_ERROR(cur.Flags(&t));
-    DLT_ASSIGN_OR_RETURN(uint64_t nparams, cur.Varint());
-    for (uint64_t p = 0; p < nparams; ++p) {
-      ParamSpec spec;
-      DLT_ASSIGN_OR_RETURN(spec.name, cur.String());
-      DLT_ASSIGN_OR_RETURN(uint8_t is_buf, cur.Byte());
-      spec.is_buffer = (is_buf != 0);
-      t.params.push_back(std::move(spec));
-    }
-    DLT_ASSIGN_OR_RETURN(t.initial, cur.ConstraintSet());
-    DLT_ASSIGN_OR_RETURN(uint64_t ndevs, cur.Varint());
-    for (uint64_t d = 0; d < ndevs; ++d) {
-      DLT_ASSIGN_OR_RETURN(uint64_t dv, cur.Varint());
-      ent.devices.push_back(static_cast<uint16_t>(dv));
-    }
-    if (!std::is_sorted(ent.devices.begin(), ent.devices.end())) {
-      return Status::kCorrupt;
-    }
-    DLT_ASSIGN_OR_RETURN(uint64_t body_off, cur.Varint());
-    DLT_ASSIGN_OR_RETURN(uint64_t body_len, cur.Varint());
-    if (body_off > view.body_len_ || body_len > view.body_len_ - body_off) {
-      return Status::kCorrupt;
-    }
-    ent.body_off = body_off;
-    ent.body_len = body_len;
-    view.entries_.push_back(std::move(ent));
-  }
-  if (!cur.AtEnd()) {
-    return Status::kCorrupt;
-  }
-  view.directory_bytes_ = kV2HeaderBytes + dir_len;
-  return view;
-}
-
-Status PackageView::HydrateEvents(size_t i, InteractionTemplate* tpl) const {
-  if (i >= entries_.size()) {
-    return Status::kInvalidArg;
-  }
-  const Entry& ent = entries_[i];
-  Cursor cur(body_ + ent.body_off, ent.body_len);
-  DLT_ASSIGN_OR_RETURN(uint64_t nevents, cur.Varint());
-  std::vector<TemplateEvent> events;
-  for (uint64_t e = 0; e < nevents; ++e) {
-    DLT_ASSIGN_OR_RETURN(TemplateEvent ev, cur.Event());
-    events.push_back(std::move(ev));
-  }
-  if (!cur.AtEnd()) {
-    return Status::kCorrupt;
-  }
-  tpl->events = std::move(events);
-  return Status::kOk;
-}
-
 Result<std::vector<InteractionTemplate>> TemplatesFromBinary(const uint8_t* data, size_t len) {
   if (len < 5) {
     return Status::kCorrupt;
   }
   uint32_t magic = 0;
   std::memcpy(&magic, data, 4);
-  if (magic != kMagic) {
-    return Status::kCorrupt;
-  }
-  if (data[4] == kVersionV2) {
-    // Eager v2 decode: directory + every body, for callers that want the
-    // whole package in memory (lazy loads go through PackageView directly).
-    DLT_ASSIGN_OR_RETURN(PackageView view, PackageView::Parse(data, len));
-    std::vector<InteractionTemplate> out;
-    out.reserve(view.size());
-    for (size_t i = 0; i < view.size(); ++i) {
-      InteractionTemplate t = view.header(i);
-      DLT_RETURN_IF_ERROR(view.HydrateEvents(i, &t));
-      out.push_back(std::move(t));
-    }
-    return out;
-  }
-  if (data[4] != kVersion) {
+  if (magic != kMagic || data[4] != kVersion) {
     return Status::kCorrupt;
   }
   Cursor cur(data + 5, len - 5);

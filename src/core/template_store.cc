@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/core/serialize_binary.h"
 #include "src/obs/telemetry.h"
 #include "src/soc/log.h"
 
@@ -34,14 +33,6 @@ void CollectDevices(const std::vector<TemplateEvent>& events, std::set<uint16_t>
 
 }  // namespace
 
-TemplateStore::TemplateStore() : shared_(std::make_shared<Shared>()) {}
-
-TemplateStore::TemplateStore(std::shared_ptr<Shared> shared) : shared_(std::move(shared)) {}
-
-std::unique_ptr<TemplateStore> TemplateStore::NewShardView() const {
-  return std::unique_ptr<TemplateStore>(new TemplateStore(shared_));
-}
-
 Status TemplateStore::AddPackage(const uint8_t* data, size_t len,
                                  std::string_view signing_key) {
   DLT_ASSIGN_OR_RETURN(DriverletPackage pkg, OpenPackage(data, len, signing_key));
@@ -49,95 +40,37 @@ Status TemplateStore::AddPackage(const uint8_t* data, size_t len,
 }
 
 Status TemplateStore::AddPackage(const DriverletPackage& pkg) {
-  return AddPackageInternal(&pkg, nullptr);
-}
-
-Status TemplateStore::AddPackageFile(const std::string& path, std::string_view signing_key) {
-  DLT_ASSIGN_OR_RETURN(std::shared_ptr<const MappedPackage> pkg,
-                       MappedPackage::Map(path, signing_key));
-  return AddMappedPackage(std::move(pkg));
-}
-
-Status TemplateStore::AddMappedPackage(std::shared_ptr<const MappedPackage> pkg) {
-  if (pkg == nullptr) {
-    return Status::kInvalidArg;
-  }
-  return AddPackageInternal(nullptr, std::move(pkg));
-}
-
-Status TemplateStore::AddPackageInternal(const DriverletPackage* eager,
-                                         std::shared_ptr<const MappedPackage> mapped) {
-  const std::string& name = eager != nullptr ? eager->driverlet : mapped->driverlet();
+  const std::string& name = pkg.driverlet;
   if (name.empty()) {
     return Status::kInvalidArg;
   }
-  std::lock_guard<std::mutex> swap(shared_->swap_mu);
+  std::lock_guard<std::mutex> swap(swap_mu_);
   const Population* cur = population();
 
   // Copy-on-write: clone the owning storage, splice the new driverlet in, then
-  // rebuild the derived indexes against the clone's stable addresses. Eagerly
-  // loaded driverlets are copied template-by-template (immutable since load);
-  // lazy driverlets are re-parsed from their mapped directories into *fresh
-  // unhydrated* states — copying a template whose body a concurrent reader is
-  // hydrating right now would race, and the directory parse is cheap.
+  // rebuild the derived indexes against the clone's stable addresses. Loaded
+  // templates are immutable, so copying them races with no reader.
   auto next = std::make_unique<Population>();
   if (cur != nullptr) {
     next->load_order = cur->load_order;
-    next->mapped = cur->mapped;
     for (const auto& [dname, owned] : cur->by_driverlet) {
-      if (dname == name || cur->mapped.find(dname) != cur->mapped.end()) {
-        continue;
+      if (dname != name) {
+        next->by_driverlet[dname] = owned;
       }
-      next->by_driverlet[dname] = owned;
     }
   }
   if (std::find(next->load_order.begin(), next->load_order.end(), name) ==
       next->load_order.end()) {
     next->load_order.push_back(name);
   }
-  if (eager != nullptr) {
-    next->mapped.erase(name);  // an eager re-registration drops the mapping
-    next->by_driverlet[name].assign(eager->templates.begin(), eager->templates.end());
-  } else {
-    next->mapped[name] = std::move(mapped);
-  }
-
-  // Materialize lazy driverlets: directory headers + fresh hydration latches.
-  std::map<std::string, std::vector<LazyState*>, std::less<>> lazy_of;
-  for (const auto& [dname, mp] : next->mapped) {
-    std::deque<InteractionTemplate>& owned = next->by_driverlet[dname];
-    owned.clear();
-    const PackageView& view = mp->view();
-    std::vector<LazyState*>& states = lazy_of[dname];
-    states.reserve(view.size());
-    for (size_t i = 0; i < view.size(); ++i) {
-      owned.push_back(view.header(i));
-      next->lazy_states.emplace_back();
-      LazyState& ls = next->lazy_states.back();
-      ls.pkg = mp;
-      ls.tpl_index = static_cast<uint32_t>(i);
-      ls.tpl = &owned.back();
-      states.push_back(&ls);
-    }
-  }
+  next->by_driverlet[name].assign(pkg.templates.begin(), pkg.templates.end());
 
   for (const std::string& dname : next->load_order) {
-    std::deque<InteractionTemplate>& owned = next->by_driverlet.find(dname)->second;
+    const std::deque<InteractionTemplate>& owned = next->by_driverlet.find(dname)->second;
     std::set<uint16_t>& devs = next->devices[dname];
-    auto mapped_it = next->mapped.find(dname);
-    const PackageView* view =
-        mapped_it != next->mapped.end() ? &mapped_it->second->view() : nullptr;
-    std::vector<LazyState*>* states = view != nullptr ? &lazy_of[dname] : nullptr;
-    size_t ti = 0;
     for (const InteractionTemplate& t : owned) {
-      if (view != nullptr) {
-        // Seal-time directory devices: admission without hydrating any body.
-        const std::vector<uint16_t>& tdevs = view->devices(ti);
-        devs.insert(tdevs.begin(), tdevs.end());
-      } else {
-        devs.insert(t.primary_device);
-        CollectDevices(t.events, &devs);
-      }
+      devs.insert(t.primary_device);
+      CollectDevices(t.events, &devs);
 
       auto [it, inserted] = next->index.try_emplace(std::make_pair(dname, t.entry));
       EntrySlot& slot = it->second;
@@ -149,11 +82,7 @@ Status TemplateStore::AddPackageInternal(const DriverletPackage* eager,
       Candidate c;
       c.tpl = &t;
       c.scalar_params = t.ScalarParams();  // precompiled: never rebuilt per invoke
-      if (states != nullptr) {
-        c.lazy = (*states)[ti];
-      }
       slot.candidates.push_back(std::move(c));
-      ++ti;
     }
   }
 
@@ -173,9 +102,9 @@ Status TemplateStore::AddPackageInternal(const DriverletPackage* eager,
   }
 
   // Publish. Readers that pinned the old population keep using it; it stays
-  // alive in |epochs|.
-  shared_->pop.store(next.get(), std::memory_order_release);
-  shared_->epochs.push_back(std::move(next));
+  // alive in |epochs_|.
+  pop_.store(next.get(), std::memory_order_release);
+  epochs_.push_back(std::move(next));
   return Status::kOk;
 }
 
@@ -197,20 +126,6 @@ size_t TemplateStore::template_count() const {
   size_t n = 0;
   for (const auto& [name, templates] : pop->by_driverlet) {
     n += templates.size();
-  }
-  return n;
-}
-
-size_t TemplateStore::lazy_template_count() const {
-  const Population* pop = population();
-  if (pop == nullptr) {
-    return 0;
-  }
-  size_t n = 0;
-  for (const LazyState& ls : pop->lazy_states) {
-    if (!ls.hydrated.load(std::memory_order_acquire)) {
-      ++n;
-    }
   }
   return n;
 }
@@ -304,28 +219,6 @@ const TemplateStore::EntrySlot* TemplateStore::FindSlot(const Population& pop,
   return nullptr;
 }
 
-Status TemplateStore::EnsureHydrated(const Candidate& c) const {
-  LazyState* ls = c.lazy;
-  if (ls == nullptr || ls->hydrated.load(std::memory_order_acquire)) {
-    return Status::kOk;
-  }
-  std::lock_guard<std::mutex> lk(ls->mu);
-  if (ls->hydrated.load(std::memory_order_relaxed)) {
-    return Status::kOk;
-  }
-  // Parse the event body out of the mapped bytes. The release store pairs
-  // with the acquire load above: a reader that sees hydrated==true also sees
-  // the fully written events vector.
-  DLT_RETURN_IF_ERROR(ls->pkg->view().HydrateEvents(ls->tpl_index, ls->tpl));
-  shared_->hydrated_templates.fetch_add(1, std::memory_order_relaxed);
-  Telemetry& t = Telemetry::Get();
-  if (t.enabled()) {
-    t.metrics().counter("replay.store.hydrate").Inc();
-  }
-  ls->hydrated.store(true, std::memory_order_release);
-  return Status::kOk;
-}
-
 Result<const TemplateStore::Candidate*> TemplateStore::SelectCandidate(
     std::string_view driverlet, std::string_view entry, const Bindings& scalars,
     std::vector<const InteractionTemplate*>* rejected, bool use_index) const {
@@ -393,7 +286,7 @@ Result<const TemplateStore::Candidate*> TemplateStore::SelectCandidate(
     const EntrySlot* slot = single != nullptr ? single : (*many)[si];
     if (use_index && slot->indexed) {
       slot->index.Probe(scalars, &probe);
-      shared_->index_probes.fetch_add(1, std::memory_order_relaxed);
+      index_probes_.fetch_add(1, std::memory_order_relaxed);
       Telemetry& t = Telemetry::Get();
       if (t.enabled()) {
         t.metrics().counter("replay.select_index.probe").Inc();
@@ -407,7 +300,7 @@ Result<const TemplateStore::Candidate*> TemplateStore::SelectCandidate(
       }
     }
   }
-  shared_->candidates_scanned.fetch_add(scanned, std::memory_order_relaxed);
+  candidates_scanned_.fetch_add(scanned, std::memory_order_relaxed);
   if (selected == nullptr) {
     return Status::kNoTemplate;
   }
@@ -421,7 +314,6 @@ Result<const InteractionTemplate*> TemplateStore::Select(
   // never evaluate, so the subset cannot reproduce the report.
   DLT_ASSIGN_OR_RETURN(const Candidate* c, SelectCandidate(driverlet, entry, scalars, rejected,
                                                            /*use_index=*/rejected == nullptr));
-  DLT_RETURN_IF_ERROR(EnsureHydrated(*c));
   return c->tpl;
 }
 
@@ -430,7 +322,6 @@ Result<const InteractionTemplate*> TemplateStore::SelectLinear(
     std::vector<const InteractionTemplate*>* rejected) const {
   DLT_ASSIGN_OR_RETURN(const Candidate* c, SelectCandidate(driverlet, entry, scalars, rejected,
                                                            /*use_index=*/false));
-  DLT_RETURN_IF_ERROR(EnsureHydrated(*c));
   return c->tpl;
 }
 

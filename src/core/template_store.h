@@ -13,13 +13,9 @@
 // asks for rejected-candidate telemetry (pruned candidates never evaluate, so
 // the subset cannot reproduce that report).
 //
-// Packages load two ways (docs/template_store.md):
-//  - AddPackage: eager — templates deep-copied into the population.
-//  - AddPackageFile / AddMappedPackage: zero-copy — a sealed v2 package is
-//    mmap'ed, signature-verified, and only its *directory* is parsed; the
-//    population holds header-only templates whose event bodies hydrate on
-//    first selection (EnsureHydrated, double-checked per-template latch).
-//    Registration cost is O(directory), not O(corpus).
+// Packages load one way (docs/template_store.md): AddPackage verifies,
+// decompresses and parses a sealed package (or takes an already parsed one)
+// and deep-copies its templates into the population.
 //
 // Concurrency model (the multi-shard replay fleet, docs/replay_fleet.md):
 // the post-registration state — packages, the (driverlet, entry) index, the
@@ -28,16 +24,8 @@
 // swaps one atomic pointer; readers load the pointer once per call and never
 // take a lock. Retired populations are kept alive for the store's lifetime
 // (registration is rare), so template pointers handed out by Select never
-// dangle even across a concurrent package reload. Lazy event bodies are the
-// one mutation after publish; they are guarded by a per-template mutex +
-// acquire/release latch, and a rebuild re-parses lazy directories into fresh
-// unhydrated states instead of copying possibly-mid-hydration templates.
-//
-// A store created with the default constructor owns its population. Shards of
-// a replay fleet call NewShardView() instead: every view shares the same
-// population (and candidates_scanned aggregate). Selection keeps no per-view
-// mutable state; the only lock a reader can take is a lazy template's one-time
-// hydration latch.
+// dangle even across a concurrent package reload. A fleet hands one store to
+// every shard's ReplayService; the selection counters are shared atomics.
 #ifndef SRC_CORE_TEMPLATE_STORE_H_
 #define SRC_CORE_TEMPLATE_STORE_H_
 
@@ -58,16 +46,6 @@ namespace dlt {
 
 class TemplateStore {
  public:
-  // Hydration bookkeeping for one lazily-loaded template: which mapped package
-  // byte range its events come from and whether they have been parsed yet.
-  struct LazyState {
-    std::shared_ptr<const MappedPackage> pkg;
-    uint32_t tpl_index = 0;             // into pkg->view()
-    InteractionTemplate* tpl = nullptr;  // population storage this state fills
-    std::atomic<bool> hydrated{false};
-    std::mutex mu;  // serializes the one-time body parse
-  };
-
   // One selectable template plus everything precompiled about it at load time.
   struct Candidate {
     const InteractionTemplate* tpl = nullptr;
@@ -76,17 +54,11 @@ class TemplateStore {
     // (it cannot match), never an argument error — other same-entry templates
     // with a different param set remain eligible.
     std::vector<std::string> scalar_params;
-    // Non-null for lazily-loaded templates: hydrate before handing out tpl.
-    LazyState* lazy = nullptr;
   };
 
-  TemplateStore();
-
-  // A facade over the same shared population. Packages registered through any
-  // view (or the origin) become visible to all of them. The origin store must
-  // outlive nothing in particular — views keep the shared state alive on their
-  // own.
-  std::unique_ptr<TemplateStore> NewShardView() const;
+  TemplateStore() = default;
+  TemplateStore(const TemplateStore&) = delete;
+  TemplateStore& operator=(const TemplateStore&) = delete;
 
   // Verifies, decompresses and parses a sealed package, then adds it.
   Status AddPackage(const uint8_t* data, size_t len, std::string_view signing_key);
@@ -96,27 +68,17 @@ class TemplateStore {
   // readers keep using the one they pinned at call entry.
   Status AddPackage(const DriverletPackage& pkg);
 
-  // Zero-copy registration: mmaps + verifies a sealed v2 package and registers
-  // its directory; event bodies hydrate on first selection. Same replacement
-  // semantics as AddPackage (an eager re-registration of the driverlet drops
-  // the mapping, and vice versa).
-  Status AddPackageFile(const std::string& path, std::string_view signing_key);
-  Status AddMappedPackage(std::shared_ptr<const MappedPackage> pkg);
-
   bool HasDriverlet(std::string_view driverlet) const;
   size_t package_count() const;
   size_t template_count() const;
   std::vector<std::string> driverlets() const;
 
   // All templates in load order, optionally restricted to one driverlet.
-  // Lazily-loaded templates appear with their events still empty until first
-  // selection touches them.
   std::vector<const InteractionTemplate*> templates() const;
   std::vector<const InteractionTemplate*> templates(std::string_view driverlet) const;
 
   // Device ids referenced by a driverlet's templates (primary reset devices
-  // plus every register-touching event) — the service's admission check. For
-  // mapped packages this comes from the seal-time directory, no hydration.
+  // plus every register-touching event) — the service's admission check.
   std::vector<uint16_t> DevicesOf(std::string_view driverlet) const;
   // Same, computed from a not-yet-loaded package (admission before load).
   static std::vector<uint16_t> PackageDevices(const DriverletPackage& pkg);
@@ -141,23 +103,12 @@ class TemplateStore {
 
   // Cumulative number of candidates examined by Select — the mixed-traffic
   // bench divides this by invokes to show selection cost stays flat as the
-  // template population grows. Aggregated across every view of the population.
+  // template population grows. Aggregated across every thread selecting.
   uint64_t candidates_scanned() const {
-    return shared_->candidates_scanned.load(std::memory_order_relaxed);
+    return candidates_scanned_.load(std::memory_order_relaxed);
   }
   // Selections served through a constraint-index probe (vs a linear walk).
-  uint64_t index_probes() const {
-    return shared_->index_probes.load(std::memory_order_relaxed);
-  }
-  // Lazily-registered templates whose bodies have been parsed so far,
-  // cumulative across population rebuilds (a rebuild re-registers lazy
-  // driverlets unhydrated). Aggregated across views.
-  uint64_t hydrated_templates() const {
-    return shared_->hydrated_templates.load(std::memory_order_relaxed);
-  }
-  // Header-only templates in the current population (0 when everything loaded
-  // eagerly).
-  size_t lazy_template_count() const;
+  uint64_t index_probes() const { return index_probes_.load(std::memory_order_relaxed); }
   // Entry slots carrying a discriminating constraint index.
   size_t indexed_slot_count() const;
 
@@ -168,11 +119,6 @@ class TemplateStore {
   uint64_t select_cache_misses() const { return 0; }
   uint64_t compile_cache_hits() const { return 0; }
   uint64_t compile_cache_misses() const { return 0; }
-
-  // True when |other| reads the same shared population (fleet shard views).
-  bool SharesPopulationWith(const TemplateStore& other) const {
-    return shared_ == other.shared_;
-  }
 
  private:
   struct EntrySlot {
@@ -186,10 +132,9 @@ class TemplateStore {
   };
 
   // The frozen post-registration state. Built once per AddPackage, published
-  // via one atomic pointer swap, never mutated afterwards (lazy event bodies
-  // excepted — see LazyState). Slot and template addresses are stable for the
-  // population's lifetime (node-based maps and deques), and populations live
-  // as long as the shared state does.
+  // via one atomic pointer swap, never mutated afterwards. Slot and template
+  // addresses are stable for the population's lifetime (node-based maps and
+  // deques), and populations live as long as the store does.
   struct Population {
     // Owning storage; deque gives stable template addresses.
     std::map<std::string, std::deque<InteractionTemplate>, std::less<>> by_driverlet;
@@ -200,33 +145,9 @@ class TemplateStore {
     // Devices each driverlet's templates touch, collected at load time.
     std::map<std::string, std::set<uint16_t>, std::less<>> devices;
     std::vector<std::string> load_order;
-    // Zero-copy sources by driverlet; the shared_ptr keeps each mapping alive
-    // as long as any snapshot (or hydrated template pointer) references it.
-    std::map<std::string, std::shared_ptr<const MappedPackage>, std::less<>> mapped;
-    // Hydration latches for this snapshot's lazy templates (deque: stable
-    // addresses, LazyState is neither movable nor copyable).
-    std::deque<LazyState> lazy_states;
   };
 
-  // State shared by every view of one population.
-  struct Shared {
-    std::mutex swap_mu;  // serializes AddPackage writers
-    // RCU publish pointer; readers load it once per call, lock-free.
-    std::atomic<const Population*> pop{nullptr};
-    // Every population ever published, newest last. Retired snapshots are kept
-    // alive so template pointers pinned by readers never dangle. Registration
-    // is rare — this grows by one small snapshot per AddPackage call.
-    std::vector<std::unique_ptr<const Population>> epochs;
-    std::atomic<uint64_t> candidates_scanned{0};
-    std::atomic<uint64_t> index_probes{0};
-    std::atomic<uint64_t> hydrated_templates{0};
-  };
-
-  explicit TemplateStore(std::shared_ptr<Shared> shared);
-
-  const Population* population() const {
-    return shared_->pop.load(std::memory_order_acquire);
-  }
+  const Population* population() const { return pop_.load(std::memory_order_acquire); }
   static const EntrySlot* FindSlot(const Population& pop, std::string_view driverlet,
                                    std::string_view entry);
   // The one selection loop: resolves slots, walks either the index probe set
@@ -236,13 +157,16 @@ class TemplateStore {
   Result<const Candidate*> SelectCandidate(
       std::string_view driverlet, std::string_view entry, const Bindings& scalars,
       std::vector<const InteractionTemplate*>* rejected, bool use_index) const;
-  // Parses a lazy template's event body on first use (no-op for eager ones).
-  Status EnsureHydrated(const Candidate& c) const;
-  // Registration core: exactly one of |eager| / |mapped| is set.
-  Status AddPackageInternal(const DriverletPackage* eager,
-                            std::shared_ptr<const MappedPackage> mapped);
 
-  std::shared_ptr<Shared> shared_;
+  std::mutex swap_mu_;  // serializes AddPackage writers
+  // RCU publish pointer; readers load it once per call, lock-free.
+  std::atomic<const Population*> pop_{nullptr};
+  // Every population ever published, newest last. Retired snapshots are kept
+  // alive so template pointers pinned by readers never dangle. Registration
+  // is rare — this grows by one small snapshot per AddPackage call.
+  std::vector<std::unique_ptr<const Population>> epochs_;
+  mutable std::atomic<uint64_t> candidates_scanned_{0};
+  mutable std::atomic<uint64_t> index_probes_{0};
 };
 
 }  // namespace dlt

@@ -15,16 +15,9 @@ ReplayFleet::ReplayFleet(std::string signing_key, ReplayFleetConfig cfg)
   }
   threads_target_ = cfg_.threads == 0 ? cfg_.shards : cfg_.threads;
 
-  // Shard 0 owns the origin TemplateStore; every other shard's service drives
-  // a view of it, so one RegisterDriverlet population publish is visible to
-  // all shards.
-  auto origin = std::make_unique<TemplateStore>();
-  std::vector<std::unique_ptr<TemplateStore>> stores;
-  stores.push_back(nullptr);  // placeholder; origin moves in below
-  for (size_t i = 1; i < cfg_.shards; ++i) {
-    stores.push_back(origin->NewShardView());
-  }
-  stores[0] = std::move(origin);
+  // Every shard's service drives the same store, so one RegisterDriverlet
+  // population publish is visible to all shards.
+  auto store = std::make_shared<TemplateStore>();
 
   Telemetry& tel = Telemetry::Get();
   if (tel.enabled()) {
@@ -40,7 +33,7 @@ ReplayFleet::ReplayFleet(std::string signing_key, ReplayFleetConfig cfg)
     opts.probe_drivers = false;
     shard->tb = std::make_unique<Rpi3Testbed>(opts);
     shard->service = std::make_unique<ReplayService>(&shard->tb->tee(), signing_key_,
-                                                     cfg_.service, std::move(stores[i]));
+                                                     cfg_.service, store);
     if (tel.enabled()) {
       std::string p = "fleet.shard" + std::to_string(i);
       shard->tel_steals = &tel.metrics().counter(p + ".steals");
@@ -59,20 +52,6 @@ Result<std::string> ReplayFleet::RegisterDriverlet(const uint8_t* data, size_t l
   // own SecureWorld and installs its own replayer. The store publishes are
   // idempotent per-driverlet replacements through the shared population.
   DLT_ASSIGN_OR_RETURN(DriverletPackage pkg, OpenPackage(data, len, signing_key_));
-  std::string name;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> exec(shard->exec_mu);
-    DLT_ASSIGN_OR_RETURN(name, shard->service->RegisterDriverlet(pkg));
-  }
-  return name;
-}
-
-Result<std::string> ReplayFleet::RegisterDriverletFile(const std::string& path) {
-  // Map and signature-check once; every shard shares the one mapping. Each
-  // shard still re-runs admission against its own SecureWorld and installs its
-  // own replayer; the store-level publish is idempotent per driverlet.
-  DLT_ASSIGN_OR_RETURN(std::shared_ptr<const MappedPackage> pkg,
-                       MappedPackage::Map(path, signing_key_));
   std::string name;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> exec(shard->exec_mu);

@@ -2,9 +2,9 @@
 // first real-thread subsystem (docs/replay_fleet.md). Each shard is a complete
 // deployment machine — its own Machine + SimClock, SecureWorld, device stack
 // and ReplayService — so shards never share mutable simulator state; the only
-// cross-shard sharing is the read-only template population (every shard's
-// service drives a TemplateStore::NewShardView() of shard 0's store) and the
-// process-wide telemetry sinks, which are thread-safe.
+// cross-shard sharing is the template store (one TemplateStore handed to every
+// shard's service; readers never lock it) and the process-wide telemetry
+// sinks, which are thread-safe.
 //
 // Dispatch model:
 //   - a fixed pool of T worker threads; shard s is *homed* on worker s % T;
@@ -108,12 +108,6 @@ class ReplayFleet {
   // service (N idempotent population publishes through the shared store, plus
   // one replayer per shard). Must precede OpenSession for that driverlet.
   Result<std::string> RegisterDriverlet(const uint8_t* data, size_t len);
-
-  // Zero-copy fleet registration: maps + verifies the sealed v2 package once,
-  // then registers the same mapping with every shard (the shared population
-  // holds header-only templates hydrated on first selection, so fleet-wide
-  // registration cost is O(directory), not O(shards x corpus)).
-  Result<std::string> RegisterDriverletFile(const std::string& path);
 
   // ---- Worker pool lifecycle ----
   // Start launches the worker threads; before Start (or after Stop), Submit

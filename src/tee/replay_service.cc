@@ -20,11 +20,11 @@ ReplayService::ReplayService(SecureWorld* tee, std::string signing_key,
     : ReplayService(tee, std::move(signing_key), cfg, nullptr) {}
 
 ReplayService::ReplayService(SecureWorld* tee, std::string signing_key,
-                             ReplayServiceConfig cfg, std::unique_ptr<TemplateStore> store)
+                             ReplayServiceConfig cfg, std::shared_ptr<TemplateStore> store)
     : tee_(tee),
       signing_key_(std::move(signing_key)),
       cfg_(cfg),
-      store_(store != nullptr ? std::move(store) : std::make_unique<TemplateStore>()) {}
+      store_(store != nullptr ? std::move(store) : std::make_shared<TemplateStore>()) {}
 
 Result<std::string> ReplayService::RegisterDriverlet(const uint8_t* data, size_t len) {
   DLT_ASSIGN_OR_RETURN(DriverletPackage pkg, OpenPackage(data, len, signing_key_));
@@ -60,47 +60,6 @@ Result<std::string> ReplayService::RegisterDriverlet(const DriverletPackage& pkg
     tel.metrics().counter("service.packages_registered").Inc();
   }
   return pkg.driverlet;
-}
-
-Result<std::string> ReplayService::RegisterDriverletFile(const std::string& path) {
-  DLT_ASSIGN_OR_RETURN(std::shared_ptr<const MappedPackage> pkg,
-                       MappedPackage::Map(path, signing_key_));
-  return RegisterDriverlet(std::move(pkg));
-}
-
-Result<std::string> ReplayService::RegisterDriverlet(std::shared_ptr<const MappedPackage> pkg) {
-  if (pkg == nullptr) {
-    return Status::kInvalidArg;
-  }
-  // Same admission gate as the eager path, fed from the seal-time device
-  // directory — the whole point is to not parse 100k event bodies here.
-  const PackageView& view = pkg->view();
-  std::set<uint16_t> devs;
-  for (size_t i = 0; i < view.size(); ++i) {
-    const std::vector<uint16_t>& d = view.devices(i);
-    devs.insert(d.begin(), d.end());
-  }
-  std::string name = pkg->driverlet();
-  for (uint16_t dev : devs) {
-    if (!tee_->DeviceMapped(dev)) {
-      DLT_LOG(kWarn) << "driverlet " << name << " refused: device " << dev
-                     << " not mapped into the TEE";
-      EdgeCoverage::Get().Hit(Edge::kServiceRegisterReject);
-      return Status::kPermissionDenied;
-    }
-  }
-  DLT_RETURN_IF_ERROR(store_->AddMappedPackage(std::move(pkg)));
-  if (replayers_.find(name) == replayers_.end()) {
-    auto replayer = std::make_unique<Replayer>(tee_, signing_key_, store_.get(), name);
-    replayer->set_retry_backoff_us(cfg_.retry_backoff_us);
-    replayers_.emplace(name, std::move(replayer));
-  }
-  EdgeCoverage::Get().Hit(Edge::kServiceRegister);
-  Telemetry& tel = Telemetry::Get();
-  if (tel.enabled()) {
-    tel.metrics().counter("service.packages_registered").Inc();
-  }
-  return name;
 }
 
 bool ReplayService::IsRegistered(std::string_view driverlet) const {

@@ -97,11 +97,11 @@ struct SessionStats {
 class ReplayService {
  public:
   ReplayService(SecureWorld* tee, std::string signing_key, ReplayServiceConfig cfg = {});
-  // Fleet-shard constructor: the service drives |store| — typically a
-  // TemplateStore::NewShardView() of a population shared across shards —
-  // instead of creating a private one. nullptr falls back to a private store.
+  // Fleet-shard constructor: the service drives |store| — the one store a
+  // fleet shares across its shards — instead of creating a private one.
+  // nullptr falls back to a private store.
   ReplayService(SecureWorld* tee, std::string signing_key, ReplayServiceConfig cfg,
-                std::unique_ptr<TemplateStore> store);
+                std::shared_ptr<TemplateStore> store);
 
   // Verifies + admission-checks + loads a driverlet package into the shared
   // store, creating the device class's replayer on first registration.
@@ -109,13 +109,6 @@ class ReplayService {
   // kPermissionDenied when a referenced device is not mapped into the TEE.
   Result<std::string> RegisterDriverlet(const uint8_t* data, size_t len);
   Result<std::string> RegisterDriverlet(const DriverletPackage& pkg);
-  // Zero-copy registration of an already-mapped v2 package: admission runs
-  // against the seal-time device directory, the store registers header-only
-  // templates (event bodies hydrate on first selection), and no template is
-  // deep-copied up front. Same replayer wiring as the eager overloads.
-  Result<std::string> RegisterDriverlet(std::shared_ptr<const MappedPackage> pkg);
-  // Maps + verifies a sealed v2 package file, then registers it zero-copy.
-  Result<std::string> RegisterDriverletFile(const std::string& path);
 
   // ---- Session lifecycle ----
   // kNotFound for an unregistered driverlet; kBusy when the table is full.
@@ -212,7 +205,7 @@ class ReplayService {
   SecureWorld* tee_;
   std::string signing_key_;
   ReplayServiceConfig cfg_;
-  std::unique_ptr<TemplateStore> store_;
+  std::shared_ptr<TemplateStore> store_;
   std::map<std::string, std::unique_ptr<Replayer>, std::less<>> replayers_;
   std::map<SessionId, Session> sessions_;
   std::deque<Pending> queue_;

@@ -112,16 +112,14 @@ TEST(BoundaryFuzzTest, RegisterOpParsesAndReplaysDeterministically) {
   Result<BoundaryProgram> p = ParseBoundaryProgram(
       "driverlet-boundary v1\n"
       "open 0\n"
-      "register 0 0 0\n"   // intact v1-text seal
-      "register 0 1 0\n"   // intact v1-binary seal
-      "register 0 2 0\n"   // intact v2 seal
+      "register 0 0 0\n"   // intact text seal
+      "register 0 1 0\n"   // intact binary seal
       "register 1 0 1\n"   // post-seal bit flips, per framing
       "register 1 1 1\n"
-      "register 1 2 1\n"
       "register 2 0 2\n"   // truncations
-      "register 2 2 2\n"
-      "register 3 1 3\n"   // payload mutated pre-seal, re-signed
-      "register 3 2 3\n"
+      "register 2 1 2\n"
+      "register 3 0 3\n"   // payload mutated pre-seal, re-signed
+      "register 3 1 3\n"
       "invoke 0 0 7\n"
       "close 0\n");
   ASSERT_TRUE(p.ok());

@@ -192,7 +192,7 @@ TEST(ConformanceTest, NewShapesAppearInSweepAndConform) {
   EXPECT_TRUE(saw_ring);
 }
 
-TEST(ConformanceTest, DeepExpressionsFallBackToInterpreterAndStillConform) {
+TEST(ConformanceTest, DeepExpressionsConform) {
   GenConfig cfg;
   cfg.seed = 3;
   cfg.force_deep_expr = true;
@@ -304,7 +304,7 @@ TEST(ConformanceTest, ShrinkRefusesAPassingCase) {
   EXPECT_EQ(r.status(), Status::kInvalidArg);
 }
 
-TEST(ConformanceTest, FoldQuirkIsCaughtAndShrunkToATinyRepro) {
+TEST(ConformanceTest, BinaryValueQuirkIsCaughtAndShrunkToATinyRepro) {
   QuirkGuard armed;
   // The serialize-roundtrip invariant must notice the planted +1 on decoded
   // constant event values within a handful of seeds.

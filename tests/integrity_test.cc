@@ -67,7 +67,7 @@ const InteractionTemplate* FindTemplate(const Deployment& d, const std::string& 
 // Golden measurement on fresh deployments, for every driverlet class
 // ---------------------------------------------------------------------------
 
-TEST(IntegrityTest, MeasurementMatchesGoldenOnBothEnginesForEveryClass) {
+TEST(IntegrityTest, MeasurementMatchesGoldenOnFreshDeploymentsForEveryClass) {
   struct Case {
     const char* label;
     const std::vector<uint8_t>& pkg;

@@ -105,21 +105,14 @@ TEST_F(PackageFuzzTest, CrossFormatAgreement) {
                                                   kDeveloperKey);
   ASSERT_TRUE(from_text.ok());
   ASSERT_TRUE(from_bin.ok());
-  std::vector<uint8_t> v2_pkg = SealPackageV2(campaign_->MakePackage(), kDeveloperKey);
-  Result<DriverletPackage> from_v2 = OpenPackage(v2_pkg.data(), v2_pkg.size(), kDeveloperKey);
-  ASSERT_TRUE(from_v2.ok());
   ASSERT_EQ(from_text->templates.size(), from_bin->templates.size());
-  ASSERT_EQ(from_text->templates.size(), from_v2->templates.size());
   for (size_t i = 0; i < from_text->templates.size(); ++i) {
     EXPECT_TRUE(InteractionTemplate::Mergeable(from_text->templates[i], from_bin->templates[i]))
         << i;
-    EXPECT_TRUE(InteractionTemplate::Mergeable(from_text->templates[i], from_v2->templates[i]))
-        << i;
-    // The clean-state proof survives every wire format (every MMC template
+    // The clean-state proof survives both wire formats (every MMC template
     // is recorded clean, so a dropped flag shows up as false here).
     EXPECT_TRUE(from_text->templates[i].leaves_clean_state) << i;
     EXPECT_TRUE(from_bin->templates[i].leaves_clean_state) << i;
-    EXPECT_TRUE(from_v2->templates[i].leaves_clean_state) << i;
   }
 }
 
@@ -329,16 +322,6 @@ TEST(SerializePropertyTest, RandomTemplatesBinaryRoundTripExact) {
     }
     // Binary is full-fidelity: re-emission is byte-identical.
     EXPECT_EQ(bin, TemplatesToBinary(*parsed)) << "seed " << seed;
-
-    // The v2 directory carries the flag too (read without hydration).
-    std::vector<uint8_t> v2 = TemplatesToBinaryV2(ts);
-    Result<PackageView> view = PackageView::Parse(v2.data(), v2.size());
-    ASSERT_TRUE(view.ok()) << "seed " << seed;
-    ASSERT_EQ(ts.size(), view->size()) << "seed " << seed;
-    for (size_t i = 0; i < ts.size(); ++i) {
-      EXPECT_EQ(ts[i].leaves_clean_state, view->header(i).leaves_clean_state)
-          << "seed " << seed << " template " << i;
-    }
   }
 }
 
@@ -381,8 +364,8 @@ TEST(SerializePropertyTest, TextWithoutCleanLineParsesUnflagged) {
 }
 
 TEST(SerializePropertyTest, UnknownTemplateFlagBitsRejected) {
-  // The flag byte follows the primary-device varint in both the v1 template
-  // header and the v2 directory entry. Any bit but bit 0 is corrupt.
+  // The flag byte follows the primary-device varint in the template header.
+  // Any bit but bit 0 is corrupt.
   std::vector<InteractionTemplate> ts = MakeRandomCampaign(29, 1);
   ts[0].primary_device = 3;  // one-byte varint
   ts[0].leaves_clean_state = true;
@@ -395,13 +378,6 @@ TEST(SerializePropertyTest, UnknownTemplateFlagBitsRejected) {
     v1[off] = bad;
     EXPECT_EQ(Status::kCorrupt, TemplatesFromBinary(v1.data(), v1.size()).status()) << +bad;
   }
-  // v2: the 13-byte fixed header, then the same name/entry/device prefix.
-  std::vector<uint8_t> v2 = TemplatesToBinaryV2(ts);
-  off = 13 + 1 + ts[0].name.size() + 1 + ts[0].entry.size() + 1;
-  ASSERT_EQ(0x1, v2[off]);
-  ASSERT_TRUE(PackageView::Parse(v2.data(), v2.size()).ok());
-  v2[off] = 0x4;
-  EXPECT_EQ(Status::kCorrupt, PackageView::Parse(v2.data(), v2.size()).status());
 }
 
 // Builds a deliberately small sealed package so the every-byte sweeps below
@@ -447,41 +423,6 @@ TEST(SerializePropertyTest, RawBinaryTruncationAtEveryOffsetErrors) {
     EXPECT_TRUE(r.status() == Status::kCorrupt || r.status() == Status::kInvalidArg)
         << "prefix " << cut << ": " << StatusName(r.status());
   }
-}
-
-TEST(SerializePropertyTest, BinaryV2DirectoryTruncationAtEveryOffsetErrors) {
-  // The zero-copy directory parser must reject every proper prefix below the
-  // signature layer, just like the v1 stream parser.
-  std::vector<uint8_t> bin = TemplatesToBinaryV2(MakeRandomCampaign(17, 2));
-  ASSERT_TRUE(PackageView::Parse(bin.data(), bin.size()).ok());
-  for (size_t cut = 0; cut < bin.size(); ++cut) {
-    Result<PackageView> r = PackageView::Parse(bin.data(), cut);
-    ASSERT_FALSE(r.ok()) << "prefix of " << cut << " bytes accepted";
-    EXPECT_TRUE(r.status() == Status::kCorrupt || r.status() == Status::kInvalidArg)
-        << "prefix " << cut << ": " << StatusName(r.status());
-  }
-}
-
-TEST(SerializePropertyTest, BinaryV2CorruptionAtEveryByteNeverCrashes) {
-  // Parse + full hydration over every single-byte corruption: accept or
-  // reject, never crash — the body decoder is bounds-checked against the
-  // directory's byte ranges.
-  std::vector<uint8_t> bin = TemplatesToBinaryV2(MakeRandomCampaign(19, 1));
-  for (size_t pos = 0; pos < bin.size(); ++pos) {
-    std::vector<uint8_t> bad = bin;
-    bad[pos] ^= 0xff;
-    Result<PackageView> r = PackageView::Parse(bad.data(), bad.size());
-    if (!r.ok()) {
-      EXPECT_TRUE(r.status() == Status::kCorrupt || r.status() == Status::kInvalidArg)
-          << "flip at " << pos << ": " << StatusName(r.status());
-      continue;
-    }
-    for (size_t i = 0; i < r->size(); ++i) {
-      InteractionTemplate t = r->header(i);
-      (void)r->HydrateEvents(i, &t);
-    }
-  }
-  SUCCEED();
 }
 
 TEST(SerializePropertyTest, RawBinaryCorruptionAtEveryByteNeverCrashes) {

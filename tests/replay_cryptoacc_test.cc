@@ -182,7 +182,7 @@ TEST_F(CryptoaccDriverletTest, ConstraintsRejectUncoveredInputs) {
 
 // Two fresh deployments replay the same job byte for byte, and each clean
 // run's measurement is the template's golden chain.
-TEST_F(CryptoaccDriverletTest, EnginesAgreeByteForByteAndMatchGolden) {
+TEST_F(CryptoaccDriverletTest, FreshDeploymentsAgreeByteForByteAndMatchGolden) {
   std::vector<uint8_t> pt = PatternBuf(8192, 21);
   std::vector<uint8_t> out[2];
   std::string measurement[2];

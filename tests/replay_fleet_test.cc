@@ -1,4 +1,4 @@
-// ReplayFleet tests: shared-population views across shards, per-shard session
+// ReplayFleet tests: one template store shared by every shard, per-shard session
 // isolation and media independence, least-loaded pinning, per-shard kBusy
 // backpressure, work stealing under skewed load, per-session determinism with
 // stealing on vs. off (byte-identical to the single-shard ReplayService
@@ -51,16 +51,15 @@ TEST_F(ReplayFleetTest, ShardViewsShareOnePopulation) {
   ReplayFleet fleet(kDeveloperKey, cfg);
   ASSERT_TRUE(fleet.RegisterDriverlet(mmc_->data(), mmc_->size()).ok());
 
-  // Every shard's store is a view of shard 0's population: same shared state,
-  // and the very same template objects (pointer identity, not copies).
+  // Every shard's service drives the one fleet store, so all of them see
+  // the very same template objects (pointer identity, not copies).
   for (size_t i = 1; i < fleet.shard_count(); ++i) {
-    EXPECT_TRUE(fleet.shard_service(i).store().SharesPopulationWith(
-        fleet.shard_service(0).store()));
+    EXPECT_EQ(&fleet.shard_service(i).store(), &fleet.shard_service(0).store());
     EXPECT_EQ(fleet.shard_service(0).store().templates("mmc"),
               fleet.shard_service(i).store().templates("mmc"));
   }
 
-  // A package registered later is visible through every view.
+  // A package registered later is visible through every shard.
   ASSERT_TRUE(fleet.RegisterDriverlet(usb_->data(), usb_->size()).ok());
   for (size_t i = 0; i < fleet.shard_count(); ++i) {
     EXPECT_TRUE(fleet.shard_service(i).store().HasDriverlet("usb"));

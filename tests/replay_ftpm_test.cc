@@ -202,7 +202,7 @@ TEST_F(FtpmDriverletTest, QuoteEchoesNonceAndBindsPcrState) {
 
 // Two fresh deployments replay the same request byte for byte, and each clean
 // run's measurement is the template's golden chain.
-TEST_F(FtpmDriverletTest, EnginesAgreeByteForByteAndMatchGolden) {
+TEST_F(FtpmDriverletTest, FreshDeploymentsAgreeByteForByteAndMatchGolden) {
   std::vector<uint8_t> out[2];
   std::string measurement[2];
   for (int i = 0; i < 2; ++i) {

@@ -2,8 +2,12 @@
 // replayer's pervasive boundary checks, and TEE device-mapping policy.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/core/replayer.h"
 #include "src/core/serialize_text.h"
+#include "src/crypto/hmac.h"
+#include "src/tee/replay_service.h"
 #include "src/workload/record_campaigns.h"
 #include "src/workload/rpi3_testbed.h"
 #include "src/workload/deploy_util.h"
@@ -62,6 +66,49 @@ TEST_F(SecurityTest, TamperedPackageRefusedBeforeUse) {
 TEST_F(SecurityTest, WrongSigningKeyRefused) {
   Replayer replayer(&deploy_->tee(), "attacker-key");
   EXPECT_EQ(Status::kCorrupt, replayer.LoadPackage(sealed_->data(), sealed_->size()));
+}
+
+TEST_F(SecurityTest, RetiredV2PackagesFailClosed) {
+  // A package sealed by an older build in the retired zero-copy generation
+  // carries a valid developer signature but a format this build does not
+  // read. Every loader must refuse it and leave the store untouched; a build
+  // that still read it would replace the driverlet with an empty one here.
+  // The smallest well-formed binary-v2 payload: "BDLT", version 2, then a
+  // zero template count and a zero directory length (u32 each).
+  std::vector<uint8_t> payload = {'B', 'D', 'L', 'T', 2, 0, 0, 0, 0, 0, 0, 0, 0};
+
+  // (a) The "DLTPKG02" envelope, uncompressed payload, signed correctly:
+  // magic | format 2 | name_len | name | payload_len(u32) | payload | HMAC.
+  std::vector<uint8_t> v2_envelope = {'D', 'L', 'T', 'P', 'K', 'G', '0', '2', 2};
+  v2_envelope.push_back(static_cast<uint8_t>(pkg_->driverlet.size()));
+  v2_envelope.insert(v2_envelope.end(), pkg_->driverlet.begin(), pkg_->driverlet.end());
+  uint32_t payload_len = static_cast<uint32_t>(payload.size());
+  v2_envelope.resize(v2_envelope.size() + 4);
+  std::memcpy(v2_envelope.data() + v2_envelope.size() - 4, &payload_len, 4);
+  v2_envelope.insert(v2_envelope.end(), payload.begin(), payload.end());
+  Sha256::Digest mac = HmacSha256(kDeveloperKey, v2_envelope.data(), v2_envelope.size());
+  v2_envelope.insert(v2_envelope.end(), mac.begin(), mac.end());
+
+  // (b) A current envelope whose binary payload is that version-2 stream.
+  std::vector<uint8_t> v2_payload =
+      SealPackageRaw(pkg_->driverlet, PackageWire::kV1Binary, payload, kDeveloperKey);
+
+  Replayer replayer(&deploy_->tee(), kDeveloperKey);
+  ASSERT_EQ(Status::kOk, replayer.LoadPackage(sealed_->data(), sealed_->size()));
+  ReplayService service(&deploy_->tee(), kDeveloperKey);
+  ASSERT_TRUE(service.RegisterDriverlet(sealed_->data(), sealed_->size()).ok());
+  const size_t loaded = replayer.store().template_count();
+  ASSERT_GT(loaded, 0u);
+  ASSERT_EQ(loaded, service.store().template_count());
+
+  for (const std::vector<uint8_t>* bytes : {&v2_envelope, &v2_payload}) {
+    SCOPED_TRACE(bytes == &v2_envelope ? "DLTPKG02 envelope" : "binary version 2");
+    EXPECT_EQ(Status::kCorrupt, OpenPackage(bytes->data(), bytes->size(), kDeveloperKey).status());
+    EXPECT_EQ(Status::kCorrupt, replayer.LoadPackage(bytes->data(), bytes->size()));
+    EXPECT_EQ(loaded, replayer.store().template_count());
+    EXPECT_EQ(Status::kCorrupt, service.RegisterDriverlet(bytes->data(), bytes->size()).status());
+    EXPECT_EQ(loaded, service.store().template_count());
+  }
 }
 
 TEST_F(SecurityTest, FabricatedTemplateWithWildAddressIsBlocked) {

@@ -1,41 +1,24 @@
 // Differential coverage for the scaled template store: constraint-indexed
-// selection vs the linear oracle, the v2 zero-copy package format, and lazy
-// hydration.
+// selection vs the linear oracle, and concurrent readers across population
+// publishes.
 //
 //   TemplateIndexTest  index-vs-linear parity on the production-shaped scale
 //                      corpus plus crafted ambiguity / missing-param /
 //                      kNoTemplate edges, and FactorGates unit coverage
-//   PackageV2Test      seal/open round trips across wire generations, every-
-//                      byte truncation + corruption sweeps, mmap registration
-//                      without up-front hydration
-//   StoreScaleTest     concurrent shard-view selection over one lazily mapped
-//                      population and zero-copy service registration (the
-//                      TSan job runs this suite)
+//   StoreScaleTest     selections racing re-registration of the same
+//                      driverlet on one store (the TSan job runs this suite)
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <thread>
 
 #include "src/check/scale_corpus.h"
-#include "src/check/template_gen.h"
 #include "src/core/constraint_index.h"
-#include "src/core/package.h"
-#include "src/core/serialize_binary.h"
 #include "src/core/template_store.h"
-#include "src/tee/replay_service.h"
 #include "src/workload/deploy_util.h"
 
 namespace dlt {
 namespace {
-
-bool WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
-  FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  return n == bytes.size();
-}
 
 InteractionTemplate TinyTemplate(const std::string& name, const std::string& entry,
                                  uint64_t sel) {
@@ -229,235 +212,50 @@ TEST(TemplateIndexTest, SmallSlotsSkipTheIndex) {
 }
 
 // ---------------------------------------------------------------------------
-// PackageV2Test
-// ---------------------------------------------------------------------------
-
-DriverletPackage SmallV2Package() {
-  DriverletPackage pkg;
-  pkg.driverlet = "fuzz2";
-  for (uint64_t s = 0; s < 2; ++s) {
-    GenConfig gc;
-    gc.seed = 21 + s;
-    gc.min_blocks = 1;
-    gc.max_blocks = 2;
-    GeneratedCase c = GenerateCase(gc);
-    c.tpl.name = "v2_" + std::to_string(s);
-    pkg.templates.push_back(std::move(c.tpl));
-  }
-  return pkg;
-}
-
-TEST(PackageV2Test, SealV2RoundTripsThroughOpenPackage) {
-  DriverletPackage pkg = SmallV2Package();
-  PackageSizes sizes;
-  std::vector<uint8_t> sealed = SealPackageV2(pkg, kDeveloperKey, &sizes);
-  EXPECT_EQ(sizes.serialized, sizes.compressed);  // v2 is uncompressed
-  Result<DriverletPackage> back = OpenPackage(sealed.data(), sealed.size(), kDeveloperKey);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->driverlet, pkg.driverlet);
-  ASSERT_EQ(back->templates.size(), pkg.templates.size());
-  for (size_t i = 0; i < pkg.templates.size(); ++i) {
-    EXPECT_TRUE(SameStateTransition(pkg.templates[i].events, back->templates[i].events)) << i;
-    EXPECT_EQ(pkg.templates[i].initial.ToString(), back->templates[i].initial.ToString()) << i;
-  }
-}
-
-TEST(PackageV2Test, V1AndV2DecodeToIdenticalTemplates) {
-  DriverletPackage pkg = SmallV2Package();
-  std::vector<uint8_t> v1 = SealPackage(pkg, PackageFormat::kBinary, kDeveloperKey);
-  std::vector<uint8_t> v2 = SealPackageV2(pkg, kDeveloperKey);
-  Result<DriverletPackage> from_v1 = OpenPackage(v1.data(), v1.size(), kDeveloperKey);
-  Result<DriverletPackage> from_v2 = OpenPackage(v2.data(), v2.size(), kDeveloperKey);
-  ASSERT_TRUE(from_v1.ok() && from_v2.ok());
-  ASSERT_EQ(from_v1->templates.size(), from_v2->templates.size());
-  // The canonical binary encoding is the strictest equality we have.
-  for (size_t i = 0; i < from_v1->templates.size(); ++i) {
-    EXPECT_EQ(TemplateContentHash(from_v1->templates[i]),
-              TemplateContentHash(from_v2->templates[i]))
-        << i;
-  }
-}
-
-TEST(PackageV2Test, ViewHydratesToTheEagerParse) {
-  DriverletPackage pkg = SmallV2Package();
-  std::vector<uint8_t> sealed = SealPackageV2(pkg, kDeveloperKey);
-  Result<SealedView> sv = OpenPackageView(sealed.data(), sealed.size(), kDeveloperKey);
-  ASSERT_TRUE(sv.ok());
-  EXPECT_EQ(sv->driverlet, "fuzz2");
-  ASSERT_EQ(sv->view.size(), pkg.templates.size());
-  for (size_t i = 0; i < sv->view.size(); ++i) {
-    InteractionTemplate t = sv->view.header(i);
-    EXPECT_TRUE(t.events.empty());  // directory parse only
-    ASSERT_TRUE(Ok(sv->view.HydrateEvents(i, &t)));
-    EXPECT_EQ(TemplateContentHash(t), TemplateContentHash(pkg.templates[i])) << i;
-  }
-}
-
-TEST(PackageV2Test, V1EnvelopeYieldsUnsupportedForZeroCopyOpen) {
-  DriverletPackage pkg = SmallV2Package();
-  std::vector<uint8_t> v1 = SealPackage(pkg, PackageFormat::kBinary, kDeveloperKey);
-  Result<SealedView> sv = OpenPackageView(v1.data(), v1.size(), kDeveloperKey);
-  ASSERT_FALSE(sv.ok());
-  EXPECT_EQ(sv.status(), Status::kUnsupported);
-}
-
-TEST(PackageV2Test, TruncationAtEveryByteRejected) {
-  std::vector<uint8_t> sealed = SealPackageV2(SmallV2Package(), kDeveloperKey);
-  for (size_t cut = 0; cut < sealed.size(); ++cut) {
-    Result<DriverletPackage> r = OpenPackage(sealed.data(), cut, kDeveloperKey);
-    ASSERT_FALSE(r.ok()) << "truncation at " << cut << " accepted";
-    EXPECT_TRUE(r.status() == Status::kCorrupt || r.status() == Status::kInvalidArg)
-        << "truncation at " << cut << ": " << StatusName(r.status());
-  }
-}
-
-TEST(PackageV2Test, CorruptionAtEveryByteRejected) {
-  std::vector<uint8_t> sealed = SealPackageV2(SmallV2Package(), kDeveloperKey);
-  for (size_t pos = 0; pos < sealed.size(); ++pos) {
-    sealed[pos] ^= 0x80;
-    Result<DriverletPackage> r = OpenPackage(sealed.data(), sealed.size(), kDeveloperKey);
-    ASSERT_FALSE(r.ok()) << "flip at " << pos << " accepted";
-    sealed[pos] ^= 0x80;
-  }
-  EXPECT_TRUE(OpenPackage(sealed.data(), sealed.size(), kDeveloperKey).ok());
-}
-
-TEST(PackageV2Test, MappedRegistrationHydratesOnlyOnSelection) {
-  ScaleCorpusConfig cfg;
-  cfg.templates = 200;
-  cfg.entries = 8;
-  ScaleCorpus corpus = BuildScaleCorpus(cfg);
-  std::string path = ::testing::TempDir() + "/scale_lazy.dpkg";
-  ASSERT_TRUE(WriteFileBytes(path, SealPackageV2(corpus.pkg, kDeveloperKey)));
-
-  TemplateStore store;
-  ASSERT_TRUE(Ok(store.AddPackageFile(path, kDeveloperKey)));
-  EXPECT_TRUE(store.HasDriverlet(kScaleDriverlet));
-  EXPECT_EQ(store.template_count(), cfg.templates);
-  EXPECT_EQ(store.lazy_template_count(), cfg.templates);  // nothing hydrated
-  EXPECT_EQ(store.hydrated_templates(), 0u);
-  // Admission data comes from the seal-time directory, not from hydration.
-  EXPECT_FALSE(store.DevicesOf(kScaleDriverlet).empty());
-  EXPECT_EQ(store.hydrated_templates(), 0u);
-
-  // One selection hydrates exactly the winner.
-  size_t target = 42;
-  Result<const InteractionTemplate*> r =
-      store.Select(kScaleDriverlet, ScaleEntry(cfg, target), ScaleInvokeScalars(corpus, target));
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ((*r)->name, "scale_" + std::to_string(target));
-  EXPECT_FALSE((*r)->events.empty());
-  EXPECT_EQ(store.hydrated_templates(), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(PackageV2Test, MappedAndEagerSelectIdentically) {
-  ScaleCorpusConfig cfg;
-  cfg.templates = 150;
-  cfg.entries = 6;
-  ScaleCorpus corpus = BuildScaleCorpus(cfg);
-  std::string path = ::testing::TempDir() + "/scale_diff.dpkg";
-  ASSERT_TRUE(WriteFileBytes(path, SealPackageV2(corpus.pkg, kDeveloperKey)));
-
-  TemplateStore eager, lazy;
-  ASSERT_TRUE(Ok(eager.AddPackage(corpus.pkg)));
-  ASSERT_TRUE(Ok(lazy.AddPackageFile(path, kDeveloperKey)));
-  for (size_t target = 0; target < cfg.templates; target += 5) {
-    Bindings scalars = ScaleInvokeScalars(corpus, target);
-    std::string entry = ScaleEntry(cfg, target);
-    Result<const InteractionTemplate*> a = eager.Select(kScaleDriverlet, entry, scalars);
-    Result<const InteractionTemplate*> b = lazy.Select(kScaleDriverlet, entry, scalars);
-    ASSERT_TRUE(a.ok() && b.ok()) << "target " << target;
-    EXPECT_EQ((*a)->name, (*b)->name);
-    // Hydrated body == eagerly parsed body, byte for byte.
-    EXPECT_EQ(TemplateContentHash(**a), TemplateContentHash(**b)) << "target " << target;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(PackageV2Test, EagerReRegistrationReplacesTheMapping) {
-  ScaleCorpusConfig cfg;
-  cfg.templates = 60;
-  cfg.entries = 4;
-  ScaleCorpus corpus = BuildScaleCorpus(cfg);
-  std::string path = ::testing::TempDir() + "/scale_replace.dpkg";
-  ASSERT_TRUE(WriteFileBytes(path, SealPackageV2(corpus.pkg, kDeveloperKey)));
-
-  TemplateStore store;
-  ASSERT_TRUE(Ok(store.AddPackageFile(path, kDeveloperKey)));
-  EXPECT_EQ(store.lazy_template_count(), cfg.templates);
-  ASSERT_TRUE(Ok(store.AddPackage(corpus.pkg)));  // eager replacement
-  EXPECT_EQ(store.template_count(), cfg.templates);
-  EXPECT_EQ(store.lazy_template_count(), 0u);
-  ASSERT_TRUE(Ok(store.AddPackageFile(path, kDeveloperKey)));  // and back
-  EXPECT_EQ(store.template_count(), cfg.templates);
-  EXPECT_EQ(store.lazy_template_count(), cfg.templates);
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
 // StoreScaleTest
 // ---------------------------------------------------------------------------
 
-TEST(StoreScaleTest, ConcurrentShardViewsHydrateOneMappedPopulation) {
-  // The TSan target: four threads race selections (and thus first-touch
-  // hydrations) across shard views of one lazily mapped population.
+TEST(StoreScaleTest, ConcurrentSelectsDuringRepublish) {
+  // The TSan target: four threads select every target on one store while a
+  // fifth re-registers the same driverlet, so readers race population
+  // publishes. A reader keeps the population it pinned, so every select still
+  // returns its target with its events.
   ScaleCorpusConfig cfg;
   cfg.templates = 240;
   cfg.entries = 8;
   ScaleCorpus corpus = BuildScaleCorpus(cfg);
-  std::string path = ::testing::TempDir() + "/scale_tsan.dpkg";
-  ASSERT_TRUE(WriteFileBytes(path, SealPackageV2(corpus.pkg, kDeveloperKey)));
+  TemplateStore store;
+  ASSERT_TRUE(Ok(store.AddPackage(corpus.pkg)));
 
-  TemplateStore origin;
-  ASSERT_TRUE(Ok(origin.AddPackageFile(path, kDeveloperKey)));
-  std::vector<std::unique_ptr<TemplateStore>> views;
-  for (int i = 0; i < 4; ++i) views.push_back(origin.NewShardView());
-  ASSERT_TRUE(views[0]->SharesPopulationWith(origin));
-
+  std::atomic<bool> republished{false};
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      TemplateStore& view = *views[t];
-      for (size_t target = 0; target < cfg.templates; ++target) {
-        Result<const InteractionTemplate*> r = view.Select(
-            kScaleDriverlet, ScaleEntry(cfg, target), ScaleInvokeScalars(corpus, target));
-        if (!r.ok() || (*r)->name != "scale_" + std::to_string(target) ||
-            (*r)->events.empty()) {
-          failures.fetch_add(1, std::memory_order_relaxed);
+    threads.emplace_back([&] {
+      // At least one full pass, and keep selecting until the writer is done.
+      do {
+        for (size_t target = 0; target < cfg.templates; ++target) {
+          Result<const InteractionTemplate*> r = store.Select(
+              kScaleDriverlet, ScaleEntry(cfg, target), ScaleInvokeScalars(corpus, target));
+          if (!r.ok() || (*r)->name != "scale_" + std::to_string(target) ||
+              (*r)->events.empty()) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+          }
         }
-      }
+      } while (!republished.load(std::memory_order_acquire));
     });
   }
+  threads.emplace_back([&] {
+    for (int i = 0; i < 20; ++i) {
+      if (!Ok(store.AddPackage(corpus.pkg))) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    republished.store(true, std::memory_order_release);
+  });
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
-  // Every template hydrated exactly once despite 4x coverage of each target.
-  EXPECT_EQ(origin.hydrated_templates(), cfg.templates);
-  std::remove(path.c_str());
-}
-
-TEST(StoreScaleTest, ServiceRegistersMappedFileZeroCopy) {
-  ScaleCorpusConfig cfg;
-  cfg.templates = 100;
-  cfg.entries = 4;
-  ScaleCorpus corpus = BuildScaleCorpus(cfg);
-  std::string path = ::testing::TempDir() + "/scale_svc.dpkg";
-  ASSERT_TRUE(WriteFileBytes(path, SealPackageV2(corpus.pkg, kDeveloperKey)));
-
-  TestbedOptions opts;
-  opts.secure_io = true;
-  opts.probe_drivers = false;
-  Rpi3Testbed tb(opts);
-  ReplayService service(&tb.tee(), kDeveloperKey);
-  Result<std::string> name = service.RegisterDriverletFile(path);
-  ASSERT_TRUE(name.ok()) << StatusName(name.status());
-  EXPECT_EQ(*name, kScaleDriverlet);
-  EXPECT_TRUE(service.IsRegistered(kScaleDriverlet));
-  // Registration parsed the directory only.
-  EXPECT_EQ(service.store().lazy_template_count(), cfg.templates);
-  EXPECT_EQ(service.store().hydrated_templates(), 0u);
-  std::remove(path.c_str());
+  EXPECT_EQ(store.template_count(), cfg.templates);
 }
 
 }  // namespace
