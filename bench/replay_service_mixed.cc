@@ -8,9 +8,10 @@
 //     (driverlet, entry)-indexed TemplateStore the candidates examined per
 //     invoke must stay flat.
 //  2. Mixed traffic: MMC/USB/camera sessions interleaved round-robin, half the
-//     block requests through the bounded FIFO queue, half direct. Per-session
-//     stats and the service invoke-latency histogram (virtual time) feed
-//     BENCH_replay_service.json so future PRs have a perf trajectory.
+//     block requests through their sessions' invocation rings, half direct.
+//     Per-session stats and the service invoke-latency histogram (virtual
+//     time) feed BENCH_replay_service.json so future PRs have a perf
+//     trajectory.
 //  3. Switch amortization (--batch 1,8,64): the same MMC command stream is
 //     driven through the per-session invocation ring at each
 //     commands-per-doorbell size, plus once through plain Invoke (the
@@ -561,7 +562,6 @@ int main(int argc, char** argv) {
   Rpi3Testbed tb{opts};
   ReplayServiceConfig cfg;
   cfg.max_sessions = 8;
-  cfg.queue_depth = 64;
   ReplayService svc(&tb.tee(), kDeveloperKey, cfg);
 
   // ---- Phase 1: MMC alone ----
@@ -606,16 +606,18 @@ int main(int argc, char** argv) {
   uint64_t t0 = tb.clock().now_us();
   uint64_t mixed_failures = 0;
   for (int round = 0; round < kMixedRounds; ++round) {
-    // Two block clients alternate direct invokes with the FIFO queue path.
-    uint64_t req1 = 0;
-    uint64_t req2 = 0;
-    if ((round % 2) == 0) {
-      Result<uint64_t> r1 =
-          svc.Submit(mmc.session, kMmcEntry, BlockArgs(&mmc, kMmcRwWrite, 32, &block_buf));
-      Result<uint64_t> r2 =
-          svc.Submit(usb.session, kUsbEntry, BlockArgs(&usb, kMmcRwWrite, 8, &usb_buf));
-      req1 = r1.ok() ? *r1 : 0;
-      req2 = r2.ok() ? *r2 : 0;
+    // Two block clients alternate direct invokes with their session rings:
+    // commands pushed here run at the doorbells after the other clients.
+    const bool queued = (round % 2) == 0;
+    if (queued) {
+      if (!svc.RingPush(mmc.session, kMmcEntry, BlockArgs(&mmc, kMmcRwWrite, 32, &block_buf))
+               .ok()) {
+        ++mixed_failures;
+      }
+      if (!svc.RingPush(usb.session, kUsbEntry, BlockArgs(&usb, kMmcRwWrite, 8, &usb_buf))
+               .ok()) {
+        ++mixed_failures;
+      }
     } else {
       if (!svc.Invoke(mmc.session, kMmcEntry, BlockArgs(&mmc, kMmcRwRead, 32, &block_buf))
                .ok()) {
@@ -641,12 +643,14 @@ int main(int argc, char** argv) {
         ++mixed_failures;
       }
     }
-    svc.ProcessQueued();
-    if (req1 != 0 && !svc.TakeCompletion(req1).ok()) {
-      ++mixed_failures;
-    }
-    if (req2 != 0 && !svc.TakeCompletion(req2).ok()) {
-      ++mixed_failures;
+    if (queued) {
+      for (SessionId sid : {mmc.session, usb.session}) {
+        Result<size_t> ran = svc.RingDoorbell(sid);
+        Result<RingCompletion> done = svc.RingPop(sid);
+        if (!ran.ok() || !done.ok() || !done->result.ok()) {
+          ++mixed_failures;
+        }
+      }
     }
   }
   double elapsed_s = static_cast<double>(tb.clock().now_us() - t0) / 1e6;
@@ -657,8 +661,8 @@ int main(int argc, char** argv) {
               "(%llu failures)\n",
               static_cast<unsigned long long>(ops), elapsed_s,
               static_cast<unsigned long long>(mixed_failures));
-  std::printf("sessions open=%zu, driverlets=%zu, queue backlog=%zu\n",
-              svc.open_sessions(), svc.registered_driverlets(), svc.queue_backlog());
+  std::printf("sessions open=%zu, driverlets=%zu\n", svc.open_sessions(),
+              svc.registered_driverlets());
   for (SessionId sid : {mmc.session, mmc2.session, usb.session, *cam_sid}) {
     Result<SessionStats> st = svc.Stats(sid);
     if (st.ok()) {
@@ -676,7 +680,6 @@ int main(int argc, char** argv) {
   // Snapshot the mixed-phase metrics before the amortization phase drives
   // more service traffic through the same process-global registry.
   HistSnap invoke_snap = Snap(m.histogram("service.invoke_us"));
-  HistSnap queue_snap = Snap(m.histogram("service.queue_wait_us"));
   uint64_t inv_mmc = m.counter("service.invokes.mmc").value();
   uint64_t inv_usb = m.counter("service.invokes.usb").value();
   uint64_t inv_cam = m.counter("service.invokes.camera").value();
@@ -773,7 +776,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(mixed_failures));
   std::fprintf(f, "  \"simulated_seconds\": %.3f,\n", elapsed_s);
   PrintHistJson(f, "invoke_latency_us", invoke_snap, ",");
-  PrintHistJson(f, "queue_wait_us", queue_snap, ",");
   std::fprintf(f, "  \"per_driverlet_invokes\": {\"mmc\": %llu, \"usb\": %llu, \"camera\": %llu},\n",
                static_cast<unsigned long long>(inv_mmc),
                static_cast<unsigned long long>(inv_usb),

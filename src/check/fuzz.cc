@@ -40,8 +40,7 @@ struct OpName {
 
 constexpr OpName kOpNames[] = {
     {BoundaryOp::kOpen, "open"},         {BoundaryOp::kClose, "close"},
-    {BoundaryOp::kInvoke, "invoke"},     {BoundaryOp::kSubmit, "submit"},
-    {BoundaryOp::kProcess, "process"},   {BoundaryOp::kRingPush, "push"},
+    {BoundaryOp::kInvoke, "invoke"},     {BoundaryOp::kRingPush, "push"},
     {BoundaryOp::kDoorbell, "doorbell"}, {BoundaryOp::kRingPop, "pop"},
     {BoundaryOp::kAttest, "attest"},     {BoundaryOp::kFaultArm, "fault"},
     {BoundaryOp::kFaultDisarm, "disarm"}, {BoundaryOp::kRegisterPackage, "register"},
@@ -202,7 +201,6 @@ class BoundaryExec {
     tb_ = std::make_unique<Rpi3Testbed>(opts);
     ReplayServiceConfig cfg;
     cfg.max_sessions = kSlots;
-    cfg.queue_depth = 4;
     cfg.ring_depth = 4;       // small rings so wrap-around is routine
     cfg.quarantine_threshold = 2;
     cfg.enforce_integrity = true;  // rung 0 armed: fuzz the strictest policy
@@ -295,8 +293,8 @@ class BoundaryExec {
   }
 
   // Synthesizes the invoke arguments for (class, entry variant, arg seed).
-  // Buffers live in |arena_| for the whole run: Submit and RingPush borrow
-  // views until their completions are taken.
+  // Buffers live in |arena_| for the whole run: RingPush borrows views until
+  // their completions are reaped.
   std::pair<std::string, ReplayArgs> SynthInvoke(size_t cls, uint64_t variant, uint64_t seed) {
     cls %= NumClasses();
     variant %= 4;
@@ -421,32 +419,6 @@ class BoundaryExec {
         line += r.ok() ? " ok ev=" + std::to_string(r->events_executed) + " meas=" +
                              r->measurement.substr(0, 8)
                        : std::string(" ") + StatusName(r.status());
-        break;
-      }
-      case BoundaryOp::kSubmit: {
-        SessionId id = SlotId(act.a);
-        auto [entry, args] = SynthInvoke(SlotClass(act.a), act.b, act.c);
-        Result<uint64_t> rid =
-            service_->Submit(id == 0 ? 999999 : id, std::move(entry), std::move(args));
-        CheckStatus(idx, "Submit", rid.ok() ? Status::kOk : rid.status());
-        line += rid.ok() ? " id=" + std::to_string(*rid)
-                         : std::string(" ") + StatusName(rid.status());
-        if (rid.ok()) outstanding_.push_back(*rid);
-        break;
-      }
-      case BoundaryOp::kProcess: {
-        size_t max = act.a % 5 == 0 ? SIZE_MAX : act.a % 5;
-        size_t n = service_->ProcessQueued(max);
-        line += " n=" + std::to_string(n);
-        // Global FIFO: the first |n| outstanding ids are the ones that ran.
-        for (size_t i = 0; i < n && !outstanding_.empty(); ++i) {
-          uint64_t rid = outstanding_.front();
-          outstanding_.pop_front();
-          Result<ReplayStats> c = service_->TakeCompletion(rid);
-          CheckStatus(idx, "TakeCompletion", c.ok() ? Status::kOk : c.status());
-          line += " [" + std::to_string(rid) + " " +
-                  StatusName(c.ok() ? Status::kOk : c.status()) + "]";
-        }
         break;
       }
       case BoundaryOp::kRingPush: {
@@ -602,7 +574,7 @@ class BoundaryExec {
       }
       if (st->quarantined) was_quarantined_.insert(id);
 
-      Result<InvocationRing*> ring = service_->Ring(id);
+      Result<const InvocationRing*> ring = service_->Ring(id);
       if (!ring.ok()) continue;
       uint64_t pushed = (*ring)->pushed();
       uint64_t drained = (*ring)->drained();
@@ -644,7 +616,6 @@ class BoundaryExec {
             " meas=" + st->last_measurement.substr(0, 8));
     }
     Trace("end quarantined_total=" + std::to_string(service_->quarantined_sessions()) +
-          " backlog=" + std::to_string(service_->queue_backlog()) +
           " sim_us=" + std::to_string(tb_->machine().clock().now_us()));
   }
 
@@ -676,7 +647,6 @@ class BoundaryExec {
   size_t slot_class_[kSlots] = {0, 0, 0, 0};
   std::deque<std::vector<uint8_t>> arena_;
   std::vector<uint8_t> camera_buf_;
-  std::deque<uint64_t> outstanding_;
   std::map<SessionId, uint64_t> ring_last_seq_;
   std::map<SessionId, std::array<uint64_t, 3>> ring_counts_;
   std::set<SessionId> was_quarantined_;
@@ -862,7 +832,7 @@ BoundaryRunResult RunBoundaryProgram(const BoundaryProgram& p) {
 std::vector<BoundaryProgram> BuiltinBoundaryCorpus() {
   // One lifecycle per registered driverlet class: open, a covered invoke
   // (arg seed 7 maps into each class's recorded geometry), a full ring cycle
-  // that wraps the 4-deep ring, a queued submit/process round, attest, close.
+  // that wraps the 4-deep ring, attest, close.
   std::vector<BoundaryProgram> corpus;
   for (uint64_t cls = 0; cls < NumClasses(); ++cls) {
     BoundaryProgram p;
@@ -878,8 +848,6 @@ std::vector<BoundaryProgram> BuiltinBoundaryCorpus() {
     for (int i = 0; i < 2; ++i) add(BoundaryOp::kRingPush, 0, 1, 7);
     add(BoundaryOp::kDoorbell, 0, 0, 0);
     for (int i = 0; i < 2; ++i) add(BoundaryOp::kRingPop, 0, 0, 0);
-    add(BoundaryOp::kSubmit, 0, 0, 7);
-    add(BoundaryOp::kProcess, 0, 0, 0);
     add(BoundaryOp::kAttest, 0, 0, 1);
     add(BoundaryOp::kClose, 0, 0, 0);
     corpus.push_back(std::move(p));

@@ -2,8 +2,8 @@
 //
 // The unit of fuzzing is a *boundary program*: a serialized list of actions a
 // normal-world client can take against the TEE service boundary — session
-// open/close interleavings, direct and queued invokes, ring push / doorbell /
-// reap orderings, fault-plane arming, attestation requests, and mutated
+// open/close interleavings, direct invokes, ring push / doorbell / reap
+// orderings, fault-plane arming, attestation requests, and mutated
 // sealed-package bytes fed through RegisterDriverlet. Each run executes one
 // program against a fresh deployment (Rpi3Testbed + ReplayService hosting the
 // sealed package of every registered driverlet class — see
@@ -53,8 +53,6 @@ enum class BoundaryOp : uint8_t {
   kOpen = 0,     // a: index into RegisteredDriverletClasses()
   kClose,        // a: session slot
   kInvoke,       // a: slot, b: entry variant, c: argument seed
-  kSubmit,       // a: slot, b: entry variant, c: argument seed
-  kProcess,      // a: max requests to drain
   kRingPush,     // a: slot, b: entry variant, c: argument seed
   kDoorbell,     // a: slot
   kRingPop,      // a: slot

@@ -30,9 +30,7 @@ const char* EdgeName(size_t index) {
       "service.close",            "service.invoke_ok",
       "service.invoke_fail",      "service.quarantine",
       "service.integrity_quarantine", "service.quarantine_reject",
-      "service.measurement_mismatch", "service.queue_submit",
-      "service.queue_reject",     "service.queue_drain",
-      "service.batch",            "service.session_gone",
+      "service.measurement_mismatch", "service.batch",
       "ring.push",                "ring.full",
       "ring.wrap",                "ring.doorbell",
       "ring.empty_doorbell",      "ring.pop",

@@ -31,11 +31,7 @@ enum class Edge : uint32_t {
   kServiceIntegrityQuarantine,
   kServiceQuarantineReject,
   kServiceMeasurementMismatch,
-  kServiceQueueSubmit,
-  kServiceQueueReject,
-  kServiceQueueDrain,
   kServiceBatch,
-  kServiceSessionGone,
   // InvocationRing.
   kRingPush,
   kRingFull,

@@ -1,9 +1,10 @@
 // InvocationRing: a bounded per-session submission/completion ring — the
-// batched invoke transport of the replay service (docs/replay_service.md).
-// Clients write {entry, args} descriptors into submission slots and ring a
-// doorbell; the service drains every pending descriptor as ONE batch under two
-// world switches and files per-command ReplayStats into the matching
-// completion slots, which the client reaps in sequence order.
+// replay service's one queued transport (docs/replay_service.md); every
+// session gets one when it opens. Clients write {entry, args} descriptors into
+// submission slots and ring a doorbell; the service drains every pending
+// descriptor as ONE batch under two world switches and files per-command
+// ReplayStats into the matching completion slots, which the client reaps in
+// sequence order.
 //
 // Slot accounting follows the VCHIQ slot queue simulated in src/soc (and
 // io_uring's SQ/CQ): a slot is occupied from Push until its completion is

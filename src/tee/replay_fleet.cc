@@ -92,8 +92,7 @@ void ReplayFleet::Stop() {
         shard->tel_queue_depth->Sub(1);
         tel_fleet_queue_depth_->Sub(1);
       }
-      CompleteAs(p.id, std::vector<Result<ReplayStats>>(
-                           p.cmds.size(), Result<ReplayStats>(Status::kAborted)));
+      CompleteAs(p.id, Status::kAborted);
     }
   }
 }
@@ -145,22 +144,11 @@ Status ReplayFleet::CloseSession(FleetSessionId id) {
 }
 
 Result<uint64_t> ReplayFleet::Submit(FleetSessionId id, std::string entry, ReplayArgs args) {
-  std::vector<RingCmd> one(1);
-  one[0].entry = std::move(entry);
-  one[0].args = std::move(args);
-  return SubmitBatch(id, std::move(one));
-}
-
-Result<uint64_t> ReplayFleet::SubmitBatch(FleetSessionId id, std::vector<RingCmd> cmds) {
-  if (cmds.empty()) {
-    return Status::kInvalidArg;  // an empty doorbell never reaches the fleet
-  }
   size_t shard = FleetShardOf(id);
   if (shard >= shards_.size()) {
     return Status::kNotFound;
   }
   Shard& s = *shards_[shard];
-  const uint64_t n_cmds = cmds.size();
   uint64_t request_id;
   {
     std::lock_guard<std::mutex> lk(s.queue_mu);
@@ -171,12 +159,13 @@ Result<uint64_t> ReplayFleet::SubmitBatch(FleetSessionId id, std::vector<RingCmd
     Pending p;
     p.id = next_request_.fetch_add(1, std::memory_order_relaxed);
     p.session = FleetLocalSession(id);
-    p.cmds = std::move(cmds);
+    p.cmd.entry = std::move(entry);
+    p.cmd.args = std::move(args);
     p.submitted = std::chrono::steady_clock::now();
     request_id = p.id;
     s.queue.push_back(std::move(p));
   }
-  s.submitted.fetch_add(n_cmds, std::memory_order_relaxed);
+  s.submitted.fetch_add(1, std::memory_order_relaxed);
   queued_total_.fetch_add(1, std::memory_order_relaxed);
   if (s.tel_queue_depth != nullptr) {
     s.tel_queue_depth->Add(1);
@@ -192,23 +181,7 @@ Result<ReplayStats> ReplayFleet::TakeCompletion(uint64_t request_id) {
   if (it == completions_.end()) {
     return Status::kNotFound;
   }
-  if (it->second.size() != 1) {
-    // Batch request: per-command results don't collapse into one. Leave the
-    // completion collectable via TakeBatchCompletion.
-    return Status::kInvalidArg;
-  }
-  Result<ReplayStats> r = std::move(it->second.front());
-  completions_.erase(it);
-  return r;
-}
-
-Result<std::vector<Result<ReplayStats>>> ReplayFleet::TakeBatchCompletion(uint64_t request_id) {
-  std::lock_guard<std::mutex> lk(comp_mu_);
-  auto it = completions_.find(request_id);
-  if (it == completions_.end()) {
-    return Status::kNotFound;
-  }
-  std::vector<Result<ReplayStats>> r = std::move(it->second);
+  Result<ReplayStats> r = std::move(it->second);
   completions_.erase(it);
   return r;
 }
@@ -217,42 +190,8 @@ Result<ReplayStats> ReplayFleet::WaitCompletion(uint64_t request_id) {
   std::unique_lock<std::mutex> lk(comp_mu_);
   comp_cv_.wait(lk, [&] { return completions_.find(request_id) != completions_.end(); });
   auto it = completions_.find(request_id);
-  if (it->second.size() != 1) {
-    return Status::kInvalidArg;  // see TakeCompletion
-  }
-  Result<ReplayStats> r = std::move(it->second.front());
+  Result<ReplayStats> r = std::move(it->second);
   completions_.erase(it);
-  return r;
-}
-
-std::vector<Result<ReplayStats>> ReplayFleet::WaitBatchCompletion(uint64_t request_id) {
-  std::unique_lock<std::mutex> lk(comp_mu_);
-  comp_cv_.wait(lk, [&] { return completions_.find(request_id) != completions_.end(); });
-  auto it = completions_.find(request_id);
-  std::vector<Result<ReplayStats>> r = std::move(it->second);
-  completions_.erase(it);
-  return r;
-}
-
-Result<ReplayStats> ReplayFleet::Invoke(FleetSessionId id, std::string_view entry,
-                                        const ReplayArgs& args) {
-  if (running()) {
-    DLT_ASSIGN_OR_RETURN(uint64_t req, Submit(id, std::string(entry), args));
-    return WaitCompletion(req);
-  }
-  // Stopped-pool path: execute directly on the caller's thread, same locking
-  // discipline as a worker (single-threaded tests never spin up the pool).
-  size_t shard = FleetShardOf(id);
-  if (shard >= shards_.size()) {
-    return Status::kNotFound;
-  }
-  Shard& s = *shards_[shard];
-  std::lock_guard<std::mutex> exec(s.exec_mu);
-  Result<ReplayStats> r = s.service->Invoke(FleetLocalSession(id), entry, args);
-  s.executed.fetch_add(1, std::memory_order_relaxed);
-  if (s.tel_executed != nullptr) {
-    s.tel_executed->Inc();
-  }
   return r;
 }
 
@@ -383,14 +322,9 @@ void ReplayFleet::Execute(Shard& s, Pending p, bool as_thief) {
   auto wait = start - p.submitted;
   queue_wait_us_.Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(wait).count()));
-  const uint64_t n = p.cmds.size();
-  // The whole batch runs as one InvokeBatch under this continuous exec_mu
-  // hold: two world switches total, and no other worker can interleave
-  // commands into the batch.
-  std::vector<Result<ReplayStats>> r = s.service->InvokeBatch(p.session, p.cmds.data(),
-                                                              p.cmds.size());
+  Result<ReplayStats> r = s.service->Invoke(p.session, p.cmd.entry, p.cmd.args);
   if (cfg_.invoke_floor_us != 0) {
-    auto floor = std::chrono::microseconds(cfg_.invoke_floor_us * n);
+    auto floor = std::chrono::microseconds(cfg_.invoke_floor_us);
     auto elapsed = std::chrono::steady_clock::now() - start;
     if (elapsed < floor) {
       // Device-latency pacing: hold the shard busy for the rest of the floor,
@@ -398,12 +332,12 @@ void ReplayFleet::Execute(Shard& s, Pending p, bool as_thief) {
       std::this_thread::sleep_for(floor - elapsed);
     }
   }
-  s.executed.fetch_add(n, std::memory_order_relaxed);
+  s.executed.fetch_add(1, std::memory_order_relaxed);
   if (s.tel_executed != nullptr) {
-    s.tel_executed->Inc(n);
+    s.tel_executed->Inc();
   }
   if (as_thief) {
-    s.stolen.fetch_add(n, std::memory_order_relaxed);
+    s.stolen.fetch_add(1, std::memory_order_relaxed);
     if (s.tel_steals != nullptr) {
       s.tel_steals->Inc();
       tel_fleet_steals_->Inc();
@@ -412,7 +346,7 @@ void ReplayFleet::Execute(Shard& s, Pending p, bool as_thief) {
   CompleteAs(p.id, std::move(r));
 }
 
-void ReplayFleet::CompleteAs(uint64_t request_id, std::vector<Result<ReplayStats>> r) {
+void ReplayFleet::CompleteAs(uint64_t request_id, Result<ReplayStats> r) {
   {
     std::lock_guard<std::mutex> lk(comp_mu_);
     completions_.emplace(request_id, std::move(r));

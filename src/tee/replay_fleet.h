@@ -10,6 +10,7 @@
 //   - a fixed pool of T worker threads; shard s is *homed* on worker s % T;
 //   - per-shard bounded FIFO run queues (Submit returns kBusy when the
 //     session's home-shard queue is full — explicit backpressure, no blocking);
+//     each queued request executes as one ReplayService::Invoke;
 //   - sessions are pinned to a home shard at OpenSession (least-loaded, or
 //     explicit via OpenSessionOn), so a session's invokes always execute
 //     against the same Machine and media — determinism is per-shard, and
@@ -17,11 +18,7 @@
 //   - idle workers *steal*: they scan other shards and, under the victim
 //     shard's execution lock, pop work from the TAIL of its queue — skipping
 //     any item with an earlier queued request from the same session, so
-//     per-session FIFO order survives stealing;
-//   - ring batches dispatch as a UNIT: a SubmitBatch vector occupies one
-//     queue slot, never splits across shards, is stolen whole, and executes
-//     as one ReplayService::InvokeBatch under a single continuous exec_mu
-//     hold — two world switches for the whole batch.
+//     per-session FIFO order survives stealing.
 //
 // The execution invariant that makes this safe with single-threaded shard
 // internals: popping a shard's queue requires holding that shard's exec_mu,
@@ -63,10 +60,9 @@ struct ReplayFleetConfig {
   // Worker threads; 0 means one per shard. Fewer threads than shards is a
   // valid (and tested) configuration — stealing keeps all shards draining.
   size_t threads = 0;
-  size_t queue_depth = 64;   // per-shard bounded run queue, in dispatch units
-                             // (a whole SubmitBatch vector occupies one slot)
+  size_t queue_depth = 64;   // per-shard bounded run queue, in requests
   bool stealing = true;      // idle workers steal from busy shards' tails
-  size_t batch_limit = 8;    // max dispatch units one worker drains per visit
+  size_t batch_limit = 8;    // max requests one worker drains per visit
   // Wall-clock floor per queued invoke, microseconds. The simulator retires
   // device waits in zero host time; a nonzero floor re-introduces the real
   // per-invoke device/world-switch latency by sleeping out the remainder
@@ -77,14 +73,13 @@ struct ReplayFleetConfig {
 };
 
 // Per-shard dispatch accounting (monotonic over the fleet's lifetime, except
-// the two instantaneous levels). submitted/executed/stolen count *commands*,
-// so a batch of 8 adds 8 — batch-of-1 traffic reads exactly as before.
+// the two instantaneous levels), counted in requests.
 struct ShardStats {
   uint64_t submitted = 0;
-  uint64_t executed = 0;      // commands completed on this shard (home + stolen)
+  uint64_t executed = 0;      // requests completed on this shard (home + stolen)
   uint64_t stolen = 0;        // of executed, how many a non-home worker ran
   uint64_t busy_rejects = 0;  // Submit attempts bounced off a full queue
-  size_t queue_depth = 0;     // instantaneous, in queue slots (batches)
+  size_t queue_depth = 0;     // instantaneous, in queued requests
   size_t open_sessions = 0;   // instantaneous
 };
 
@@ -111,8 +106,8 @@ class ReplayFleet {
 
   // ---- Worker pool lifecycle ----
   // Start launches the worker threads; before Start (or after Stop), Submit
-  // still queues and Invoke/ProcessQueuedInline execute on the caller's
-  // thread — useful for single-threaded deterministic tests.
+  // still queues and ProcessQueuedInline executes on the caller's thread —
+  // useful for single-threaded deterministic tests.
   void Start();
   // Joins the pool. Requests still queued complete as kAborted (their
   // completions stay collectable), so no submitter is left waiting forever.
@@ -130,26 +125,11 @@ class ReplayFleet {
   // Enqueues onto the session's home shard; kBusy when that queue is full.
   // Buffer views inside |args| are borrowed until the completion is taken.
   Result<uint64_t> Submit(FleetSessionId id, std::string entry, ReplayArgs args);
-  // Enqueues a whole ring batch as ONE dispatch unit: the vector occupies a
-  // single queue slot on the session's home shard, never splits across
-  // shards, and executes as one InvokeBatch (two world switches for the
-  // batch). kBusy when the home queue is full; kInvalidArg for an empty
-  // batch. Collect results with Take/WaitBatchCompletion.
-  Result<uint64_t> SubmitBatch(FleetSessionId id, std::vector<RingCmd> cmds);
   // Non-blocking completion pickup; kNotFound while still queued/running.
-  // For a SubmitBatch request of more than one command this returns
-  // kInvalidArg (and leaves the completion collectable) — use
-  // TakeBatchCompletion for positional per-command results.
   Result<ReplayStats> TakeCompletion(uint64_t request_id);
-  Result<std::vector<Result<ReplayStats>>> TakeBatchCompletion(uint64_t request_id);
   // Blocks until the request completes (requires a running pool or a
   // concurrent ProcessQueuedInline caller), then takes the completion.
   Result<ReplayStats> WaitCompletion(uint64_t request_id);
-  std::vector<Result<ReplayStats>> WaitBatchCompletion(uint64_t request_id);
-  // Submit + WaitCompletion when the pool runs; direct inline execution on
-  // the caller's thread otherwise.
-  Result<ReplayStats> Invoke(FleetSessionId id, std::string_view entry,
-                             const ReplayArgs& args);
   // Drains up to |max_requests| queued invokes on the caller's thread (home
   // order, no stealing). Returns how many ran. Intended for stopped-pool use.
   size_t ProcessQueuedInline(size_t max_requests = SIZE_MAX);
@@ -157,7 +137,7 @@ class ReplayFleet {
   // ---- Introspection ----
   FleetStats stats() const;
   // Wall-clock queue wait (submit → execution start), microseconds; one
-  // sample per dispatch unit.
+  // sample per request.
   const Histogram& queue_wait_us() const { return queue_wait_us_; }
   size_t shard_count() const { return shards_.size(); }
   size_t thread_count() const { return threads_target_; }
@@ -168,7 +148,7 @@ class ReplayFleet {
   struct Pending {
     uint64_t id = 0;             // fleet-wide request id
     SessionId session = 0;       // shard-local session
-    std::vector<RingCmd> cmds;   // whole batch; buffer views borrowed
+    RingCmd cmd;                 // buffer views borrowed
     std::chrono::steady_clock::time_point submitted;
   };
 
@@ -205,9 +185,9 @@ class ReplayFleet {
   // Pops the next runnable item for |s| (front for home, tail-respecting-
   // session-order for thieves). Caller holds exec_mu. False when none.
   bool PopWork(Shard& s, bool as_thief, Pending* out);
-  // Runs one whole batch against |s| and files the completion. exec_mu held.
+  // Runs one request against |s| and files the completion. exec_mu held.
   void Execute(Shard& s, Pending p, bool as_thief);
-  void CompleteAs(uint64_t request_id, std::vector<Result<ReplayStats>> r);
+  void CompleteAs(uint64_t request_id, Result<ReplayStats> r);
 
   std::string signing_key_;
   ReplayFleetConfig cfg_;
@@ -220,11 +200,10 @@ class ReplayFleet {
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
 
-  // Completion table shared by all shards, keyed by fleet request id; one
-  // vector per dispatch unit (size 1 for plain Submit).
+  // Completion table shared by all shards, keyed by fleet request id.
   mutable std::mutex comp_mu_;
   std::condition_variable comp_cv_;
-  std::map<uint64_t, std::vector<Result<ReplayStats>>> completions_;
+  std::map<uint64_t, Result<ReplayStats>> completions_;
 
   std::atomic<uint64_t> next_request_{1};
   // Total queued across all shards — lets idle workers' wake predicate stay a

@@ -1,6 +1,7 @@
 #include "src/tee/replay_service.h"
 
 #include <utility>
+#include <vector>
 
 #include "src/obs/edge.h"
 #include "src/obs/telemetry.h"
@@ -89,8 +90,7 @@ Result<SessionId> ReplayService::OpenSession(std::string_view driverlet) {
     return Status::kBusy;
   }
   SessionId id = next_session_++;
-  Session& s = sessions_[id];
-  s.driverlet = it->first;
+  Session& s = sessions_.try_emplace(id, it->first, cfg_.ring_depth).first->second;
   s.stats.driverlet = it->first;
   s.stats.opened_us = tee_->TimestampUs();
   EdgeCoverage::Get().Hit(Edge::kServiceOpen);
@@ -106,8 +106,6 @@ Status ReplayService::CloseSession(SessionId id) {
     return Status::kNotFound;
   }
   sessions_.erase(it);
-  // Requests still queued under this session complete as kNotFound when
-  // processed — the submitter learns its session died, FIFO order is kept.
   EdgeCoverage::Get().Hit(Edge::kServiceClose);
   Telemetry& tel = Telemetry::Get();
   if (tel.enabled()) {
@@ -213,10 +211,7 @@ Result<ReplayStats> ReplayService::DoInvokeOne(Session& s, std::string_view entr
   return r;
 }
 
-void ReplayService::DoInvokeBatch(BatchItem* items, size_t n) {
-  if (n == 0) {
-    return;  // nothing pending: the SMC boundary is not crossed at all
-  }
+void ReplayService::RunBatch(Session& s, BatchItem* items, size_t n) {
   Telemetry& tel = Telemetry::Get();
   EdgeCoverage::Get().Hit(Edge::kServiceBatch);
   tee_->WorldSwitch("smc_invoke", 0);
@@ -228,12 +223,7 @@ void ReplayService::DoInvokeBatch(BatchItem* items, size_t n) {
       // the latency cost that buys the switch amortization.
       tel.metrics().histogram("ring.queue_wait_us").Record(tee_->TimestampUs() - batch_t0);
     }
-    if (items[i].session == nullptr) {
-      EdgeCoverage::Get().Hit(Edge::kServiceSessionGone);
-      *items[i].out = Status::kNotFound;  // session closed before the drain
-    } else {
-      *items[i].out = DoInvokeOne(*items[i].session, items[i].entry, *items[i].args);
-    }
+    *items[i].out = DoInvokeOne(s, items[i].entry, *items[i].args);
   }
   tee_->WorldSwitch("smc_return", 1);
 }
@@ -245,102 +235,17 @@ Result<ReplayStats> ReplayService::Invoke(SessionId id, std::string_view entry,
     return Status::kNotFound;
   }
   Result<ReplayStats> out{Status::kBadState};
-  BatchItem item{&it->second, entry, &args, &out};
-  DoInvokeBatch(&item, 1);
+  BatchItem item{entry, &args, &out};
+  RunBatch(it->second, &item, 1);
   return out;
 }
 
-std::vector<Result<ReplayStats>> ReplayService::InvokeBatch(SessionId id, const RingCmd* cmds,
-                                                            size_t n) {
-  std::vector<Result<ReplayStats>> out(n, Result<ReplayStats>(Status::kBadState));
-  if (n == 0) {
-    return out;
-  }
-  auto it = sessions_.find(id);
-  Session* s = it == sessions_.end() ? nullptr : &it->second;
-  std::vector<BatchItem> items(n);
-  for (size_t i = 0; i < n; ++i) {
-    items[i] = BatchItem{s, cmds[i].entry, &cmds[i].args, &out[i]};
-  }
-  DoInvokeBatch(items.data(), n);
-  return out;
-}
-
-Result<uint64_t> ReplayService::Submit(SessionId id, std::string entry, ReplayArgs args) {
+Result<const InvocationRing*> ReplayService::Ring(SessionId id) const {
   auto it = sessions_.find(id);
   if (it == sessions_.end()) {
     return Status::kNotFound;
   }
-  if (it->second.stats.quarantined) {
-    Telemetry& tel = Telemetry::Get();
-    if (tel.enabled()) {
-      tel.metrics().counter("service.quarantine_rejects").Inc();
-    }
-    return Status::kQuarantined;  // fail fast instead of occupying the queue
-  }
-  if (queue_.size() >= cfg_.queue_depth) {
-    EdgeCoverage::Get().Hit(Edge::kServiceQueueReject);
-    Telemetry& tel = Telemetry::Get();
-    if (tel.enabled()) {
-      tel.metrics().counter("service.queue_rejects").Inc();
-    }
-    return Status::kBusy;
-  }
-  EdgeCoverage::Get().Hit(Edge::kServiceQueueSubmit);
-  Pending p;
-  p.id = next_request_++;
-  p.session = id;
-  p.entry = std::move(entry);
-  p.args = std::move(args);
-  p.submit_us = tee_->TimestampUs();
-  queue_.push_back(std::move(p));
-  ++it->second.stats.submitted;
-  return queue_.back().id;
-}
-
-size_t ReplayService::ProcessQueued(size_t max_requests) {
-  Telemetry& tel = Telemetry::Get();
-  // Pop the whole drain up front, then execute it as ONE batch — the FIFO
-  // path pays two world switches per drain, not per request. queue_wait_us
-  // measures submit → drain start; the in-batch wait behind earlier commands
-  // of the same drain lands in ring.queue_wait_us (recorded by the batch).
-  std::vector<Pending> drain;
-  while (drain.size() < max_requests && !queue_.empty()) {
-    drain.push_back(std::move(queue_.front()));
-    queue_.pop_front();
-  }
-  if (drain.empty()) {
-    return 0;
-  }
-  EdgeCoverage::Get().Hit(Edge::kServiceQueueDrain);
-  std::vector<Result<ReplayStats>> results(drain.size(),
-                                           Result<ReplayStats>(Status::kBadState));
-  std::vector<BatchItem> items(drain.size());
-  for (size_t i = 0; i < drain.size(); ++i) {
-    if (tel.enabled()) {
-      tel.metrics().histogram("service.queue_wait_us").Record(tee_->TimestampUs() -
-                                                              drain[i].submit_us);
-    }
-    auto it = sessions_.find(drain[i].session);
-    items[i] = BatchItem{it == sessions_.end() ? nullptr : &it->second, drain[i].entry,
-                         &drain[i].args, &results[i]};
-  }
-  DoInvokeBatch(items.data(), items.size());
-  for (size_t i = 0; i < drain.size(); ++i) {
-    completions_.emplace(drain[i].id, std::move(results[i]));
-  }
-  return drain.size();
-}
-
-Result<InvocationRing*> ReplayService::Ring(SessionId id) {
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    return Status::kNotFound;
-  }
-  if (it->second.ring == nullptr) {
-    it->second.ring = std::make_unique<InvocationRing>(cfg_.ring_depth);
-  }
-  return it->second.ring.get();
+  return &it->second.ring;
 }
 
 Result<uint64_t> ReplayService::RingPush(SessionId id, std::string entry, ReplayArgs args) {
@@ -355,14 +260,11 @@ Result<uint64_t> ReplayService::RingPush(SessionId id, std::string entry, Replay
     }
     return Status::kQuarantined;  // fail fast instead of occupying a slot
   }
-  if (it->second.ring == nullptr) {
-    it->second.ring = std::make_unique<InvocationRing>(cfg_.ring_depth);
-  }
-  Result<uint64_t> seq = it->second.ring->Push(std::move(entry), std::move(args));
+  Result<uint64_t> seq = it->second.ring.Push(std::move(entry), std::move(args));
   if (seq.ok()) {
     ++it->second.stats.submitted;
     if (tel.enabled()) {
-      tel.metrics().gauge("ring.sq_depth").Set(it->second.ring->submission_depth());
+      tel.metrics().gauge("ring.sq_depth").Set(it->second.ring.submission_depth());
     }
   } else {
     EdgeCoverage::Get().Hit(Edge::kRingFull);
@@ -379,10 +281,7 @@ Result<size_t> ReplayService::RingDoorbell(SessionId id) {
     return Status::kNotFound;
   }
   Session& s = it->second;
-  if (s.ring == nullptr) {
-    return size_t{0};
-  }
-  InvocationRing& ring = *s.ring;
+  InvocationRing& ring = s.ring;
   const uint64_t begin = ring.drain_begin();
   const uint64_t end = ring.drain_end();
   const size_t n = static_cast<size_t>(end - begin);
@@ -400,9 +299,9 @@ Result<size_t> ReplayService::RingDoorbell(SessionId id) {
   items.reserve(n);
   for (uint64_t seq = begin; seq != end; ++seq) {
     RingCmd& c = ring.command(seq);
-    items.push_back(BatchItem{&s, c.entry, &c.args, &ring.result_slot(seq)});
+    items.push_back(BatchItem{c.entry, &c.args, &ring.result_slot(seq)});
   }
-  DoInvokeBatch(items.data(), items.size());
+  RunBatch(s, items.data(), items.size());
   ring.FinishDrain(end);
   if (tel.enabled()) {
     tel.metrics().gauge("ring.sq_depth").Set(ring.submission_depth());
@@ -416,30 +315,17 @@ Result<RingCompletion> ReplayService::RingPop(SessionId id) {
   if (it == sessions_.end()) {
     return Status::kNotFound;
   }
-  if (it->second.ring == nullptr) {
-    return Status::kNotFound;
-  }
-  Result<RingCompletion> c = it->second.ring->PopCompletion();
+  Result<RingCompletion> c = it->second.ring.PopCompletion();
   if (c.ok()) {
     EdgeCoverage::Get().Hit(Edge::kRingPop);
     Telemetry& tel = Telemetry::Get();
     if (tel.enabled()) {
-      tel.metrics().gauge("ring.cq_depth").Set(it->second.ring->completion_depth());
+      tel.metrics().gauge("ring.cq_depth").Set(it->second.ring.completion_depth());
     }
   } else {
     EdgeCoverage::Get().Hit(Edge::kRingPopEmpty);
   }
   return c;
-}
-
-Result<ReplayStats> ReplayService::TakeCompletion(uint64_t request_id) {
-  auto it = completions_.find(request_id);
-  if (it == completions_.end()) {
-    return Status::kNotFound;
-  }
-  Result<ReplayStats> r = std::move(it->second);
-  completions_.erase(it);
-  return r;
 }
 
 Result<SessionStats> ReplayService::Stats(SessionId id) const {

@@ -11,30 +11,27 @@
 // Admission: a package registers only if its signature verifies and every
 // device its templates touch is mapped into the SecureWorld; a session opens
 // only against a registered driverlet and while the session table has room.
-// Backpressure is explicit: a full session table or request queue returns
+// Backpressure is explicit: a full session table or invocation ring returns
 // kBusy, never blocks.
 //
-// Request queue: Submit enqueues into a bounded FIFO shared by all sessions;
-// ProcessQueued drains in submission order (the simulated single-core TEE
-// serializes execution, as the paper's replayer does); completions are picked
-// up by request id. Buffer views inside queued ReplayArgs are borrowed — the
-// caller keeps them alive until the completion is taken.
+// Transports: a synchronous Invoke, or the session's InvocationRing for
+// queued commands (RingPush × N, one RingDoorbell, RingPop × N). The
+// simulated single-core TEE executes every command to completion in order, as
+// the paper's replayer does.
 //
 // World-switch cost model: every invocation crosses the SMC boundary twice
 // (doorbell in, completion reap out), charged via SecureWorld::WorldSwitch.
-// The charge is per *batch*, not per command — the per-session InvocationRing
-// lets a client amortize the two switches over a whole vector of commands
-// (RingPush × N + one RingDoorbell), while Invoke / Submit are thin wrappers
-// over a batch of 1. All three paths funnel into one DoInvokeBatch, so stats,
-// quarantine and fault-ladder logic exist exactly once.
+// The charge is per *batch*, not per command — a ring doorbell amortizes the
+// two switches over every staged command, while Invoke is a batch of 1. Both
+// funnel into one RunBatch, so stats, quarantine and fault-ladder logic
+// exist exactly once.
 #ifndef SRC_TEE_REPLAY_SERVICE_H_
 #define SRC_TEE_REPLAY_SERVICE_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "src/core/integrity.h"
 #include "src/core/replayer.h"
@@ -49,8 +46,7 @@ using SessionId = uint64_t;
 
 struct ReplayServiceConfig {
   size_t max_sessions = 16;
-  size_t queue_depth = 32;  // bounded FIFO across all sessions
-  size_t ring_depth = 32;   // per-session invocation ring slots
+  size_t ring_depth = 32;  // per-session invocation ring slots
   // Recovery policy ladder (docs/fault_injection.md). Each registered
   // replayer already retries with soft reset; these knobs add the service
   // rungs above it:
@@ -58,7 +54,7 @@ struct ReplayServiceConfig {
   //     replayer's divergence retries (0 = retry immediately);
   //   - quarantine_threshold: after this many *consecutive* device-health
   //     failures (aborted / timeout / diverged / io-error) a session is
-  //     quarantined — further Invoke/Submit fail fast with kQuarantined and
+  //     quarantined — further Invoke/RingPush fail fast with kQuarantined and
   //     only CloseSession frees the slot. 0 disables quarantine.
   uint64_t retry_backoff_us = 0;
   uint64_t quarantine_threshold = 4;
@@ -73,13 +69,13 @@ struct ReplayServiceConfig {
 // Per-session accounting, aggregated from each invoke's ReplayStats.
 struct SessionStats {
   std::string driverlet;
-  uint64_t invokes = 0;           // completed Invoke calls (direct + queued)
+  uint64_t invokes = 0;           // commands executed (Invoke + ring doorbells)
   uint64_t failures = 0;          // invokes that returned an error
   uint64_t events_executed = 0;
   uint64_t resets = 0;            // soft resets performed (retries included)
   uint64_t resets_elided = 0;     // first attempts run without a reset
   uint64_t attempts = 0;          // execution attempts incl. divergence retries
-  uint64_t submitted = 0;         // requests admitted (FIFO Submit + RingPush)
+  uint64_t submitted = 0;         // commands accepted by RingPush
   std::map<std::string, uint64_t> per_template;  // completed, by template name
   uint64_t opened_us = 0;
   uint64_t last_invoke_us = 0;
@@ -119,30 +115,16 @@ class ReplayService {
   // The entry must belong to the session's driverlet (scoped selection).
   Result<ReplayStats> Invoke(SessionId id, std::string_view entry, const ReplayArgs& args);
 
-  // Executes |n| commands as one batch against one session — two world
-  // switches total — returning per-command results positionally. This is the
-  // transport ReplayFleet uses to dispatch whole ring batches to a shard.
-  std::vector<Result<ReplayStats>> InvokeBatch(SessionId id, const RingCmd* cmds, size_t n);
-
-  // ---- Bounded FIFO request queue ----
-  // Enqueues a request; kBusy when the queue is full. Returns the request id.
-  Result<uint64_t> Submit(SessionId id, std::string entry, ReplayArgs args);
-  // Executes up to |max_requests| queued requests in FIFO order *as one
-  // batch* (two world switches for the whole drain); requests of sessions
-  // closed after submission complete as kNotFound. Returns how many ran.
-  size_t ProcessQueued(size_t max_requests = SIZE_MAX);
-  // Takes the completion for a processed request. kNotFound while the request
-  // is still queued or the id is unknown; each completion is taken once.
-  Result<ReplayStats> TakeCompletion(uint64_t request_id);
-
   // ---- Per-session invocation ring (batched submit/reap) ----
-  // The session's ring, created lazily (depth = ReplayServiceConfig::
-  // ring_depth). Descriptors pushed here cost no virtual time — the ring is
-  // normal-world shared memory; the SMC boundary is crossed only by the
-  // doorbell. kNotFound for an unknown session.
-  Result<InvocationRing*> Ring(SessionId id);
-  // Push one descriptor into the session's ring. kBusy when the ring is full
-  // (reap completions to free slots); kQuarantined fails fast like Submit.
+  // The session's ring (depth = ReplayServiceConfig::ring_depth), created with
+  // the session and read-only here: its counters are for inspection.
+  // kNotFound for an unknown session.
+  Result<const InvocationRing*> Ring(SessionId id) const;
+  // Push one descriptor into the session's ring. Descriptors cost no virtual
+  // time — the ring is normal-world shared memory; only the doorbell crosses
+  // the SMC boundary. Buffer views inside |args| are borrowed until the
+  // completion is reaped. kBusy when the ring is full (reap completions to
+  // free slots); kQuarantined fails fast like Invoke.
   Result<uint64_t> RingPush(SessionId id, std::string entry, ReplayArgs args);
   // Doorbell: drains every pending descriptor as ONE batch under two world
   // switches; per-command results land in the completion ring. Returns how
@@ -159,7 +141,6 @@ class ReplayService {
   size_t open_sessions() const { return sessions_.size(); }
   // Sessions quarantined over the service lifetime (closed ones included).
   uint64_t quarantined_sessions() const { return quarantined_total_; }
-  size_t queue_backlog() const { return queue_.size(); }
   size_t registered_driverlets() const { return replayers_.size(); }
   bool IsRegistered(std::string_view driverlet) const;
   TemplateStore& store() { return *store_; }
@@ -171,34 +152,27 @@ class ReplayService {
 
  private:
   struct Session {
+    Session(std::string name, size_t ring_depth)
+        : driverlet(std::move(name)), ring(ring_depth) {}
     std::string driverlet;
     SessionStats stats;
-    std::unique_ptr<InvocationRing> ring;  // lazily created by Ring()
+    // Commands staged here when the session closes die with it, unrun.
+    InvocationRing ring;
     // Session PCR: extended with every completed invoke's measurement, so the
     // attestation quote commits to the whole execution history in order.
     IntegrityChain pcr;
   };
-  struct Pending {
-    uint64_t id = 0;
-    SessionId session = 0;
-    std::string entry;
-    ReplayArgs args;   // buffer views borrowed from the submitter
-    uint64_t submit_us = 0;
-  };
-  // One command of a batch, resolved to its execution inputs/output. A null
-  // session means the session closed between submit and drain — the command
-  // completes as kNotFound without touching the device.
+  // One command of a batch, resolved to its execution inputs/output.
   struct BatchItem {
-    Session* session = nullptr;
     std::string_view entry;
     const ReplayArgs* args = nullptr;
     Result<ReplayStats>* out = nullptr;
   };
 
   // THE execution path: charges the two world switches around a non-empty
-  // batch and runs each command through DoInvokeOne. Invoke, ProcessQueued,
-  // InvokeBatch and RingDoorbell all funnel here.
-  void DoInvokeBatch(BatchItem* items, size_t n);
+  // batch and runs each command through DoInvokeOne. Invoke and RingDoorbell
+  // both funnel here.
+  void RunBatch(Session& s, BatchItem* items, size_t n);
   // Per-command core: quarantine ladder, replayer invoke, per-session stats.
   Result<ReplayStats> DoInvokeOne(Session& s, std::string_view entry, const ReplayArgs& args);
 
@@ -208,10 +182,7 @@ class ReplayService {
   std::shared_ptr<TemplateStore> store_;
   std::map<std::string, std::unique_ptr<Replayer>, std::less<>> replayers_;
   std::map<SessionId, Session> sessions_;
-  std::deque<Pending> queue_;
-  std::map<uint64_t, Result<ReplayStats>> completions_;
   SessionId next_session_ = 1;
-  uint64_t next_request_ = 1;
   uint64_t quarantined_total_ = 0;
 };
 

@@ -1,8 +1,9 @@
 // ReplayFleet tests: one template store shared by every shard, per-shard session
 // isolation and media independence, least-loaded pinning, per-shard kBusy
-// backpressure, work stealing under skewed load, per-session determinism with
-// stealing on vs. off (byte-identical to the single-shard ReplayService
-// baseline), and clean shutdown with work still queued. Runs under the
+// backpressure, requests of closed sessions, work stealing under skewed load,
+// per-session determinism with stealing on vs. off (byte-identical to the
+// single-shard ReplayService baseline), and clean shutdown with work still
+// queued. Runs under the
 // ASan+UBSan job and the TSan job (docs/replay_fleet.md).
 #include <gtest/gtest.h>
 
@@ -83,15 +84,23 @@ TEST_F(ReplayFleetTest, SessionsAreIsolatedPerShard) {
     EXPECT_EQ(i, FleetShardOf(*sid));
     sids.push_back(*sid);
   }
+  // Pool not started: each request runs on this thread at the inline drain.
+  auto invoke = [&fleet](FleetSessionId sid, ReplayArgs args) {
+    Result<uint64_t> req = fleet.Submit(sid, kMmcEntry, std::move(args));
+    if (!req.ok()) {
+      return req.status();
+    }
+    EXPECT_EQ(1u, fleet.ProcessQueuedInline());
+    Result<ReplayStats> r = fleet.TakeCompletion(*req);
+    return r.ok() ? Status::kOk : r.status();
+  };
   for (size_t i = 0; i < 4; ++i) {
     std::vector<uint8_t> buf = PatternBuf(8 * 512, 0x1000 + i);
-    ASSERT_TRUE(
-        fleet.Invoke(sids[i], kMmcEntry, BlockArgs(kMmcRwWrite, 8, 4096, &buf)).ok());
+    ASSERT_EQ(Status::kOk, invoke(sids[i], BlockArgs(kMmcRwWrite, 8, 4096, &buf)));
   }
   for (size_t i = 0; i < 4; ++i) {
     std::vector<uint8_t> buf(8 * 512, 0);
-    ASSERT_TRUE(
-        fleet.Invoke(sids[i], kMmcEntry, BlockArgs(kMmcRwRead, 8, 4096, &buf)).ok());
+    ASSERT_EQ(Status::kOk, invoke(sids[i], BlockArgs(kMmcRwRead, 8, 4096, &buf)));
     EXPECT_EQ(PatternBuf(8 * 512, 0x1000 + i), buf) << "shard " << i;
   }
 }
@@ -135,18 +144,27 @@ TEST_F(ReplayFleetTest, BusyBackpressureIsPerShard) {
             fleet.Submit(*s0, kMmcEntry, BlockArgs(kMmcRwWrite, 1, 80, &buf)).status());
   // ... while shard 1's queue is untouched and still admits.
   std::vector<uint8_t> buf1(512, 0x5a);
-  ASSERT_TRUE(fleet.Submit(*s1, kMmcEntry, BlockArgs(kMmcRwWrite, 1, 64, &buf1)).ok());
+  Result<uint64_t> r3 = fleet.Submit(*s1, kMmcEntry, BlockArgs(kMmcRwWrite, 1, 64, &buf1));
+  ASSERT_TRUE(r3.ok());
 
   FleetStats st = fleet.stats();
   EXPECT_EQ(1u, st.shards[0].busy_rejects);
   EXPECT_EQ(0u, st.shards[1].busy_rejects);
   EXPECT_EQ(2u, st.shards[0].queue_depth);
 
+  // Shard 1's session closes while its request is still queued: the request
+  // completes kNotFound without entering the secure world.
+  ASSERT_EQ(Status::kOk, fleet.CloseSession(*s1));
+  uint64_t shard1_switches = fleet.shard_testbed(1).tee().world_switches();
+
   // Inline drain executes everything; completions are taken exactly once.
   EXPECT_EQ(3u, fleet.ProcessQueuedInline());
   EXPECT_TRUE(fleet.TakeCompletion(*r1).ok());
   EXPECT_TRUE(fleet.TakeCompletion(*r2).ok());
   EXPECT_EQ(Status::kNotFound, fleet.TakeCompletion(*r1).status());
+  EXPECT_EQ(1u, fleet.stats().shards[1].executed);
+  EXPECT_EQ(Status::kNotFound, fleet.TakeCompletion(*r3).status());
+  EXPECT_EQ(shard1_switches, fleet.shard_testbed(1).tee().world_switches());
 }
 
 TEST_F(ReplayFleetTest, StealingDrainsSkewedLoad) {
@@ -347,69 +365,6 @@ TEST_F(ReplayFleetTest, StopCompletesQueuedWorkAsAborted) {
     EXPECT_EQ(reqs.size(), executed + aborted);
     EXPECT_EQ(fleet.stats().executed, executed);
   }
-}
-
-TEST_F(ReplayFleetTest, BatchDispatchesAsOneUnit) {
-  ReplayFleetConfig cfg;
-  cfg.shards = 2;
-  cfg.queue_depth = 2;
-  ReplayFleet fleet(kDeveloperKey, cfg);
-  ASSERT_TRUE(fleet.RegisterDriverlet(mmc_->data(), mmc_->size()).ok());
-  Result<FleetSessionId> sid = fleet.OpenSessionOn(0, "mmc");
-  ASSERT_TRUE(sid.ok());
-
-  // A 4-command batch occupies ONE queue slot and drains as ONE dispatch
-  // unit, but the command-level counters still see all 4.
-  std::vector<std::vector<uint8_t>> bufs(4, std::vector<uint8_t>(512, 0x33));
-  std::vector<RingCmd> cmds;
-  for (size_t i = 0; i < bufs.size(); ++i) {
-    cmds.push_back(RingCmd{kMmcEntry, BlockArgs(kMmcRwWrite, 1, 96 + i * 8, &bufs[i])});
-  }
-  EXPECT_EQ(Status::kInvalidArg, fleet.SubmitBatch(*sid, {}).status());
-  Result<uint64_t> req = fleet.SubmitBatch(*sid, std::move(cmds));
-  ASSERT_TRUE(req.ok());
-  FleetStats st = fleet.stats();
-  EXPECT_EQ(4u, st.shards[0].submitted);   // commands
-  EXPECT_EQ(1u, st.shards[0].queue_depth);  // dispatch units
-
-  EXPECT_EQ(1u, fleet.ProcessQueuedInline());  // one unit drained
-  // The scalar accessor refuses to flatten a real batch; the batch accessor
-  // hands back all four results in submission order.
-  EXPECT_EQ(Status::kInvalidArg, fleet.TakeCompletion(*req).status());
-  Result<std::vector<Result<ReplayStats>>> all = fleet.TakeBatchCompletion(*req);
-  ASSERT_TRUE(all.ok());
-  ASSERT_EQ(4u, all->size());
-  for (const Result<ReplayStats>& r : *all) {
-    EXPECT_TRUE(r.ok());
-  }
-  EXPECT_EQ(Status::kNotFound, fleet.TakeBatchCompletion(*req).status());
-  EXPECT_EQ(4u, fleet.stats().shards[0].executed);
-}
-
-TEST_F(ReplayFleetTest, BatchCompletionUnderRunningPool) {
-  ReplayFleetConfig cfg;
-  cfg.shards = 2;
-  cfg.threads = 2;
-  ReplayFleet fleet(kDeveloperKey, cfg);
-  ASSERT_TRUE(fleet.RegisterDriverlet(mmc_->data(), mmc_->size()).ok());
-  Result<FleetSessionId> sid = fleet.OpenSessionOn(0, "mmc");
-  ASSERT_TRUE(sid.ok());
-  fleet.Start();
-
-  std::vector<std::vector<uint8_t>> bufs(6, std::vector<uint8_t>(512, 0x44));
-  std::vector<RingCmd> cmds;
-  for (size_t i = 0; i < bufs.size(); ++i) {
-    cmds.push_back(RingCmd{kMmcEntry, BlockArgs(kMmcRwWrite, 1, 256 + i * 8, &bufs[i])});
-  }
-  Result<uint64_t> req = fleet.SubmitBatch(*sid, std::move(cmds));
-  ASSERT_TRUE(req.ok());
-  std::vector<Result<ReplayStats>> all = fleet.WaitBatchCompletion(*req);
-  ASSERT_EQ(6u, all.size());
-  for (const Result<ReplayStats>& r : all) {
-    EXPECT_TRUE(r.ok());
-  }
-  fleet.Stop();
-  EXPECT_EQ(6u, fleet.stats().executed);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Invocation-ring tests: world-switch charging on the batched invoke path,
 // slot accounting (wrap-around, full-ring backpressure, empty doorbell),
-// quarantine mid-batch fail-fast, and byte-for-byte equivalence between one
-// ring batch and the same commands issued as sequential Invokes.
+// staged commands dying with their session, quarantine mid-batch fail-fast,
+// and byte-for-byte equivalence between one ring batch and the same commands
+// issued as sequential Invokes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "src/obs/telemetry.h"
 #include "src/tee/invocation_ring.h"
 #include "src/tee/replay_service.h"
 #include "src/workload/record_campaigns.h"
@@ -101,29 +103,6 @@ TEST_F(ReplayRingTest, DoorbellDrainsWholeBatchUnderTwoSwitches) {
   EXPECT_EQ(Status::kNotFound, svc.RingPop(*sid).status());
 }
 
-TEST_F(ReplayRingTest, FifoDrainIsOneBatch) {
-  ReplayService svc(&tb_->tee(), kDeveloperKey);
-  ASSERT_TRUE(svc.RegisterDriverlet(mmc_->data(), mmc_->size()).ok());
-  Result<SessionId> sid = svc.OpenSession("mmc");
-  ASSERT_TRUE(sid.ok());
-
-  std::vector<std::vector<uint8_t>> bufs(3);
-  std::vector<uint64_t> reqs;
-  for (size_t i = 0; i < bufs.size(); ++i) {
-    Result<uint64_t> r =
-        svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, 2048, &bufs[i]));
-    ASSERT_TRUE(r.ok());
-    reqs.push_back(*r);
-  }
-  uint64_t sw0 = tb_->tee().world_switches();
-  EXPECT_EQ(3u, svc.ProcessQueued());
-  // The queued path batches too: one drain, two switches for three requests.
-  EXPECT_EQ(sw0 + 2, tb_->tee().world_switches());
-  for (uint64_t r : reqs) {
-    EXPECT_TRUE(svc.TakeCompletion(r).ok());
-  }
-}
-
 TEST_F(ReplayRingTest, WrapAroundReusesSlots) {
   ReplayServiceConfig cfg;
   cfg.ring_depth = 4;
@@ -153,7 +132,7 @@ TEST_F(ReplayRingTest, WrapAroundReusesSlots) {
     }
     done += n;
   }
-  Result<InvocationRing*> ring = svc.Ring(*sid);
+  Result<const InvocationRing*> ring = svc.Ring(*sid);
   ASSERT_TRUE(ring.ok());
   EXPECT_EQ(0u, (*ring)->in_flight());
 }
@@ -174,6 +153,10 @@ TEST_F(ReplayRingTest, FullRingBackpressuresUntilCompletionsAreReaped) {
   EXPECT_EQ(Status::kBusy,
             svc.RingPush(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, 2048, &bufs[4]))
                 .status());
+  // Nothing completes before the doorbell, and the refused push was not
+  // admitted.
+  EXPECT_EQ(Status::kNotFound, svc.RingPop(*sid).status());
+  EXPECT_EQ(4u, svc.Stats(*sid)->submitted);
 
   // Draining alone does NOT free slots: a slot is occupied until its
   // completion is reaped, so the completion side can never overflow.
@@ -185,6 +168,7 @@ TEST_F(ReplayRingTest, FullRingBackpressuresUntilCompletionsAreReaped) {
   ASSERT_TRUE(svc.RingPop(*sid).ok());
   EXPECT_TRUE(
       svc.RingPush(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, 2048, &bufs[4])).ok());
+  EXPECT_EQ(5u, svc.Stats(*sid)->submitted);
 }
 
 TEST_F(ReplayRingTest, EmptyDoorbellChargesNoSwitch) {
@@ -193,18 +177,22 @@ TEST_F(ReplayRingTest, EmptyDoorbellChargesNoSwitch) {
   Result<SessionId> sid = svc.OpenSession("mmc");
   ASSERT_TRUE(sid.ok());
 
+  Telemetry& tel = Telemetry::Get();
+  tel.Enable();
+  tel.Reset();
   uint64_t sw0 = tb_->tee().world_switches();
   uint64_t t0 = tb_->clock().now_us();
-  // Doorbell before the ring exists, and again on a created-but-empty ring.
+  // A doorbell before the session's first push: nothing runs, no switch is
+  // charged, and telemetry still counts the doorbell.
   Result<size_t> ran = svc.RingDoorbell(*sid);
-  ASSERT_TRUE(ran.ok());
-  EXPECT_EQ(0u, *ran);
-  ASSERT_TRUE(svc.Ring(*sid).ok());
-  ran = svc.RingDoorbell(*sid);
   ASSERT_TRUE(ran.ok());
   EXPECT_EQ(0u, *ran);
   EXPECT_EQ(sw0, tb_->tee().world_switches());
   EXPECT_EQ(t0, tb_->clock().now_us());
+  EXPECT_EQ(1u, tel.metrics().counter("ring.doorbells").value());
+  EXPECT_EQ(1u, tel.metrics().histogram("ring.batch_size").count());
+  tel.Disable();
+  tel.Reset();
 }
 
 TEST_F(ReplayRingTest, RingCallsOnUnknownSessionFail) {
@@ -216,6 +204,18 @@ TEST_F(ReplayRingTest, RingCallsOnUnknownSessionFail) {
             svc.RingPush(99, kMmcEntry, BlockArgs(kMmcRwRead, 8, 2048, &buf)).status());
   EXPECT_EQ(Status::kNotFound, svc.RingDoorbell(99).status());
   EXPECT_EQ(Status::kNotFound, svc.RingPop(99).status());
+
+  // A command staged on a session that then closes dies with the session:
+  // it never runs, and the closed id's ring is gone without a world switch.
+  Result<SessionId> sid = svc.OpenSession("mmc");
+  ASSERT_TRUE(sid.ok());
+  ASSERT_TRUE(svc.RingPush(*sid, kMmcEntry, BlockArgs(kMmcRwWrite, 1, 2048, &buf)).ok());
+  ASSERT_EQ(Status::kOk, svc.CloseSession(*sid));
+  uint64_t sw0 = tb_->tee().world_switches();
+  EXPECT_EQ(Status::kNotFound, svc.RingDoorbell(*sid).status());
+  EXPECT_EQ(Status::kNotFound, svc.RingPop(*sid).status());
+  EXPECT_EQ(sw0, tb_->tee().world_switches());
+  EXPECT_EQ(0u, svc.replayer("mmc")->total_events_executed());
 }
 
 TEST_F(ReplayRingTest, QuarantineMidBatchFailsRemainingCommandsFast) {
@@ -247,7 +247,7 @@ TEST_F(ReplayRingTest, QuarantineMidBatchFailsRemainingCommandsFast) {
   EXPECT_TRUE(svc.Stats(*sid)->quarantined);
   EXPECT_EQ(1u, svc.quarantined_sessions());
 
-  // Push-side fail-fast mirrors Submit once the session is quarantined, with
+  // Push-side fail-fast mirrors Invoke once the session is quarantined, with
   // no device access even though the medium is healthy again.
   uint64_t resets_before = svc.replayer("mmc")->total_resets();
   EXPECT_EQ(Status::kQuarantined,

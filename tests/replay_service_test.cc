@@ -1,6 +1,6 @@
 // ReplayService + TemplateStore tests: multi-package loading, session routing
-// and per-session stats, admission policy, bounded FIFO queue semantics, and
-// the buffer-view const-correctness at the service boundary.
+// and per-session stats, admission policy, the quarantine ladder, and the
+// buffer-view const-correctness at the service boundary.
 #include <gtest/gtest.h>
 
 #include "src/core/template_store.h"
@@ -184,53 +184,6 @@ TEST_F(ReplayServiceTest, AdmissionRejectsTamperedPackage) {
   EXPECT_FALSE(svc.IsRegistered("mmc"));
 }
 
-TEST_F(ReplayServiceTest, QueueIsFifoAndBounded) {
-  ReplayServiceConfig cfg;
-  cfg.queue_depth = 2;
-  ReplayService svc(&tb_->tee(), kDeveloperKey, cfg);
-  ASSERT_TRUE(svc.RegisterDriverlet(mmc_->data(), mmc_->size()).ok());
-  Result<SessionId> sid = svc.OpenSession("mmc");
-  ASSERT_TRUE(sid.ok());
-
-  // Queued args borrow the submitter's buffers; keep them alive per request.
-  std::vector<uint8_t> b1, b2, b3;
-  Result<uint64_t> r1 = svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwWrite, 1, &b1));
-  Result<uint64_t> r2 = svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, &b2));
-  ASSERT_TRUE(r1.ok() && r2.ok());
-  EXPECT_EQ(2u, svc.queue_backlog());
-  // Bounded: the third submission is refused with explicit backpressure.
-  EXPECT_EQ(Status::kBusy, svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 1, &b3)).status());
-
-  // Completions are not available before processing.
-  EXPECT_EQ(Status::kNotFound, svc.TakeCompletion(*r1).status());
-
-  // FIFO: processing one request completes the oldest submission.
-  EXPECT_EQ(1u, svc.ProcessQueued(1));
-  EXPECT_TRUE(svc.TakeCompletion(*r1).ok());
-  EXPECT_EQ(Status::kNotFound, svc.TakeCompletion(*r2).status());
-  EXPECT_EQ(1u, svc.ProcessQueued());
-  Result<ReplayStats> done = svc.TakeCompletion(*r2);
-  ASSERT_TRUE(done.ok());
-  EXPECT_EQ("RD_8", done->template_name);
-  // Each completion is taken exactly once.
-  EXPECT_EQ(Status::kNotFound, svc.TakeCompletion(*r2).status());
-  EXPECT_EQ(0u, svc.queue_backlog());
-  EXPECT_EQ(2u, svc.Stats(*sid)->submitted);
-}
-
-TEST_F(ReplayServiceTest, RequestsOfClosedSessionCompleteAsNotFound) {
-  ReplayService svc(&tb_->tee(), kDeveloperKey);
-  ASSERT_TRUE(svc.RegisterDriverlet(mmc_->data(), mmc_->size()).ok());
-  Result<SessionId> sid = svc.OpenSession("mmc");
-  ASSERT_TRUE(sid.ok());
-  std::vector<uint8_t> buf;
-  Result<uint64_t> req = svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwWrite, 1, &buf));
-  ASSERT_TRUE(req.ok());
-  ASSERT_EQ(Status::kOk, svc.CloseSession(*sid));
-  EXPECT_EQ(1u, svc.ProcessQueued());
-  EXPECT_EQ(Status::kNotFound, svc.TakeCompletion(*req).status());
-}
-
 TEST_F(ReplayServiceTest, ReadOnlyBufferViewIsEnforced) {
   // A write-path template only reads the caller's buffer, so a read-only view
   // suffices; a read-path template must be refused before it scribbles on it.
@@ -251,38 +204,6 @@ TEST_F(ReplayServiceTest, ReadOnlyBufferViewIsEnforced) {
   Result<ReplayStats> r = svc.Invoke(*sid, kMmcEntry, rd);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(Status::kPermissionDenied, r.status());
-}
-
-TEST_F(ReplayServiceTest, QueueRefillsAfterBusyDrain) {
-  // Backpressure is transient: a kBusy submitter can retry successfully as
-  // soon as the worker drains a slot, and the refused request occupied nothing.
-  ReplayServiceConfig cfg;
-  cfg.queue_depth = 2;
-  ReplayService svc(&tb_->tee(), kDeveloperKey, cfg);
-  ASSERT_TRUE(svc.RegisterDriverlet(mmc_->data(), mmc_->size()).ok());
-  Result<SessionId> sid = svc.OpenSession("mmc");
-  ASSERT_TRUE(sid.ok());
-
-  std::vector<uint8_t> b1, b2, b3, b4;
-  Result<uint64_t> r1 = svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwWrite, 1, &b1));
-  Result<uint64_t> r2 = svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, &b2));
-  ASSERT_TRUE(r1.ok() && r2.ok());
-  EXPECT_EQ(Status::kBusy, svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 1, &b3)).status());
-
-  ASSERT_EQ(1u, svc.ProcessQueued(1));
-  Result<uint64_t> r3 = svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 1, &b3));
-  ASSERT_TRUE(r3.ok()) << StatusName(r3.status());
-  EXPECT_EQ(2u, svc.queue_backlog());
-  EXPECT_EQ(Status::kBusy, svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 1, &b4)).status());
-
-  EXPECT_EQ(2u, svc.ProcessQueued());
-  EXPECT_TRUE(svc.TakeCompletion(*r1).ok());
-  EXPECT_TRUE(svc.TakeCompletion(*r2).ok());
-  EXPECT_TRUE(svc.TakeCompletion(*r3).ok());
-  // The kBusy rejections were never enqueued: no stray completions, and only
-  // the accepted submissions were charged to the session.
-  EXPECT_EQ(0u, svc.queue_backlog());
-  EXPECT_EQ(3u, svc.Stats(*sid)->submitted);
 }
 
 TEST_F(ReplayServiceTest, ReRegisteringDriverletKeepsOpenSessionsWorking) {
@@ -374,9 +295,9 @@ TEST_F(ReplayServiceTest, QuarantineFailsFastAndOnlyDeviceFailuresClimb) {
   EXPECT_EQ(Status::kQuarantined,
             svc.Invoke(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, &buf)).status());
   EXPECT_EQ(Status::kQuarantined,
-            svc.Submit(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, &buf)).status());
+            svc.RingPush(*sid, kMmcEntry, BlockArgs(kMmcRwRead, 8, &buf)).status());
   EXPECT_EQ(resets_before, svc.replayer("mmc")->total_resets());
-  EXPECT_EQ(0u, svc.queue_backlog());
+  EXPECT_EQ(0u, (*svc.Ring(*sid))->in_flight());
 
   // The only way out is a fresh session, which starts with a clean slate.
   EXPECT_EQ(Status::kOk, svc.CloseSession(*sid));
