@@ -4,9 +4,9 @@
 //
 //  1. Selection scaling: the same MMC request stream is replayed against a
 //     store holding only the MMC package, then again after USB + camera +
-//     display + touch more than double the template population. With the
-//     (driverlet, entry)-indexed TemplateStore the candidates examined per
-//     invoke must stay flat.
+//     display + touch more than double the template population. Select scans
+//     only the invoked (driverlet, entry) slot, so the candidates examined per
+//     invoke stay flat: every invoke scans the MMC slot's 10 templates.
 //  2. Mixed traffic: MMC/USB/camera sessions interleaved round-robin, half the
 //     block requests through their sessions' invocation rings, half direct.
 //     Per-session stats and the service invoke-latency histogram (virtual
@@ -587,7 +587,7 @@ int main(int argc, char** argv) {
   size_t pop2 = svc.store().template_count();
   double scans2 = SelectionPhase(&svc, &mmc, &block_buf);
   std::printf("selection cost: %.1f candidates/invoke over %zu templates, "
-              "%.1f over %zu templates (flat = index works)\n",
+              "%.1f over %zu templates (flat = one slot scanned)\n",
               scans1, pop1, scans2, pop2);
 
   // ---- Phase 3: mixed traffic through 4 sessions ----

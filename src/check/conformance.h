@@ -1,7 +1,7 @@
 // Property-based conformance runner over generated templates (the tentpole of
 // docs/conformance.md). For a GeneratedCase it asserts a pluggable invariant
 // set — replay determinism across fresh harnesses and repeated invokes,
-// serializer round-trip + re-replay identity, indexed ≡ linear TemplateStore
+// serializer round-trip + re-replay identity, TemplateStore
 // selection, the generator's expected output, byte-identical repeats under
 // each seeded {mmio, dma, irq} fault plane, and golden/strict-prefix integrity
 // measurements. Failing cases are shrunk (event-list bisection + operand

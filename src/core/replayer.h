@@ -1,5 +1,5 @@
 // The in-TEE replayer (paper §5): selects an interaction template by
-// constraint matching through an indexed TemplateStore, instantiates it, and
+// constraint matching through a TemplateStore, instantiates it, and
 // executes its events with a transactional, single-threaded executor. The
 // device is soft-reset before each template unless the previous invoke proved
 // it still clean (ResetPolicy). Device state divergence triggers soft reset +

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/obs/telemetry.h"
 #include "src/soc/log.h"
 
 namespace dlt {
@@ -86,21 +85,6 @@ Status TemplateStore::AddPackage(const DriverletPackage& pkg) {
     }
   }
 
-  // Constraint indexes: built per slot once the candidate set is final, for
-  // slots large enough that probing beats scanning.
-  for (auto& [key, slot] : next->index) {
-    if (slot.candidates.size() < EntryConstraintIndex::kMinIndexedCandidates) {
-      continue;
-    }
-    std::vector<const Constraint*> initials;
-    initials.reserve(slot.candidates.size());
-    for (const Candidate& c : slot.candidates) {
-      initials.push_back(&c.tpl->initial);
-    }
-    slot.index.Build(initials);
-    slot.indexed = slot.index.discriminating();
-  }
-
   // Publish. Readers that pinned the old population keep using it; it stays
   // alive in |epochs_|.
   pop_.store(next.get(), std::memory_order_release);
@@ -126,20 +110,6 @@ size_t TemplateStore::template_count() const {
   size_t n = 0;
   for (const auto& [name, templates] : pop->by_driverlet) {
     n += templates.size();
-  }
-  return n;
-}
-
-size_t TemplateStore::indexed_slot_count() const {
-  const Population* pop = population();
-  if (pop == nullptr) {
-    return 0;
-  }
-  size_t n = 0;
-  for (const auto& [key, slot] : pop->index) {
-    if (slot.indexed) {
-      ++n;
-    }
   }
   return n;
 }
@@ -219,9 +189,9 @@ const TemplateStore::EntrySlot* TemplateStore::FindSlot(const Population& pop,
   return nullptr;
 }
 
-Result<const TemplateStore::Candidate*> TemplateStore::SelectCandidate(
+Result<const InteractionTemplate*> TemplateStore::Select(
     std::string_view driverlet, std::string_view entry, const Bindings& scalars,
-    std::vector<const InteractionTemplate*>* rejected, bool use_index) const {
+    std::vector<const InteractionTemplate*>* rejected) const {
   const Population* pop = population();
   if (pop == nullptr) {
     return Status::kNoTemplate;
@@ -241,63 +211,44 @@ Result<const TemplateStore::Candidate*> TemplateStore::SelectCandidate(
     many = &it->second;
   }
 
-  const Candidate* selected = nullptr;
+  const InteractionTemplate* selected = nullptr;
   uint64_t scanned = 0;
-  // The reference per-candidate protocol, shared verbatim between the linear
-  // walk and the index probe subset so the two paths cannot drift.
-  auto consider = [&](const Candidate& c) {
-    ++scanned;
-    // A template whose param set this invoke does not provide cannot match;
-    // skip it and keep considering the rest (same-entry templates may bind
-    // different param sets).
-    bool have_all = true;
-    for (const std::string& p : c.scalar_params) {
-      if (scalars.find(p) == scalars.end()) {
-        have_all = false;
-        break;
-      }
-    }
-    if (!have_all) {
-      return;
-    }
-    Result<bool> ok = c.tpl->initial.Eval(scalars);
-    if (!ok.ok()) {
-      return;  // constraint over non-initial symbols cannot gate selection
-    }
-    if (!*ok) {
-      if (rejected != nullptr) {
-        rejected->push_back(c.tpl);
-      }
-      return;
-    }
-    if (selected != nullptr) {
-      // By construction no two templates cover the same inputs (the recorder
-      // merges same-path templates, §4.3); tolerate but warn.
-      DLT_LOG(kWarn) << "template selection ambiguous: " << selected->tpl->name << " vs "
-                     << c.tpl->name;
-      return;
-    }
-    selected = &c;
-  };
-
-  std::vector<uint32_t> probe;
   size_t slot_count = single != nullptr ? 1 : many->size();
   for (size_t si = 0; si < slot_count; ++si) {
     const EntrySlot* slot = single != nullptr ? single : (*many)[si];
-    if (use_index && slot->indexed) {
-      slot->index.Probe(scalars, &probe);
-      index_probes_.fetch_add(1, std::memory_order_relaxed);
-      Telemetry& t = Telemetry::Get();
-      if (t.enabled()) {
-        t.metrics().counter("replay.select_index.probe").Inc();
+    for (const Candidate& c : slot->candidates) {
+      ++scanned;
+      // A template whose param set this invoke does not provide cannot match;
+      // skip it and keep considering the rest (same-entry templates may bind
+      // different param sets).
+      bool have_all = true;
+      for (const std::string& p : c.scalar_params) {
+        if (scalars.find(p) == scalars.end()) {
+          have_all = false;
+          break;
+        }
       }
-      for (uint32_t idx : probe) {
-        consider(slot->candidates[idx]);
+      if (!have_all) {
+        continue;
       }
-    } else {
-      for (const Candidate& c : slot->candidates) {
-        consider(c);
+      Result<bool> ok = c.tpl->initial.Eval(scalars);
+      if (!ok.ok()) {
+        continue;  // constraint over non-initial symbols cannot gate selection
       }
+      if (!*ok) {
+        if (rejected != nullptr) {
+          rejected->push_back(c.tpl);
+        }
+        continue;
+      }
+      if (selected != nullptr) {
+        // By construction no two templates cover the same inputs (the recorder
+        // merges same-path templates, §4.3); tolerate but warn.
+        DLT_LOG(kWarn) << "template selection ambiguous: " << selected->name << " vs "
+                       << c.tpl->name;
+        continue;
+      }
+      selected = c.tpl;
     }
   }
   candidates_scanned_.fetch_add(scanned, std::memory_order_relaxed);
@@ -305,24 +256,6 @@ Result<const TemplateStore::Candidate*> TemplateStore::SelectCandidate(
     return Status::kNoTemplate;
   }
   return selected;
-}
-
-Result<const InteractionTemplate*> TemplateStore::Select(
-    std::string_view driverlet, std::string_view entry, const Bindings& scalars,
-    std::vector<const InteractionTemplate*>* rejected) const {
-  // Rejected-candidate reporting needs the full scan: index-pruned candidates
-  // never evaluate, so the subset cannot reproduce the report.
-  DLT_ASSIGN_OR_RETURN(const Candidate* c, SelectCandidate(driverlet, entry, scalars, rejected,
-                                                           /*use_index=*/rejected == nullptr));
-  return c->tpl;
-}
-
-Result<const InteractionTemplate*> TemplateStore::SelectLinear(
-    std::string_view driverlet, std::string_view entry, const Bindings& scalars,
-    std::vector<const InteractionTemplate*>* rejected) const {
-  DLT_ASSIGN_OR_RETURN(const Candidate* c, SelectCandidate(driverlet, entry, scalars, rejected,
-                                                           /*use_index=*/false));
-  return c->tpl;
 }
 
 }  // namespace dlt

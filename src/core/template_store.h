@@ -1,17 +1,12 @@
-// TemplateStore: the indexed template population behind the replay pipeline.
+// TemplateStore: the template population behind the replay pipeline.
 // Holds interaction templates from *multiple* loaded driverlet packages keyed
 // by (driverlet, entry); loading a second package never evicts the first (the
 // old Replayer::LoadPackage overwrite semantics are gone). Selection resolves
-// an entry through the index and probes only that entry's candidates — cost is
-// independent of how many other packages/entries are loaded — and, at scale,
-// only the *constraint-indexed subset* of the entry's own candidates: each
-// slot with enough candidates carries an EntryConstraintIndex (eq buckets /
-// interval list / mask buckets / residual, constraint_index.h) built at
-// registration, so per-invoke work stays O(log n) in the slot size with
-// selection semantics identical to the linear scan. SelectLinear keeps the
-// full scan as the differential oracle, and it also serves every call that
-// asks for rejected-candidate telemetry (pruned candidates never evaluate, so
-// the subset cannot reproduce that report).
+// an entry to its slot and scans only that slot's candidates in load order —
+// cost is independent of how many other packages/entries are loaded. A slot
+// holds the handful of templates one entry was recorded into (MMC and USB
+// record the most, 10 each), so the scan is the paper's replayer picking "the
+// one template whose initial constraints match" (§5).
 //
 // Packages load one way (docs/template_store.md): AddPackage verifies,
 // decompresses and parses a sealed package (or takes an already parsed one)
@@ -19,13 +14,13 @@
 //
 // Concurrency model (the multi-shard replay fleet, docs/replay_fleet.md):
 // the post-registration state — packages, the (driverlet, entry) index, the
-// precompiled candidate param lists, the constraint indexes — is an immutable
-// Population published RCU-style: AddPackage builds a fresh Population and
-// swaps one atomic pointer; readers load the pointer once per call and never
-// take a lock. Retired populations are kept alive for the store's lifetime
-// (registration is rare), so template pointers handed out by Select never
-// dangle even across a concurrent package reload. A fleet hands one store to
-// every shard's ReplayService; the selection counters are shared atomics.
+// precompiled candidate param lists — is an immutable Population published
+// RCU-style: AddPackage builds a fresh Population and swaps one atomic
+// pointer; readers load the pointer once per call and never take a lock.
+// Retired populations are kept alive for the store's lifetime (registration
+// is rare), so template pointers handed out by Select never dangle even
+// across a concurrent package reload. A fleet hands one store to every
+// shard's ReplayService; the selection counter is a shared atomic.
 #ifndef SRC_CORE_TEMPLATE_STORE_H_
 #define SRC_CORE_TEMPLATE_STORE_H_
 
@@ -38,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/constraint_index.h"
 #include "src/core/interaction_template.h"
 #include "src/core/package.h"
 
@@ -84,20 +78,13 @@ class TemplateStore {
   static std::vector<uint16_t> PackageDevices(const DriverletPackage& pkg);
 
   // Selects the template registered under (driverlet, entry) whose initial
-  // constraints accept |scalars|. An empty |driverlet| considers every package
-  // that registered the entry. kNoTemplate when nothing covers the input.
-  // When |rejected| is non-null, candidates whose constraints evaluated false
-  // are appended (telemetry) — such calls take the linear path so the report
-  // covers every candidate; param-set mismatches are not reported there.
+  // constraints accept |scalars|: one scan of the slot's candidates in load
+  // order, first match wins (a second match logs an ambiguity warning). An
+  // empty |driverlet| scans every package's slot for the entry, in load
+  // order. kNoTemplate when nothing covers the input. When |rejected| is
+  // non-null, candidates whose constraints evaluated false are appended
+  // (telemetry); param-set mismatches are not reported there.
   Result<const InteractionTemplate*> Select(
-      std::string_view driverlet, std::string_view entry, const Bindings& scalars,
-      std::vector<const InteractionTemplate*>* rejected = nullptr) const;
-
-  // The full linear scan, bypassing every constraint index: the differential
-  // oracle for the indexed path (tests, bench digest parity) and the
-  // implementation behind rejected-candidate reporting. Selection semantics
-  // are the reference ones; candidates_scanned counts every candidate.
-  Result<const InteractionTemplate*> SelectLinear(
       std::string_view driverlet, std::string_view entry, const Bindings& scalars,
       std::vector<const InteractionTemplate*>* rejected = nullptr) const;
 
@@ -107,10 +94,6 @@ class TemplateStore {
   uint64_t candidates_scanned() const {
     return candidates_scanned_.load(std::memory_order_relaxed);
   }
-  // Selections served through a constraint-index probe (vs a linear walk).
-  uint64_t index_probes() const { return index_probes_.load(std::memory_order_relaxed); }
-  // Entry slots carrying a discriminating constraint index.
-  size_t indexed_slot_count() const;
 
   // The store caches neither selections nor programs; these always return
   // zero. Their only reader is perfbench/workloads.cc:91-94 (the repo
@@ -125,10 +108,6 @@ class TemplateStore {
     std::string driverlet;
     std::string entry;
     std::vector<Candidate> candidates;
-    // Discriminating-probe structure; built when the slot is large enough and
-    // at least one candidate factored into a usable gate.
-    EntryConstraintIndex index;
-    bool indexed = false;
   };
 
   // The frozen post-registration state. Built once per AddPackage, published
@@ -150,13 +129,6 @@ class TemplateStore {
   const Population* population() const { return pop_.load(std::memory_order_acquire); }
   static const EntrySlot* FindSlot(const Population& pop, std::string_view driverlet,
                                    std::string_view entry);
-  // The one selection loop: resolves slots, walks either the index probe set
-  // (use_index, for slots that have one) or the full candidate list, applies
-  // the param check / Eval / first-match-wins / ambiguity-warning protocol,
-  // and returns the winning candidate (kNoTemplate when none).
-  Result<const Candidate*> SelectCandidate(
-      std::string_view driverlet, std::string_view entry, const Bindings& scalars,
-      std::vector<const InteractionTemplate*>* rejected, bool use_index) const;
 
   std::mutex swap_mu_;  // serializes AddPackage writers
   // RCU publish pointer; readers load it once per call, lock-free.
@@ -166,7 +138,6 @@ class TemplateStore {
   // is rare — this grows by one small snapshot per AddPackage call.
   std::vector<std::unique_ptr<const Population>> epochs_;
   mutable std::atomic<uint64_t> candidates_scanned_{0};
-  mutable std::atomic<uint64_t> index_probes_{0};
 };
 
 }  // namespace dlt

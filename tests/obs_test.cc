@@ -355,11 +355,18 @@ TEST_F(ObsEndToEndTest, ReplayEmitsSelectionThenEventsThenCompletion) {
   ASSERT_FALSE(trace.empty());
 
   ptrdiff_t selected = -1;
+  ptrdiff_t last_rejected = -1;
   ptrdiff_t first_replay_event = -1;
   ptrdiff_t invoke = -1;
+  size_t rejected = 0;
   size_t replay_events = 0;
   for (size_t i = 0; i < trace.size(); ++i) {
     const TraceEvent& e = trace[i];
+    if (e.kind == TraceKind::kTemplateRejected) {
+      last_rejected = static_cast<ptrdiff_t>(i);
+      ++rejected;
+      EXPECT_STRNE("WR_8", e.name);
+    }
     if (e.kind == TraceKind::kTemplateSelected && selected < 0) {
       selected = static_cast<ptrdiff_t>(i);
       EXPECT_STREQ("WR_8", e.name);
@@ -376,11 +383,14 @@ TEST_F(ObsEndToEndTest, ReplayEmitsSelectionThenEventsThenCompletion) {
       EXPECT_EQ(r->events_executed, e.arg0);
     }
   }
-  // The documented sequence: selection, then per-event slices, then the
-  // enclosing invoke span (emitted at completion).
+  // The documented sequence: the scan's rejections, selection, then
+  // per-event slices, then the enclosing invoke span (emitted at completion).
+  // The MMC slot holds 10 templates; the scan rejects the other 9.
   ASSERT_GE(selected, 0);
   ASSERT_GE(first_replay_event, 0);
   ASSERT_GE(invoke, 0);
+  EXPECT_EQ(9u, rejected);
+  EXPECT_LT(last_rejected, selected);
   EXPECT_LT(selected, first_replay_event);
   EXPECT_LT(first_replay_event, invoke);
   EXPECT_EQ(r->events_executed, replay_events);

@@ -1,7 +1,12 @@
 // ReplayService + TemplateStore tests: multi-package loading, session routing
-// and per-session stats, admission policy, the quarantine ladder, and the
-// buffer-view const-correctness at the service boundary.
+// and per-session stats, admission policy, the quarantine ladder, the
+// buffer-view const-correctness at the service boundary, and TemplateStore
+// selection (param-set skips, scoping, first match wins, selects racing a
+// republish — the TSan job runs this suite).
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 #include "src/core/template_store.h"
 #include "src/tee/replay_service.h"
@@ -329,11 +334,11 @@ TEST_F(ReplayServiceTest, QuarantineThresholdZeroDisablesTheLadder) {
 
 // ---- TemplateStore unit tests (no machine required) ----
 
-InteractionTemplate SynthTemplate(const char* name, const char* entry,
+InteractionTemplate SynthTemplate(std::string name, std::string entry,
                                   std::vector<std::string> params, ConstraintAtom atom) {
   InteractionTemplate t;
-  t.name = name;
-  t.entry = entry;
+  t.name = std::move(name);
+  t.entry = std::move(entry);
   for (std::string& p : params) {
     t.params.push_back(ParamSpec{std::move(p), /*is_buffer=*/false});
   }
@@ -412,6 +417,78 @@ TEST(TemplateStoreTest, ReloadReplacesOnlyThatDriverlet) {
   EXPECT_EQ(Status::kNoTemplate, store.Select("alpha", "replay_a", {{"x", 1}}).status());
   EXPECT_TRUE(store.Select("alpha", "replay_a2", {{"x", 1}}).ok());
   EXPECT_TRUE(store.Select("beta", "replay_b", {{"x", 1}}).ok());
+}
+
+TEST(TemplateStoreTest, AmbiguousMatchKeepsFirst) {
+  // Rows 0..9 carry sel==i, except row 7 repeats row 3's constraint. The scan
+  // visits every row, rejects the eight that evaluate false, and first match
+  // wins: sel=3 selects row 3 (row 7 only logs the ambiguity warning).
+  DriverletPackage pkg;
+  pkg.driverlet = "amb";
+  for (uint64_t i = 0; i < 10; ++i) {
+    pkg.templates.push_back(SynthTemplate("amb_" + std::to_string(i), "replay_amb", {"sel"},
+                                          InputEq("sel", i == 7 ? 3 : i)));
+  }
+  TemplateStore store;
+  ASSERT_EQ(Status::kOk, store.AddPackage(pkg));
+  uint64_t scanned_before = store.candidates_scanned();
+  std::vector<const InteractionTemplate*> rejected;
+  Result<const InteractionTemplate*> sel =
+      store.Select("amb", "replay_amb", {{"sel", 3}}, &rejected);
+  ASSERT_TRUE(sel.ok());
+  EXPECT_EQ("amb_3", (*sel)->name);
+  EXPECT_EQ(10u, store.candidates_scanned() - scanned_before);
+  EXPECT_EQ(8u, rejected.size());
+}
+
+TEST(TemplateStoreTest, ConcurrentSelectsDuringRepublish) {
+  // The TSan target: four threads select every template of one package while
+  // a fifth re-registers it, so readers race population publishes (a fleet
+  // shares one store across shards). A reader keeps the population it
+  // pinned, so every select still returns its target with its events.
+  constexpr uint64_t kTemplates = 240;
+  auto entry_of = [](uint64_t i) { return "replay_e" + std::to_string(i % 8); };
+  DriverletPackage pkg;
+  pkg.driverlet = "synth";
+  for (uint64_t i = 0; i < kTemplates; ++i) {
+    InteractionTemplate t =
+        SynthTemplate("t" + std::to_string(i), entry_of(i), {"sel"}, InputEq("sel", i));
+    TemplateEvent e;
+    e.kind = EventKind::kDelay;
+    e.value = Expr::Const(1);
+    t.events.push_back(std::move(e));
+    pkg.templates.push_back(std::move(t));
+  }
+  TemplateStore store;
+  ASSERT_EQ(Status::kOk, store.AddPackage(pkg));
+
+  std::atomic<bool> republished{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      // At least one full pass, and keep selecting until the writer is done.
+      do {
+        for (uint64_t i = 0; i < kTemplates; ++i) {
+          Result<const InteractionTemplate*> r = store.Select("synth", entry_of(i), {{"sel", i}});
+          if (!r.ok() || (*r)->name != "t" + std::to_string(i) || (*r)->events.empty()) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      } while (!republished.load(std::memory_order_acquire));
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < 20; ++i) {
+      if (store.AddPackage(pkg) != Status::kOk) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    republished.store(true, std::memory_order_release);
+  });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(0, failures.load());
+  EXPECT_EQ(kTemplates, store.template_count());
 }
 
 }  // namespace
