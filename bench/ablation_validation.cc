@@ -5,9 +5,9 @@
 // recorded transition path; probes outside must not.
 #include <cstdio>
 
+#include "src/record/differ.h"
+#include "src/record/record_session.h"
 #include "src/workload/deploy_util.h"
-#include "src/core/differ.h"
-#include "src/core/record_session.h"
 
 namespace dlt {
 namespace {

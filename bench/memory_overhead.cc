@@ -1,25 +1,29 @@
 // Reproduces paper §7.3.4 (memory overhead): compressed driverlet package
 // sizes per device, in both the human-readable text form the paper ships and
-// the binary form it suggests as future size optimization (our ablation).
+// the binary form it suggests as future size optimization. Packages are sealed
+// binary; the text columns are the same templates as text documents, LZSS
+// compressed the way the envelope compresses its payload.
 #include <cstdio>
 
+#include "src/crypto/lzss.h"
+#include "src/record/serialize_text.h"
 #include "src/workload/deploy_util.h"
 
 namespace {
 
 void Report(const char* name, const dlt::RecordCampaign& campaign) {
   using namespace dlt;
-  PackageSizes text_sizes;
+  std::string text = TemplatesToText(campaign.templates());
+  size_t text_lzss =
+      LzssCompress(reinterpret_cast<const uint8_t*>(text.data()), text.size()).size();
   PackageSizes bin_sizes;
-  (void)campaign.Seal(PackageFormat::kText, kDeveloperKey, &text_sizes);
-  (void)campaign.Seal(PackageFormat::kBinary, kDeveloperKey, &bin_sizes);
+  (void)campaign.Seal(kDeveloperKey, &bin_sizes);
   int events = 0;
   for (const auto& t : campaign.templates()) {
     events += t.CountEvents().total();
   }
   std::printf("%-8s %9zu %7d %12zu %12zu %12zu %12zu\n", name, campaign.templates().size(),
-              events, text_sizes.serialized, text_sizes.compressed, bin_sizes.serialized,
-              bin_sizes.compressed);
+              events, text.size(), text_lzss, bin_sizes.serialized, bin_sizes.compressed);
 }
 
 }  // namespace

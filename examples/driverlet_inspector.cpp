@@ -8,7 +8,7 @@
 #include <cstring>
 
 #include "src/core/executor.h"
-#include "src/core/serialize_text.h"
+#include "src/record/serialize_text.h"
 #include "src/workload/record_campaigns.h"
 #include "src/workload/rpi3_testbed.h"
 
@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   PackageSizes sizes;
-  std::vector<uint8_t> sealed = campaign->Seal(PackageFormat::kText, kDeveloperKey, &sizes);
+  std::vector<uint8_t> sealed = campaign->Seal(kDeveloperKey, &sizes);
 
   Result<DriverletPackage> pkg = OpenPackage(sealed.data(), sealed.size(), kDeveloperKey);
   if (!pkg.ok()) {

@@ -28,8 +28,7 @@ int main() {
   std::printf("   coverage: %s\n", campaign->CoverageReport().c_str());
 
   PackageSizes sizes;
-  std::vector<uint8_t> driverlet =
-      campaign->Seal(PackageFormat::kText, kDeveloperKey, &sizes);
+  std::vector<uint8_t> driverlet = campaign->Seal(kDeveloperKey, &sizes);
   std::printf("   sealed driverlet: %zu bytes (%zu before compression), signed\n\n",
               sizes.sealed, sizes.serialized);
 

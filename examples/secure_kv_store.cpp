@@ -35,8 +35,8 @@ int main() {
     if (!c.ok()) {
       return 1;
     }
-    pkg = c->Seal(PackageFormat::kBinary, kDeveloperKey);
-    std::printf("USB driverlet recorded and sealed (%zu bytes, binary form)\n\n", pkg.size());
+    pkg = c->Seal(kDeveloperKey);
+    std::printf("USB driverlet recorded and sealed (%zu bytes)\n\n", pkg.size());
   }
 
   TestbedOptions opts;

@@ -83,8 +83,8 @@ int main() {
     if (!cam.ok() || !mmc.ok()) {
       return 1;
     }
-    cam_pkg = cam->Seal(PackageFormat::kText, kDeveloperKey);
-    mmc_pkg = mmc->Seal(PackageFormat::kText, kDeveloperKey);
+    cam_pkg = cam->Seal(kDeveloperKey);
+    mmc_pkg = mmc->Seal(kDeveloperKey);
   }
 
   TestbedOptions opts;

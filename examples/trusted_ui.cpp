@@ -75,7 +75,7 @@ int main() {
                 "transition path, so the recorder merges them)\n",
                 c->templates().size());
     std::printf("coverage: %s\n\n", c->CoverageReport().c_str());
-    pkg = c->Seal(PackageFormat::kText, kDeveloperKey);
+    pkg = c->Seal(kDeveloperKey);
   }
 
   TestbedOptions opts;
@@ -121,7 +121,7 @@ int main() {
     if (!c.ok()) {
       return 1;
     }
-    touch_pkg = c->Seal(PackageFormat::kText, kDeveloperKey);
+    touch_pkg = c->Seal(kDeveloperKey);
   }
   Replayer touch_replayer(&machine.tee(), kDeveloperKey);
   if (!Ok(touch_replayer.LoadPackage(touch_pkg.data(), touch_pkg.size()))) {

@@ -10,11 +10,11 @@
 #include "src/core/package.h"
 #include "src/core/replayer.h"
 #include "src/core/serialize_binary.h"
-#include "src/core/serialize_text.h"
 #include "src/core/template_store.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
 #include "src/obs/telemetry.h"
+#include "src/record/serialize_text.h"
 
 namespace dlt {
 

@@ -11,7 +11,6 @@
 #include "src/check/template_gen.h"
 #include "src/core/package.h"
 #include "src/core/serialize_binary.h"
-#include "src/core/serialize_text.h"
 #include "src/dev/cryptoacc/cryptoacc_device.h"
 #include "src/dev/ftpm/ftpm_device.h"
 #include "src/dev/vc4/vc4_firmware.h"
@@ -129,31 +128,18 @@ const DriverletPackage& FzzPackage() {
   return *pkg;
 }
 
-// Pre-seal serialized payload per wire framing — the bytes SealPackageRaw
-// wraps, and the mutation substrate for the re-sign class.
-const std::vector<uint8_t>& FzzPayload(PackageWire wire) {
-  static const std::vector<uint8_t>* payloads[2] = {nullptr, nullptr};
-  size_t i = static_cast<size_t>(wire) % 2;
-  if (payloads[i] == nullptr) {
-    const DriverletPackage& pkg = FzzPackage();
-    if (static_cast<PackageWire>(i) == PackageWire::kV1Text) {
-      std::string text = TemplatesToText(pkg.templates);
-      payloads[i] = new std::vector<uint8_t>(text.begin(), text.end());
-    } else {
-      payloads[i] = new std::vector<uint8_t>(TemplatesToBinary(pkg.templates));
-    }
-  }
-  return *payloads[i];
+// Pre-seal serialized payload — the bytes SealPackageRaw wraps, and the
+// mutation substrate for the re-sign class.
+const std::vector<uint8_t>& FzzPayload() {
+  static const std::vector<uint8_t>* payload =
+      new std::vector<uint8_t>(TemplatesToBinary(FzzPackage().templates));
+  return *payload;
 }
 
-const std::vector<uint8_t>& FzzSealed(PackageWire wire) {
-  static const std::vector<uint8_t>* sealed[2] = {nullptr, nullptr};
-  size_t i = static_cast<size_t>(wire) % 2;
-  if (sealed[i] == nullptr) {
-    sealed[i] = new std::vector<uint8_t>(
-        SealPackageRaw("fzz", static_cast<PackageWire>(i), FzzPayload(wire), kDeveloperKey));
-  }
-  return *sealed[i];
+const std::vector<uint8_t>& FzzSealed() {
+  static const std::vector<uint8_t>* sealed =
+      new std::vector<uint8_t>(SealPackageRaw("fzz", FzzPayload(), kDeveloperKey));
+  return *sealed;
 }
 
 // Deterministic mutant of the sealed "fzz" package. c%4 selects the class:
@@ -161,20 +147,20 @@ const std::vector<uint8_t>& FzzSealed(PackageWire wire) {
 //   1  post-seal bit flips — HMAC breaks, the parser must answer kCorrupt;
 //   2  truncation — framing/HMAC failure, kCorrupt;
 //   3  payload mutated BEFORE sealing, then re-signed — a valid signature
-//      over a garbage interior, so the deserializers themselves are on trial.
-std::vector<uint8_t> MutantPackageBytes(uint64_t salt, PackageWire wire, uint64_t c) {
+//      over a garbage interior, so the deserializer itself is on trial.
+std::vector<uint8_t> MutantPackageBytes(uint64_t salt, uint64_t c) {
   uint64_t m = c % 4;
-  FuzzRng rng{(salt * 131 + c) * 0x2545f4914f6cdd1dull + static_cast<uint64_t>(wire)};
+  FuzzRng rng{(salt * 131 + c) * 0x2545f4914f6cdd1dull};
   std::vector<uint8_t> bytes;
   if (m == 3) {
-    std::vector<uint8_t> payload = FzzPayload(wire);
+    std::vector<uint8_t> payload = FzzPayload();
     size_t flips = 1 + rng.Next() % 8;
     for (size_t f = 0; f < flips && !payload.empty(); ++f) {
       payload[rng.Next() % payload.size()] ^= static_cast<uint8_t>(1u << (rng.Next() % 8));
     }
-    bytes = SealPackageRaw("fzz", wire, payload, kDeveloperKey);
+    bytes = SealPackageRaw("fzz", payload, kDeveloperKey);
   } else {
-    bytes = FzzSealed(wire);
+    bytes = FzzSealed();
     if (m == 1) {
       size_t flips = 1 + rng.Next() % 8;
       for (size_t f = 0; f < flips && !bytes.empty(); ++f) {
@@ -213,7 +199,7 @@ class BoundaryExec {
     // the one-time record campaigns emit counters, and a run's feature set
     // must not depend on whether an earlier run already paid that cost.
     for (size_t cls = 0; cls < NumClasses(); ++cls) SealedPackage(cls);
-    for (size_t w = 0; w < 2; ++w) FzzSealed(static_cast<PackageWire>(w));
+    FzzSealed();
     Telemetry::Get().Enable();
     Telemetry::Get().Reset();
     EdgeCoverage::Get().Reset();
@@ -515,8 +501,7 @@ class BoundaryExec {
         break;
       }
       case BoundaryOp::kRegisterPackage: {
-        PackageWire wire = static_cast<PackageWire>(act.b % 2);
-        std::vector<uint8_t> bytes = MutantPackageBytes(act.a, wire, act.c);
+        std::vector<uint8_t> bytes = MutantPackageBytes(act.a, act.c);
         size_t count_before = service_->store().template_count();
         bool had_before = service_->store().HasDriverlet("fzz");
         Result<std::string> name = service_->RegisterDriverlet(bytes.data(), bytes.size());
@@ -548,8 +533,7 @@ class BoundaryExec {
           Fail("register-atomic",
                "failed registration changed store state at action #" + std::to_string(idx));
         }
-        line += std::string(" ") + StatusName(s) + " w=" + std::to_string(act.b % 2) +
-                " m=" + std::to_string(act.c % 4);
+        line += std::string(" ") + StatusName(s) + " m=" + std::to_string(act.c % 4);
         break;
       }
     }
@@ -852,22 +836,22 @@ std::vector<BoundaryProgram> BuiltinBoundaryCorpus() {
     add(BoundaryOp::kClose, 0, 0, 0);
     corpus.push_back(std::move(p));
   }
-  // Register-boundary lifecycle: every wire framing intact, then each
-  // mutation class, interleaved with live mmc traffic to pin down that a
-  // rejected package never perturbs open sessions.
+  // Register-boundary lifecycle: the intact seal, then each mutation class,
+  // interleaved with live mmc traffic to pin down that a rejected package
+  // never perturbs open sessions.
   {
     BoundaryProgram p;
     auto add = [&p](BoundaryOp op, uint64_t a, uint64_t b, uint64_t c) {
       p.actions.push_back(BoundaryAction{op, a, b, c});
     };
     add(BoundaryOp::kOpen, 0, 0, 0);
-    add(BoundaryOp::kRegisterPackage, 0, 0, 0);  // intact, text
-    add(BoundaryOp::kRegisterPackage, 0, 1, 0);  // intact, binary
+    add(BoundaryOp::kRegisterPackage, 0, 0, 0);  // intact
+    add(BoundaryOp::kRegisterPackage, 0, 0, 0);  // intact again: replaces "fzz"
     add(BoundaryOp::kInvoke, 0, 0, 7);
-    add(BoundaryOp::kRegisterPackage, 1, 1, 1);  // post-seal bit flips
+    add(BoundaryOp::kRegisterPackage, 1, 0, 1);  // post-seal bit flips
     add(BoundaryOp::kRegisterPackage, 2, 0, 2);  // truncation
-    add(BoundaryOp::kRegisterPackage, 3, 1, 3);  // re-signed mutated binary payload
-    add(BoundaryOp::kRegisterPackage, 4, 0, 3);  // re-signed mutated text payload
+    add(BoundaryOp::kRegisterPackage, 3, 0, 3);  // re-signed mutated payload
+    add(BoundaryOp::kRegisterPackage, 4, 0, 3);
     add(BoundaryOp::kInvoke, 0, 0, 7);
     add(BoundaryOp::kClose, 0, 0, 0);
     corpus.push_back(std::move(p));

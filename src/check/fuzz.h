@@ -62,7 +62,7 @@ enum class BoundaryOp : uint8_t {
   // Feeds deterministically mutated sealed-package bytes through
   // RegisterDriverlet under the reserved driverlet name "fzz" (no kOpen path
   // can reach it, so registration outcomes never perturb session behaviour).
-  // a: mutation salt, b: wire framing (b%2: 0 text, 1 binary),
+  // a: mutation salt, b: unused (there is one wire format),
   // c: mutation class (c%4: 0 intact seal, 1 post-seal bit flips,
   //    2 truncation, 3 payload mutated pre-seal and re-signed) + seed.
   kRegisterPackage,

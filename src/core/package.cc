@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "src/core/serialize_binary.h"
-#include "src/core/serialize_text.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/lzss.h"
 
@@ -11,13 +10,16 @@ namespace dlt {
 
 namespace {
 constexpr char kMagic[8] = {'D', 'L', 'T', 'P', 'K', 'G', '0', '1'};
+// The only format byte this build writes or accepts: binary v1. Any other,
+// including 0 (the retired text payload), fails closed.
+constexpr uint8_t kFormatBinaryV1 = 1;
 
 // Envelope body: magic | format | name_len | name | payload_len(u32) |
 // payload, followed by the HMAC trailer.
-std::vector<uint8_t> SealEnvelope(uint8_t format_byte, std::string_view driverlet,
-                                  const std::vector<uint8_t>& payload, std::string_view key) {
+std::vector<uint8_t> SealEnvelope(std::string_view driverlet, const std::vector<uint8_t>& payload,
+                                  std::string_view key) {
   std::vector<uint8_t> out(kMagic, kMagic + 8);
-  out.push_back(format_byte);
+  out.push_back(kFormatBinaryV1);
   out.push_back(static_cast<uint8_t>(driverlet.size()));
   out.insert(out.end(), driverlet.begin(), driverlet.end());
   uint32_t payload_len = static_cast<uint32_t>(payload.size());
@@ -30,9 +32,8 @@ std::vector<uint8_t> SealEnvelope(uint8_t format_byte, std::string_view driverle
   return out;
 }
 
-// Verifies the HMAC and locates the payload.
+// Verifies the HMAC and the format byte, and locates the payload.
 struct Envelope {
-  uint8_t format_byte = 0;
   std::string driverlet;
   const uint8_t* payload = nullptr;
   size_t payload_len = 0;
@@ -49,9 +50,11 @@ Result<Envelope> VerifyEnvelope(const uint8_t* data, size_t len, std::string_vie
   if (!HmacVerify(key, data, body_len, mac)) {
     return Status::kCorrupt;
   }
-  Envelope env;
   size_t pos = 8;
-  env.format_byte = data[pos++];
+  if (data[pos++] != kFormatBinaryV1) {
+    return Status::kCorrupt;
+  }
+  Envelope env;
   uint8_t name_len = data[pos++];
   if (pos + name_len + 4 > body_len) {
     return Status::kCorrupt;
@@ -76,20 +79,11 @@ Result<Envelope> VerifyEnvelope(const uint8_t* data, size_t len, std::string_vie
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wstringop-overflow"
 
-std::vector<uint8_t> SealPackage(const DriverletPackage& pkg, PackageFormat format,
-                                 std::string_view key, PackageSizes* sizes) {
-  std::vector<uint8_t> serialized;
-  if (format == PackageFormat::kText) {
-    std::string text = TemplatesToText(pkg.templates);
-    const uint8_t* begin = reinterpret_cast<const uint8_t*>(text.data());
-    serialized.insert(serialized.end(), begin, begin + text.size());
-  } else {
-    serialized = TemplatesToBinary(pkg.templates);
-  }
+std::vector<uint8_t> SealPackage(const DriverletPackage& pkg, std::string_view key,
+                                 PackageSizes* sizes) {
+  std::vector<uint8_t> serialized = TemplatesToBinary(pkg.templates);
   std::vector<uint8_t> compressed = LzssCompress(serialized.data(), serialized.size());
-  std::vector<uint8_t> out =
-      SealEnvelope(static_cast<uint8_t>(format), pkg.driverlet, compressed, key);
-
+  std::vector<uint8_t> out = SealEnvelope(pkg.driverlet, compressed, key);
   if (sizes != nullptr) {
     sizes->serialized = serialized.size();
     sizes->compressed = compressed.size();
@@ -98,29 +92,20 @@ std::vector<uint8_t> SealPackage(const DriverletPackage& pkg, PackageFormat form
   return out;
 }
 
-std::vector<uint8_t> SealPackageRaw(std::string_view driverlet, PackageWire wire,
+std::vector<uint8_t> SealPackageRaw(std::string_view driverlet,
                                     const std::vector<uint8_t>& payload, std::string_view key) {
-  std::vector<uint8_t> compressed = LzssCompress(payload.data(), payload.size());
-  return SealEnvelope(static_cast<uint8_t>(wire), driverlet, compressed, key);
+  return SealEnvelope(driverlet, LzssCompress(payload.data(), payload.size()), key);
 }
 
 #pragma GCC diagnostic pop
 
 Result<DriverletPackage> OpenPackage(const uint8_t* data, size_t len, std::string_view key) {
   DLT_ASSIGN_OR_RETURN(Envelope env, VerifyEnvelope(data, len, key));
-  DriverletPackage pkg;
-  pkg.driverlet = std::move(env.driverlet);
-  if (env.format_byte > static_cast<uint8_t>(PackageFormat::kBinary)) {
-    return Status::kCorrupt;
-  }
   DLT_ASSIGN_OR_RETURN(std::vector<uint8_t> serialized,
                        LzssDecompress(env.payload, env.payload_len));
-  if (env.format_byte == static_cast<uint8_t>(PackageFormat::kText)) {
-    std::string_view text(reinterpret_cast<const char*>(serialized.data()), serialized.size());
-    DLT_ASSIGN_OR_RETURN(pkg.templates, TemplatesFromText(text));
-  } else {
-    DLT_ASSIGN_OR_RETURN(pkg.templates, TemplatesFromBinary(serialized.data(), serialized.size()));
-  }
+  DriverletPackage pkg;
+  pkg.driverlet = std::move(env.driverlet);
+  DLT_ASSIGN_OR_RETURN(pkg.templates, TemplatesFromBinary(serialized.data(), serialized.size()));
   return pkg;
 }
 

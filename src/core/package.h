@@ -3,9 +3,10 @@
 // package of interaction templates" (paper §5); the replayer verifies the
 // developer signature before use and decompresses inside the TEE.
 //
-// One envelope ("DLTPKG01", docs/template_store.md): a text or binary
-// payload, LZSS-compressed, verified, decompressed and fully parsed before any
-// template is usable. Any other magic is refused.
+// One envelope ("DLTPKG01", docs/template_format.md) carrying one payload
+// format, binary v1 (serialize_binary.h): verified, decompressed and fully
+// parsed before any template is usable. Any other magic or payload format is
+// refused. Sealing lives here too, so the envelope layout is in one file.
 #ifndef SRC_CORE_PACKAGE_H_
 #define SRC_CORE_PACKAGE_H_
 
@@ -15,11 +16,6 @@
 #include "src/core/interaction_template.h"
 
 namespace dlt {
-
-enum class PackageFormat : uint8_t {
-  kText = 0,    // the recorder's human-readable documents (paper §7.3.4)
-  kBinary = 1,  // the paper's suggested binary form
-};
 
 struct DriverletPackage {
   std::string driverlet;  // e.g. "mmc", "usb", "camera"
@@ -33,21 +29,15 @@ struct PackageSizes {
 };
 
 // Serializes + compresses + signs. |key| is the developer signing key.
-std::vector<uint8_t> SealPackage(const DriverletPackage& pkg, PackageFormat format,
-                                 std::string_view key, PackageSizes* sizes = nullptr);
+std::vector<uint8_t> SealPackage(const DriverletPackage& pkg, std::string_view key,
+                                 PackageSizes* sizes = nullptr);
 
-// Package wire framings, for callers (fuzzer, tools) that speak bytes.
-enum class PackageWire : uint8_t {
-  kV1Text = 0,    // v1 envelope, text payload
-  kV1Binary = 1,  // v1 envelope, binary-v1 payload
-};
-
-// Seals a caller-supplied SERIALIZED (pre-compression) payload into a
-// correctly signed envelope. This exists so the boundary fuzzer can mutate the
-// payload the parser sees while keeping the signature valid — a correctly
+// Seals a caller-supplied SERIALIZED (pre-compression) binary-v1 payload into
+// a correctly signed envelope. This exists so the boundary fuzzer can mutate
+// the payload the parser sees while keeping the signature valid — a correctly
 // signed envelope with a garbage interior is exactly the adversarial input
 // RegisterDriverlet must reject cleanly.
-std::vector<uint8_t> SealPackageRaw(std::string_view driverlet, PackageWire wire,
+std::vector<uint8_t> SealPackageRaw(std::string_view driverlet,
                                     const std::vector<uint8_t>& payload, std::string_view key);
 
 // Verifies the signature, decompresses and parses. Any tampering, and any

@@ -1,6 +1,7 @@
 #include "src/core/serialize_binary.h"
 
 #include <atomic>
+#include <climits>
 #include <cstring>
 
 namespace dlt {
@@ -105,12 +106,25 @@ class Cursor {
         return Status::kCorrupt;
       }
       uint8_t b = data_[pos_++];
+      if (shift == 63 && (b & 0x7e) != 0) {
+        return Status::kCorrupt;  // wider than 64 bits
+      }
       v |= static_cast<uint64_t>(b & 0x7f) << shift;
       if (!(b & 0x80)) {
         return v;
       }
       shift += 7;
     }
+  }
+
+  // A varint for a field narrower than 64 bits. The encoder never writes more
+  // than |max|, so a larger value is a forged payload, not one to truncate.
+  Result<uint64_t> VarintAtMost(uint64_t max) {
+    DLT_ASSIGN_OR_RETURN(uint64_t v, Varint());
+    if (v > max) {
+      return Status::kCorrupt;
+    }
+    return v;
   }
 
   Result<uint8_t> Byte() {
@@ -122,7 +136,7 @@ class Cursor {
 
   Result<std::string> String() {
     DLT_ASSIGN_OR_RETURN(uint64_t n, Varint());
-    if (pos_ + n > len_) {
+    if (n > len_ - pos_) {
       return Status::kCorrupt;
     }
     std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
@@ -208,7 +222,7 @@ class Cursor {
       return Status::kCorrupt;
     }
     e.kind = static_cast<EventKind>(kind);
-    DLT_ASSIGN_OR_RETURN(uint64_t dev, Varint());
+    DLT_ASSIGN_OR_RETURN(uint64_t dev, VarintAtMost(UINT16_MAX));
     e.device = static_cast<uint16_t>(dev);
     DLT_ASSIGN_OR_RETURN(e.reg_off, Varint());
     DLT_ASSIGN_OR_RETURN(e.addr, ExprTree());
@@ -223,11 +237,11 @@ class Cursor {
     }
     DLT_ASSIGN_OR_RETURN(e.buffer, String());
     DLT_ASSIGN_OR_RETURN(e.buf_offset, ExprTree());
-    DLT_ASSIGN_OR_RETURN(uint64_t irq, Varint());
+    DLT_ASSIGN_OR_RETURN(uint64_t irq, VarintAtMost(INT_MAX));
     e.irq_line = static_cast<int>(irq) - 1;
-    DLT_ASSIGN_OR_RETURN(uint64_t mask, Varint());
+    DLT_ASSIGN_OR_RETURN(uint64_t mask, VarintAtMost(UINT32_MAX));
     e.mask = static_cast<uint32_t>(mask);
-    DLT_ASSIGN_OR_RETURN(uint64_t want, Varint());
+    DLT_ASSIGN_OR_RETURN(uint64_t want, VarintAtMost(UINT32_MAX));
     e.want = static_cast<uint32_t>(want);
     DLT_ASSIGN_OR_RETURN(uint8_t pcmp, Byte());
     if (pcmp > static_cast<uint8_t>(Cmp::kGe)) {
@@ -236,10 +250,10 @@ class Cursor {
     e.poll_cmp = static_cast<Cmp>(pcmp);
     DLT_ASSIGN_OR_RETURN(e.timeout_us, Varint());
     DLT_ASSIGN_OR_RETURN(e.interval_us, Varint());
-    DLT_ASSIGN_OR_RETURN(uint64_t iters, Varint());
+    DLT_ASSIGN_OR_RETURN(uint64_t iters, VarintAtMost(UINT32_MAX));
     e.recorded_iters = static_cast<uint32_t>(iters);
     DLT_ASSIGN_OR_RETURN(e.file, String());
-    DLT_ASSIGN_OR_RETURN(uint64_t line, Varint());
+    DLT_ASSIGN_OR_RETURN(uint64_t line, VarintAtMost(INT_MAX));
     e.line = static_cast<int>(line);
     DLT_ASSIGN_OR_RETURN(uint64_t nbody, Varint());
     for (uint64_t i = 0; i < nbody; ++i) {
@@ -308,7 +322,7 @@ Result<std::vector<InteractionTemplate>> TemplatesFromBinary(const uint8_t* data
     InteractionTemplate t;
     DLT_ASSIGN_OR_RETURN(t.name, cur.String());
     DLT_ASSIGN_OR_RETURN(t.entry, cur.String());
-    DLT_ASSIGN_OR_RETURN(uint64_t dev, cur.Varint());
+    DLT_ASSIGN_OR_RETURN(uint64_t dev, cur.VarintAtMost(UINT16_MAX));
     t.primary_device = static_cast<uint16_t>(dev);
     DLT_RETURN_IF_ERROR(cur.Flags(&t));
     DLT_ASSIGN_OR_RETURN(uint64_t nparams, cur.Varint());

@@ -42,11 +42,19 @@ uint32_t Vc4Firmware::FrameBytes(uint32_t resolution) {
 }
 
 std::vector<uint8_t> Vc4Firmware::MakeFrame(uint32_t seq, uint32_t resolution) {
+  std::vector<uint8_t> f;
+  FillFrame(seq, resolution, &f);
+  return f;
+}
+
+void Vc4Firmware::FillFrame(uint32_t seq, uint32_t resolution, std::vector<uint8_t>* out) {
+  std::vector<uint8_t>& f = *out;
   uint32_t n = FrameBytes(resolution);
-  std::vector<uint8_t> f(n);
   if (n < 8) {
-    return f;
+    f.assign(n, 0);
+    return;
   }
+  f.resize(n);  // every byte is written below
   // JPEG SOI + APP0 marker so integrity checks can validate the format.
   f[0] = 0xff;
   f[1] = 0xd8;
@@ -63,7 +71,6 @@ std::vector<uint8_t> Vc4Firmware::MakeFrame(uint32_t seq, uint32_t resolution) {
   }
   f[f.size() - 2] = 0xff;
   f[f.size() - 1] = 0xd9;  // EOI
-  return f;
 }
 
 uint32_t Vc4Firmware::QRead32(uint32_t offset) {
@@ -211,8 +218,9 @@ void Vc4Firmware::HandleMessage(uint32_t msgid, const uint8_t* payload, uint32_t
       std::vector<uint8_t> frame = std::move(current_frame_);
       current_frame_.clear();
       uint64_t copy_us = lat_->dma_setup_us + (n * lat_->dma_per_kb_us + 1023) / 1024;
-      clock_->ScheduleIn(copy_us, [this, dest, n, actual, frame = std::move(frame)] {
+      clock_->ScheduleIn(copy_us, [this, dest, n, actual, frame = std::move(frame)]() mutable {
         (void)mem_->DmaWrite(dest, frame.data(), n);
+        spare_frame_ = std::move(frame);
         uint32_t words[2] = {actual, 0};
         PostMessage(VchiqMsgType::kBulkRxDone, words, 2);
         RingCpu();
@@ -308,7 +316,8 @@ void Vc4Firmware::ScheduleFrameDone(uint64_t cost_us, uint32_t seq, uint32_t res
       return;
     }
     capture_in_flight_ = false;
-    current_frame_ = MakeFrame(seq, res);
+    current_frame_.swap(spare_frame_);
+    FillFrame(seq, res, &current_frame_);
     ++frames_produced_;
     PostMmalReply(MmalMsgType::kBufferDone, static_cast<uint32_t>(current_frame_.size()), seq);
     RingCpu();

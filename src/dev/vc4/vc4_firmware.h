@@ -42,6 +42,8 @@ class Vc4Firmware : public MmioDevice {
   static uint32_t FrameBytes(uint32_t resolution);
 
  private:
+  // MakeFrame into |f|, reusing its storage.
+  static void FillFrame(uint32_t seq, uint32_t resolution, std::vector<uint8_t>* f);
   void RingVc4();
   void ProcessQueue();
   void HandleMessage(uint32_t msgid, const uint8_t* payload, uint32_t size);
@@ -76,6 +78,11 @@ class Vc4Firmware : public MmioDevice {
   uint32_t bell0_pending_ = 0;
 
   std::vector<uint8_t> current_frame_;
+  // Storage of the last frame DMA'd out, refilled by the next capture. A
+  // capture then writes into memory that is already paged in instead of a
+  // fresh 0.6-2.5 MB allocation, whose cost would depend on heap layout.
+  // Never device state: every byte is rewritten before it is visible.
+  std::vector<uint8_t> spare_frame_;
   uint32_t frame_seq_ = 0;
   uint64_t frames_produced_ = 0;
   uint64_t messages_handled_ = 0;

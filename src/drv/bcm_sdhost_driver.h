@@ -10,8 +10,8 @@
 #ifndef SRC_DRV_BCM_SDHOST_DRIVER_H_
 #define SRC_DRV_BCM_SDHOST_DRIVER_H_
 
-#include "src/core/driver_io.h"
 #include "src/kern/block_layer.h"
+#include "src/record/driver_io.h"
 
 namespace dlt {
 

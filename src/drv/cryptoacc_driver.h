@@ -10,7 +10,7 @@
 #ifndef SRC_DRV_CRYPTOACC_DRIVER_H_
 #define SRC_DRV_CRYPTOACC_DRIVER_H_
 
-#include "src/core/driver_io.h"
+#include "src/record/driver_io.h"
 
 namespace dlt {
 

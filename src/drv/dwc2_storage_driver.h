@@ -6,8 +6,8 @@
 #ifndef SRC_DRV_DWC2_STORAGE_DRIVER_H_
 #define SRC_DRV_DWC2_STORAGE_DRIVER_H_
 
-#include "src/core/driver_io.h"
 #include "src/kern/block_layer.h"
+#include "src/record/driver_io.h"
 
 namespace dlt {
 

@@ -10,8 +10,8 @@
 #ifndef SRC_DRV_VCHIQ_CAMERA_DRIVER_H_
 #define SRC_DRV_VCHIQ_CAMERA_DRIVER_H_
 
-#include "src/core/driver_io.h"
 #include "src/dev/vc4/vchiq_proto.h"
+#include "src/record/driver_io.h"
 
 namespace dlt {
 

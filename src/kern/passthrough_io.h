@@ -6,8 +6,8 @@
 #ifndef SRC_KERN_PASSTHROUGH_IO_H_
 #define SRC_KERN_PASSTHROUGH_IO_H_
 
-#include "src/core/driver_io.h"
-#include "src/kern/cma_pool.h"
+#include "src/record/driver_io.h"
+#include "src/soc/cma_pool.h"
 #include "src/soc/machine.h"
 
 namespace dlt {

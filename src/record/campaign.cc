@@ -1,4 +1,4 @@
-#include "src/core/campaign.h"
+#include "src/record/campaign.h"
 
 namespace dlt {
 
@@ -21,9 +21,8 @@ DriverletPackage RecordCampaign::MakePackage() const {
   return pkg;
 }
 
-std::vector<uint8_t> RecordCampaign::Seal(PackageFormat format, std::string_view key,
-                                          PackageSizes* sizes) const {
-  return SealPackage(MakePackage(), format, key, sizes);
+std::vector<uint8_t> RecordCampaign::Seal(std::string_view key, PackageSizes* sizes) const {
+  return SealPackage(MakePackage(), key, sizes);
 }
 
 }  // namespace dlt

@@ -1,14 +1,14 @@
 // Record campaign bookkeeping (paper §4, "How to use"): accumulate templates
 // from record runs, merge duplicates that externalize the same state-transition
 // path (§4.3), report cumulative input coverage, and seal the signed package.
-#ifndef SRC_CORE_CAMPAIGN_H_
-#define SRC_CORE_CAMPAIGN_H_
+#ifndef SRC_RECORD_CAMPAIGN_H_
+#define SRC_RECORD_CAMPAIGN_H_
 
 #include <string>
 #include <vector>
 
-#include "src/core/coverage.h"
 #include "src/core/package.h"
+#include "src/record/coverage.h"
 
 namespace dlt {
 
@@ -29,8 +29,7 @@ class RecordCampaign {
 
   // Concludes the campaign: signs the (immutable) templates into a package.
   DriverletPackage MakePackage() const;
-  std::vector<uint8_t> Seal(PackageFormat format, std::string_view key,
-                            PackageSizes* sizes = nullptr) const;
+  std::vector<uint8_t> Seal(std::string_view key, PackageSizes* sizes = nullptr) const;
 
  private:
   std::string driverlet_name_;
@@ -39,4 +38,4 @@ class RecordCampaign {
 
 }  // namespace dlt
 
-#endif  // SRC_CORE_CAMPAIGN_H_
+#endif  // SRC_RECORD_CAMPAIGN_H_

@@ -1,4 +1,4 @@
-#include "src/core/coverage.h"
+#include "src/record/coverage.h"
 
 #include <algorithm>
 #include <limits>

@@ -1,8 +1,8 @@
 // Input-space coverage accounting for record campaigns (paper §4 "How to use"):
 // after each record run the developer sees the cumulative covered region, e.g.
 // "0 < blkcnt <= 0x100, rw = {0x0 | 0x1}", and records more runs until satisfied.
-#ifndef SRC_CORE_COVERAGE_H_
-#define SRC_CORE_COVERAGE_H_
+#ifndef SRC_RECORD_COVERAGE_H_
+#define SRC_RECORD_COVERAGE_H_
 
 #include <map>
 #include <string>
@@ -36,4 +36,4 @@ std::string CoverageReport(const Coverage& cov);
 
 }  // namespace dlt
 
-#endif  // SRC_CORE_COVERAGE_H_
+#endif  // SRC_RECORD_COVERAGE_H_

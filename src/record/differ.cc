@@ -1,4 +1,4 @@
-#include "src/core/differ.h"
+#include "src/record/differ.h"
 
 #include <sstream>
 

@@ -3,14 +3,14 @@
 // inputs either externalize the same device state transition path (their output
 // event sequences are structurally identical) or a state-changing input was
 // crossed. Campaign tooling uses this to confirm constraint boundaries.
-#ifndef SRC_CORE_DIFFER_H_
-#define SRC_CORE_DIFFER_H_
+#ifndef SRC_RECORD_DIFFER_H_
+#define SRC_RECORD_DIFFER_H_
 
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "src/core/record_session.h"
+#include "src/record/record_session.h"
 
 namespace dlt {
 
@@ -53,4 +53,4 @@ RegionValidation ValidateTransitionRegion(const TransitionProbe& probe,
 
 }  // namespace dlt
 
-#endif  // SRC_CORE_DIFFER_H_
+#endif  // SRC_RECORD_DIFFER_H_

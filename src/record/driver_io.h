@@ -4,13 +4,13 @@
 //   Env     <-> Driver   (DMA allocation, random bytes, timekeeping)
 //   Device  <-> Driver   (registers, shared-memory descriptors, interrupts)
 //
-// Gold drivers perform ALL such traffic through this facade. Three
+// Gold drivers perform ALL such traffic through this facade. Two
 // implementations exist:
-//   kern::PassthroughIo  — native execution (baselines), zero recording cost;
-//   core::RecordingIo    — logs raw events + taints + path conditions (§4);
+//   kern::PassthroughIo   — native execution (baselines), zero recording cost;
+//   record::RecordSession — logs raw events + taints + path conditions (§4);
 //   (the replayer does not use DriverIo — it interprets template events, §5).
-#ifndef SRC_CORE_DRIVER_IO_H_
-#define SRC_CORE_DRIVER_IO_H_
+#ifndef SRC_RECORD_DRIVER_IO_H_
+#define SRC_RECORD_DRIVER_IO_H_
 
 #include <cstdint>
 
@@ -79,4 +79,4 @@ class DriverIo {
 
 }  // namespace dlt
 
-#endif  // SRC_CORE_DRIVER_IO_H_
+#endif  // SRC_RECORD_DRIVER_IO_H_

@@ -1,6 +1,6 @@
-#include "src/core/record_session.h"
+#include "src/record/record_session.h"
 
-#include "src/core/template_builder.h"
+#include "src/record/template_builder.h"
 #include "src/soc/log.h"
 
 namespace dlt {

@@ -2,16 +2,16 @@
 // interaction events, taint flows and path conditions — one record run of a
 // record campaign (paper §4). Finish() distills the raw log into an
 // interaction template via the template builder.
-#ifndef SRC_CORE_RECORD_SESSION_H_
-#define SRC_CORE_RECORD_SESSION_H_
+#ifndef SRC_RECORD_RECORD_SESSION_H_
+#define SRC_RECORD_RECORD_SESSION_H_
 
 #include <map>
 #include <string>
 #include <vector>
 
-#include "src/core/driver_io.h"
 #include "src/core/event.h"
 #include "src/core/interaction_template.h"
+#include "src/record/driver_io.h"
 
 namespace dlt {
 
@@ -104,4 +104,4 @@ class RecordSession : public DriverIo {
 
 }  // namespace dlt
 
-#endif  // SRC_CORE_RECORD_SESSION_H_
+#endif  // SRC_RECORD_RECORD_SESSION_H_

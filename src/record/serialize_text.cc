@@ -1,4 +1,4 @@
-#include "src/core/serialize_text.h"
+#include "src/record/serialize_text.h"
 
 #include <charconv>
 #include <sstream>

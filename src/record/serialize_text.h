@@ -1,8 +1,9 @@
 // Human-readable template serialization. The paper's recorder "emits templates
-// as human-readable documents" (§7.3.4); this is that format. A binary form
-// (serialize_binary.h) exists as the paper's suggested size optimization.
-#ifndef SRC_CORE_SERIALIZE_TEXT_H_
-#define SRC_CORE_SERIALIZE_TEXT_H_
+// as human-readable documents" (§7.3.4); this is that format. It is for review
+// and repro files only: packages carry the binary form
+// (src/core/serialize_binary.h), and the TEE never parses text.
+#ifndef SRC_RECORD_SERIALIZE_TEXT_H_
+#define SRC_RECORD_SERIALIZE_TEXT_H_
 
 #include <string>
 #include <vector>
@@ -18,4 +19,4 @@ Result<std::vector<InteractionTemplate>> TemplatesFromText(std::string_view text
 
 }  // namespace dlt
 
-#endif  // SRC_CORE_SERIALIZE_TEXT_H_
+#endif  // SRC_RECORD_SERIALIZE_TEXT_H_

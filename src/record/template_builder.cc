@@ -1,4 +1,4 @@
-#include "src/core/template_builder.h"
+#include "src/record/template_builder.h"
 
 #include <optional>
 

@@ -6,10 +6,10 @@
 //  2. lifts open-coded polling loops into poll meta events (Challenge III);
 //  3. symbolic output values arrived via taint tracking in the session
 //     (Challenge II) and are kept as-is.
-#ifndef SRC_CORE_TEMPLATE_BUILDER_H_
-#define SRC_CORE_TEMPLATE_BUILDER_H_
+#ifndef SRC_RECORD_TEMPLATE_BUILDER_H_
+#define SRC_RECORD_TEMPLATE_BUILDER_H_
 
-#include "src/core/record_session.h"
+#include "src/record/record_session.h"
 
 namespace dlt {
 
@@ -21,4 +21,4 @@ int LiftPollingLoops(std::vector<TemplateEvent>* events);
 
 }  // namespace dlt
 
-#endif  // SRC_CORE_TEMPLATE_BUILDER_H_
+#endif  // SRC_RECORD_TEMPLATE_BUILDER_H_

@@ -1,8 +1,8 @@
 // Contiguous-memory allocator carving a fixed physical window: the normal-world
 // DMA pool and (separately instantiated) the TEE's reserved pool — the paper
 // reserves 3 MB of TEE RAM and uses the stock OPTEE allocator (§7.3.1).
-#ifndef SRC_KERN_CMA_POOL_H_
-#define SRC_KERN_CMA_POOL_H_
+#ifndef SRC_SOC_CMA_POOL_H_
+#define SRC_SOC_CMA_POOL_H_
 
 #include "src/soc/status.h"
 #include "src/soc/types.h"
@@ -44,4 +44,4 @@ inline Result<PhysAddr> CmaPool::Alloc(uint64_t size) {
 
 }  // namespace dlt
 
-#endif  // SRC_KERN_CMA_POOL_H_
+#endif  // SRC_SOC_CMA_POOL_H_

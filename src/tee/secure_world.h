@@ -9,7 +9,7 @@
 #include <set>
 
 #include "src/core/replay_context.h"
-#include "src/kern/cma_pool.h"
+#include "src/soc/cma_pool.h"
 #include "src/soc/machine.h"
 
 namespace dlt {

@@ -58,41 +58,21 @@ inline Deployment MakeDeployment(const std::vector<uint8_t>& sealed,
   return d;
 }
 
-// Records a campaign on a fresh developer machine and returns the sealed package.
-inline std::vector<uint8_t> BuildMmcPackage() {
+// Records a campaign on a fresh developer machine and returns the sealed
+// package (empty when the campaign fails).
+inline std::vector<uint8_t> BuildPackage(Result<RecordCampaign> (*record)(Rpi3Testbed*)) {
   Rpi3Testbed dev{TestbedOptions{}};
-  Result<RecordCampaign> c = RecordMmcCampaign(&dev);
-  return c.ok() ? c->Seal(PackageFormat::kText, kDeveloperKey) : std::vector<uint8_t>{};
+  Result<RecordCampaign> c = record(&dev);
+  return c.ok() ? c->Seal(kDeveloperKey) : std::vector<uint8_t>{};
 }
-inline std::vector<uint8_t> BuildUsbPackage() {
-  Rpi3Testbed dev{TestbedOptions{}};
-  Result<RecordCampaign> c = RecordUsbCampaign(&dev);
-  return c.ok() ? c->Seal(PackageFormat::kText, kDeveloperKey) : std::vector<uint8_t>{};
-}
-inline std::vector<uint8_t> BuildCameraPackage() {
-  Rpi3Testbed dev{TestbedOptions{}};
-  Result<RecordCampaign> c = RecordCameraCampaign(&dev);
-  return c.ok() ? c->Seal(PackageFormat::kText, kDeveloperKey) : std::vector<uint8_t>{};
-}
-inline std::vector<uint8_t> BuildDisplayPackage() {
-  Rpi3Testbed dev{TestbedOptions{}};
-  Result<RecordCampaign> c = RecordDisplayCampaign(&dev);
-  return c.ok() ? c->Seal(PackageFormat::kText, kDeveloperKey) : std::vector<uint8_t>{};
-}
-inline std::vector<uint8_t> BuildTouchPackage() {
-  Rpi3Testbed dev{TestbedOptions{}};
-  Result<RecordCampaign> c = RecordTouchCampaign(&dev);
-  return c.ok() ? c->Seal(PackageFormat::kText, kDeveloperKey) : std::vector<uint8_t>{};
-}
-inline std::vector<uint8_t> BuildFtpmPackage() {
-  Rpi3Testbed dev{TestbedOptions{}};
-  Result<RecordCampaign> c = RecordFtpmCampaign(&dev);
-  return c.ok() ? c->Seal(PackageFormat::kText, kDeveloperKey) : std::vector<uint8_t>{};
-}
+inline std::vector<uint8_t> BuildMmcPackage() { return BuildPackage(&RecordMmcCampaign); }
+inline std::vector<uint8_t> BuildUsbPackage() { return BuildPackage(&RecordUsbCampaign); }
+inline std::vector<uint8_t> BuildCameraPackage() { return BuildPackage(&RecordCameraCampaign); }
+inline std::vector<uint8_t> BuildDisplayPackage() { return BuildPackage(&RecordDisplayCampaign); }
+inline std::vector<uint8_t> BuildTouchPackage() { return BuildPackage(&RecordTouchCampaign); }
+inline std::vector<uint8_t> BuildFtpmPackage() { return BuildPackage(&RecordFtpmCampaign); }
 inline std::vector<uint8_t> BuildCryptoaccPackage() {
-  Rpi3Testbed dev{TestbedOptions{}};
-  Result<RecordCampaign> c = RecordCryptoaccCampaign(&dev);
-  return c.ok() ? c->Seal(PackageFormat::kText, kDeveloperKey) : std::vector<uint8_t>{};
+  return BuildPackage(&RecordCryptoaccCampaign);
 }
 
 // The registered driverlet classes — THE class list. Everything that sweeps

@@ -3,7 +3,7 @@
 #include <optional>
 #include <vector>
 
-#include "src/core/record_session.h"
+#include "src/record/record_session.h"
 #include "src/soc/log.h"
 
 namespace dlt {

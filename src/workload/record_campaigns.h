@@ -12,7 +12,7 @@
 #ifndef SRC_WORKLOAD_RECORD_CAMPAIGNS_H_
 #define SRC_WORKLOAD_RECORD_CAMPAIGNS_H_
 
-#include "src/core/campaign.h"
+#include "src/record/campaign.h"
 #include "src/workload/rpi3_testbed.h"
 
 namespace dlt {

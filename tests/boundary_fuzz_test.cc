@@ -106,20 +106,21 @@ TEST(BoundaryFuzzTest, BuiltinCorpusReplaysCleanAndDeterministically) {
 }
 
 TEST(BoundaryFuzzTest, RegisterOpParsesAndReplaysDeterministically) {
-  // The package-registration op (ISSUE 9 satellite): every wire framing and
-  // mutation class runs clean under the per-op status contract and the
-  // register-atomic invariant, and the trace is bit-stable across runs.
+  // The package-registration op: every mutation class runs clean under the
+  // per-op status contract and the register-atomic invariant, and the trace
+  // is bit-stable across runs. The second operand picks nothing (there is one
+  // wire format), so "register 0 1 0" is the intact seal again.
   Result<BoundaryProgram> p = ParseBoundaryProgram(
       "driverlet-boundary v1\n"
       "open 0\n"
-      "register 0 0 0\n"   // intact text seal
-      "register 0 1 0\n"   // intact binary seal
-      "register 1 0 1\n"   // post-seal bit flips, per framing
-      "register 1 1 1\n"
+      "register 0 0 0\n"   // intact seal
+      "register 0 1 0\n"   // intact seal, re-registered
+      "register 1 0 1\n"   // post-seal bit flips
+      "register 5 0 5\n"
       "register 2 0 2\n"   // truncations
-      "register 2 1 2\n"
+      "register 6 0 6\n"
       "register 3 0 3\n"   // payload mutated pre-seal, re-signed
-      "register 3 1 3\n"
+      "register 7 0 7\n"
       "invoke 0 0 7\n"
       "close 0\n");
   ASSERT_TRUE(p.ok());

@@ -11,7 +11,7 @@
 
 #include "src/check/conformance.h"
 #include "src/core/serialize_binary.h"
-#include "src/core/serialize_text.h"
+#include "src/record/serialize_text.h"
 
 namespace dlt {
 namespace {

@@ -4,8 +4,8 @@
 // coverage accounting (src/core/coverage.cc).
 #include <gtest/gtest.h>
 
-#include "src/core/coverage.h"
-#include "src/core/differ.h"
+#include "src/record/coverage.h"
+#include "src/record/differ.h"
 
 namespace dlt {
 namespace {

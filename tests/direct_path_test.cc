@@ -4,8 +4,8 @@
 // flag value do not cover the other.
 #include <gtest/gtest.h>
 
-#include "src/core/record_session.h"
 #include "src/core/replayer.h"
+#include "src/record/record_session.h"
 #include "src/workload/record_campaigns.h"
 #include "src/workload/rpi3_testbed.h"
 #include "src/workload/deploy_util.h"
@@ -68,7 +68,7 @@ TEST(DirectPathTest, BothPathsReplayAndRoundTrip) {
   EXPECT_TRUE(campaign.AddTemplate(std::move(*wr_dma)));
   EXPECT_TRUE(campaign.AddTemplate(std::move(*rd_dir)));  // distinct transition path
   EXPECT_TRUE(campaign.AddTemplate(std::move(*wr_dir)));
-  std::vector<uint8_t> pkg = campaign.Seal(PackageFormat::kText, kDeveloperKey);
+  std::vector<uint8_t> pkg = campaign.Seal(kDeveloperKey);
 
   TestbedOptions opts;
   opts.secure_io = true;
@@ -106,8 +106,8 @@ TEST(DirectPathTest, InterleavedDriverletsOnDistinctDevices) {
     Result<RecordCampaign> m = RecordMmcCampaign(&dev);
     Result<RecordCampaign> d = RecordDisplayCampaign(&dev);
     ASSERT_TRUE(m.ok() && d.ok());
-    mmc_pkg = m->Seal(PackageFormat::kText, kDeveloperKey);
-    disp_pkg = d->Seal(PackageFormat::kText, kDeveloperKey);
+    mmc_pkg = m->Seal(kDeveloperKey);
+    disp_pkg = d->Seal(kDeveloperKey);
   }
   TestbedOptions opts;
   opts.secure_io = true;

@@ -17,11 +17,11 @@ class FaultInjectionTest : public ::testing::Test {
     Rpi3Testbed dev{TestbedOptions{}};
     Result<RecordCampaign> mmc = RecordMmcCampaign(&dev);
     ASSERT_TRUE(mmc.ok());
-    mmc_pkg_ = new std::vector<uint8_t>(mmc->Seal(PackageFormat::kText, kDeveloperKey));
+    mmc_pkg_ = new std::vector<uint8_t>(mmc->Seal(kDeveloperKey));
     Rpi3Testbed dev2{TestbedOptions{}};
     Result<RecordCampaign> cam = RecordCameraCampaign(&dev2);
     ASSERT_TRUE(cam.ok());
-    cam_pkg_ = new std::vector<uint8_t>(cam->Seal(PackageFormat::kText, kDeveloperKey));
+    cam_pkg_ = new std::vector<uint8_t>(cam->Seal(kDeveloperKey));
   }
   static void TearDownTestSuite() {
     delete mmc_pkg_;

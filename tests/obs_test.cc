@@ -310,7 +310,7 @@ class ObsEndToEndTest : public ::testing::Test {
     Rpi3Testbed dev{TestbedOptions{}};
     Result<RecordCampaign> campaign = RecordMmcCampaign(&dev);
     ASSERT_TRUE(campaign.ok()) << StatusName(campaign.status());
-    sealed_ = new std::vector<uint8_t>(campaign->Seal(PackageFormat::kText, kDeveloperKey));
+    sealed_ = new std::vector<uint8_t>(campaign->Seal(kDeveloperKey));
   }
   static void TearDownTestSuite() {
     delete sealed_;

@@ -1,12 +1,13 @@
 // Robustness sweeps over real driverlet packages: every truncation point and a
 // byte-flip sweep must be rejected cleanly (never parsed, never crash) — the
 // attack surface an adversarial OS has against the replayer's loader (§7.2.2).
-// Also full-campaign serialization round-trips for both wire formats.
+// Also full-campaign round-trips for the binary wire format and the text
+// developer format.
 #include <gtest/gtest.h>
 
 #include "src/core/package.h"
 #include "src/core/serialize_binary.h"
-#include "src/core/serialize_text.h"
+#include "src/record/serialize_text.h"
 #include "src/workload/record_campaigns.h"
 #include "src/workload/deploy_util.h"
 
@@ -20,26 +21,22 @@ class PackageFuzzTest : public ::testing::Test {
     Result<RecordCampaign> c = RecordMmcCampaign(&dev);
     ASSERT_TRUE(c.ok());
     campaign_ = new RecordCampaign(std::move(*c));
-    text_pkg_ = new std::vector<uint8_t>(campaign_->Seal(PackageFormat::kText, kDeveloperKey));
-    bin_pkg_ = new std::vector<uint8_t>(campaign_->Seal(PackageFormat::kBinary, kDeveloperKey));
+    sealed_ = new std::vector<uint8_t>(campaign_->Seal(kDeveloperKey));
   }
   static void TearDownTestSuite() {
     delete campaign_;
-    delete text_pkg_;
-    delete bin_pkg_;
+    delete sealed_;
   }
 
   static RecordCampaign* campaign_;
-  static std::vector<uint8_t>* text_pkg_;
-  static std::vector<uint8_t>* bin_pkg_;
+  static std::vector<uint8_t>* sealed_;
 };
 
 RecordCampaign* PackageFuzzTest::campaign_ = nullptr;
-std::vector<uint8_t>* PackageFuzzTest::text_pkg_ = nullptr;
-std::vector<uint8_t>* PackageFuzzTest::bin_pkg_ = nullptr;
+std::vector<uint8_t>* PackageFuzzTest::sealed_ = nullptr;
 
 TEST_F(PackageFuzzTest, EveryTruncationRejected) {
-  const std::vector<uint8_t>& pkg = *bin_pkg_;
+  const std::vector<uint8_t>& pkg = *sealed_;
   for (size_t cut = 0; cut < pkg.size(); cut += 97) {
     Result<DriverletPackage> r = OpenPackage(pkg.data(), cut, kDeveloperKey);
     EXPECT_FALSE(r.ok()) << "truncation at " << cut << " accepted";
@@ -47,7 +44,7 @@ TEST_F(PackageFuzzTest, EveryTruncationRejected) {
 }
 
 TEST_F(PackageFuzzTest, ByteFlipSweepRejected) {
-  std::vector<uint8_t> pkg = *text_pkg_;
+  std::vector<uint8_t> pkg = *sealed_;
   for (size_t pos = 0; pos < pkg.size(); pos += 131) {
     pkg[pos] ^= 0x55;
     Result<DriverletPackage> r = OpenPackage(pkg.data(), pkg.size(), kDeveloperKey);
@@ -98,20 +95,20 @@ TEST_F(PackageFuzzTest, FullCampaignBinaryRoundTrip) {
 }
 
 TEST_F(PackageFuzzTest, CrossFormatAgreement) {
-  // Text and binary decode to structurally identical templates.
-  Result<DriverletPackage> from_text = OpenPackage(text_pkg_->data(), text_pkg_->size(),
-                                                   kDeveloperKey);
-  Result<DriverletPackage> from_bin = OpenPackage(bin_pkg_->data(), bin_pkg_->size(),
+  // The text developer form and the sealed wire form decode to structurally
+  // identical templates.
+  Result<std::vector<InteractionTemplate>> from_text =
+      TemplatesFromText(TemplatesToText(campaign_->templates()));
+  Result<DriverletPackage> from_bin = OpenPackage(sealed_->data(), sealed_->size(),
                                                   kDeveloperKey);
   ASSERT_TRUE(from_text.ok());
   ASSERT_TRUE(from_bin.ok());
-  ASSERT_EQ(from_text->templates.size(), from_bin->templates.size());
-  for (size_t i = 0; i < from_text->templates.size(); ++i) {
-    EXPECT_TRUE(InteractionTemplate::Mergeable(from_text->templates[i], from_bin->templates[i]))
-        << i;
-    // The clean-state proof survives both wire formats (every MMC template
-    // is recorded clean, so a dropped flag shows up as false here).
-    EXPECT_TRUE(from_text->templates[i].leaves_clean_state) << i;
+  ASSERT_EQ(from_text->size(), from_bin->templates.size());
+  for (size_t i = 0; i < from_text->size(); ++i) {
+    EXPECT_TRUE(InteractionTemplate::Mergeable((*from_text)[i], from_bin->templates[i])) << i;
+    // The clean-state proof survives both formats (every MMC template is
+    // recorded clean, so a dropped flag shows up as false here).
+    EXPECT_TRUE((*from_text)[i].leaves_clean_state) << i;
     EXPECT_TRUE(from_bin->templates[i].leaves_clean_state) << i;
   }
 }
@@ -382,15 +379,15 @@ TEST(SerializePropertyTest, UnknownTemplateFlagBitsRejected) {
 
 // Builds a deliberately small sealed package so the every-byte sweeps below
 // stay cheap (sealing is O(n); a whole-package sweep is O(n^2)).
-std::vector<uint8_t> SmallSealedPackage(PackageFormat format) {
+std::vector<uint8_t> SmallSealedPackage() {
   DriverletPackage pkg;
   pkg.driverlet = "fuzz";
   pkg.templates = MakeRandomCampaign(7, 1);
-  return SealPackage(pkg, format, kDeveloperKey);
+  return SealPackage(pkg, kDeveloperKey);
 }
 
 TEST(SerializePropertyTest, SealedTruncationAtEveryByteRejected) {
-  std::vector<uint8_t> sealed = SmallSealedPackage(PackageFormat::kBinary);
+  std::vector<uint8_t> sealed = SmallSealedPackage();
   ASSERT_TRUE(OpenPackage(sealed.data(), sealed.size(), kDeveloperKey).ok());
   for (size_t cut = 0; cut < sealed.size(); ++cut) {
     Result<DriverletPackage> r = OpenPackage(sealed.data(), cut, kDeveloperKey);
@@ -401,7 +398,7 @@ TEST(SerializePropertyTest, SealedTruncationAtEveryByteRejected) {
 }
 
 TEST(SerializePropertyTest, SealedCorruptionAtEveryByteRejected) {
-  std::vector<uint8_t> sealed = SmallSealedPackage(PackageFormat::kText);
+  std::vector<uint8_t> sealed = SmallSealedPackage();
   for (size_t pos = 0; pos < sealed.size(); ++pos) {
     sealed[pos] ^= 0x80;
     Result<DriverletPackage> r = OpenPackage(sealed.data(), sealed.size(), kDeveloperKey);

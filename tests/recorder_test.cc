@@ -3,9 +3,9 @@
 // the differ, and coverage computation.
 #include <gtest/gtest.h>
 
-#include "src/core/differ.h"
-#include "src/core/record_session.h"
-#include "src/core/template_builder.h"
+#include "src/record/differ.h"
+#include "src/record/record_session.h"
+#include "src/record/template_builder.h"
 #include "src/workload/record_campaigns.h"
 #include "src/workload/rpi3_testbed.h"
 

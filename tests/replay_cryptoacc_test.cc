@@ -26,7 +26,7 @@ class CryptoaccDriverletTest : public ::testing::Test {
     dev_machine_ = new Rpi3Testbed(TestbedOptions{});
     Result<RecordCampaign> campaign = RecordCryptoaccCampaign(dev_machine_);
     ASSERT_TRUE(campaign.ok()) << StatusName(campaign.status());
-    sealed_ = new std::vector<uint8_t>(campaign->Seal(PackageFormat::kText, kDeveloperKey));
+    sealed_ = new std::vector<uint8_t>(campaign->Seal(kDeveloperKey));
   }
   static void TearDownTestSuite() {
     delete dev_machine_;

@@ -26,13 +26,11 @@ class FtpmDriverletTest : public ::testing::Test {
     dev_machine_ = new Rpi3Testbed(TestbedOptions{});
     Result<RecordCampaign> campaign = RecordFtpmCampaign(dev_machine_);
     ASSERT_TRUE(campaign.ok()) << StatusName(campaign.status());
-    sealed_ = new std::vector<uint8_t>(campaign->Seal(PackageFormat::kText, kDeveloperKey));
-    sealed_bin_ = new std::vector<uint8_t>(campaign->Seal(PackageFormat::kBinary, kDeveloperKey));
+    sealed_ = new std::vector<uint8_t>(campaign->Seal(kDeveloperKey));
   }
   static void TearDownTestSuite() {
     delete dev_machine_;
     delete sealed_;
-    delete sealed_bin_;
   }
 
   void SetUp() override { Redeploy(); }
@@ -67,14 +65,12 @@ class FtpmDriverletTest : public ::testing::Test {
 
   static Rpi3Testbed* dev_machine_;
   static std::vector<uint8_t>* sealed_;
-  static std::vector<uint8_t>* sealed_bin_;
   std::unique_ptr<Rpi3Testbed> deploy_;
   std::unique_ptr<Replayer> replayer_;
 };
 
 Rpi3Testbed* FtpmDriverletTest::dev_machine_ = nullptr;
 std::vector<uint8_t>* FtpmDriverletTest::sealed_ = nullptr;
-std::vector<uint8_t>* FtpmDriverletTest::sealed_bin_ = nullptr;
 
 TEST_F(FtpmDriverletTest, CampaignDistillsFourTemplates) {
   // Five record runs, four templates: GetRandom128 merges into GetRandom32
@@ -282,7 +278,7 @@ TEST_F(FtpmDriverletTest, ServiceQuarantinesPersistentFault) {
 
 TEST_F(FtpmDriverletTest, BinaryPackageFormatRoundTrips) {
   Replayer bin_replayer(&deploy_->tee(), kDeveloperKey);
-  ASSERT_EQ(Status::kOk, bin_replayer.LoadPackage(sealed_bin_->data(), sealed_bin_->size()));
+  ASSERT_EQ(Status::kOk, bin_replayer.LoadPackage(sealed_->data(), sealed_->size()));
   EXPECT_EQ(4u, bin_replayer.templates().size());
 
   ReplayArgs args;

@@ -2,8 +2,8 @@
 // sealed package, replay on a secure-IO deployment machine (paper §6.1, §7.2).
 #include <gtest/gtest.h>
 
-#include "src/core/coverage.h"
 #include "src/core/replayer.h"
+#include "src/record/coverage.h"
 #include "src/workload/record_campaigns.h"
 #include "src/workload/rpi3_testbed.h"
 #include "src/workload/deploy_util.h"
@@ -20,8 +20,7 @@ class MmcDriverletTest : public ::testing::Test {
     Result<RecordCampaign> campaign = RecordMmcCampaign(dev_machine_);
     ASSERT_TRUE(campaign.ok()) << StatusName(campaign.status());
     campaign_ = new RecordCampaign(std::move(*campaign));
-    sealed_ = new std::vector<uint8_t>(
-        campaign_->Seal(PackageFormat::kText, kDeveloperKey));
+    sealed_ = new std::vector<uint8_t>(campaign_->Seal(kDeveloperKey));
   }
   static void TearDownTestSuite() {
     delete campaign_;
@@ -198,12 +197,34 @@ TEST_F(MmcDriverletTest, NormalWorldCannotTouchSecureMmc) {
 }
 
 TEST_F(MmcDriverletTest, BinaryPackageRoundTripsToo) {
+  // Resealing the campaign gives the fixture's bytes, compressed.
   PackageSizes sizes;
-  std::vector<uint8_t> bin = campaign_->Seal(PackageFormat::kBinary, kDeveloperKey, &sizes);
+  std::vector<uint8_t> bin = campaign_->Seal(kDeveloperKey, &sizes);
+  EXPECT_EQ(*sealed_, bin);
   Replayer r2(&deploy_->tee(), kDeveloperKey);
   ASSERT_EQ(Status::kOk, r2.LoadPackage(bin.data(), bin.size()));
   EXPECT_EQ(10u, r2.templates().size());
   EXPECT_LT(sizes.compressed, sizes.serialized);
+}
+
+void CollectSites(const std::vector<TemplateEvent>& events, std::vector<std::string>* files) {
+  for (const TemplateEvent& e : events) {
+    files->push_back(e.file);
+    CollectSites(e.body, files);
+  }
+}
+
+TEST_F(MmcDriverletTest, RecordedSourceLocationsAreRepoRelative) {
+  // Recording sites name the gold driver's file relative to the repo root, so
+  // a package's bytes do not depend on where the checkout lives.
+  std::vector<std::string> files;
+  for (const InteractionTemplate& t : campaign_->templates()) {
+    CollectSites(t.events, &files);
+  }
+  ASSERT_FALSE(files.empty());
+  for (const std::string& file : files) {
+    ASSERT_TRUE(file.starts_with("src/")) << file;
+  }
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ namespace {
 std::vector<uint8_t> Record(Result<RecordCampaign> (*campaign)(Rpi3Testbed*)) {
   Rpi3Testbed dev{TestbedOptions{}};
   Result<RecordCampaign> c = campaign(&dev);
-  return c.ok() ? c->Seal(PackageFormat::kText, kDeveloperKey) : std::vector<uint8_t>{};
+  return c.ok() ? c->Seal(kDeveloperKey) : std::vector<uint8_t>{};
 }
 
 class ReplayRingTest : public ::testing::Test {

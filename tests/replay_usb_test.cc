@@ -16,7 +16,7 @@ class UsbDriverletTest : public ::testing::Test {
     Result<RecordCampaign> campaign = RecordUsbCampaign(dev_machine_);
     ASSERT_TRUE(campaign.ok()) << StatusName(campaign.status());
     campaign_ = new RecordCampaign(std::move(*campaign));
-    sealed_ = new std::vector<uint8_t>(campaign_->Seal(PackageFormat::kText, kDeveloperKey));
+    sealed_ = new std::vector<uint8_t>(campaign_->Seal(kDeveloperKey));
   }
   static void TearDownTestSuite() {
     delete campaign_;

@@ -3,7 +3,8 @@
 
 #include "src/core/package.h"
 #include "src/core/serialize_binary.h"
-#include "src/core/serialize_text.h"
+#include "src/crypto/sha256.h"
+#include "src/record/serialize_text.h"
 
 namespace dlt {
 namespace {
@@ -174,7 +175,7 @@ TEST(PackageTest, SealOpenRoundTrip) {
   pkg.driverlet = "mmc";
   pkg.templates = {SampleTemplate()};
   PackageSizes sizes;
-  std::vector<uint8_t> sealed = SealPackage(pkg, PackageFormat::kText, "key", &sizes);
+  std::vector<uint8_t> sealed = SealPackage(pkg, "key", &sizes);
   EXPECT_GT(sizes.serialized, 0u);
   EXPECT_GT(sizes.compressed, 0u);
   EXPECT_EQ(sizes.sealed, sealed.size());
@@ -185,11 +186,59 @@ TEST(PackageTest, SealOpenRoundTrip) {
   ExpectSame(pkg.templates[0], opened->templates[0]);
 }
 
+// A second synthetic template: a flagged write with explicit recording sites,
+// so every field of the template header and the flag byte are on the wire.
+InteractionTemplate SampleWriteTemplate() {
+  InteractionTemplate t;
+  t.name = "WR_1";
+  t.entry = "replay_mmc";
+  t.primary_device = 300;  // a two-byte varint
+  t.leaves_clean_state = true;
+  t.params = {{"rw", false}, {"blkid", false}, {"buf", true}};
+  t.initial.AddAtom(CmpEq(TValue::Input("rw", 2), TValue(2)));
+
+  TemplateEvent arg;
+  arg.kind = EventKind::kRegWrite;
+  arg.device = 300;
+  arg.reg_off = 0x04;
+  arg.value = Expr::Input("blkid");
+  arg.file = "src/drv/bcm_sdhost_driver.cc";
+  arg.line = 118;
+  t.events.push_back(arg);
+
+  TemplateEvent pio;
+  pio.kind = EventKind::kPioOut;
+  pio.device = 300;
+  pio.reg_off = 0x40;
+  pio.buffer = "buf";
+  pio.buf_offset = Expr::Const(0);
+  pio.value = Expr::Const(512);
+  pio.file = "src/drv/bcm_sdhost_driver.cc";
+  pio.line = 205;
+  t.events.push_back(pio);
+  return t;
+}
+
+TEST(PackageTest, SealedBinaryBytesAreStable) {
+  // Pins the wire bytes of a sealed package: envelope, format byte, LZSS
+  // stream and binary-v1 payload. The digest is what the build that still
+  // sealed both formats produced for this package in its binary form, so
+  // any byte the one-format sealer changes fails here.
+  DriverletPackage pkg;
+  pkg.driverlet = "mmc";
+  pkg.templates = {SampleTemplate(), SampleWriteTemplate()};
+  std::vector<uint8_t> sealed = SealPackage(pkg, "key");
+  EXPECT_EQ(355u, sealed.size());
+  EXPECT_EQ("ba6f74c978643a38885e20944a3f318a8b5e9225dd3c55bd9f00e2ad416b4fa5",
+            Sha256::HexDigest(Sha256::Hash(sealed.data(), sealed.size())));
+  EXPECT_TRUE(OpenPackage(sealed.data(), sealed.size(), "key").ok());
+}
+
 TEST(PackageTest, SignatureTamperRejected) {
   DriverletPackage pkg;
   pkg.driverlet = "mmc";
   pkg.templates = {SampleTemplate()};
-  std::vector<uint8_t> sealed = SealPackage(pkg, PackageFormat::kBinary, "key");
+  std::vector<uint8_t> sealed = SealPackage(pkg, "key");
   // Flip one payload bit: fabricated templates must not verify (paper §7.2.2).
   std::vector<uint8_t> bad = sealed;
   bad[sealed.size() / 2] ^= 1;

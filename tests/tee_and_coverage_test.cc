@@ -2,9 +2,9 @@
 // unit tests.
 #include <gtest/gtest.h>
 
-#include "src/core/coverage.h"
-#include "src/core/differ.h"
-#include "src/kern/cma_pool.h"
+#include "src/record/coverage.h"
+#include "src/record/differ.h"
+#include "src/soc/cma_pool.h"
 #include "src/workload/rpi3_testbed.h"
 
 namespace dlt {

@@ -3,9 +3,9 @@
 // recordable as a driverlet. Both paths coexist in the TEE.
 #include <gtest/gtest.h>
 
-#include "src/core/record_session.h"
 #include "src/core/replayer.h"
 #include "src/drv/touch_driver.h"
+#include "src/record/record_session.h"
 #include "src/tee/trimmed_uart.h"
 #include "src/workload/record_campaigns.h"
 #include "src/workload/rpi3_testbed.h"
@@ -73,7 +73,7 @@ TEST_F(UartTrimDownTest, UartIsAlsoRecordableAsADriverlet) {
 
   RecordCampaign campaign("uart");
   campaign.AddTemplate(std::move(*t));
-  std::vector<uint8_t> pkg = campaign.Seal(PackageFormat::kText, kDeveloperKey);
+  std::vector<uint8_t> pkg = campaign.Seal(kDeveloperKey);
 
   Replayer replayer(&tb_.tee(), kDeveloperKey);
   ASSERT_EQ(Status::kOk, replayer.LoadPackage(pkg.data(), pkg.size()));

@@ -83,7 +83,7 @@ TEST(ReplayChunkingTest, InvocationMixMatchesGranularities) {
   Rpi3Testbed dev{TestbedOptions{}};
   Result<RecordCampaign> c = RecordMmcCampaign(&dev);
   ASSERT_TRUE(c.ok());
-  std::vector<uint8_t> pkg = c->Seal(PackageFormat::kText, kDeveloperKey);
+  std::vector<uint8_t> pkg = c->Seal(kDeveloperKey);
 
   Rpi3Testbed deploy{TestbedOptions{.secure_io = true, .probe_drivers = false}};
   ReplayService service(&deploy.tee(), kDeveloperKey);

@@ -1,9 +1,9 @@
 // driverletc: command-line driverlet toolchain.
 //
-//   driverletc record <mmc|usb|camera|ftpm|cryptoacc|display|touch> -o pkg.dlt [--binary]
+//   driverletc record <mmc|usb|camera|ftpm|cryptoacc|display|touch> -o pkg.dlt
 //       Runs the device's record campaign on a simulated developer machine and
-//       writes the sealed (compressed + signed) driverlet package. The first
-//       five names come from the registered-class table
+//       writes the sealed driverlet package (binary v1, compressed + signed).
+//       The first five names come from the registered-class table
 //       (RegisteredDriverletClasses() in src/workload/deploy_util.h).
 //   driverletc inspect <pkg.dlt>
 //       Verifies the signature and prints the template inventory + coverage.
@@ -82,7 +82,7 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: driverletc record <mmc|usb|camera|ftpm|cryptoacc|display|touch>"
-               " -o <pkg> [--binary]\n"
+               " -o <pkg>\n"
                "       driverletc inspect <pkg>\n"
                "       driverletc verify <pkg>\n"
                "       driverletc smoke <pkg>\n"
@@ -113,12 +113,9 @@ Result<std::vector<uint8_t>> ReadFile(const char* path) {
 int CmdRecord(int argc, char** argv) {
   const char* device = nullptr;
   const char* out = nullptr;
-  PackageFormat format = PackageFormat::kText;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc) {
       out = argv[++i];
-    } else if (std::strcmp(argv[i], "--binary") == 0) {
-      format = PackageFormat::kBinary;
     } else if (device == nullptr) {
       device = argv[i];
     } else {
@@ -143,7 +140,7 @@ int CmdRecord(int argc, char** argv) {
     return 1;
   }
   PackageSizes sizes;
-  std::vector<uint8_t> sealed = campaign->Seal(format, kDeveloperKey, &sizes);
+  std::vector<uint8_t> sealed = campaign->Seal(kDeveloperKey, &sizes);
   std::ofstream of(out, std::ios::binary);
   if (!of.write(reinterpret_cast<const char*>(sealed.data()),
                 static_cast<std::streamsize>(sealed.size()))) {
@@ -152,8 +149,7 @@ int CmdRecord(int argc, char** argv) {
   }
   std::printf("%zu templates, coverage: %s\n", campaign->templates().size(),
               campaign->CoverageReport().c_str());
-  std::printf("wrote %s: %zu bytes (%s, %zu uncompressed)\n", out, sizes.sealed,
-              format == PackageFormat::kBinary ? "binary" : "text", sizes.serialized);
+  std::printf("wrote %s: %zu bytes (%zu uncompressed)\n", out, sizes.sealed, sizes.serialized);
   return 0;
 }
 
