@@ -2,9 +2,12 @@
 // the replay-service boundary (src/check/fuzz.h) plus the planted-bug
 // regression demo, with the coverage curve and shrink accounting emitted as
 // BENCH_fuzz.json. Deterministic: the budget is an iteration count, never wall
-// clock, so two runs with the same flags produce byte-identical output.
+// clock, so two runs with the same flags produce byte-identical JSON. The clean
+// campaign's throughput is printed on stdout only: it is host-clock time and
+// would make the JSON differ run to run.
 //
 //   boundary_fuzz [--iters N] [--seed K] [--out PATH]
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,9 +54,14 @@ int main(int argc, char** argv) {
   std::printf("boundary fuzz: %d mutants, seed %llu\n", iters,
               static_cast<unsigned long long>(seed));
   PrintRule();
+  auto t0 = std::chrono::steady_clock::now();
   BoundaryFuzzStats clean = RunBoundaryFuzz(cfg);
+  std::chrono::duration<double> wall = std::chrono::steady_clock::now() - t0;
   std::printf("%d mutants run, corpus %zu programs, %zu coverage features\n", clean.runs,
               clean.corpus_size, clean.features);
+  // Wall time covers the whole campaign: corpus seeding and re-runs included.
+  std::printf("throughput (host clock): %.1f execs/s (%d mutants in %.2f s)\n",
+              clean.runs / wall.count(), clean.runs, wall.count());
   std::printf("coverage curve:");
   for (size_t v : clean.coverage_curve) {
     std::printf(" %zu", v);

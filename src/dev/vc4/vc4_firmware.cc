@@ -1,7 +1,7 @@
 #include "src/dev/vc4/vc4_firmware.h"
 
 #include <algorithm>
-
+#include <bit>
 #include <cstring>
 
 #include "src/soc/log.h"
@@ -11,6 +11,28 @@ namespace dlt {
 namespace {
 
 uint32_t Pad8(uint32_t n) { return (n + 7) & ~7u; }
+
+constexpr uint64_t kGolden64 = 0x9e3779b97f4a7c15ull;
+
+// Payload words are memcpy'd into the frame and defined as little-endian.
+static_assert(std::endian::native == std::endian::little);
+
+// splitmix64 finalizer: a bijective 64-bit mix.
+uint64_t Mix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+// Turns every 0xff byte of |z| into 0xfe and leaves the others alone, so the
+// payload never embeds a JPEG marker prefix. A byte of ~z is zero exactly
+// where z has 0xff; the add cannot carry across bytes (0x7f + 0x7f < 0x100).
+uint64_t ClearFfBytes(uint64_t z) {
+  constexpr uint64_t k7f = 0x7f7f7f7f7f7f7f7full;
+  uint64_t t = ~z;
+  uint64_t ff = ~(((t & k7f) + k7f) | t | k7f);  // 0x80 in each 0xff byte of z
+  return z ^ (ff >> 7);
+}
 
 struct Resolution {
   uint32_t w;
@@ -60,14 +82,21 @@ void Vc4Firmware::FillFrame(uint32_t seq, uint32_t resolution, std::vector<uint8
   f[1] = 0xd8;
   f[2] = 0xff;
   f[3] = 0xe0;
-  uint32_t x = seq * 2654435761u ^ resolution ^ 0x9e3779b9u;
-  for (size_t i = 4; i + 2 < f.size(); ++i) {
-    x ^= x << 13;
-    x ^= x >> 17;
-    x ^= x << 5;
-    uint8_t b = static_cast<uint8_t>(x);
-    // Avoid embedding 0xff marker bytes in the entropy payload.
-    f[i] = b == 0xff ? 0xfe : b;
+  // Counter-based payload: word k depends only on (seq, resolution, k). The
+  // key is mixed so that no two (seq, resolution) streams are shifted copies
+  // of each other, which a linear key would make them.
+  uint8_t* payload = f.data() + 4;
+  size_t len = n - 6;
+  uint64_t ctr = Mix64(uint64_t{seq} << 32 | resolution);
+  size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    ctr += kGolden64;
+    uint64_t z = ClearFfBytes(Mix64(ctr));
+    std::memcpy(payload + i, &z, 8);
+  }
+  if (i < len) {
+    uint64_t z = ClearFfBytes(Mix64(ctr + kGolden64));
+    std::memcpy(payload + i, &z, len - i);  // the word's low bytes
   }
   f[f.size() - 2] = 0xff;
   f[f.size() - 1] = 0xd9;  // EOI

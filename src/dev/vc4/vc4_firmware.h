@@ -37,7 +37,9 @@ class Vc4Firmware : public MmioDevice {
   uint64_t messages_handled() const { return messages_handled_; }
 
   // Deterministic synthetic JPEG produced for (sequence, resolution); exposed so
-  // validation scripts can re-derive expected frame contents.
+  // validation scripts can re-derive expected frame contents. A frame is
+  // FrameBytes(resolution) bytes: SOI + APP0 markers, a counter-based payload
+  // with no 0xff byte, then EOI.
   static std::vector<uint8_t> MakeFrame(uint32_t seq, uint32_t resolution);
   static uint32_t FrameBytes(uint32_t resolution);
 

@@ -2,6 +2,11 @@
 // mass storage, VC4/VCHIQ camera — exercised natively (developer machine).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <set>
+
+#include "src/crypto/sha256.h"
 #include "src/workload/rpi3_testbed.h"
 #include "src/workload/deploy_util.h"
 
@@ -179,6 +184,40 @@ TEST_F(NativeDeviceTest, CameraFramesDifferAcrossSequence) {
   std::vector<uint8_t> b = Vc4Firmware::MakeFrame(1, 720);
   EXPECT_NE(a, b);
   EXPECT_EQ(a, Vc4Firmware::MakeFrame(0, 720));  // deterministic
+}
+
+// What validation scripts and the replay oracles may rely on: the sizes that
+// set model time and DMA lengths, the JPEG markers, a payload without 0xff,
+// streams that are not shifted copies of each other, and the bytes themselves.
+TEST_F(NativeDeviceTest, CameraFrameContract) {
+  EXPECT_EQ(614'400u, Vc4Firmware::FrameBytes(720));
+  EXPECT_EQ(1'382'400u, Vc4Firmware::FrameBytes(1080));
+  EXPECT_EQ(2'457'600u, Vc4Firmware::FrameBytes(1440));
+  constexpr size_t kWords = 4096;
+  std::set<uint64_t> words;
+  for (uint32_t res : {720u, 1080u, 1440u}) {
+    for (uint32_t seq = 0; seq < 8; ++seq) {
+      std::vector<uint8_t> f = Vc4Firmware::MakeFrame(seq, res);
+      ASSERT_EQ(Vc4Firmware::FrameBytes(res), f.size());
+      EXPECT_EQ((std::vector<uint8_t>{0xff, 0xd8, 0xff, 0xe0}),
+                std::vector<uint8_t>(f.begin(), f.begin() + 4));
+      EXPECT_EQ((std::vector<uint8_t>{0xff, 0xd9}), std::vector<uint8_t>(f.end() - 2, f.end()));
+      EXPECT_EQ(0, std::count(f.begin() + 4, f.end() - 2, 0xff)) << "seq " << seq << " res " << res;
+      for (size_t k = 0; seq < 3 && k < kWords; ++k) {
+        uint64_t w = 0;
+        std::memcpy(&w, f.data() + 4 + 8 * k, 8);
+        words.insert(w);
+      }
+    }
+  }
+  EXPECT_EQ(3 * 3 * kWords, words.size());
+  auto hex = [](const std::vector<uint8_t>& f) {
+    return Sha256::HexDigest(Sha256::Hash(f.data(), f.size()));
+  };
+  EXPECT_EQ("ae1eba49189a29e6b0c8284a3cbf02734caafc0e41366159082ccb2a6d81ff8c",
+            hex(Vc4Firmware::MakeFrame(0, 720)));
+  EXPECT_EQ("f1782759cc8e0c283a089b16b14323edc2af8e92724bc01520bbea018499f07a",
+            hex(Vc4Firmware::MakeFrame(7, 1440)));
 }
 
 TEST_F(NativeDeviceTest, Vc4SoftResetDropsSessionState) {
