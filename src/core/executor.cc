@@ -82,7 +82,7 @@ Result<PhysAddr> Executor::EvalAddr(const ExprRef& e, size_t access_len) const {
   // allocations AND inside the TEE pool (pervasive boundary checks, paper §5).
   bool inside = false;
   for (const auto& a : allocs_) {
-    if (addr >= a.base && addr + access_len <= a.base + a.size) {
+    if (RangeWithin(addr, access_len, a.base, a.size)) {
       inside = true;
       break;
     }

@@ -10,8 +10,7 @@ DisplayController::DisplayController(AddressSpace* mem, SimClock* clock, Interru
       clock_(clock),
       irq_(irq),
       lat_(lat),
-      irq_line_(irq_line),
-      panel_(static_cast<size_t>(kPanelWidth) * kPanelHeight, 0) {}
+      irq_line_(irq_line) {}
 
 uint32_t DisplayController::MmioRead32(uint64_t offset) {
   switch (offset) {
@@ -69,6 +68,9 @@ void DisplayController::Commit() {
   uint64_t scan_us = 16'667 + (static_cast<uint64_t>(w) * h * 4 * lat_->dma_per_kb_us) / 1024;
   pending_ = clock_->ScheduleIn(scan_us, [this, w, h, x, y, fb, stride] {
     pending_ = SimClock::kInvalidEvent;
+    if (panel_.empty()) {
+      panel_.assign(static_cast<size_t>(kPanelWidth) * kPanelHeight, 0);
+    }
     std::vector<uint32_t> row(w);
     for (uint32_t r = 0; r < h; ++r) {
       if (!Ok(mem_->DmaRead(fb + static_cast<uint64_t>(r) * stride, row.data(),
@@ -85,7 +87,7 @@ void DisplayController::Commit() {
 }
 
 uint32_t DisplayController::PanelPixel(uint32_t x, uint32_t y) const {
-  if (x >= kPanelWidth || y >= kPanelHeight) {
+  if (x >= kPanelWidth || y >= kPanelHeight || panel_.empty()) {
     return 0;
   }
   return panel_[static_cast<size_t>(y) * kPanelWidth + x];

@@ -70,6 +70,8 @@ class DisplayController : public MmioDevice {
   uint32_t geom_ = 0;
   uint32_t pos_ = 0;
   uint32_t stride_ = 0;
+  // kPanelWidth x kPanelHeight pixels, allocated by the first completed blit
+  // (1.5 MB that a board which never draws does not pay); black until then.
   std::vector<uint32_t> panel_;
   SimClock::EventId pending_ = SimClock::kInvalidEvent;
   uint64_t commits_ = 0;

@@ -9,7 +9,9 @@ Telemetry& Telemetry::Get() {
   return *instance;
 }
 
-Telemetry::Telemetry() : ring_(std::make_unique<TraceRing>()) {
+// The ring starts at its 2-slot minimum; the first Enable() grows it, so a
+// process that never traces holds no 4.5 MiB ring.
+Telemetry::Telemetry() : ring_(std::make_unique<TraceRing>(2)) {
   const char* env = std::getenv("DLT_TRACE");
   if (env != nullptr && env[0] != '\0' && env[0] != '0') {
     Enable();

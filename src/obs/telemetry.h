@@ -25,8 +25,10 @@ class Telemetry {
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  // Arms tracing. Reallocates the ring when the capacity changes; metrics
-  // registrations always survive (hot paths cache Counter*/Histogram*).
+  // Arms tracing. The first call allocates the ring (until then it holds 2
+  // slots), and a later call with a larger capacity reallocates it, so call
+  // Enable() before any thread emits. Metrics registrations always survive
+  // (hot paths cache Counter*/Histogram*).
   void Enable(size_t ring_capacity = 1 << 16);
   void Disable();
   // Clears ring contents and zeroes metrics; enabled state is unchanged.

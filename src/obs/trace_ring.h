@@ -17,8 +17,9 @@ namespace dlt {
 
 class TraceRing {
  public:
-  // |capacity| is rounded up to a power of two (slot index = seq & mask).
-  explicit TraceRing(size_t capacity = 1 << 16);
+  // |capacity| is rounded up to a power of two of at least 2 (slot index =
+  // seq & mask). Telemetry::Enable() picks the default size.
+  explicit TraceRing(size_t capacity);
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 

@@ -68,7 +68,7 @@ Status AddressSpace::InterposeMmio(MmioDevice* from, MmioDevice* to) {
 
 AddressSpace::RamWindow* AddressSpace::RamAt(PhysAddr a, uint64_t size) {
   for (auto& w : ram_) {
-    if (a >= w.base && a + size <= w.base + w.size) {
+    if (RangeWithin(a, size, w.base, w.size)) {
       return &w;
     }
   }

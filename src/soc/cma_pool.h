@@ -22,9 +22,7 @@ class CmaPool {
   PhysAddr base() const { return base_; }
   uint64_t capacity() const { return size_; }
   uint64_t used() const { return next_ - base_; }
-  bool Contains(PhysAddr addr, uint64_t len) const {
-    return addr >= base_ && addr + len <= base_ + size_;
-  }
+  bool Contains(PhysAddr addr, uint64_t len) const { return RangeWithin(addr, len, base_, size_); }
 
  private:
   PhysAddr base_;
@@ -35,7 +33,7 @@ class CmaPool {
 
 inline Result<PhysAddr> CmaPool::Alloc(uint64_t size) {
   PhysAddr aligned = (next_ + align_ - 1) & ~(align_ - 1);
-  if (size == 0 || aligned + size > base_ + size_) {
+  if (size == 0 || !RangeWithin(aligned, size, base_, size_)) {
     return Status::kNoMemory;
   }
   next_ = aligned + size;

@@ -18,6 +18,13 @@ enum class World : uint8_t {
 
 inline const char* WorldName(World w) { return w == World::kSecure ? "secure" : "normal"; }
 
+// True when [addr, addr + len) lies inside [base, base + size). Written without
+// addr + len or base + size, which wrap past 2^64 and would admit an address
+// just below base or a length that loops around the address space.
+inline constexpr bool RangeWithin(PhysAddr addr, uint64_t len, PhysAddr base, uint64_t size) {
+  return addr >= base && len <= size && addr - base <= size - len;
+}
+
 // Source location attached to recorded events so replay failures can report the
 // originating line in the gold driver (paper §4.1, §5 "reporting their recording sites").
 struct SourceLoc {

@@ -1,5 +1,6 @@
 // Device-model and gold-driver tests: MMC controller + SD card FSM, DWC2 +
-// mass storage, VC4/VCHIQ camera — exercised natively (developer machine).
+// mass storage, VC4/VCHIQ camera, display panel — exercised natively
+// (developer machine).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,11 +8,24 @@
 #include <set>
 
 #include "src/crypto/sha256.h"
+#include "src/dev/display/display_controller.h"
+#include "src/soc/machine.h"
 #include "src/workload/rpi3_testbed.h"
 #include "src/workload/deploy_util.h"
 
 namespace dlt {
 namespace {
+
+TEST(DisplayControllerTest, PanelReadsBlackBeforeFirstBlit) {
+  // The panel is allocated by the first completed blit; replay_display_test
+  // covers the drawn path.
+  Machine m;
+  DisplayController display(&m.mem(), &m.clock(), &m.irq(), &m.latency(), /*irq_line=*/0);
+  EXPECT_EQ(0u, display.PanelPixel(0, 0));
+  EXPECT_EQ(0u, display.PanelPixel(kPanelWidth - 1, 0));
+  EXPECT_EQ(0u, display.PanelPixel(0, kPanelHeight - 1));
+  EXPECT_EQ(0u, display.PanelPixel(kPanelWidth - 1, kPanelHeight - 1));
+}
 
 class NativeDeviceTest : public ::testing::Test {
  protected:

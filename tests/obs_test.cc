@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "src/core/replayer.h"
 #include "src/obs/chrome_trace.h"
@@ -179,6 +182,51 @@ TEST(TraceRingTest, WrapAroundKeepsNewestEvents) {
 TEST(TraceRingTest, CapacityRoundsUpToPowerOfTwo) {
   TraceRing ring(100);
   EXPECT_EQ(128u, ring.capacity());
+}
+
+// Checks, in a process that has not traced yet, that the trace ring is
+// allocated by Enable() and that events pushed afterwards come back intact.
+// Returns the first broken expectation, or an empty string.
+std::string CheckRingAllocatedOnEnable() {
+  Telemetry& tel = Telemetry::Get();
+  if (tel.enabled() || tel.ring().capacity() > 2) {
+    return "before Enable(): " + std::to_string(tel.ring().capacity()) + " slots";
+  }
+  tel.Enable();
+  if (tel.ring().capacity() != (1u << 16)) {
+    return "after Enable(): " + std::to_string(tel.ring().capacity()) + " slots";
+  }
+  tel.Enable(1 << 18);
+  if (tel.ring().capacity() != (1u << 18)) {
+    return "after Enable(1 << 18): " + std::to_string(tel.ring().capacity()) + " slots";
+  }
+  tel.Instant(TraceKind::kIrqRaise, 10, "irq", 3);
+  tel.Span(TraceKind::kDmaTransfer, 20, 5, "dma", 4096, 1, 7);
+  std::vector<TraceEvent> snap = tel.ring().Snapshot();
+  if (snap.size() != 2 || snap[0].kind != TraceKind::kIrqRaise || snap[0].ts_us != 10 ||
+      snap[0].arg0 != 3 || std::string_view(snap[0].name) != "irq" ||
+      snap[1].kind != TraceKind::kDmaTransfer || snap[1].ts_us != 20 || snap[1].dur_us != 5 ||
+      snap[1].arg0 != 4096 || snap[1].arg1 != 1 || snap[1].device != 7 ||
+      std::string_view(snap[1].name) != "dma") {
+    return "Snapshot() lost or changed the pushed events";
+  }
+  return "";
+}
+
+TEST(ObsTest, DisabledTelemetryHoldsNoTraceRing) {
+  if (std::getenv("DLT_TRACE") != nullptr) {
+    GTEST_SKIP() << "DLT_TRACE arms tracing at first use";
+  }
+  // Other tests in this binary enable tracing, so the check runs in a child
+  // that re-executes the binary for this statement alone.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        std::string err = CheckRingAllocatedOnEnable();
+        std::fprintf(stderr, "%s\n", err.empty() ? "ring ok" : err.c_str());
+        std::exit(err.empty() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "ring ok");
 }
 
 TEST(MetricsTest, CounterAccuracy) {

@@ -246,23 +246,30 @@ TEST_F(SecurityTest, FabricatedTemplateWithWildAddressIsBlocked) {
   // An adversary who could somehow inject a template pointing shared-memory
   // events outside the run's own DMA allocations is stopped by the executor's
   // boundary checks (paper §5, "pervasive boundary checks").
-  DriverletPackage evil = *pkg_;
-  for (auto& t : evil.templates) {
-    for (auto& e : t.events) {
-      if (e.kind == EventKind::kShmWrite) {
-        e.addr = Expr::Const(0x100);  // normal-world RAM, outside the TEE pool
+  const PhysAddr kWildAddrs[] = {
+      0x100,                  // normal-world RAM, outside the TEE pool
+      0xffff'ffff'ffff'fffe,  // addr + 4 wraps to 2, under every pool bound
+  };
+  for (PhysAddr wild : kWildAddrs) {
+    SCOPED_TRACE(wild);
+    DriverletPackage evil = *pkg_;
+    for (auto& t : evil.templates) {
+      for (auto& e : t.events) {
+        if (e.kind == EventKind::kShmWrite) {
+          e.addr = Expr::Const(wild);
+        }
       }
     }
+    Replayer replayer(&deploy_->tee(), kDeveloperKey);
+    ASSERT_EQ(Status::kOk, replayer.LoadPackage(evil));
+    std::vector<uint8_t> buf(8 * 512, 0);
+    ReplayArgs args;
+    args.scalars = {{"rw", kMmcRwRead}, {"blkcnt", 8}, {"blkid", 0}, {"flag", 0}};
+    args.buffers["buf"] = BufferView{buf.data(), buf.size()};
+    Result<ReplayStats> r = replayer.Invoke(kMmcEntry, args);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(Status::kPermissionDenied, r.status());
   }
-  Replayer replayer(&deploy_->tee(), kDeveloperKey);
-  ASSERT_EQ(Status::kOk, replayer.LoadPackage(evil));
-  std::vector<uint8_t> buf(8 * 512, 0);
-  ReplayArgs args;
-  args.scalars = {{"rw", kMmcRwRead}, {"blkcnt", 8}, {"blkid", 0}, {"flag", 0}};
-  args.buffers["buf"] = BufferView{buf.data(), buf.size()};
-  Result<ReplayStats> r = replayer.Invoke(kMmcEntry, args);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(Status::kPermissionDenied, r.status());
 }
 
 TEST_F(SecurityTest, OversizedCopyIntoTrustletBufferIsBlocked) {

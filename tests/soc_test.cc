@@ -1,7 +1,8 @@
 // Unit tests for the SoC substrate: clock, interrupts, TZASC, address space,
-// DMA engine.
+// CMA pool, DMA engine.
 #include <gtest/gtest.h>
 
+#include "src/soc/cma_pool.h"
 #include "src/soc/machine.h"
 
 namespace dlt {
@@ -166,6 +167,39 @@ TEST(AddressSpaceTest, TzascChecksApplyToCpuAccess) {
   uint32_t v = 0;
   EXPECT_EQ(Status::kOk, mem.DmaRead(0x8000, &v, 4));
   EXPECT_EQ(1u, v);
+}
+
+TEST(AddressSpaceTest, WrappingAccessIsOutOfRange) {
+  AddressSpace mem(nullptr);
+  ASSERT_EQ(Status::kOk, mem.AddRam(0, 0x10000));
+  // 2^64 - 2 + 4 wraps to 2, inside the window under an addr + len check.
+  EXPECT_EQ(Status::kOutOfRange, mem.Read32(World::kNormal, ~0ull - 1).status());
+  uint8_t buf[16] = {};
+  EXPECT_EQ(Status::kOutOfRange, mem.DmaRead(~0ull - 1, buf, sizeof(buf)));
+}
+
+TEST(CmaPoolTest, WrappingRangesAreRejected) {
+  // The TEE pool's window: 3 MB at 48 MB. Each rejected request below wraps
+  // past 2^64 under an addr + len <= base + size check.
+  constexpr PhysAddr kBase = 0x0300'0000;
+  constexpr uint64_t kSize = 3ull << 20;
+  CmaPool pool(kBase, kSize);
+  EXPECT_FALSE(pool.Alloc(0 - (1ull << 20)).ok());  // 2^64 - 1 MB
+  EXPECT_EQ(0u, pool.used());
+
+  Result<PhysAddr> a = pool.Alloc(16);
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(kBase, *a);
+  EXPECT_TRUE(pool.Contains(*a, 16));
+  EXPECT_FALSE(pool.Contains(kBase, 0 - kBase + 16));  // 2^64 - base + 16
+  EXPECT_FALSE(pool.Contains(0 - 2ull, 4));            // 2^64 - 2
+
+  // The rest of the pool after the 16 KB-aligned first allocation.
+  Result<PhysAddr> rest = pool.Alloc(kSize - 0x4000);
+  ASSERT_TRUE(rest.ok());
+  EXPECT_EQ(kBase + 0x4000, *rest);
+  EXPECT_EQ(kSize, pool.used());
+  EXPECT_FALSE(pool.Alloc(1).ok());
 }
 
 class MachineDmaTest : public ::testing::Test {
