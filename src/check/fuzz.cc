@@ -92,15 +92,19 @@ uint64_t Log2Bucket(uint64_t v) {
 // fuzzing surface without touching this file.
 size_t NumClasses() { return RegisteredDriverletClasses().size(); }
 
-const std::vector<uint8_t>& SealedPackage(size_t cls) {
-  // Recording a campaign per class is the expensive part; seal once per
-  // process and reuse the bytes for every fuzz run.
+const Result<DriverletPackage>& OpenedPackage(size_t cls) {
+  // Recording a campaign per class is the expensive part, and verifying,
+  // decompressing and parsing its sealed bytes the next: record, seal and open
+  // once per process, and register the parsed package in every fuzz run. The
+  // register op keeps the sealed path under mutation.
   const std::vector<DriverletClassSpec>& classes = RegisteredDriverletClasses();
-  static std::vector<const std::vector<uint8_t>*>* pkgs =
-      new std::vector<const std::vector<uint8_t>*>(classes.size(), nullptr);
+  static std::vector<const Result<DriverletPackage>*>* pkgs =
+      new std::vector<const Result<DriverletPackage>*>(classes.size(), nullptr);
   size_t i = cls % classes.size();
   if ((*pkgs)[i] == nullptr) {
-    (*pkgs)[i] = new std::vector<uint8_t>(classes[i].build_package());
+    std::vector<uint8_t> sealed = classes[i].build_package();
+    (*pkgs)[i] = new Result<DriverletPackage>(
+        OpenPackage(sealed.data(), sealed.size(), kDeveloperKey));
   }
   return *(*pkgs)[i];
 }
@@ -195,10 +199,10 @@ class BoundaryExec {
   }
 
   BoundaryRunResult Run() {
-    // Warm the process-wide sealed-package cache before arming telemetry:
-    // the one-time record campaigns emit counters, and a run's feature set
-    // must not depend on whether an earlier run already paid that cost.
-    for (size_t cls = 0; cls < NumClasses(); ++cls) SealedPackage(cls);
+    // Warm the process-wide package cache before arming telemetry: the
+    // one-time record campaigns emit counters, and a run's feature set must
+    // not depend on whether an earlier run already paid that cost.
+    for (size_t cls = 0; cls < NumClasses(); ++cls) OpenedPackage(cls);
     FzzSealed();
     Telemetry::Get().Enable();
     Telemetry::Get().Reset();
@@ -267,8 +271,9 @@ class BoundaryExec {
     if (!any) wanted[0] = true;
     for (size_t cls = 0; cls < NumClasses(); ++cls) {
       if (!wanted[cls]) continue;
-      const std::vector<uint8_t>& pkg = SealedPackage(cls);
-      Result<std::string> name = service_->RegisterDriverlet(pkg.data(), pkg.size());
+      const Result<DriverletPackage>& pkg = OpenedPackage(cls);
+      Result<std::string> name = pkg.ok() ? service_->RegisterDriverlet(*pkg)
+                                          : Result<std::string>(pkg.status());
       if (!name.ok()) {
         Fail("allowed-status", std::string("registration of sealed package failed: ") +
                                    StatusName(name.status()));

@@ -16,8 +16,7 @@ Replayer::Replayer(ReplayContext* ctx, std::string signing_key, TemplateStore* s
     : ctx_(ctx),
       signing_key_(std::move(signing_key)),
       store_(store),
-      scope_(std::move(driverlet)),
-      driverlet_name_(scope_) {}
+      driverlet_(std::move(driverlet)) {}
 
 Status Replayer::LoadPackage(const uint8_t* data, size_t len) {
   DLT_ASSIGN_OR_RETURN(DriverletPackage pkg, OpenPackage(data, len, signing_key_));
@@ -25,19 +24,16 @@ Status Replayer::LoadPackage(const uint8_t* data, size_t len) {
 }
 
 Status Replayer::LoadPackage(const DriverletPackage& pkg) {
-  if (!scope_.empty() && pkg.driverlet != scope_) {
-    return Status::kInvalidArg;  // scoped replayers serve exactly one driverlet
+  if (!driverlet_.empty() && pkg.driverlet != driverlet_) {
+    return Status::kInvalidArg;  // a replayer serves exactly one driverlet
   }
   DLT_RETURN_IF_ERROR(store_->AddPackage(pkg));
-  driverlet_name_ = pkg.driverlet;
+  driverlet_ = pkg.driverlet;
   return Status::kOk;
 }
 
 std::vector<const InteractionTemplate*> Replayer::templates() const {
-  if (!scope_.empty()) {
-    return store_->templates(scope_);
-  }
-  return store_->templates();
+  return store_->templates(driverlet_);
 }
 
 Result<ReplayStats> Replayer::Invoke(std::string_view entry, const ReplayArgs& args) {
@@ -50,11 +46,11 @@ Result<ReplayStats> Replayer::Invoke(std::string_view entry, const ReplayArgs& a
   // the next only if it succeeds cleanly (below).
   std::optional<uint16_t> clean_device = std::exchange(clean_device_, std::nullopt);
 
-  // Selection goes through the store's (driverlet, entry) index; args.scalars
-  // doubles as the constraint bindings (no per-invoke rebuild).
+  // Selection scans the store's (driverlet, entry) slot; args.scalars doubles
+  // as the constraint bindings (no per-invoke rebuild).
   std::vector<const InteractionTemplate*> rejected;
   Result<const InteractionTemplate*> sel =
-      store_->Select(scope_, entry, args.scalars, tel.enabled() ? &rejected : nullptr);
+      store_->Select(driverlet_, entry, args.scalars, tel.enabled() ? &rejected : nullptr);
   if (!sel.ok()) {
     if (tel.enabled() && sel.status() == Status::kNoTemplate) {
       tel.metrics().counter("replay.template_miss").Inc();

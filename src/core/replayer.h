@@ -6,11 +6,11 @@
 // bounded re-execution; persistent divergence aborts with a rewound event
 // report.
 //
-// A replayer either owns a private store (standalone use: one trustlet, its
-// own packages) or attaches to a shared store scoped to one driverlet — the
-// ReplayService wires one such replayer per mapped device class over a single
-// multi-package store. Loading a package *adds* it to the store; it never
-// overwrites previously loaded driverlets.
+// A replayer serves exactly one driverlet. It either owns a private store
+// (standalone use: one trustlet, which takes its driverlet from the first
+// package it loads) or selects from its ReplayService's store, scoped to the
+// driverlet the service created it for. Either way it refuses a package for
+// any other driverlet, and reloading its own replaces only its templates.
 #ifndef SRC_CORE_REPLAYER_H_
 #define SRC_CORE_REPLAYER_H_
 
@@ -46,14 +46,15 @@ class Replayer {
   // developer key packages must verify against.
   Replayer(ReplayContext* ctx, std::string signing_key);
 
-  // Service-wired replayer over a shared |store| (not owned, must outlive
-  // this), restricted to |driverlet|: selection only considers templates that
-  // driverlet's packages registered, and LoadPackage refuses other packages.
+  // Service-wired replayer over its service's |store| (not owned, must
+  // outlive this), serving |driverlet|.
   Replayer(ReplayContext* ctx, std::string signing_key, TemplateStore* store,
            std::string driverlet);
 
   // Verifies the signature, decompresses and parses the package in-TEE, then
-  // adds it to the store. Reloading a driverlet replaces only that driverlet.
+  // adds it to the store. kInvalidArg, changing nothing, for a package of
+  // another driverlet than the one this replayer serves (a standalone
+  // replayer serves the driverlet of its first loaded package).
   Status LoadPackage(const uint8_t* data, size_t len);
   Status LoadPackage(const DriverletPackage& pkg);  // pre-parsed (tests)
 
@@ -62,11 +63,11 @@ class Replayer {
   // uncovered. kAborted after max_attempts divergences.
   Result<ReplayStats> Invoke(std::string_view entry, const ReplayArgs& args);
 
-  // Templates visible to this replayer (the scoped driverlet's, or every
-  // loaded package's for a standalone replayer), in load order.
+  // The served driverlet's templates, in package order.
   std::vector<const InteractionTemplate*> templates() const;
-  const std::string& driverlet_name() const { return driverlet_name_; }
-  TemplateStore& store() { return *store_; }
+  // The served driverlet; empty for a standalone replayer before its first
+  // successful LoadPackage.
+  const std::string& driverlet_name() const { return driverlet_; }
   const TemplateStore& store() const { return *store_; }
   const DivergenceReport& last_report() const { return report_; }
   // Integrity measurement of the last Invoke's final attempt (valid after the
@@ -97,9 +98,8 @@ class Replayer {
   ReplayContext* ctx_;
   std::string signing_key_;
   TemplateStore owned_store_;
-  TemplateStore* store_;   // &owned_store_ unless attached to a shared store
-  std::string scope_;      // restrict selection to this driverlet; empty = any
-  std::string driverlet_name_;
+  TemplateStore* store_;  // &owned_store_ unless wired to a service's store
+  std::string driverlet_;
   DivergenceReport report_;
   MeasurementRecord measurement_;
   int max_attempts_ = 3;

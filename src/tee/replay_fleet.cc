@@ -15,10 +15,6 @@ ReplayFleet::ReplayFleet(std::string signing_key, ReplayFleetConfig cfg)
   }
   threads_target_ = cfg_.threads == 0 ? cfg_.shards : cfg_.threads;
 
-  // Every shard's service drives the same store, so one RegisterDriverlet
-  // population publish is visible to all shards.
-  auto store = std::make_shared<TemplateStore>();
-
   Telemetry& tel = Telemetry::Get();
   if (tel.enabled()) {
     tel_fleet_steals_ = &tel.metrics().counter("fleet.steals");
@@ -32,8 +28,8 @@ ReplayFleet::ReplayFleet(std::string signing_key, ReplayFleetConfig cfg)
     opts.secure_io = true;
     opts.probe_drivers = false;
     shard->tb = std::make_unique<Rpi3Testbed>(opts);
-    shard->service = std::make_unique<ReplayService>(&shard->tb->tee(), signing_key_,
-                                                     cfg_.service, store);
+    shard->service =
+        std::make_unique<ReplayService>(&shard->tb->tee(), signing_key_, cfg_.service);
     if (tel.enabled()) {
       std::string p = "fleet.shard" + std::to_string(i);
       shard->tel_steals = &tel.metrics().counter(p + ".steals");
@@ -49,8 +45,7 @@ ReplayFleet::~ReplayFleet() { Stop(); }
 
 Result<std::string> ReplayFleet::RegisterDriverlet(const uint8_t* data, size_t len) {
   // Verify and parse once; each shard's service re-runs admission against its
-  // own SecureWorld and installs its own replayer. The store publishes are
-  // idempotent per-driverlet replacements through the shared population.
+  // own SecureWorld and loads the templates into its own store and replayer.
   DLT_ASSIGN_OR_RETURN(DriverletPackage pkg, OpenPackage(data, len, signing_key_));
   std::string name;
   for (auto& shard : shards_) {

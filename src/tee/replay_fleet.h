@@ -1,10 +1,9 @@
 // ReplayFleet: N independent replay shards behind one front end, the repo's
 // first real-thread subsystem (docs/replay_fleet.md). Each shard is a complete
 // deployment machine — its own Machine + SimClock, SecureWorld, device stack
-// and ReplayService — so shards never share mutable simulator state; the only
-// cross-shard sharing is the template store (one TemplateStore handed to every
-// shard's service; readers never lock it) and the process-wide telemetry
-// sinks, which are thread-safe.
+// and ReplayService with that service's own template store — so shards never
+// share mutable state; the only cross-shard sharing is the process-wide
+// telemetry sinks, which are thread-safe.
 //
 // Dispatch model:
 //   - a fixed pool of T worker threads; shard s is *homed* on worker s % T;
@@ -99,9 +98,10 @@ class ReplayFleet {
   ReplayFleet(const ReplayFleet&) = delete;
   ReplayFleet& operator=(const ReplayFleet&) = delete;
 
-  // Verifies the sealed package once, then registers it with every shard's
-  // service (N idempotent population publishes through the shared store, plus
-  // one replayer per shard). Must precede OpenSession for that driverlet.
+  // Verifies the sealed package once, then registers the parsed package with
+  // every shard's service under that shard's exec_mu (each shard's store takes
+  // its own copy of the templates). Must precede OpenSession for that
+  // driverlet.
   Result<std::string> RegisterDriverlet(const uint8_t* data, size_t len);
 
   // ---- Worker pool lifecycle ----

@@ -18,14 +18,7 @@ bool RingWrapQuirkForTest() { return g_ring_wrap_quirk; }
 
 ReplayService::ReplayService(SecureWorld* tee, std::string signing_key,
                              ReplayServiceConfig cfg)
-    : ReplayService(tee, std::move(signing_key), cfg, nullptr) {}
-
-ReplayService::ReplayService(SecureWorld* tee, std::string signing_key,
-                             ReplayServiceConfig cfg, std::shared_ptr<TemplateStore> store)
-    : tee_(tee),
-      signing_key_(std::move(signing_key)),
-      cfg_(cfg),
-      store_(store != nullptr ? std::move(store) : std::make_shared<TemplateStore>()) {}
+    : tee_(tee), signing_key_(std::move(signing_key)), cfg_(cfg) {}
 
 Result<std::string> ReplayService::RegisterDriverlet(const uint8_t* data, size_t len) {
   DLT_ASSIGN_OR_RETURN(DriverletPackage pkg, OpenPackage(data, len, signing_key_));
@@ -47,7 +40,7 @@ Result<std::string> ReplayService::RegisterDriverlet(const DriverletPackage& pkg
   auto it = replayers_.find(pkg.driverlet);
   if (it == replayers_.end()) {
     auto replayer =
-        std::make_unique<Replayer>(tee_, signing_key_, store_.get(), pkg.driverlet);
+        std::make_unique<Replayer>(tee_, signing_key_, &store_, pkg.driverlet);
     replayer->set_retry_backoff_us(cfg_.retry_backoff_us);
     DLT_RETURN_IF_ERROR(replayer->LoadPackage(pkg));
     replayers_.emplace(pkg.driverlet, std::move(replayer));

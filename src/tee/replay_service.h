@@ -4,9 +4,10 @@
 // CloseSession), so multiple normal-world clients — an MMC block device, USB
 // storage, a camera pipeline — coexist over a single TEE instance.
 //
-// The service owns one shared multi-package TemplateStore and one Replayer per
-// registered device class; selection is indexed by (driverlet, entry), so its
-// cost does not grow with the number of other registered packages.
+// The service owns one multi-package TemplateStore and one Replayer per
+// registered device class; selection scans one (driverlet, entry) slot, so its
+// cost does not grow with the number of other registered packages. Like the
+// store, the service is single-threaded: its owner serializes every call.
 //
 // Admission: a package registers only if its signature verifies and every
 // device its templates touch is mapped into the SecureWorld; a session opens
@@ -93,14 +94,9 @@ struct SessionStats {
 class ReplayService {
  public:
   ReplayService(SecureWorld* tee, std::string signing_key, ReplayServiceConfig cfg = {});
-  // Fleet-shard constructor: the service drives |store| — the one store a
-  // fleet shares across its shards — instead of creating a private one.
-  // nullptr falls back to a private store.
-  ReplayService(SecureWorld* tee, std::string signing_key, ReplayServiceConfig cfg,
-                std::shared_ptr<TemplateStore> store);
 
-  // Verifies + admission-checks + loads a driverlet package into the shared
-  // store, creating the device class's replayer on first registration.
+  // Verifies + admission-checks + loads a driverlet package into the store,
+  // creating the device class's replayer on first registration.
   // Returns the driverlet name. kCorrupt on signature/framing mismatch,
   // kPermissionDenied when a referenced device is not mapped into the TEE.
   Result<std::string> RegisterDriverlet(const uint8_t* data, size_t len);
@@ -143,8 +139,8 @@ class ReplayService {
   uint64_t quarantined_sessions() const { return quarantined_total_; }
   size_t registered_driverlets() const { return replayers_.size(); }
   bool IsRegistered(std::string_view driverlet) const;
-  TemplateStore& store() { return *store_; }
-  const TemplateStore& store() const { return *store_; }
+  // Read-only: packages reach the store only through RegisterDriverlet.
+  const TemplateStore& store() const { return store_; }
   // The device class's replayer (reset policy / retry knobs); nullptr when the
   // driverlet is not registered.
   Replayer* replayer(std::string_view driverlet);
@@ -179,7 +175,7 @@ class ReplayService {
   SecureWorld* tee_;
   std::string signing_key_;
   ReplayServiceConfig cfg_;
-  std::shared_ptr<TemplateStore> store_;
+  TemplateStore store_;  // every replayer below selects from it
   std::map<std::string, std::unique_ptr<Replayer>, std::less<>> replayers_;
   std::map<SessionId, Session> sessions_;
   SessionId next_session_ = 1;

@@ -207,6 +207,31 @@ TEST_F(MmcDriverletTest, BinaryPackageRoundTripsToo) {
   EXPECT_LT(sizes.compressed, sizes.serialized);
 }
 
+TEST_F(MmcDriverletTest, StandaloneReplayerServesOneDriverlet) {
+  // A standalone replayer serves the driverlet of its first package: a
+  // package under any other name is refused and changes nothing.
+  const Bindings read8 = {{"rw", kMmcRwRead}, {"blkcnt", 8}, {"blkid", 0}, {"flag", 0}};
+  std::vector<const InteractionTemplate*> before = replayer_->templates();
+  Result<const InteractionTemplate*> sel = replayer_->store().Select("mmc", kMmcEntry, read8);
+  ASSERT_TRUE(sel.ok());
+
+  DriverletPackage other;
+  other.driverlet = "other";
+  other.templates = campaign_->templates();
+  EXPECT_EQ(Status::kInvalidArg, replayer_->LoadPackage(other));
+
+  EXPECT_EQ("mmc", replayer_->driverlet_name());
+  EXPECT_EQ(before, replayer_->templates());
+  EXPECT_EQ(1u, replayer_->store().package_count());
+  Result<const InteractionTemplate*> again = replayer_->store().Select("mmc", kMmcEntry, read8);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*sel, *again);
+  std::vector<uint8_t> buf(8 * 512);
+  Result<ReplayStats> rd = Replay(kMmcRwRead, 8, 0, buf.data());
+  ASSERT_TRUE(rd.ok());
+  EXPECT_EQ((*sel)->name, rd->template_name);
+}
+
 void CollectSites(const std::vector<TemplateEvent>& events, std::vector<std::string>* files) {
   for (const TemplateEvent& e : events) {
     files->push_back(e.file);
