@@ -48,6 +48,36 @@ bool LookupResolution(uint32_t res, Resolution* out) {
   }
 }
 
+// Writes bytes [0, n) of MakeFrame(seq, resolution) to |dst|, where
+// n <= FrameBytes(resolution).
+void WriteFramePrefix(uint32_t seq, uint32_t resolution, uint8_t* dst, size_t n) {
+  if (n == 0) {
+    return;
+  }
+  static constexpr uint8_t kSoiApp0[4] = {0xff, 0xd8, 0xff, 0xe0};  // JPEG SOI + APP0
+  static constexpr uint8_t kEoi[2] = {0xff, 0xd9};
+  size_t eoi = Vc4Firmware::FrameBytes(resolution) - 2;  // the payload is [4, eoi)
+  std::memcpy(dst, kSoiApp0, std::min<size_t>(n, 4));
+  // Counter-based payload: word k depends only on (seq, resolution, k). The
+  // key is mixed so that no two (seq, resolution) streams are shifted copies
+  // of each other, which a linear key would make them.
+  size_t end = std::min(n, eoi);
+  uint64_t ctr = Mix64(uint64_t{seq} << 32 | resolution);
+  size_t i = 4;
+  for (; i + 8 <= end; i += 8) {
+    ctr += kGolden64;
+    uint64_t z = ClearFfBytes(Mix64(ctr));
+    std::memcpy(dst + i, &z, 8);
+  }
+  if (i < end) {
+    uint64_t z = ClearFfBytes(Mix64(ctr + kGolden64));
+    std::memcpy(dst + i, &z, end - i);  // the word's low bytes
+  }
+  for (i = eoi; i < n; ++i) {
+    dst[i] = kEoi[i - eoi];
+  }
+}
+
 }  // namespace
 
 Vc4Firmware::Vc4Firmware(AddressSpace* mem, SimClock* clock, InterruptController* irq,
@@ -64,42 +94,16 @@ uint32_t Vc4Firmware::FrameBytes(uint32_t resolution) {
 }
 
 std::vector<uint8_t> Vc4Firmware::MakeFrame(uint32_t seq, uint32_t resolution) {
-  std::vector<uint8_t> f;
-  FillFrame(seq, resolution, &f);
+  std::vector<uint8_t> f(FrameBytes(resolution));
+  WriteFramePrefix(seq, resolution, f.data(), f.size());
   return f;
 }
 
-void Vc4Firmware::FillFrame(uint32_t seq, uint32_t resolution, std::vector<uint8_t>* out) {
-  std::vector<uint8_t>& f = *out;
-  uint32_t n = FrameBytes(resolution);
-  if (n < 8) {
-    f.assign(n, 0);
-    return;
-  }
-  f.resize(n);  // every byte is written below
-  // JPEG SOI + APP0 marker so integrity checks can validate the format.
-  f[0] = 0xff;
-  f[1] = 0xd8;
-  f[2] = 0xff;
-  f[3] = 0xe0;
-  // Counter-based payload: word k depends only on (seq, resolution, k). The
-  // key is mixed so that no two (seq, resolution) streams are shifted copies
-  // of each other, which a linear key would make them.
-  uint8_t* payload = f.data() + 4;
-  size_t len = n - 6;
-  uint64_t ctr = Mix64(uint64_t{seq} << 32 | resolution);
-  size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    ctr += kGolden64;
-    uint64_t z = ClearFfBytes(Mix64(ctr));
-    std::memcpy(payload + i, &z, 8);
-  }
-  if (i < len) {
-    uint64_t z = ClearFfBytes(Mix64(ctr + kGolden64));
-    std::memcpy(payload + i, &z, len - i);  // the word's low bytes
-  }
-  f[f.size() - 2] = 0xff;
-  f[f.size() - 1] = 0xd9;  // EOI
+std::vector<Vc4Firmware::Frame>::iterator Vc4Firmware::FrameOf(uint32_t seq) {
+  // Sequence numbers are unique within an epoch, and a frame leaves the list
+  // only when its transfer completes, so the current epoch's callbacks always
+  // find theirs.
+  return std::find_if(frames_.begin(), frames_.end(), [seq](const Frame& f) { return f.seq == seq; });
 }
 
 uint32_t Vc4Firmware::QRead32(uint32_t offset) {
@@ -148,7 +152,11 @@ void Vc4Firmware::MmioWrite32(uint64_t offset, uint32_t value) {
 }
 
 void Vc4Firmware::RingVc4() {
-  clock_->ScheduleIn(lat_->vchiq_msg_us, [this] { ProcessQueue(); });
+  clock_->ScheduleIn(lat_->vchiq_msg_us, [this, epoch = epoch_] {
+    if (epoch == epoch_) {
+      ProcessQueue();
+    }
+  });
 }
 
 void Vc4Firmware::ProcessQueue() {
@@ -189,9 +197,10 @@ void Vc4Firmware::PostMessage(VchiqMsgType type, const uint32_t* words, uint32_t
   // The write cursor becomes visible to the CPU slightly after the doorbell:
   // VC4 batches its slot-zero sync (the "sync thread" of §6.3.3). This is why
   // the CPU-side slot handler actively polls after taking the interrupt.
-  uint32_t publish = master_tx_;
-  clock_->ScheduleIn(lat_->vchiq_msg_us / 2 + 40, [this, publish] {
-    QWrite32(kSzMasterTxPos, publish);
+  clock_->ScheduleIn(lat_->vchiq_msg_us / 2 + 40, [this, epoch = epoch_, publish = master_tx_] {
+    if (epoch == epoch_) {
+      QWrite32(kSzMasterTxPos, publish);
+    }
   });
 }
 
@@ -202,8 +211,8 @@ void Vc4Firmware::PostMmalReply(MmalMsgType type, uint32_t a, uint32_t b) {
 
 void Vc4Firmware::RingCpu() {
   ++bell0_pending_;
-  clock_->ScheduleIn(lat_->irq_delivery_us, [this] {
-    if (bell0_pending_ > 0) {
+  clock_->ScheduleIn(lat_->irq_delivery_us, [this, epoch = epoch_] {
+    if (epoch == epoch_ && bell0_pending_ > 0) {
       irq_->Raise(irq_line_);
     }
   });
@@ -232,7 +241,7 @@ void Vc4Firmware::HandleMessage(uint32_t msgid, const uint8_t* payload, uint32_t
       }
       break;
     case VchiqMsgType::kBulkRx: {
-      if (size < 8 || current_frame_.empty()) {
+      if (size < 8 || !ready_) {
         uint32_t words[2] = {0, 1};  // status 1: nothing to transmit
         PostMessage(VchiqMsgType::kBulkRxDone, words, 2);
         RingCpu();
@@ -242,17 +251,15 @@ void Vc4Firmware::HandleMessage(uint32_t msgid, const uint8_t* payload, uint32_t
       uint32_t req = 0;
       std::memcpy(&dest, payload, 4);
       std::memcpy(&req, payload + 4, 4);
-      uint32_t actual = static_cast<uint32_t>(current_frame_.size());
-      uint32_t n = std::min(req, actual);
-      std::vector<uint8_t> frame = std::move(current_frame_);
-      current_frame_.clear();
-      uint64_t copy_us = lat_->dma_setup_us + (n * lat_->dma_per_kb_us + 1023) / 1024;
-      clock_->ScheduleIn(copy_us, [this, dest, n, actual, frame = std::move(frame)]() mutable {
-        (void)mem_->DmaWrite(dest, frame.data(), n);
-        spare_frame_ = std::move(frame);
-        uint32_t words[2] = {actual, 0};
-        PostMessage(VchiqMsgType::kBulkRxDone, words, 2);
-        RingCpu();
+      auto f = FrameOf(ready_->seq);
+      ready_.reset();
+      f->dest = dest;
+      f->n = std::min(req, FrameBytes(f->res));
+      uint64_t copy_us = lat_->dma_setup_us + (f->n * lat_->dma_per_kb_us + 1023) / 1024;
+      clock_->ScheduleIn(copy_us, [this, epoch = epoch_, seq = f->seq] {
+        if (epoch == epoch_) {
+          CompleteBulkRx(seq);
+        }
       });
       break;
     }
@@ -324,9 +331,8 @@ void Vc4Firmware::HandleMmal(const uint8_t* payload, uint32_t size) {
       }
       capture_streaming_ = capture_in_flight_;
       capture_in_flight_ = true;
-      uint32_t seq = frame_seq_++;
-      uint32_t res = resolution_;
-      ScheduleFrameDone(cost, seq, res);
+      frames_.push_back(Frame{.seq = frame_seq_++, .res = resolution_});
+      ScheduleFrameDone(cost, frames_.back().seq);
       break;
     }
     default:
@@ -336,28 +342,36 @@ void Vc4Firmware::HandleMmal(const uint8_t* payload, uint32_t size) {
   }
 }
 
-void Vc4Firmware::ScheduleFrameDone(uint64_t cost_us, uint32_t seq, uint32_t res) {
-  pending_ = clock_->ScheduleIn(cost_us, [this, seq, res] {
-    pending_ = SimClock::kInvalidEvent;
-    if (!current_frame_.empty()) {
+void Vc4Firmware::ScheduleFrameDone(uint64_t cost_us, uint32_t seq) {
+  clock_->ScheduleIn(cost_us, [this, epoch = epoch_, seq] {
+    if (epoch != epoch_) {
+      return;
+    }
+    if (ready_) {
       // The single frame buffer is still owned by the CPU; retry shortly.
-      ScheduleFrameDone(5'000, seq, res);
+      ScheduleFrameDone(5'000, seq);
       return;
     }
     capture_in_flight_ = false;
-    current_frame_.swap(spare_frame_);
-    FillFrame(seq, res, &current_frame_);
+    ready_ = Ready{seq, FrameOf(seq)->res};
     ++frames_produced_;
-    PostMmalReply(MmalMsgType::kBufferDone, static_cast<uint32_t>(current_frame_.size()), seq);
+    PostMmalReply(MmalMsgType::kBufferDone, FrameBytes(ready_->res), seq);
     RingCpu();
   });
 }
 
+void Vc4Firmware::CompleteBulkRx(uint32_t seq) {
+  auto it = FrameOf(seq);
+  Frame f = *it;
+  frames_.erase(it);
+  (void)mem_->DmaFill(f.dest, f.n, [&f](uint8_t* dst) { WriteFramePrefix(f.seq, f.res, dst, f.n); });
+  uint32_t words[2] = {FrameBytes(f.res), 0};
+  PostMessage(VchiqMsgType::kBulkRxDone, words, 2);
+  RingCpu();
+}
+
 void Vc4Firmware::SoftReset() {
-  if (pending_ != SimClock::kInvalidEvent) {
-    clock_->Cancel(pending_);
-    pending_ = SimClock::kInvalidEvent;
-  }
+  ++epoch_;  // drops every callback scheduled so far, frame-done events included
   queue_base_ = 0;
   master_tx_ = 0;
   connected_ = false;
@@ -371,7 +385,8 @@ void Vc4Firmware::SoftReset() {
   resolution_ = 0;
   slave_rx_pos_ = 0;
   bell0_pending_ = 0;
-  current_frame_.clear();
+  frames_.clear();
+  ready_.reset();
   frame_seq_ = 0;
   irq_->Clear(irq_line_);
 }
@@ -380,12 +395,12 @@ std::optional<uint64_t> Vc4Firmware::StateDigest() const {
   // No exclusions: a capture leaves the service connected and the frame
   // sequence advanced, so no camera template ever proves clean.
   StateHasher h;
-  h.Add(pending_ != SimClock::kInvalidEvent).Add(irq_->Pending(irq_line_));
+  h.Add(frames_.size()).Add(irq_->Pending(irq_line_));
   h.Add(queue_base_).Add(master_tx_).Add(connected_).Add(port_open_);
   h.Add(component_created_).Add(component_enabled_).Add(port_enabled_);
   h.Add(camera_inited_).Add(capture_in_flight_).Add(capture_streaming_);
   h.Add(resolution_).Add(slave_rx_pos_).Add(bell0_pending_).Add(frame_seq_);
-  h.AddBytes(current_frame_.data(), current_frame_.size());
+  h.Add(ready_.has_value()).Add(ready_ ? ready_->seq : 0).Add(ready_ ? ready_->res : 0);
   return h.digest();
 }
 

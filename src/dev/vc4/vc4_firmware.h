@@ -2,10 +2,12 @@
 // mailbox/doorbell MMIO window (the paper found just 3 registers in use, §6.3.3);
 // everything else happens through the shared-memory slot queue. Implements an
 // MMAL-ish camera service that produces deterministic synthetic JPEG frames.
+// The model holds no frame bytes: a bulk transfer generates its frame straight
+// into the destination RAM when it completes.
 #ifndef SRC_DEV_VC4_VC4_FIRMWARE_H_
 #define SRC_DEV_VC4_VC4_FIRMWARE_H_
 
-#include <deque>
+#include <optional>
 #include <vector>
 
 #include "src/dev/vc4/vchiq_proto.h"
@@ -39,13 +41,21 @@ class Vc4Firmware : public MmioDevice {
   // Deterministic synthetic JPEG produced for (sequence, resolution); exposed so
   // validation scripts can re-derive expected frame contents. A frame is
   // FrameBytes(resolution) bytes: SOI + APP0 markers, a counter-based payload
-  // with no 0xff byte, then EOI.
+  // with no 0xff byte, then EOI. A bulk transfer of n bytes delivers the
+  // frame's first n bytes.
   static std::vector<uint8_t> MakeFrame(uint32_t seq, uint32_t resolution);
   static uint32_t FrameBytes(uint32_t resolution);
 
  private:
-  // MakeFrame into |f|, reusing its storage.
-  static void FillFrame(uint32_t seq, uint32_t resolution, std::vector<uint8_t>* f);
+  // A frame from its capture until its bulk transfer completes.
+  struct Frame {
+    uint32_t seq;
+    uint32_t res;
+    uint32_t dest = 0;  // set by the BULK_RX that takes the frame
+    uint32_t n = 0;
+  };
+  std::vector<Frame>::iterator FrameOf(uint32_t seq);
+
   void RingVc4();
   void ProcessQueue();
   void HandleMessage(uint32_t msgid, const uint8_t* payload, uint32_t size);
@@ -53,7 +63,8 @@ class Vc4Firmware : public MmioDevice {
   void PostMessage(VchiqMsgType type, const uint32_t* words, uint32_t nwords);
   void PostMmalReply(MmalMsgType type, uint32_t a, uint32_t b);
   void RingCpu();
-  void ScheduleFrameDone(uint64_t cost_us, uint32_t seq, uint32_t res);
+  void ScheduleFrameDone(uint64_t cost_us, uint32_t seq);
+  void CompleteBulkRx(uint32_t seq);
 
   uint32_t QRead32(uint32_t offset);
   void QWrite32(uint32_t offset, uint32_t value);
@@ -79,16 +90,21 @@ class Vc4Firmware : public MmioDevice {
   uint32_t master_tx_ = 0;     // VC4-side write cursor (published to slot 0 lazily)
   uint32_t bell0_pending_ = 0;
 
-  std::vector<uint8_t> current_frame_;
-  // Storage of the last frame DMA'd out, refilled by the next capture. A
-  // capture then writes into memory that is already paged in instead of a
-  // fresh 0.6-2.5 MB allocation, whose cost would depend on heap layout.
-  // Never device state: every byte is rewritten before it is visible.
-  std::vector<uint8_t> spare_frame_;
+  std::vector<Frame> frames_;  // captured and not yet transferred, this epoch
+  // The frame BUFFER_DONE announced, until a BULK_RX takes it: the one frame
+  // buffer the CPU owns.
+  struct Ready {
+    uint32_t seq;
+    uint32_t res;
+  };
+  std::optional<Ready> ready_;
   uint32_t frame_seq_ = 0;
   uint64_t frames_produced_ = 0;
   uint64_t messages_handled_ = 0;
-  SimClock::EventId pending_ = SimClock::kInvalidEvent;
+  // Bumped by SoftReset. Every scheduled callback captures it and does nothing
+  // once it has moved on. Captures stay within 16 bytes (this + two u32s) so
+  // std::function stores them inline and scheduling allocates nothing.
+  uint32_t epoch_ = 0;
 };
 
 }  // namespace dlt

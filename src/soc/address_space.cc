@@ -206,15 +206,7 @@ Status AddressSpace::DmaRead(PhysAddr a, void* dst, size_t n) {
 }
 
 Status AddressSpace::DmaWrite(PhysAddr a, const void* src, size_t n) {
-  if (RamWindow* ram = RamAt(a, n); ram != nullptr) {
-    uint8_t* dst = ram->bytes.get() + (a - ram->base);
-    std::memcpy(dst, src, n);
-    if (bus_fault_hook_ != nullptr) {
-      bus_fault_hook_->OnDmaWrite(a, dst, n);
-    }
-    return Status::kOk;
-  }
-  return Status::kOutOfRange;
+  return DmaFill(a, n, [src, n](uint8_t* dst) { std::memcpy(dst, src, n); });
 }
 
 }  // namespace dlt

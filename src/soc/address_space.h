@@ -1,7 +1,7 @@
 // The SoC physical address space: RAM windows plus MMIO regions routed to devices.
 // CPU accesses carry a World and are checked against the TZASC; bus-master (device
-// DMA) accesses use RamPtr/DmaRead/DmaWrite and bypass world checks, matching the
-// paper's model where whole device instances are assigned to the TEE.
+// DMA) accesses use RamPtr/DmaRead/DmaWrite/DmaFill and bypass world checks,
+// matching the paper's model where whole device instances are assigned to the TEE.
 #ifndef SRC_SOC_ADDRESS_SPACE_H_
 #define SRC_SOC_ADDRESS_SPACE_H_
 
@@ -22,7 +22,7 @@ class SimClock;
 // Fault-injection hook over bus-master RAM accesses (src/fault's
 // FaultInjector). OnDmaRead runs after the copy with the bytes the device is
 // about to consume (corrupting them models a misread on the bus); OnDmaWrite
-// runs after the copy with a pointer into backing RAM (corrupting it models a
+// runs after the write with a pointer into backing RAM (corrupting it models a
 // bad write landing in memory). Covers devices that master the bus directly
 // (dwc2, vc4) — the system DMA engine has its own DmaFaultHook.
 class BusFaultHook {
@@ -85,6 +85,24 @@ class AddressSpace {
   // Bus-master byte copies (used by the DMA engine). Fail on non-RAM targets.
   Status DmaRead(PhysAddr a, void* dst, size_t n);
   Status DmaWrite(PhysAddr a, const void* src, size_t n);
+
+  // The one bus-master write path: |fill(dst)| writes the n bytes at |a| in
+  // place, then the bus fault hook sees them. DmaWrite is DmaFill with a
+  // memcpy; a device that generates its data writes it here without a
+  // staging buffer.
+  template <typename Fill>
+  Status DmaFill(PhysAddr a, size_t n, Fill&& fill) {
+    RamWindow* ram = RamAt(a, n);
+    if (ram == nullptr) {
+      return Status::kOutOfRange;
+    }
+    uint8_t* dst = ram->bytes.get() + (a - ram->base);
+    fill(dst);
+    if (bus_fault_hook_ != nullptr) {
+      bus_fault_hook_->OnDmaWrite(a, dst, n);
+    }
+    return Status::kOk;
+  }
 
   // Returns the device mapped at |a| (if any) and its register offset.
   MmioDevice* DeviceAt(PhysAddr a, uint64_t* offset_out) const;

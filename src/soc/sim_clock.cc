@@ -6,78 +6,70 @@ namespace dlt {
 
 SimClock::EventId SimClock::ScheduleAt(uint64_t t_us, std::function<void()> fn) {
   EventId id = next_id_++;
-  uint64_t t = std::max(t_us, now_us_);
-  queue_.push(Entry{t, id, std::move(fn)});
-  ++live_events_;
+  heap_.push_back(Entry{std::max(t_us, now_us_), id, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
   return id;
 }
 
 bool SimClock::Cancel(EventId id) {
-  if (id == kInvalidEvent || id >= next_id_) {
-    return false;
+  for (Entry& e : heap_) {
+    if (e.id == id) {
+      bool live = e.fn != nullptr;
+      e.fn = nullptr;
+      return live;
+    }
   }
-  if (Cancelled(id)) {
-    return false;
-  }
-  cancelled_.push_back(id);
-  if (live_events_ > 0) {
-    --live_events_;
-  }
-  return true;
+  return false;  // fired or never scheduled
 }
 
-bool SimClock::Cancelled(EventId id) const {
-  return std::find(cancelled_.begin(), cancelled_.end(), id) != cancelled_.end();
+size_t SimClock::pending_events() const {
+  return static_cast<size_t>(
+      std::count_if(heap_.begin(), heap_.end(), [](const Entry& e) { return e.fn != nullptr; }));
+}
+
+SimClock::Entry SimClock::PopNext() {
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
+  Entry e = std::move(heap_.back());
+  heap_.pop_back();
+  return e;
 }
 
 void SimClock::Fire(Entry& e) {
   now_us_ = e.t;
   ++fired_;
-  if (live_events_ > 0) {
-    --live_events_;
-  }
-  auto fn = std::move(e.fn);
-  fn();
+  e.fn();
 }
 
 void SimClock::AdvanceTo(uint64_t t_us) {
   if (t_us < now_us_) {
     return;
   }
-  while (!queue_.empty() && queue_.top().t <= t_us) {
-    Entry e = queue_.top();
-    queue_.pop();
-    if (Cancelled(e.id)) {
-      cancelled_.erase(std::find(cancelled_.begin(), cancelled_.end(), e.id));
-      continue;
+  while (!heap_.empty() && heap_.front().t <= t_us) {
+    Entry e = PopNext();
+    if (e.fn) {
+      Fire(e);
     }
-    Fire(e);
   }
   now_us_ = t_us;
 }
 
 std::optional<uint64_t> SimClock::NextEventTime() {
-  while (!queue_.empty() && Cancelled(queue_.top().id)) {
-    EventId id = queue_.top().id;
-    queue_.pop();
-    cancelled_.erase(std::find(cancelled_.begin(), cancelled_.end(), id));
+  while (!heap_.empty() && !heap_.front().fn) {
+    PopNext();
   }
-  if (queue_.empty()) {
+  if (heap_.empty()) {
     return std::nullopt;
   }
-  return queue_.top().t;
+  return heap_.front().t;
 }
 
 bool SimClock::StepToNextEvent() {
-  while (!queue_.empty()) {
-    Entry e = queue_.top();
-    queue_.pop();
-    if (Cancelled(e.id)) {
-      cancelled_.erase(std::find(cancelled_.begin(), cancelled_.end(), e.id));
-      continue;
+  while (!heap_.empty()) {
+    Entry e = PopNext();
+    if (e.fn) {
+      Fire(e);
+      return true;
     }
-    Fire(e);
-    return true;
   }
   return false;
 }

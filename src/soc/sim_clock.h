@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <vector>
 
 namespace dlt {
@@ -30,7 +29,8 @@ class SimClock {
   }
   EventId ScheduleAt(uint64_t t_us, std::function<void()> fn);
 
-  // Cancels a scheduled event. Returns false if it already fired or is unknown.
+  // Cancels a scheduled event. Returns false if it already fired, was already
+  // cancelled or is unknown.
   bool Cancel(EventId id);
 
   // Advances virtual time by |delta_us|, firing every event due on the way.
@@ -44,30 +44,33 @@ class SimClock {
   // Deadline of the earliest live event; nullopt when none is scheduled.
   std::optional<uint64_t> NextEventTime();
 
-  size_t pending_events() const { return live_events_; }
+  // Events scheduled and neither fired nor cancelled.
+  size_t pending_events() const;
 
   // Total number of callbacks fired; handy for tests.
   uint64_t fired_count() const { return fired_; }
 
  private:
+  // A cancelled entry keeps its place in the heap with an empty |fn|.
   struct Entry {
     uint64_t t;
     EventId id;
     std::function<void()> fn;
+    // Ids are unique, so (t, id) is a total order and same-deadline events
+    // fire in schedule order.
     bool operator>(const Entry& other) const {
       return t != other.t ? t > other.t : id > other.id;
     }
   };
 
+  // Removes the earliest entry, moving its callback out.
+  Entry PopNext();
   void Fire(Entry& e);
-  bool Cancelled(EventId id) const;
 
   uint64_t now_us_ = 0;
   EventId next_id_ = 1;
   uint64_t fired_ = 0;
-  size_t live_events_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
-  std::vector<EventId> cancelled_;
+  std::vector<Entry> heap_;  // min-heap on (t, id): std::greater<Entry>
 };
 
 }  // namespace dlt

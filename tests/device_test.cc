@@ -9,6 +9,7 @@
 
 #include "src/crypto/sha256.h"
 #include "src/dev/display/display_controller.h"
+#include "src/fault/fault_injector.h"
 #include "src/soc/machine.h"
 #include "src/workload/rpi3_testbed.h"
 #include "src/workload/deploy_util.h"
@@ -245,6 +246,208 @@ TEST_F(NativeDeviceTest, Vc4SoftResetDropsSessionState) {
   tb_.kern_io().ReleaseDma();
   ASSERT_EQ(Status::kOk, tb_.cam_driver().Capture(TValue(1), TValue(720), buf.data(), buf.size(),
                                                   TValue(buf.size()), img_size.data()));
+}
+
+// Speaks VCHIQ to the VC4 directly, below the gold driver, so a test chooses
+// the bulk request size and can reset the firmware between any two steps.
+class Vc4Link {
+ public:
+  static constexpr PhysAddr kQueue = 0x0100'0000;  // outside the kernel and TEE pools
+  static constexpr PhysAddr kDest = 0x0104'0000;
+
+  struct Msg {
+    VchiqMsgType type;
+    uint32_t w[3];
+  };
+
+  explicit Vc4Link(Rpi3Testbed* tb) : tb_(tb) {}
+
+  // Hands the VC4 a zeroed queue.
+  void Attach() {
+    std::memset(Ram(kQueue, kVchiqQueueBytes), 0, kVchiqQueueBytes);
+    tb_->vc4().MmioWrite32(kMboxWrite, static_cast<uint32_t>(kQueue));
+    slave_tx_ = 0;
+    master_rx_ = 0;
+  }
+
+  void Send(VchiqMsgType type, std::vector<uint32_t> words) {
+    uint32_t base = kVchiqSlaveBase + slave_tx_;
+    Put32(base, static_cast<uint32_t>(type) << kMsgTypeShift);
+    Put32(base + 4, static_cast<uint32_t>(words.size() * 4));
+    for (size_t i = 0; i < words.size(); ++i) {
+      Put32(base + kMsgHdrBytes + static_cast<uint32_t>(i * 4), words[i]);
+    }
+    slave_tx_ += kMsgHdrBytes + ((static_cast<uint32_t>(words.size()) * 4 + 7) & ~7u);
+    Put32(kSzSlaveTxPos, slave_tx_);
+    tb_->vc4().MmioWrite32(kBell2, 1);
+  }
+
+  // Sends |type|, lets the firmware run for |us| and returns its one reply.
+  Msg Call(VchiqMsgType type, std::vector<uint32_t> words, uint64_t us = 10'000) {
+    Send(type, std::move(words));
+    tb_->clock().Advance(us);
+    Msg m{VchiqMsgType::kPadding, {}};
+    if (master_rx_ >= MasterTx()) {
+      ADD_FAILURE() << "no reply";
+      return m;
+    }
+    uint32_t base = kVchiqMasterBase + master_rx_;
+    m.type = static_cast<VchiqMsgType>(Get32(base) >> kMsgTypeShift);
+    uint32_t size = Get32(base + 4);
+    for (uint32_t i = 0; i < 3 && i * 4 < size; ++i) {
+      m.w[i] = Get32(base + kMsgHdrBytes + i * 4);
+    }
+    master_rx_ += kMsgHdrBytes + ((size + 7) & ~7u);
+    EXPECT_EQ(master_rx_, MasterTx()) << "more than one reply";
+    return m;
+  }
+
+  void Mmal(MmalMsgType type, uint32_t a, uint32_t b) {
+    Msg m = Call(VchiqMsgType::kData, {static_cast<uint32_t>(type), a, b});
+    EXPECT_EQ(static_cast<uint32_t>(type) | kMmalReplyFlag, m.w[0]);
+    EXPECT_EQ(0u, m.w[1]) << "status";
+  }
+
+  // A fresh queue, the VCHIQ handshake and a camera configured for |res|.
+  void OpenCamera(uint32_t res) {
+    Attach();
+    EXPECT_EQ(VchiqMsgType::kConnect, Call(VchiqMsgType::kConnect, {}).type);
+    EXPECT_EQ(VchiqMsgType::kOpenAck, Call(VchiqMsgType::kOpen, {}).type);
+    Mmal(MmalMsgType::kComponentCreate, kMmalCameraComponent, 0);
+    Mmal(MmalMsgType::kComponentEnable, 0, 0);
+    Mmal(MmalMsgType::kPortParamSet, kMmalParamResolution, res);
+    Mmal(MmalMsgType::kPortEnable, 0, 0);
+  }
+
+  // Captures one frame; returns BUFFER_DONE's {img_size, seq}.
+  std::pair<uint32_t, uint32_t> Capture() {
+    Msg m = Call(VchiqMsgType::kData, {static_cast<uint32_t>(MmalMsgType::kCapture), 0, 0},
+                 /*us=*/3'000'000);
+    EXPECT_EQ(static_cast<uint32_t>(MmalMsgType::kBufferDone) | kMmalReplyFlag, m.w[0]);
+    return {m.w[1], m.w[2]};
+  }
+
+  // Bulk-receives the captured frame's first |req| bytes into kDest; returns
+  // BULK_RX_DONE's {actual, status}.
+  std::pair<uint32_t, uint32_t> BulkRx(uint32_t req) {
+    Msg m = Call(VchiqMsgType::kBulkRx, {static_cast<uint32_t>(kDest), req});
+    EXPECT_EQ(VchiqMsgType::kBulkRxDone, m.type);
+    return {m.w[0], m.w[1]};
+  }
+
+  uint8_t* Ram(PhysAddr a, uint64_t n) { return tb_->machine().mem().RamPtr(a, n); }
+  uint32_t MasterTx() { return Get32(kSzMasterTxPos); }
+
+ private:
+  void Put32(uint32_t off, uint32_t v) { std::memcpy(Ram(kQueue + off, 4), &v, 4); }
+  uint32_t Get32(uint32_t off) {
+    uint32_t v = 0;
+    std::memcpy(&v, Ram(kQueue + off, 4), 4);
+    return v;
+  }
+
+  Rpi3Testbed* tb_;
+  uint32_t slave_tx_ = 0;
+  uint32_t master_rx_ = 0;
+};
+
+// The firmware generates each frame into the bulk transfer's destination:
+// a request of n bytes writes exactly the frame's first n bytes, in one
+// bus-master write the fault plane sees whole.
+TEST_F(NativeDeviceTest, BulkTransferWritesFramePrefixInPlace) {
+  const uint32_t full = Vc4Firmware::FrameBytes(720);
+  const uint32_t req = full / 3 + 5;  // ends inside a payload word
+  Vc4Link link(&tb_);
+  uint8_t* dest = link.Ram(Vc4Link::kDest, full + 64);
+  ASSERT_NE(nullptr, dest);
+  auto expect_prefix = [&](uint32_t seq, uint32_t n) {
+    std::vector<uint8_t> frame = Vc4Firmware::MakeFrame(seq, 720);
+    EXPECT_TRUE(std::equal(frame.begin(), frame.begin() + n, dest)) << "seq " << seq;
+    EXPECT_EQ(full + 64 - n, static_cast<size_t>(std::count(dest + n, dest + full + 64, 0x5a)))
+        << "bytes past the request were written";
+  };
+  link.OpenCamera(720);
+
+  std::memset(dest, 0x5a, full + 64);
+  EXPECT_EQ(std::make_pair(full, 0u), link.Capture());
+  EXPECT_EQ(std::make_pair(full, 0u), link.BulkRx(req));
+  expect_prefix(0, req);
+
+  std::memset(dest, 0x5a, full + 64);
+  EXPECT_EQ(std::make_pair(full, 1u), link.Capture());
+  EXPECT_EQ(std::make_pair(full, 0u), link.BulkRx(full));
+  expect_prefix(1, full);
+
+  // Windows B and C lie inside A and each misses one end of it, so a single
+  // match in all three means one write of exactly [kDest, kDest + req).
+  FaultInjector inj(&tb_.machine());
+  FaultPlan plan(7);
+  plan.Add(FaultSpec{.kind = FaultKind::kBusCorruptWrite, .addr = Vc4Link::kDest, .addr_size = req});
+  plan.Add(FaultSpec{.kind = FaultKind::kBusCorruptWrite, .addr = Vc4Link::kDest + 1,
+                     .addr_size = req - 1});
+  plan.Add(FaultSpec{.kind = FaultKind::kBusCorruptWrite, .addr = Vc4Link::kDest,
+                     .addr_size = req - 1});
+  ASSERT_EQ(Status::kOk, inj.Arm(plan));
+  std::memset(dest, 0x5a, full + 64);
+  EXPECT_EQ(std::make_pair(full, 2u), link.Capture());
+  EXPECT_EQ(std::make_pair(full, 0u), link.BulkRx(req));
+  inj.Disarm();
+  EXPECT_EQ(1u, inj.opportunities());
+  EXPECT_EQ(1u, inj.injected(FaultKind::kBusCorruptWrite));
+  std::vector<uint8_t> frame = Vc4Firmware::MakeFrame(2, 720);
+  size_t corrupted = 0;
+  for (uint32_t i = 0; i < req; ++i) {
+    corrupted += dest[i] != frame[i];
+  }
+  EXPECT_GE(corrupted, 1u);  // the hook got the bytes in RAM
+  EXPECT_LE(corrupted, 2u);
+  EXPECT_EQ(full + 64 - req, static_cast<size_t>(std::count(dest + req, dest + full + 64, 0x5a)));
+}
+
+// Callbacks the firmware scheduled before a soft reset must not act after it:
+// neither the lazy write-cursor publish nor a bulk transfer still in flight.
+TEST_F(NativeDeviceTest, Vc4ResetDropsInFlightEvents) {
+  const LatencyModel& lat = tb_.machine().latency();
+  InterruptController& irq = tb_.machine().irq();
+  Vc4Link link(&tb_);
+
+  // CONNECT handled and its reply posted, but the cursor not yet published.
+  link.Attach();
+  link.Send(VchiqMsgType::kConnect, {});
+  tb_.clock().Advance(lat.vchiq_msg_us);
+  ASSERT_EQ(0u, link.MasterTx());
+  uint64_t raises = irq.raise_count(kMailboxIrq);
+  tb_.vc4().SoftReset();
+  link.Attach();  // a new queue handed over after the reset
+  tb_.clock().Advance(1'000'000);
+  EXPECT_EQ(0u, link.MasterTx()) << "a publish from before the reset landed";
+  EXPECT_EQ(raises, irq.raise_count(kMailboxIrq));
+
+  // A bulk transfer taken by the firmware, its copy still in flight.
+  const uint32_t full = Vc4Firmware::FrameBytes(720);
+  uint8_t* dest = link.Ram(Vc4Link::kDest, full);
+  ASSERT_NE(nullptr, dest);
+  link.OpenCamera(720);
+  EXPECT_EQ(std::make_pair(full, 0u), link.Capture());
+  std::memset(dest, 0x5a, full);
+  link.Send(VchiqMsgType::kBulkRx, {static_cast<uint32_t>(Vc4Link::kDest), full});
+  tb_.clock().Advance(lat.vchiq_msg_us);
+  raises = irq.raise_count(kMailboxIrq);
+  tb_.vc4().SoftReset();
+  link.Attach();
+  tb_.clock().Advance(1'000'000);
+  EXPECT_EQ(full, static_cast<size_t>(std::count(dest, dest + full, 0x5a)))
+      << "a transfer from before the reset wrote RAM";
+  EXPECT_EQ(0u, link.MasterTx()) << "a transfer from before the reset posted BULK_RX_DONE";
+  EXPECT_EQ(raises, irq.raise_count(kMailboxIrq));
+  EXPECT_FALSE(irq.Pending(kMailboxIrq));
+
+  // The reset firmware serves a new session from sequence 0.
+  link.OpenCamera(720);
+  EXPECT_EQ(std::make_pair(full, 0u), link.Capture());
+  EXPECT_EQ(std::make_pair(full, 0u), link.BulkRx(full));
+  std::vector<uint8_t> frame = Vc4Firmware::MakeFrame(0, 720);
+  EXPECT_TRUE(std::equal(frame.begin(), frame.end(), dest));
 }
 
 TEST_F(NativeDeviceTest, BlockMediumSparseBacking) {

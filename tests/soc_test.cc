@@ -72,6 +72,59 @@ TEST(SimClockTest, NextEventTimeSkipsCancelled) {
   EXPECT_EQ(9u, *clock.NextEventTime());
 }
 
+TEST(SimClockTest, CancelAfterFiringReturnsFalse) {
+  // Devices cancel the ids they hold on every reset, fired or not; a stale
+  // cancel must neither report success nor disturb the live events.
+  SimClock clock;
+  int fired = 0;
+  SimClock::EventId a = clock.ScheduleIn(5, [&] { ++fired; });
+  SimClock::EventId b = clock.ScheduleIn(50, [&] { ++fired; });
+  EXPECT_EQ(2u, clock.pending_events());
+  clock.Advance(10);
+  EXPECT_EQ(1, fired);
+  EXPECT_EQ(1u, clock.pending_events());
+  EXPECT_FALSE(clock.Cancel(a));
+  EXPECT_FALSE(clock.Cancel(a));
+  EXPECT_FALSE(clock.Cancel(SimClock::kInvalidEvent));
+  EXPECT_FALSE(clock.Cancel(b + 100));  // never scheduled
+  EXPECT_EQ(1u, clock.pending_events());
+  EXPECT_TRUE(clock.Cancel(b));
+  EXPECT_EQ(0u, clock.pending_events());
+  EXPECT_FALSE(clock.Cancel(b));
+  clock.Advance(100);
+  EXPECT_EQ(1, fired);
+  EXPECT_EQ(0u, clock.pending_events());
+  EXPECT_FALSE(clock.NextEventTime().has_value());
+}
+
+// Counts copies of itself; moves are free.
+struct CopyCounter {
+  explicit CopyCounter(int* counter) : copies(counter) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies) { ++*copies; }
+  CopyCounter(CopyCounter&&) = default;
+  int* copies;
+};
+
+TEST(SimClockTest, FiredCallbackIsMovedNotCopied) {
+  // A callback may own a large payload; firing it must not copy it.
+  SimClock clock;
+  int copies = 0;
+  int calls = 0;
+  for (uint64_t t = 1; t <= 4; ++t) {
+    clock.ScheduleIn(t, [c = CopyCounter(&copies), &calls] {
+      (void)c;
+      ++calls;
+    });
+  }
+  int scheduled = copies;
+  clock.Advance(2);                     // AdvanceTo fires two
+  EXPECT_TRUE(clock.StepToNextEvent());  // and StepToNextEvent one
+  ASSERT_TRUE(clock.NextEventTime().has_value());
+  clock.Advance(10);
+  EXPECT_EQ(4, calls);
+  EXPECT_EQ(scheduled, copies);
+}
+
 TEST(IrqTest, RaiseClearPendingAndCounts) {
   InterruptController irq;
   EXPECT_FALSE(irq.Pending(5));
