@@ -754,7 +754,10 @@ std::string ReproToString(const GeneratedCase& g, const std::string& invariant) 
   }
   for (const auto& [off, queue] : g.script.read_queues) {
     s += "queue " + Hex(off);
-    for (uint32_t v : queue) s += " " + Hex(v);
+    for (uint32_t v : queue) {
+      s += ' ';
+      s += Hex(v);
+    }
     s += "\n";
   }
   for (const auto& [off, value] : g.script.doorbell_sets) {

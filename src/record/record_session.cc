@@ -1,5 +1,9 @@
 #include "src/record/record_session.h"
 
+#include <algorithm>
+#include <optional>
+#include <set>
+
 #include "src/record/template_builder.h"
 #include "src/soc/log.h"
 
@@ -27,9 +31,11 @@ std::string RecordSession::NewBind(const char* prefix) {
   return std::string(prefix) + std::to_string((*counter)++);
 }
 
-TemplateEvent& RecordSession::Emit(TemplateEvent e) {
+void RecordSession::Emit(TemplateEvent e) {
+  if (!e.bind.empty()) {
+    bind_event_[e.bind] = raw_.events.size();
+  }
   raw_.events.push_back(std::move(e));
-  return raw_.events.back();
 }
 
 std::string RecordSession::BufferOf(const uint8_t* ptr, size_t len, uint64_t* offset_out) const {
@@ -44,7 +50,6 @@ std::string RecordSession::BufferOf(const uint8_t* ptr, size_t len, uint64_t* of
 
 TValue RecordSession::ScalarParam(const std::string& name, uint64_t concrete) {
   raw_.params.push_back(ParamSpec{name, /*is_buffer=*/false});
-  raw_.concrete_inputs[name] = concrete;
   return TValue::Input(name, concrete);
 }
 
@@ -71,7 +76,6 @@ TValue RecordSession::RegRead32(uint16_t device, uint64_t offset, SourceLoc loc)
   e.file = loc.file;
   e.line = loc.line;
   Emit(std::move(e));
-  raw_.concrete_inputs[bind] = v.value();
   return TValue::Input(bind, v.value());
 }
 
@@ -98,7 +102,6 @@ TValue RecordSession::ShmRead32(const TValue& addr, SourceLoc loc) {
   e.file = loc.file;
   e.line = loc.line;
   Emit(std::move(e));
-  raw_.concrete_inputs[bind] = v.value();
   return TValue::Input(bind, v.value());
 }
 
@@ -195,7 +198,6 @@ TValue RecordSession::DmaAlloc(const TValue& size, SourceLoc loc) {
   e.file = loc.file;
   e.line = loc.line;
   Emit(std::move(e));
-  raw_.concrete_inputs[bind] = addr.value();
   return TValue::Input(bind, addr.value());
 }
 
@@ -215,7 +217,6 @@ TValue RecordSession::GetRandomU32(SourceLoc loc) {
   e.file = loc.file;
   e.line = loc.line;
   Emit(std::move(e));
-  raw_.concrete_inputs[bind] = v.value();
   return TValue::Input(bind, v.value());
 }
 
@@ -229,7 +230,6 @@ TValue RecordSession::GetTimestampUs(SourceLoc loc) {
   e.file = loc.file;
   e.line = loc.line;
   Emit(std::move(e));
-  raw_.concrete_inputs[bind] = v.value();
   return TValue::Input(bind, v.value());
 }
 
@@ -317,12 +317,36 @@ bool RecordSession::Branch(const TValue& lhs, Cmp cmp, const TValue& rhs, Source
   bool truth = base_->Branch(lhs, cmp, rhs, loc);
   if (lhs.tainted() || rhs.tainted()) {
     ConstraintAtom atom{lhs.expr(), cmp, rhs.expr()};
-    if (!truth) {
-      atom = atom.Negated();
-    }
-    raw_.path_conds.push_back(PathCond{std::move(atom), raw_.events.size(), loc});
+    AttachPathCond(truth ? std::move(atom) : atom.Negated());
   }
   return truth;
+}
+
+void RecordSession::AttachPathCond(ConstraintAtom atom) {
+  std::set<std::string> syms;
+  atom.lhs->CollectInputs(&syms);
+  atom.rhs->CollectInputs(&syms);
+  std::optional<size_t> target;
+  for (const std::string& s : syms) {
+    if (std::any_of(raw_.params.begin(), raw_.params.end(),
+                    [&](const ParamSpec& p) { return p.name == s; })) {
+      continue;
+    }
+    auto it = bind_event_.find(s);
+    if (it == bind_event_.end()) {
+      DLT_LOG(kWarn) << "path condition references unbound symbol " << s;
+      failed_ = true;
+      return;
+    }
+    target = std::max(target.value_or(0), it->second);
+  }
+  if (!target.has_value()) {
+    raw_.initial.AddAtom(std::move(atom));
+    return;
+  }
+  TemplateEvent& ev = raw_.events[*target];
+  ev.constraint.AddAtom(std::move(atom));
+  ev.state_changing = true;
 }
 
 uint64_t RecordSession::NowUs() { return base_->NowUs(); }

@@ -1,10 +1,15 @@
 // RecordSession: a DriverIo that exercises the gold driver while logging raw
-// interaction events, taint flows and path conditions — one record run of a
-// record campaign (paper §4). Finish() distills the raw log into an
-// interaction template via the template builder.
+// interaction events and taint flows — one record run of a record campaign
+// (paper §4). Each path condition attaches when its branch is logged
+// (constraint discovery, §4.2 Challenge I): a condition over params only
+// becomes an initial constraint, any other goes to the latest event that binds
+// one of its symbols and makes that event state-changing. Finish() hands the
+// log to the template builder, which only lifts polling loops and moves the
+// events into the template.
 #ifndef SRC_RECORD_RECORD_SESSION_H_
 #define SRC_RECORD_RECORD_SESSION_H_
 
+#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -15,25 +20,15 @@
 
 namespace dlt {
 
-// A path condition logged at a tainted branch: the (possibly negated) comparison
-// that held on the recorded path, positioned after the raw event it follows.
-struct PathCond {
-  ConstraintAtom atom;
-  size_t after_event = 0;  // index into RawRecording::events (count of events before it)
-  SourceLoc loc;
-};
-
 // Everything one record run produces; input to BuildTemplate().
 struct RawRecording {
   std::string entry;
   std::string name;
   uint16_t primary_device = 0;
   std::vector<ParamSpec> params;
-  std::vector<TemplateEvent> events;
-  std::vector<PathCond> path_conds;
-  // Concrete values observed for each input event (parallel to input events'
-  // order of appearance); used by the differ and by tests.
-  std::map<std::string, uint64_t> concrete_inputs;
+  Constraint initial;  // path conditions over params only
+  // A deque, so appending never moves or copies a logged event.
+  std::deque<TemplateEvent> events;
 };
 
 class RecordSession : public DriverIo {
@@ -47,8 +42,9 @@ class RecordSession : public DriverIo {
   TValue ScalarParam(const std::string& name, uint64_t concrete);
   void BufferParam(const std::string& name, uint8_t* base_ptr, size_t len);
 
-  // Distills the raw log into a template (constraint attachment, state-changing
-  // classification, loop lifting). The session is spent afterwards.
+  // Distills the raw log into a template (loop lifting); kBadState if the run
+  // failed or a path condition named a symbol no event bound. The session is
+  // spent afterwards.
   Result<InteractionTemplate> Finish();
 
   // Raw access for the differ and tests.
@@ -81,13 +77,16 @@ class RecordSession : public DriverIo {
 
  private:
   std::string NewBind(const char* prefix);
-  TemplateEvent& Emit(TemplateEvent e);
+  void Emit(TemplateEvent e);
+  void AttachPathCond(ConstraintAtom atom);
   // Resolves a raw data pointer to a registered buffer param name; empty if
   // the pointer is not inside a registered program buffer.
   std::string BufferOf(const uint8_t* ptr, size_t len, uint64_t* offset_out) const;
 
   DriverIo* base_;
   RawRecording raw_;
+  // Bind symbol -> index of the event binding it (binds are unique per run).
+  std::map<std::string, size_t> bind_event_;
   bool failed_ = false;
   int din_count_ = 0;
   int dma_count_ = 0;

@@ -1,26 +1,11 @@
 #include "src/record/template_builder.h"
 
+#include <iterator>
 #include <optional>
-
-#include "src/soc/log.h"
 
 namespace dlt {
 
 namespace {
-
-enum class SymClass { kParam, kDevice, kEnv };
-
-SymClass ClassifySymbol(const std::string& name, const std::vector<ParamSpec>& params) {
-  for (const auto& p : params) {
-    if (p.name == name) {
-      return SymClass::kParam;
-    }
-  }
-  if (name.rfind("din", 0) == 0) {
-    return SymClass::kDevice;
-  }
-  return SymClass::kEnv;
-}
 
 // Renders |e| with occurrences of Input(bind) replaced by "$" — used to compare
 // loop-iteration atoms that differ only in their iteration-local bind symbol.
@@ -34,10 +19,15 @@ std::string RenderRenamed(const ExprRef& e, const std::string& bind) {
     case ExprOp::kInput:
       return e->input_name() == bind ? "$" : e->input_name();
     case ExprOp::kNot:
-      return "(~" + RenderRenamed(e->lhs(), bind) + ")";
+      return std::string("(~").append(RenderRenamed(e->lhs(), bind)).append(")");
     default:
-      return "(" + RenderRenamed(e->lhs(), bind) + " " + ExprOpToken(e->op()) + " " +
-             RenderRenamed(e->rhs(), bind) + ")";
+      return std::string("(")
+          .append(RenderRenamed(e->lhs(), bind))
+          .append(" ")
+          .append(ExprOpToken(e->op()))
+          .append(" ")
+          .append(RenderRenamed(e->rhs(), bind))
+          .append(")");
   }
 }
 
@@ -86,7 +76,8 @@ struct PollUnit {
 
 // Tries to parse a poll unit starting at |i|. Returns nullopt when the event is
 // not a candidate (wrong kind, no single own-bind condition, ...).
-std::optional<PollUnit> ParseUnit(const std::vector<TemplateEvent>& events, size_t i) {
+template <typename Events>
+std::optional<PollUnit> ParseUnit(const Events& events, size_t i) {
   const TemplateEvent& e = events[i];
   if (e.kind != EventKind::kShmRead && e.kind != EventKind::kRegRead) {
     return std::nullopt;
@@ -114,25 +105,32 @@ std::optional<PollUnit> ParseUnit(const std::vector<TemplateEvent>& events, size
   return u;
 }
 
-}  // namespace
-
-int LiftPollingLoops(std::vector<TemplateEvent>* events) {
-  std::vector<TemplateEvent> out;
-  int lifted = 0;
+// Lifts the loops of |events| in place and returns how many events remain in
+// its prefix. The write index |w| never passes the read index |i|, so
+// ParseUnit's lookahead only reads recorded events.
+template <typename Events>
+size_t LiftInPlace(Events* events, int* lifted) {
+  Events& ev = *events;
+  size_t w = 0;
   size_t i = 0;
-  const std::vector<TemplateEvent>& in = *events;
-  while (i < in.size()) {
-    std::optional<PollUnit> first = ParseUnit(in, i);
+  auto keep = [&] {
+    if (w != i) {
+      ev[w] = std::move(ev[i]);
+    }
+    ++w;
+    ++i;
+  };
+  while (i < ev.size()) {
+    std::optional<PollUnit> first = ParseUnit(ev, i);
     if (!first.has_value()) {
-      out.push_back(in[i]);
-      ++i;
+      keep();
       continue;
     }
     // Gather the maximal run of same-signature units.
     std::vector<PollUnit> run{*first};
     size_t j = i + first->len;
-    while (j < in.size()) {
-      std::optional<PollUnit> u = ParseUnit(in, j);
+    while (j < ev.size()) {
+      std::optional<PollUnit> u = ParseUnit(ev, j);
       if (!u.has_value() || u->sig != first->sig) {
         break;
       }
@@ -155,17 +153,16 @@ int LiftPollingLoops(std::vector<TemplateEvent>* events) {
       }
     }
     if (!is_loop) {
-      out.push_back(in[i]);
-      ++i;
+      keep();
       continue;
     }
     const PollUnit& terminal = run.back();
-    const TemplateEvent& read0 = in[run.front().start];
+    TemplateEvent& read0 = ev[run.front().start];
     TemplateEvent poll;
     poll.kind = read0.kind == EventKind::kShmRead ? EventKind::kPollShm : EventKind::kPollReg;
     poll.device = read0.device;
     poll.reg_off = read0.reg_off;
-    poll.addr = read0.addr;
+    poll.addr = std::move(read0.addr);
     poll.bind = terminal.bind;  // the terminal value may feed later events
     poll.mask = terminal.mask;
     poll.want = terminal.want;
@@ -174,13 +171,20 @@ int LiftPollingLoops(std::vector<TemplateEvent>* events) {
     poll.timeout_us = 1'000'000;
     poll.recorded_iters = static_cast<uint32_t>(run.size());
     poll.state_changing = true;
-    poll.file = read0.file;
+    poll.file = std::move(read0.file);
     poll.line = read0.line;
-    out.push_back(std::move(poll));
-    ++lifted;
+    ev[w++] = std::move(poll);
+    ++*lifted;
     i = terminal.start + 1;  // terminal iteration has no trailing delay consumed
   }
-  *events = std::move(out);
+  return w;
+}
+
+}  // namespace
+
+int LiftPollingLoops(std::vector<TemplateEvent>* events) {
+  int lifted = 0;
+  events->resize(LiftInPlace(events, &lifted));
   return lifted;
 }
 
@@ -189,46 +193,12 @@ Result<InteractionTemplate> BuildTemplate(RawRecording&& raw) {
   t.entry = std::move(raw.entry);
   t.name = std::move(raw.name);
   t.primary_device = raw.primary_device;
-  t.params = raw.params;
-
-  // Index events by bind symbol (bind -> last event index binding it).
-  // Binds are unique per recording, so a simple map suffices.
-  std::map<std::string, size_t> bind_event;
-  for (size_t i = 0; i < raw.events.size(); ++i) {
-    if (!raw.events[i].bind.empty()) {
-      bind_event[raw.events[i].bind] = i;
-    }
-  }
-
-  // Attach path conditions.
-  for (const PathCond& pc : raw.path_conds) {
-    std::set<std::string> syms;
-    pc.atom.lhs->CollectInputs(&syms);
-    pc.atom.rhs->CollectInputs(&syms);
-    std::optional<size_t> target;
-    for (const auto& s : syms) {
-      if (ClassifySymbol(s, raw.params) == SymClass::kParam) {
-        continue;
-      }
-      auto it = bind_event.find(s);
-      if (it == bind_event.end() || it->second >= pc.after_event) {
-        DLT_LOG(kWarn) << "path condition references unbound symbol " << s;
-        return Status::kBadState;
-      }
-      target = target.has_value() ? std::max(*target, it->second) : it->second;
-    }
-    if (!target.has_value()) {
-      // Conditions purely over entry parameters become selection constraints.
-      t.initial.AddAtom(pc.atom);
-      continue;
-    }
-    TemplateEvent& ev = raw.events[*target];
-    ev.constraint.AddAtom(pc.atom);
-    ev.state_changing = true;
-  }
-
-  LiftPollingLoops(&raw.events);
-  t.events = std::move(raw.events);
+  t.params = std::move(raw.params);
+  t.initial = std::move(raw.initial);
+  int lifted = 0;
+  size_t kept = LiftInPlace(&raw.events, &lifted);
+  t.events.reserve(kept);
+  std::move(raw.events.begin(), raw.events.begin() + kept, std::back_inserter(t.events));
   return t;
 }
 

@@ -1,11 +1,9 @@
-// Distills a raw recording into an interaction template:
-//  1. attaches path conditions (constraint discovery, paper §4.2 Challenge I):
-//     conditions over params become the template's initial constraints;
-//     conditions over device/env inputs attach to the binding event and mark
-//     it state-changing;
-//  2. lifts open-coded polling loops into poll meta events (Challenge III);
-//  3. symbolic output values arrived via taint tracking in the session
-//     (Challenge II) and are kept as-is.
+// Distills a raw recording into an interaction template. Path conditions are
+// already attached when the run ends (RecordSession attaches each at its
+// branch, paper §4.2 Challenge I) and symbolic output values arrived via taint
+// tracking (Challenge II), so the builder only lifts open-coded polling loops
+// into poll meta events (Challenge III), in place, and moves the remaining
+// events into the template.
 #ifndef SRC_RECORD_TEMPLATE_BUILDER_H_
 #define SRC_RECORD_TEMPLATE_BUILDER_H_
 

@@ -30,7 +30,9 @@ std::optional<uint64_t> BeginRun(Rpi3Testbed* tb, uint16_t device) {
 
 // Distils the run's template. It leaves its device clean when the device's
 // digest now, after the gold driver returned, equals |clean|, the digest
-// BeginRun took; a device without a digest never proves clean.
+// BeginRun took; a device without a digest never proves clean. Callers end
+// their driver and program buffers first, so those are not live while the
+// template is built (a camera run's buffer is 2.46 MB).
 Result<InteractionTemplate> FinishRun(RecordSession* sess, Rpi3Testbed* tb, uint16_t device,
                                       std::optional<uint64_t> clean) {
   std::optional<uint64_t> after = tb->DeviceStateDigest(device);
@@ -49,15 +51,16 @@ Result<InteractionTemplate> RecordMmcRun(Rpi3Testbed* tb, const std::string& nam
   TValue cnt_v = sess.ScalarParam("blkcnt", blkcnt);
   TValue id_v = sess.ScalarParam("blkid", blkid);
   TValue flag_v = sess.ScalarParam("flag", 0);
-  std::vector<uint8_t> buf(blkcnt * 512);
-  FillPattern(&buf, blkid);
-  sess.BufferParam("buf", buf.data(), buf.size());
-
-  BcmSdhostDriver driver(&sess, tb->mmc_config());
-  Status s = driver.Transfer(rw_v, cnt_v, id_v, flag_v, buf.data(), buf.size());
-  if (!Ok(s)) {
-    DLT_LOG(kError) << "MMC record run " << name << " failed: " << StatusName(s);
-    return s;
+  {
+    std::vector<uint8_t> buf(blkcnt * 512);
+    FillPattern(&buf, blkid);
+    sess.BufferParam("buf", buf.data(), buf.size());
+    BcmSdhostDriver driver(&sess, tb->mmc_config());
+    Status s = driver.Transfer(rw_v, cnt_v, id_v, flag_v, buf.data(), buf.size());
+    if (!Ok(s)) {
+      DLT_LOG(kError) << "MMC record run " << name << " failed: " << StatusName(s);
+      return s;
+    }
   }
   return FinishRun(&sess, tb, tb->mmc_id(), clean);
 }
@@ -70,15 +73,16 @@ Result<InteractionTemplate> RecordUsbRun(Rpi3Testbed* tb, const std::string& nam
   TValue cnt_v = sess.ScalarParam("blkcnt", blkcnt);
   TValue id_v = sess.ScalarParam("blkid", blkid);
   TValue flag_v = sess.ScalarParam("flag", 0);
-  std::vector<uint8_t> buf(blkcnt * 512);
-  FillPattern(&buf, blkid + 1);
-  sess.BufferParam("buf", buf.data(), buf.size());
-
-  Dwc2StorageDriver driver(&sess, tb->usb_config());
-  Status s = driver.Transfer(rw_v, cnt_v, id_v, flag_v, buf.data(), buf.size());
-  if (!Ok(s)) {
-    DLT_LOG(kError) << "USB record run " << name << " failed: " << StatusName(s);
-    return s;
+  {
+    std::vector<uint8_t> buf(blkcnt * 512);
+    FillPattern(&buf, blkid + 1);
+    sess.BufferParam("buf", buf.data(), buf.size());
+    Dwc2StorageDriver driver(&sess, tb->usb_config());
+    Status s = driver.Transfer(rw_v, cnt_v, id_v, flag_v, buf.data(), buf.size());
+    if (!Ok(s)) {
+      DLT_LOG(kError) << "USB record run " << name << " failed: " << StatusName(s);
+      return s;
+    }
   }
   return FinishRun(&sess, tb, tb->usb_id(), clean);
 }
@@ -91,16 +95,18 @@ Result<InteractionTemplate> RecordCameraRun(Rpi3Testbed* tb, const std::string& 
   TValue res_v = sess.ScalarParam("resolution", resolution);
   uint64_t buf_size = Vc4Firmware::FrameBytes(1440) + 4096;  // covers every resolution
   TValue buf_size_v = sess.ScalarParam("buf_size", buf_size);
-  std::vector<uint8_t> buf(buf_size);
-  sess.BufferParam("buf", buf.data(), buf.size());
-  std::vector<uint8_t> img_size(4);
-  sess.BufferParam("img_size", img_size.data(), img_size.size());
-
-  VchiqCameraDriver driver(&sess, tb->cam_config());
-  Status s = driver.Capture(frames_v, res_v, buf.data(), buf.size(), buf_size_v, img_size.data());
-  if (!Ok(s)) {
-    DLT_LOG(kError) << "camera record run " << name << " failed: " << StatusName(s);
-    return s;
+  {
+    std::vector<uint8_t> buf(buf_size);
+    sess.BufferParam("buf", buf.data(), buf.size());
+    std::vector<uint8_t> img_size(4);
+    sess.BufferParam("img_size", img_size.data(), img_size.size());
+    VchiqCameraDriver driver(&sess, tb->cam_config());
+    Status s =
+        driver.Capture(frames_v, res_v, buf.data(), buf.size(), buf_size_v, img_size.data());
+    if (!Ok(s)) {
+      DLT_LOG(kError) << "camera record run " << name << " failed: " << StatusName(s);
+      return s;
+    }
   }
   return FinishRun(&sess, tb, tb->vchiq_id(), clean);
 }
@@ -113,15 +119,16 @@ Result<InteractionTemplate> RecordDisplayRun(Rpi3Testbed* tb, const std::string&
   TValue y_v = sess.ScalarParam("y", y);
   TValue w_v = sess.ScalarParam("w", w);
   TValue h_v = sess.ScalarParam("h", h);
-  std::vector<uint8_t> buf(w * h * 4);
-  FillPattern(&buf, x ^ y);
-  sess.BufferParam("buf", buf.data(), buf.size());
-
-  DsiDisplayDriver driver(&sess, tb->display_config());
-  Status s = driver.Blit(x_v, y_v, w_v, h_v, buf.data(), buf.size());
-  if (!Ok(s)) {
-    DLT_LOG(kError) << "display record run " << name << " failed: " << StatusName(s);
-    return s;
+  {
+    std::vector<uint8_t> buf(w * h * 4);
+    FillPattern(&buf, x ^ y);
+    sess.BufferParam("buf", buf.data(), buf.size());
+    DsiDisplayDriver driver(&sess, tb->display_config());
+    Status s = driver.Blit(x_v, y_v, w_v, h_v, buf.data(), buf.size());
+    if (!Ok(s)) {
+      DLT_LOG(kError) << "display record run " << name << " failed: " << StatusName(s);
+      return s;
+    }
   }
   return FinishRun(&sess, tb, tb->display_id(), clean);
 }
@@ -133,13 +140,15 @@ Result<RecordCampaign> RecordTouchCampaign(Rpi3Testbed* tb) {
   // begins (the developer taps the panel during recording).
   tb->touch().InjectTouch(400, 240, /*delay_us=*/3'000);
   RecordSession sess(&tb->kern_io(), kTouchEntry, "Sample", tb->touch_id());
-  std::vector<uint8_t> evt(4);
-  sess.BufferParam("evt", evt.data(), evt.size());
-  TouchDriver driver(&sess, tb->touch_config());
-  Status s = driver.ReadEvent(evt.data());
-  if (!Ok(s)) {
-    DLT_LOG(kError) << "touch record run failed: " << StatusName(s);
-    return s;
+  {
+    std::vector<uint8_t> evt(4);
+    sess.BufferParam("evt", evt.data(), evt.size());
+    TouchDriver driver(&sess, tb->touch_config());
+    Status s = driver.ReadEvent(evt.data());
+    if (!Ok(s)) {
+      DLT_LOG(kError) << "touch record run failed: " << StatusName(s);
+      return s;
+    }
   }
   DLT_ASSIGN_OR_RETURN(InteractionTemplate t, FinishRun(&sess, tb, tb->touch_id(), clean));
   campaign.AddTemplate(std::move(t));
@@ -174,19 +183,20 @@ Result<InteractionTemplate> RecordFtpmRun(Rpi3Testbed* tb, const std::string& na
   RecordSession sess(&tb->kern_io(), kFtpmEntry, name, tb->ftpm_id());
   TValue ord_v = sess.ScalarParam("ord", ord);
   TValue arg_v = sess.ScalarParam("arg", arg);
-  // Request payload sized for the largest ordinal payload (PCR digest);
-  // response sized for the largest response (get-random cap).
-  std::vector<uint8_t> req(kFtpmPcrBytes);
-  FillPattern(&req, ord * 17 + arg);
-  std::vector<uint8_t> rsp(kFtpmMaxRandom);
-  sess.BufferParam("req", req.data(), req.size());
-  sess.BufferParam("rsp", rsp.data(), rsp.size());
-
-  FtpmDriver driver(&sess, tb->ftpm_config());
-  Status s = driver.Execute(ord_v, arg_v, req.data(), rsp.data());
-  if (!Ok(s)) {
-    DLT_LOG(kError) << "ftpm record run " << name << " failed: " << StatusName(s);
-    return s;
+  {
+    // Request payload sized for the largest ordinal payload (PCR digest);
+    // response sized for the largest response (get-random cap).
+    std::vector<uint8_t> req(kFtpmPcrBytes);
+    FillPattern(&req, ord * 17 + arg);
+    std::vector<uint8_t> rsp(kFtpmMaxRandom);
+    sess.BufferParam("req", req.data(), req.size());
+    sess.BufferParam("rsp", rsp.data(), rsp.size());
+    FtpmDriver driver(&sess, tb->ftpm_config());
+    Status s = driver.Execute(ord_v, arg_v, req.data(), rsp.data());
+    if (!Ok(s)) {
+      DLT_LOG(kError) << "ftpm record run " << name << " failed: " << StatusName(s);
+      return s;
+    }
   }
   return FinishRun(&sess, tb, tb->ftpm_id(), clean);
 }
@@ -198,17 +208,18 @@ Result<InteractionTemplate> RecordCryptoaccRun(Rpi3Testbed* tb, const std::strin
   TValue op_v = sess.ScalarParam("op", op);
   TValue key_v = sess.ScalarParam("key", key);
   TValue len_v = sess.ScalarParam("len", len);
-  std::vector<uint8_t> buf(len);
-  FillPattern(&buf, key + len);
-  std::vector<uint8_t> out(len < kCaDigestBytes ? kCaDigestBytes : len);
-  sess.BufferParam("buf", buf.data(), buf.size());
-  sess.BufferParam("out", out.data(), out.size());
-
-  CryptoaccDriver driver(&sess, tb->crypto_config());
-  Status s = driver.Transform(op_v, key_v, len_v, buf.data(), buf.size(), out.data());
-  if (!Ok(s)) {
-    DLT_LOG(kError) << "cryptoacc record run " << name << " failed: " << StatusName(s);
-    return s;
+  {
+    std::vector<uint8_t> buf(len);
+    FillPattern(&buf, key + len);
+    std::vector<uint8_t> out(len < kCaDigestBytes ? kCaDigestBytes : len);
+    sess.BufferParam("buf", buf.data(), buf.size());
+    sess.BufferParam("out", out.data(), out.size());
+    CryptoaccDriver driver(&sess, tb->crypto_config());
+    Status s = driver.Transform(op_v, key_v, len_v, buf.data(), buf.size(), out.data());
+    if (!Ok(s)) {
+      DLT_LOG(kError) << "cryptoacc record run " << name << " failed: " << StatusName(s);
+      return s;
+    }
   }
   return FinishRun(&sess, tb, tb->crypto_id(), clean);
 }

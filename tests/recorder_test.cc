@@ -3,9 +3,11 @@
 // the differ, and coverage computation.
 #include <gtest/gtest.h>
 
+#include "src/crypto/sha256.h"
 #include "src/record/differ.h"
 #include "src/record/record_session.h"
 #include "src/record/template_builder.h"
+#include "src/workload/deploy_util.h"
 #include "src/workload/record_campaigns.h"
 #include "src/workload/rpi3_testbed.h"
 
@@ -77,6 +79,36 @@ TEST_F(RecorderTest, DeviceInputBranchMarksStateChanging) {
   EXPECT_TRUE(t->events[1].constraint.empty());
 }
 
+TEST_F(RecorderTest, ConditionOverTwoBindsAttachesOnlyToTheLaterBind) {
+  RecordSession sess(&tb_.kern_io(), "entry", "t", tb_.mmc_id());
+  // Eleven reads bind din0..din10. "din10" sorts before "din9", so the target
+  // must be picked by event order, not by symbol order.
+  std::vector<TValue> reads;
+  for (int i = 0; i < 11; ++i) {
+    reads.push_back(sess.RegRead32(tb_.mmc_id(), kSdEdm, DLT_HERE));
+  }
+  (void)sess.Branch(reads[10] & TValue(0xf), Cmp::kLe, reads[9], DLT_HERE);
+  Result<InteractionTemplate> t = sess.Finish();
+  ASSERT_TRUE(t.ok());
+  ASSERT_EQ(11u, t->events.size());
+  for (size_t i = 0; i < t->events.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(i == 10, t->events[i].state_changing);
+    EXPECT_EQ(i == 10 ? 1u : 0u, t->events[i].constraint.atoms().size());
+  }
+  std::set<std::string> syms;
+  t->events[10].constraint.CollectInputs(&syms);
+  EXPECT_EQ((std::set<std::string>{"din10", "din9"}), syms);
+  EXPECT_TRUE(t->initial.empty());
+}
+
+TEST_F(RecorderTest, ConditionOverAnUnboundSymbolFailsTheRun) {
+  RecordSession sess(&tb_.kern_io(), "entry", "t", tb_.mmc_id());
+  (void)sess.RegRead32(tb_.mmc_id(), kSdHsts, DLT_HERE);  // binds din0 only
+  (void)sess.Branch(TValue::Input("din7", 0), Cmp::kEq, TValue(0), DLT_HERE);
+  EXPECT_EQ(Status::kBadState, sess.Finish().status());
+}
+
 TEST_F(RecorderTest, DmaAllocIsAlwaysStateChanging) {
   RecordSession sess(&tb_.kern_io(), "entry", "t", tb_.mmc_id());
   (void)sess.DmaAlloc(TValue(4096), DLT_HERE);
@@ -132,6 +164,69 @@ TEST(LoopLiftTest, CollapsesRepeatedReadDelayPattern) {
   EXPECT_EQ(4u, poll.recorded_iters);
   EXPECT_EQ("din3", poll.bind);  // terminal value may feed later events
   EXPECT_EQ(EventKind::kRegWrite, events[1].kind);
+}
+
+TEST(LoopLiftTest, TwoLoopsBetweenKeptEventsCompactInPlace) {
+  // A read whose recorded condition is (bind & 1) <cmp> 0.
+  auto read = [](EventKind kind, const std::string& bind, Cmp cmp) {
+    TemplateEvent rd;
+    rd.kind = kind;
+    rd.device = 1;
+    rd.reg_off = 0x20;
+    if (kind == EventKind::kShmRead) {
+      rd.addr = Expr::Input("dma0");
+    }
+    rd.bind = bind;
+    rd.constraint.AddAtom(ConstraintAtom{
+        Expr::Binary(ExprOp::kAnd, Expr::Input(bind), Expr::Const(1)), cmp, Expr::Const(0)});
+    rd.state_changing = true;
+    return rd;
+  };
+  auto delay = [] {
+    TemplateEvent d;
+    d.kind = EventKind::kDelay;
+    d.value = Expr::Const(50);
+    return d;
+  };
+  auto write = [](uint64_t off) {
+    TemplateEvent w;
+    w.kind = EventKind::kRegWrite;
+    w.device = 9;
+    w.reg_off = off;
+    w.value = Expr::Const(1);
+    return w;
+  };
+  const EventKind kShm = EventKind::kShmRead;
+  const EventKind kReg = EventKind::kRegRead;
+  std::vector<TemplateEvent> events = {
+      // Two failing shared-memory reads with delays, then the terminal read;
+      // the delay after the terminal read is not part of the loop.
+      read(kShm, "din0", Cmp::kEq), delay(), read(kShm, "din1", Cmp::kEq), delay(),
+      read(kShm, "din2", Cmp::kNe), delay(), write(0x4),
+      // Three failing register reads without delays, then the terminal read.
+      read(kReg, "din3", Cmp::kNe), read(kReg, "din4", Cmp::kNe), read(kReg, "din5", Cmp::kNe),
+      read(kReg, "din6", Cmp::kEq), write(0x8)};
+
+  EXPECT_EQ(2, LiftPollingLoops(&events));
+  std::vector<EventKind> kinds;
+  for (const TemplateEvent& e : events) {
+    kinds.push_back(e.kind);
+  }
+  EXPECT_EQ((std::vector<EventKind>{EventKind::kPollShm, EventKind::kDelay, EventKind::kRegWrite,
+                                    EventKind::kPollReg, EventKind::kRegWrite}),
+            kinds);
+  ASSERT_EQ(5u, events.size());
+  EXPECT_EQ("din2", events[0].bind);
+  EXPECT_EQ(Cmp::kNe, events[0].poll_cmp);
+  EXPECT_EQ(3u, events[0].recorded_iters);
+  EXPECT_EQ(50u, events[0].interval_us);
+  EXPECT_EQ(0x4u, events[2].reg_off);
+  EXPECT_EQ("din6", events[3].bind);
+  EXPECT_EQ(Cmp::kEq, events[3].poll_cmp);
+  EXPECT_EQ(4u, events[3].recorded_iters);
+  EXPECT_EQ(0u, events[3].interval_us);
+  EXPECT_EQ(0x20u, events[3].reg_off);
+  EXPECT_EQ(0x8u, events[4].reg_off);
 }
 
 TEST(LoopLiftTest, SingleSuccessfulReadIsNotCollapsed) {
@@ -241,6 +336,35 @@ TEST_F(RecorderTest, FailedRecordRunDoesNotYieldTemplate) {
   BcmSdhostDriver d(&s, tb_.mmc_config());
   EXPECT_NE(Status::kOk, d.Transfer(rw, cnt, id, fl, buf.data(), buf.size()));
   tb_.sd_medium().set_present(true);
+}
+
+// Pins the sealed bytes of every recorded package: each registered class plus
+// display and touch. Recording runs in virtual time on seeded devices, so any
+// change to what the recorder logs, attaches or lifts shows up here.
+TEST(RecordedPackageTest, SealedPackagesArePinned) {
+  const std::map<std::string, std::string> kSha256 = {
+      {"mmc", "3042af11f3067ad47a46be6e4d6d256cd57b61170009eb79b1e2fa7059bcebf0"},
+      {"usb", "96ca08ca5484b95577d3fdc3f8143afdc266088724ea0eb44cb55e3eb2cadb61"},
+      {"camera", "c7722707f3bdf077195efccc4e043d20dc414a585318944673439a175b6db242"},
+      {"ftpm", "192a98cb0a8e4de8d322bd704416abe6ae342d7233fac61a442e9bf1dbb120e8"},
+      {"cryptoacc", "be1db47d3914b49584aec9858b148a95c2425c792c109f4960e1e4065a774497"},
+      {"display", "888123d716d7de42267b12dd4855c61da4f701f1d68ffc7aaa2db682266e95aa"},
+      {"touch", "c5cf6f019a8f6d0c0adab690ac1f02078b393b0023c693761de0fa879622e9ce"},
+  };
+  std::vector<std::pair<std::string, std::vector<uint8_t> (*)()>> builds;
+  for (const DriverletClassSpec& c : RegisteredDriverletClasses()) {
+    builds.emplace_back(c.name, c.build_package);
+  }
+  builds.emplace_back("display", &BuildDisplayPackage);
+  builds.emplace_back("touch", &BuildTouchPackage);
+  for (const auto& [name, build] : builds) {
+    auto pin = kSha256.find(name);
+    ASSERT_NE(kSha256.end(), pin) << "no pinned digest for " << name;
+    std::vector<uint8_t> sealed = build();
+    ASSERT_FALSE(sealed.empty()) << name;
+    EXPECT_EQ(pin->second, Sha256::HexDigest(Sha256::Hash(sealed.data(), sealed.size())))
+        << name;
+  }
 }
 
 TEST_F(RecorderTest, CoverageReportIsHumanReadable) {
