@@ -18,7 +18,6 @@
 #include "src/drv/cryptoacc_driver.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
-#include "src/obs/edge.h"
 #include "src/obs/telemetry.h"
 #include "src/tee/attestation.h"
 #include "src/workload/deploy_util.h"
@@ -206,8 +205,6 @@ class BoundaryExec {
     FzzSealed();
     Telemetry::Get().Enable();
     Telemetry::Get().Reset();
-    EdgeCoverage::Get().Reset();
-    EdgeCoverage::Get().Arm();
     Setup();
     for (size_t i = 0; i < prog_.actions.size() && ok(); ++i) {
       Step(prog_.actions[i], i);
@@ -215,7 +212,6 @@ class BoundaryExec {
       ++result_.actions_run;
     }
     if (ok()) Finish();
-    EdgeCoverage::Get().Disarm();
     CollectFeatures();
     Telemetry::Get().Disable();
     result_.trace = std::move(trace_);
@@ -608,23 +604,23 @@ class BoundaryExec {
           " sim_us=" + std::to_string(tb_->machine().clock().now_us()));
   }
 
+  // One (name-hash, log2 value) feature per telemetry counter the run moved
+  // and per histogram that took samples (its sample count: the replay.us.<kind>
+  // histograms count executed events by kind).
   void CollectFeatures() {
-    EdgeCoverage& ec = EdgeCoverage::Get();
-    for (size_t i = 0; i < ec.map_size(); ++i) {
-      uint64_t c = ec.count(i);
-      if (c > 0) {
-        result_.features.insert((static_cast<uint64_t>(i) << 6) | Log2Bucket(c));
-      }
+    const MetricsRegistry& m = Telemetry::Get().metrics();
+    m.ForEachCounter([this](const std::string& name, const Counter& c) {
+      AddFeature(name, c.value());
+    });
+    m.ForEachHistogram([this](const std::string& name, const Histogram& h) {
+      AddFeature(name, h.count());
+    });
+  }
+
+  void AddFeature(const std::string& metric, uint64_t n) {
+    if (n > 0) {
+      result_.features.insert(((Fnv1a(metric) & 0xffffffffull) << 6) | Log2Bucket(n));
     }
-    // Telemetry counters widen the map beyond the instrumented edges: any
-    // counter the run moved contributes a (name-hash, log2 value) feature.
-    Telemetry::Get().metrics().ForEachCounter(
-        [this](const std::string& name, const Counter& c) {
-          if (c.value() > 0) {
-            result_.features.insert((1ull << 63) | ((Fnv1a(name) & 0xffffffffull) << 6) |
-                                    Log2Bucket(c.value()));
-          }
-        });
   }
 
   const BoundaryProgram& prog_;

@@ -28,11 +28,12 @@
 //   determinism        a program added to the corpus replays to an identical
 //                      observable trace
 //
-// The coverage signal is the process-wide EdgeCoverage map (src/obs/edge.h)
-// plus bucketed telemetry counters: a mutant that lights a new (site, log2
-// count) feature joins the corpus. Violations are shrunk with the same ddmin
-// idiom as the conformance harness (src/check/conformance.h) and written as
-// small text .repro files that `driverletc fuzz --repro <file>` re-executes.
+// The coverage signal is the telemetry registry (src/obs/metrics.h): every
+// counter's value and every histogram's sample count, bucketed by log2. A
+// mutant that lights a new (metric, log2 bucket) feature joins the corpus.
+// Violations are shrunk with the same ddmin idiom as the conformance harness
+// (src/check/conformance.h) and written as small text .repro files that
+// `driverletc fuzz --repro <file>` re-executes.
 #ifndef SRC_CHECK_FUZZ_H_
 #define SRC_CHECK_FUZZ_H_
 

@@ -1,5 +1,7 @@
 #include "src/core/event.h"
 
+#include <algorithm>
+
 namespace dlt {
 
 EventClass ClassOf(EventKind k) {
@@ -63,17 +65,6 @@ Result<EventKind> EventKindFromName(std::string_view name) {
   return Status::kCorrupt;
 }
 
-namespace {
-
-bool ExprSame(const ExprRef& a, const ExprRef& b) {
-  if (a == nullptr && b == nullptr) {
-    return true;
-  }
-  return Expr::Equal(a, b);
-}
-
-}  // namespace
-
 bool SameStateTransition(const TemplateEvent& a, const TemplateEvent& b) {
   if (a.kind != b.kind || a.device != b.device || a.reg_off != b.reg_off ||
       a.irq_line != b.irq_line || a.mask != b.mask || a.want != b.want ||
@@ -81,11 +72,9 @@ bool SameStateTransition(const TemplateEvent& a, const TemplateEvent& b) {
       a.buffer != b.buffer) {
     return false;
   }
-  if (!ExprSame(a.addr, b.addr) || !ExprSame(a.value, b.value) ||
-      !ExprSame(a.buf_offset, b.buf_offset)) {
-    return false;
-  }
-  if (a.constraint.ToString() != b.constraint.ToString()) {
+  if (!Expr::Equal(a.addr, b.addr) || !Expr::Equal(a.value, b.value) ||
+      !Expr::Equal(a.buf_offset, b.buf_offset) ||
+      !Constraint::Equal(a.constraint, b.constraint)) {
     return false;
   }
   return SameStateTransition(a.body, b.body);
@@ -93,15 +82,10 @@ bool SameStateTransition(const TemplateEvent& a, const TemplateEvent& b) {
 
 bool SameStateTransition(const std::vector<TemplateEvent>& a,
                          const std::vector<TemplateEvent>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!SameStateTransition(a[i], b[i])) {
-      return false;
-    }
-  }
-  return true;
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const TemplateEvent& x, const TemplateEvent& y) {
+                      return SameStateTransition(x, y);
+                    });
 }
 
 }  // namespace dlt

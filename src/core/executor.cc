@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "src/core/integrity.h"
-#include "src/obs/edge.h"
 #include "src/obs/telemetry.h"
 #include "src/soc/log.h"
 
@@ -210,7 +209,6 @@ Status Executor::RunOne(const TemplateEvent& e, size_t index, DivergenceReport* 
 Status Executor::ExecuteOne(const TemplateEvent& e, size_t index, DivergenceReport* report) {
   ctx_->ChargeReplayOverheadNs(kReplayInterpEventNs);
   ++events_executed_;
-  EdgeCoverage::Get().HitIndex(kEdgeKindBase + static_cast<size_t>(e.kind));
   switch (e.kind) {
     case EventKind::kRegRead: {
       DLT_ASSIGN_OR_RETURN(uint32_t v, ctx_->RegRead32(e.device, e.reg_off));

@@ -28,10 +28,7 @@ bool InteractionTemplate::Mergeable(const InteractionTemplate& a, const Interact
   if (a.entry != b.entry || a.primary_device != b.primary_device) {
     return false;
   }
-  if (a.initial.ToString() != b.initial.ToString()) {
-    return false;
-  }
-  return SameStateTransition(a.events, b.events);
+  return Constraint::Equal(a.initial, b.initial) && SameStateTransition(a.events, b.events);
 }
 
 }  // namespace dlt

@@ -11,6 +11,10 @@ constexpr size_t kWindow = 4096;
 constexpr size_t kMinMatch = 3;
 constexpr size_t kMaxMatch = 18;
 constexpr size_t kHashSize = 1 << 13;
+// Chains are only followed within the window, so the compressor keeps the
+// links of the last kChainSize positions (a power of two above kWindow).
+constexpr size_t kChainSize = 1 << 13;
+static_assert(kChainSize > kWindow && (kChainSize & (kChainSize - 1)) == 0);
 
 inline uint32_t Hash3(const uint8_t* p) {
   uint32_t v = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
@@ -31,7 +35,7 @@ std::vector<uint8_t> LzssCompress(const void* data, size_t len) {
   // Chained hash table of recent positions.
   std::array<int64_t, kHashSize> head;
   head.fill(-1);
-  std::vector<int64_t> prev(len, -1);
+  std::vector<int64_t> prev(kChainSize, -1);
 
   size_t pos = 0;
   size_t flag_at = 0;
@@ -82,9 +86,9 @@ std::vector<uint8_t> LzssCompress(const void* data, size_t len) {
             break;
           }
         }
-        cand = prev[cpos];
+        cand = prev[cpos & (kChainSize - 1)];
       }
-      prev[pos] = head[h];
+      prev[pos & (kChainSize - 1)] = head[h];
       head[h] = static_cast<int64_t>(pos);
     }
     if (best_len >= kMinMatch) {
@@ -94,7 +98,7 @@ std::vector<uint8_t> LzssCompress(const void* data, size_t len) {
       // Index skipped positions so later matches can reference them.
       for (size_t i = 1; i < best_len && pos + i + kMinMatch <= len; ++i) {
         uint32_t h = Hash3(in + pos + i);
-        prev[pos + i] = head[h];
+        prev[(pos + i) & (kChainSize - 1)] = head[h];
         head[h] = static_cast<int64_t>(pos + i);
       }
       pos += best_len;

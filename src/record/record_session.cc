@@ -38,10 +38,9 @@ void RecordSession::Emit(TemplateEvent e) {
   raw_.events.push_back(std::move(e));
 }
 
-std::string RecordSession::BufferOf(const uint8_t* ptr, size_t len, uint64_t* offset_out) const {
+std::string RecordSession::BufferOf(const uint8_t* ptr, size_t len) const {
   for (const auto& b : buffers_) {
     if (ptr >= b.base && ptr + len <= b.base + b.len) {
-      *offset_out = static_cast<uint64_t>(ptr - b.base);
       return b.name;
     }
   }
@@ -236,8 +235,7 @@ TValue RecordSession::GetTimestampUs(SourceLoc loc) {
 void RecordSession::CopyToDma(const TValue& dst, const uint8_t* src_base, const TValue& src_off,
                               const TValue& len, SourceLoc loc) {
   base_->CopyToDma(dst, src_base, src_off, len, loc);
-  uint64_t reg_off = 0;
-  std::string buffer = BufferOf(src_base + src_off.value(), len.value(), &reg_off);
+  std::string buffer = BufferOf(src_base + src_off.value(), len.value());
   TemplateEvent e;
   e.kind = EventKind::kCopyToDma;
   e.addr = dst.expr();
@@ -256,8 +254,7 @@ void RecordSession::CopyToDma(const TValue& dst, const uint8_t* src_base, const 
 void RecordSession::CopyFromDma(uint8_t* dst_base, const TValue& dst_off, const TValue& src,
                                 const TValue& len, SourceLoc loc) {
   base_->CopyFromDma(dst_base, dst_off, src, len, loc);
-  uint64_t reg_off = 0;
-  std::string buffer = BufferOf(dst_base + dst_off.value(), len.value(), &reg_off);
+  std::string buffer = BufferOf(dst_base + dst_off.value(), len.value());
   TemplateEvent e;
   e.kind = EventKind::kCopyFromDma;
   e.addr = src.expr();
@@ -276,8 +273,7 @@ void RecordSession::CopyFromDma(uint8_t* dst_base, const TValue& dst_off, const 
 void RecordSession::PioIn(uint16_t device, uint64_t offset, uint8_t* dst_base,
                           const TValue& dst_off, const TValue& len, SourceLoc loc) {
   base_->PioIn(device, offset, dst_base, dst_off, len, loc);
-  uint64_t reg_off = 0;
-  std::string buffer = BufferOf(dst_base + dst_off.value(), len.value(), &reg_off);
+  std::string buffer = BufferOf(dst_base + dst_off.value(), len.value());
   TemplateEvent e;
   e.kind = EventKind::kPioIn;
   e.device = device;
@@ -296,8 +292,7 @@ void RecordSession::PioIn(uint16_t device, uint64_t offset, uint8_t* dst_base,
 void RecordSession::PioOut(uint16_t device, uint64_t offset, const uint8_t* src_base,
                            const TValue& src_off, const TValue& len, SourceLoc loc) {
   base_->PioOut(device, offset, src_base, src_off, len, loc);
-  uint64_t reg_off = 0;
-  std::string buffer = BufferOf(src_base + src_off.value(), len.value(), &reg_off);
+  std::string buffer = BufferOf(src_base + src_off.value(), len.value());
   TemplateEvent e;
   e.kind = EventKind::kPioOut;
   e.device = device;

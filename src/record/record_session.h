@@ -49,7 +49,6 @@ class RecordSession : public DriverIo {
 
   // Raw access for the differ and tests.
   const RawRecording& raw() const { return raw_; }
-  bool failed() const { return failed_; }
 
   // ---- DriverIo ----
   TValue RegRead32(uint16_t device, uint64_t offset, SourceLoc loc) override;
@@ -81,7 +80,7 @@ class RecordSession : public DriverIo {
   void AttachPathCond(ConstraintAtom atom);
   // Resolves a raw data pointer to a registered buffer param name; empty if
   // the pointer is not inside a registered program buffer.
-  std::string BufferOf(const uint8_t* ptr, size_t len, uint64_t* offset_out) const;
+  std::string BufferOf(const uint8_t* ptr, size_t len) const;
 
   DriverIo* base_;
   RawRecording raw_;

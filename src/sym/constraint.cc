@@ -1,5 +1,6 @@
 #include "src/sym/constraint.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace dlt {
@@ -127,6 +128,11 @@ Result<bool> Constraint::Eval(const Bindings& bindings) const {
     }
   }
   return true;
+}
+
+bool Constraint::Equal(const Constraint& a, const Constraint& b) {
+  return std::equal(a.atoms_.begin(), a.atoms_.end(), b.atoms_.begin(), b.atoms_.end(),
+                    ConstraintAtom::Equal);
 }
 
 void Constraint::Merge(const Constraint& other) {

@@ -57,6 +57,8 @@ class Constraint {
   void CollectInputs(std::set<std::string>* out) const;
   std::string ToString() const;  // "a && b && c" ("true" when empty)
   static Result<Constraint> Parse(std::string_view text);
+  // Structural equality: the same atoms in the same order.
+  static bool Equal(const Constraint& a, const Constraint& b);
 
  private:
   std::vector<ConstraintAtom> atoms_;

@@ -8,17 +8,6 @@ namespace {
 
 constexpr char kQuoteHeader[] = "driverlet-attest v1";
 
-std::string HexMac(const Sha256::Digest& d) {
-  static const char* digits = "0123456789abcdef";
-  std::string s;
-  s.reserve(d.size() * 2);
-  for (uint8_t b : d) {
-    s.push_back(digits[b >> 4]);
-    s.push_back(digits[b & 0xf]);
-  }
-  return s;
-}
-
 Result<uint64_t> ParseDec(std::string_view tok) {
   if (tok.empty()) {
     return Status::kCorrupt;
@@ -115,12 +104,12 @@ Result<AttestationQuote> ParseQuote(std::string_view text) {
 
 void SignQuote(AttestationQuote* q, std::string_view key) {
   std::string body = QuoteBody(*q);
-  q->mac = HexMac(HmacSha256(key, body.data(), body.size()));
+  q->mac = Sha256::HexDigest(HmacSha256(key, body.data(), body.size()));
 }
 
 bool VerifyQuote(const AttestationQuote& q, std::string_view key) {
   std::string body = QuoteBody(q);
-  return q.mac == HexMac(HmacSha256(key, body.data(), body.size()));
+  return q.mac == Sha256::HexDigest(HmacSha256(key, body.data(), body.size()));
 }
 
 }  // namespace dlt

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "src/core/replay_args.h"
-#include "src/obs/edge.h"
 #include "src/soc/status.h"
 
 namespace dlt {
@@ -64,10 +63,6 @@ class InvocationRing {
   Result<uint64_t> Push(std::string entry, ReplayArgs args) {
     if (in_flight() >= slots_.size()) {
       return Status::kBusy;
-    }
-    EdgeCoverage::Get().Hit(Edge::kRingPush);
-    if (pushed_ >= slots_.size()) {
-      EdgeCoverage::Get().Hit(Edge::kRingWrap);  // slot index has wrapped
     }
     Slot& s = slots_[pushed_ % slots_.size()];
     s.seq = pushed_;

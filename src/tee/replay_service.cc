@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/obs/edge.h"
 #include "src/obs/telemetry.h"
 #include "src/soc/log.h"
 
@@ -26,6 +25,7 @@ Result<std::string> ReplayService::RegisterDriverlet(const uint8_t* data, size_t
 }
 
 Result<std::string> ReplayService::RegisterDriverlet(const DriverletPackage& pkg) {
+  Telemetry& tel = Telemetry::Get();
   // Admission: every device the templates touch must already be mapped into
   // this SecureWorld — a package naming an unmapped device would fail deep in
   // replay; refuse it at the door instead.
@@ -33,7 +33,9 @@ Result<std::string> ReplayService::RegisterDriverlet(const DriverletPackage& pkg
     if (!tee_->DeviceMapped(dev)) {
       DLT_LOG(kWarn) << "driverlet " << pkg.driverlet << " refused: device " << dev
                      << " not mapped into the TEE";
-      EdgeCoverage::Get().Hit(Edge::kServiceRegisterReject);
+      if (tel.enabled()) {
+        tel.metrics().counter("service.register_rejects").Inc();
+      }
       return Status::kPermissionDenied;
     }
   }
@@ -48,8 +50,6 @@ Result<std::string> ReplayService::RegisterDriverlet(const DriverletPackage& pkg
     // Re-registering a device class replaces its templates only.
     DLT_RETURN_IF_ERROR(it->second->LoadPackage(pkg));
   }
-  EdgeCoverage::Get().Hit(Edge::kServiceRegister);
-  Telemetry& tel = Telemetry::Get();
   if (tel.enabled()) {
     tel.metrics().counter("service.packages_registered").Inc();
   }
@@ -69,14 +69,12 @@ Result<SessionId> ReplayService::OpenSession(std::string_view driverlet) {
   Telemetry& tel = Telemetry::Get();
   auto it = replayers_.find(driverlet);
   if (it == replayers_.end()) {
-    EdgeCoverage::Get().Hit(Edge::kServiceOpenReject);
     if (tel.enabled()) {
       tel.metrics().counter("service.sessions_rejected").Inc();
     }
     return Status::kNotFound;  // admission: only verified, registered packages
   }
   if (sessions_.size() >= cfg_.max_sessions) {
-    EdgeCoverage::Get().Hit(Edge::kServiceOpenReject);
     if (tel.enabled()) {
       tel.metrics().counter("service.sessions_rejected").Inc();
     }
@@ -86,7 +84,6 @@ Result<SessionId> ReplayService::OpenSession(std::string_view driverlet) {
   Session& s = sessions_.try_emplace(id, it->first, cfg_.ring_depth).first->second;
   s.stats.driverlet = it->first;
   s.stats.opened_us = tee_->TimestampUs();
-  EdgeCoverage::Get().Hit(Edge::kServiceOpen);
   if (tel.enabled()) {
     tel.metrics().counter("service.sessions_opened").Inc();
   }
@@ -99,7 +96,6 @@ Status ReplayService::CloseSession(SessionId id) {
     return Status::kNotFound;
   }
   sessions_.erase(it);
-  EdgeCoverage::Get().Hit(Edge::kServiceClose);
   Telemetry& tel = Telemetry::Get();
   if (tel.enabled()) {
     tel.metrics().counter("service.sessions_closed").Inc();
@@ -124,7 +120,6 @@ Result<ReplayStats> ReplayService::DoInvokeOne(Session& s, std::string_view entr
   Telemetry& tel = Telemetry::Get();
   if (s.stats.quarantined) {
     // Ladder rung 3: fail fast, never touch the device again on this session.
-    EdgeCoverage::Get().Hit(Edge::kServiceQuarantineReject);
     if (tel.enabled()) {
       tel.metrics().counter("service.quarantine_rejects").Inc();
     }
@@ -146,14 +141,12 @@ Result<ReplayStats> ReplayService::DoInvokeOne(Session& s, std::string_view entr
     if (!m.matches_golden) {
       mismatch = true;
       ++s.stats.measurement_mismatches;
-      EdgeCoverage::Get().Hit(Edge::kServiceMeasurementMismatch);
       if (tel.enabled()) {
         tel.metrics().counter("service.integrity_mismatches").Inc();
       }
     }
   }
   if (r.ok()) {
-    EdgeCoverage::Get().Hit(Edge::kServiceInvokeOk);
     s.stats.events_executed += r->events_executed;
     s.stats.resets += static_cast<uint64_t>(r->resets);
     s.stats.resets_elided += r->reset_elided ? 1 : 0;
@@ -161,7 +154,6 @@ Result<ReplayStats> ReplayService::DoInvokeOne(Session& s, std::string_view entr
     s.stats.consecutive_device_failures = 0;
     ++s.stats.per_template[r->template_name];
   } else {
-    EdgeCoverage::Get().Hit(Edge::kServiceInvokeFail);
     ++s.stats.failures;
     if (cfg_.enforce_integrity && mismatch && IsDeviceHealthFailure(r.status())) {
       // Ladder rung 0: the execution trace itself diverged from the template's
@@ -174,7 +166,6 @@ Result<ReplayStats> ReplayService::DoInvokeOne(Session& s, std::string_view entr
       DLT_LOG(kWarn) << "session on " << s.driverlet
                      << " quarantined: runtime measurement diverged from golden ("
                      << StatusName(r.status()) << ")";
-      EdgeCoverage::Get().Hit(Edge::kServiceIntegrityQuarantine);
       if (tel.enabled()) {
         tel.metrics().counter("service.integrity_quarantines").Inc();
         tel.metrics().counter("service.quarantines").Inc();
@@ -187,7 +178,6 @@ Result<ReplayStats> ReplayService::DoInvokeOne(Session& s, std::string_view entr
                      << s.stats.consecutive_device_failures
                      << " consecutive device failures (last: "
                      << StatusName(r.status()) << ")";
-      EdgeCoverage::Get().Hit(Edge::kServiceQuarantine);
       if (tel.enabled()) {
         tel.metrics().counter("service.quarantines").Inc();
       }
@@ -206,7 +196,6 @@ Result<ReplayStats> ReplayService::DoInvokeOne(Session& s, std::string_view entr
 
 void ReplayService::RunBatch(Session& s, BatchItem* items, size_t n) {
   Telemetry& tel = Telemetry::Get();
-  EdgeCoverage::Get().Hit(Edge::kServiceBatch);
   tee_->WorldSwitch("smc_invoke", 0);
   uint64_t batch_t0 = tee_->TimestampUs();
   for (size_t i = 0; i < n; ++i) {
@@ -257,13 +246,14 @@ Result<uint64_t> ReplayService::RingPush(SessionId id, std::string entry, Replay
   if (seq.ok()) {
     ++it->second.stats.submitted;
     if (tel.enabled()) {
+      tel.metrics().counter("ring.pushes").Inc();
+      if (*seq >= it->second.ring.depth()) {
+        tel.metrics().counter("ring.wraps").Inc();  // the slot index has wrapped
+      }
       tel.metrics().gauge("ring.sq_depth").Set(it->second.ring.submission_depth());
     }
-  } else {
-    EdgeCoverage::Get().Hit(Edge::kRingFull);
-    if (tel.enabled()) {
-      tel.metrics().counter("ring.full_rejects").Inc();
-    }
+  } else if (tel.enabled()) {
+    tel.metrics().counter("ring.full_rejects").Inc();
   }
   return seq;
 }
@@ -282,12 +272,13 @@ Result<size_t> ReplayService::RingDoorbell(SessionId id) {
   if (tel.enabled()) {
     tel.metrics().counter("ring.doorbells").Inc();
     tel.metrics().histogram("ring.batch_size").Record(n);
+    if (n == 0) {
+      tel.metrics().counter("ring.empty_doorbells").Inc();
+    }
   }
   if (n == 0) {
-    EdgeCoverage::Get().Hit(Edge::kRingEmptyDoorbell);
     return size_t{0};  // empty doorbell: no switch charged, nothing to do
   }
-  EdgeCoverage::Get().Hit(Edge::kRingDoorbell);
   std::vector<BatchItem> items;
   items.reserve(n);
   for (uint64_t seq = begin; seq != end; ++seq) {
@@ -309,14 +300,14 @@ Result<RingCompletion> ReplayService::RingPop(SessionId id) {
     return Status::kNotFound;
   }
   Result<RingCompletion> c = it->second.ring.PopCompletion();
-  if (c.ok()) {
-    EdgeCoverage::Get().Hit(Edge::kRingPop);
-    Telemetry& tel = Telemetry::Get();
-    if (tel.enabled()) {
+  Telemetry& tel = Telemetry::Get();
+  if (tel.enabled()) {
+    if (c.ok()) {
+      tel.metrics().counter("ring.pops").Inc();
       tel.metrics().gauge("ring.cq_depth").Set(it->second.ring.completion_depth());
+    } else {
+      tel.metrics().counter("ring.pops_empty").Inc();
     }
-  } else {
-    EdgeCoverage::Get().Hit(Edge::kRingPopEmpty);
   }
   return c;
 }

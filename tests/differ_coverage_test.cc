@@ -1,7 +1,7 @@
 // Direct unit coverage for the two record-side analyses that previously were
 // only exercised indirectly through full campaigns: the differ's transition
-// signatures / region validation (src/core/differ.cc) and the input-space
-// coverage accounting (src/core/coverage.cc).
+// signatures / region validation (src/record/differ.cc) and the input-space
+// coverage accounting (src/record/coverage.cc).
 #include <gtest/gtest.h>
 
 #include "src/record/coverage.h"

@@ -6,7 +6,7 @@
 #include <deque>
 
 #include "src/core/executor.h"
-#include "src/obs/edge.h"
+#include "src/obs/telemetry.h"
 
 namespace dlt {
 namespace {
@@ -337,9 +337,9 @@ TEST(ExecutorTest, EnvInputsBindForLaterUse) {
   EXPECT_EQ(42u ^ 0x1234u, ctx.reg_writes[0].second);
 }
 
-// The boundary fuzzer's executor signal: one coverage cell per event kind,
-// hit once per executed event and labelled after the kind.
-TEST(ExecutorTest, HitsOneEdgeCellPerExecutedEventKind) {
+// The boundary fuzzer's executor signal: the per-kind latency histogram takes
+// one sample per executed event.
+TEST(ExecutorTest, RecordsOneKindSamplePerExecutedEvent) {
   FakeContext ctx;
   ctx.reg_values = {7};
   InteractionTemplate t;
@@ -353,24 +353,22 @@ TEST(ExecutorTest, HitsOneEdgeCellPerExecutedEventKind) {
   t.events.push_back(wr);
   t.events.push_back(wr);
   ReplayArgs args;
-  EdgeCoverage& ec = EdgeCoverage::Get();
-  ec.Reset();
-  ec.Arm();
+  Telemetry& tel = Telemetry::Get();
+  tel.Enable();
+  tel.Reset();
   Executor exec(&ctx, &t, &args);
   DivergenceReport report;
   Status s = exec.Run(&report);
-  ec.Disarm();
+  MetricsRegistry& m = tel.metrics();
+  const uint64_t reads = m.histogram("replay.us.reg_read").count();
+  const uint64_t writes = m.histogram("replay.us.reg_write").count();
+  const uint64_t polls = m.histogram("replay.us.poll_reg").count();
+  tel.Disable();
+  tel.Reset();
   ASSERT_EQ(Status::kOk, s);
-  const size_t read_cell = kEdgeKindBase + static_cast<size_t>(EventKind::kRegRead);
-  const size_t write_cell = kEdgeKindBase + static_cast<size_t>(EventKind::kRegWrite);
-  EXPECT_EQ(1u, ec.count(read_cell));
-  EXPECT_EQ(2u, ec.count(write_cell));
-  EXPECT_EQ(2u, ec.distinct());
-  ec.Reset();
-  for (int k = 0; k <= static_cast<int>(EventKind::kPollShm); ++k) {
-    EXPECT_EQ(std::string("exec.") + EventKindName(static_cast<EventKind>(k)),
-              EdgeName(kEdgeKindBase + static_cast<size_t>(k)));
-  }
+  EXPECT_EQ(1u, reads);
+  EXPECT_EQ(2u, writes);
+  EXPECT_EQ(0u, polls);
 }
 
 }  // namespace

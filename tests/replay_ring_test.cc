@@ -111,6 +111,9 @@ TEST_F(ReplayRingTest, WrapAroundReusesSlots) {
   Result<SessionId> sid = svc.OpenSession("mmc");
   ASSERT_TRUE(sid.ok());
 
+  Telemetry& tel = Telemetry::Get();
+  tel.Enable();
+  tel.Reset();
   // 11 commands through a 4-slot ring in batches of 3: every slot is reused
   // at least twice and the sequence numbers stay monotonic across the wrap.
   uint64_t expect_seq = 0;
@@ -132,6 +135,14 @@ TEST_F(ReplayRingTest, WrapAroundReusesSlots) {
     }
     done += n;
   }
+  EXPECT_EQ(Status::kNotFound, svc.RingPop(*sid).status());  // drained
+  MetricsRegistry& m = tel.metrics();
+  EXPECT_EQ(11u, m.counter("ring.pushes").value());
+  EXPECT_EQ(7u, m.counter("ring.wraps").value());  // seqs 4..10 reuse a slot
+  EXPECT_EQ(11u, m.counter("ring.pops").value());
+  EXPECT_EQ(1u, m.counter("ring.pops_empty").value());
+  tel.Disable();
+  tel.Reset();
   Result<const InvocationRing*> ring = svc.Ring(*sid);
   ASSERT_TRUE(ring.ok());
   EXPECT_EQ(0u, (*ring)->in_flight());
@@ -190,6 +201,7 @@ TEST_F(ReplayRingTest, EmptyDoorbellChargesNoSwitch) {
   EXPECT_EQ(sw0, tb_->tee().world_switches());
   EXPECT_EQ(t0, tb_->clock().now_us());
   EXPECT_EQ(1u, tel.metrics().counter("ring.doorbells").value());
+  EXPECT_EQ(1u, tel.metrics().counter("ring.empty_doorbells").value());
   EXPECT_EQ(1u, tel.metrics().histogram("ring.batch_size").count());
   tel.Disable();
   tel.Reset();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/template_store.h"
+#include "src/obs/telemetry.h"
 #include "src/tee/replay_service.h"
 #include "src/workload/record_campaigns.h"
 #include "src/workload/rpi3_testbed.h"
@@ -172,8 +173,15 @@ TEST_F(ReplayServiceTest, AdmissionRejectsPackageForUnmappedDevices) {
   // package before any template becomes selectable.
   Rpi3Testbed open_machine{TestbedOptions{.secure_io = false, .probe_drivers = false}};
   ReplayService svc(&open_machine.tee(), kDeveloperKey);
+  Telemetry& tel = Telemetry::Get();
+  tel.Enable();
+  tel.Reset();
   Result<std::string> r = svc.RegisterDriverlet(mmc_->data(), mmc_->size());
+  const uint64_t rejects = tel.metrics().counter("service.register_rejects").value();
+  tel.Disable();
+  tel.Reset();
   EXPECT_EQ(Status::kPermissionDenied, r.status());
+  EXPECT_EQ(1u, rejects);
   EXPECT_EQ(0u, svc.registered_driverlets());
   EXPECT_EQ(0u, svc.store().template_count());
 }
