@@ -17,21 +17,91 @@ constexpr uint64_t kGolden64 = 0x9e3779b97f4a7c15ull;
 // Payload words are memcpy'd into the frame and defined as little-endian.
 static_assert(std::endian::native == std::endian::little);
 
+// Eight payload words, one per lane.
+using Words8 = uint64_t __attribute__((vector_size(64)));
+
+// The helpers below work in place on a word or lane-wise on a Words8. They
+// take it by reference: a vector passed or returned by value has a different
+// ABI in each per-CPU instance, and GCC warns about that (-Wpsabi).
+
 // splitmix64 finalizer: a bijective 64-bit mix.
-uint64_t Mix64(uint64_t z) {
+template <typename W>
+[[gnu::always_inline]] inline void Mix64(W& z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  z ^= z >> 31;
 }
 
 // Turns every 0xff byte of |z| into 0xfe and leaves the others alone, so the
 // payload never embeds a JPEG marker prefix. A byte of ~z is zero exactly
 // where z has 0xff; the add cannot carry across bytes (0x7f + 0x7f < 0x100).
-uint64_t ClearFfBytes(uint64_t z) {
+template <typename W>
+[[gnu::always_inline]] inline void ClearFfBytes(W& z) {
   constexpr uint64_t k7f = 0x7f7f7f7f7f7f7f7full;
-  uint64_t t = ~z;
-  uint64_t ff = ~(((t & k7f) + k7f) | t | k7f);  // 0x80 in each 0xff byte of z
-  return z ^ (ff >> 7);
+  W t = ~z;
+  W ff = ~(((t & k7f) + k7f) | t | k7f);  // 0x80 in each 0xff byte of z
+  z ^= ff >> 7;
+}
+
+// Writes |len| payload bytes to |dst|. Word k is ClearFfBytes(Mix64(key +
+// (k + 1)·γ)); the last word may be cut short to its low bytes. Blocks of
+// eight words go through one Words8, lane j holding word 8b + j; the scalar
+// loop writes what is left. The counter stays a scalar: without AVX-512 a
+// Words8 has no register, and a vector counter carried across blocks goes
+// through the stack each time, which makes the AVX2 instance slower than the
+// scalar loop.
+[[gnu::always_inline]] inline void WritePayload(uint64_t key, uint8_t* dst, size_t len) {
+  constexpr Words8 kLanes = {1, 2, 3, 4, 5, 6, 7, 8};
+  size_t blocks = len / 64;
+  uint64_t ctr = key;
+  for (size_t b = 0; b < blocks; ++b) {
+    Words8 z = ctr + kLanes * kGolden64;
+    Mix64(z);
+    ClearFfBytes(z);
+    std::memcpy(dst + 64 * b, &z, 64);
+    ctr += 8 * kGolden64;
+  }
+  size_t i = 64 * blocks;
+  for (; i + 8 <= len; i += 8) {
+    ctr += kGolden64;
+    uint64_t z = ctr;
+    Mix64(z);
+    ClearFfBytes(z);
+    std::memcpy(dst + i, &z, 8);
+  }
+  if (i < len) {
+    uint64_t z = ctr + kGolden64;
+    Mix64(z);
+    ClearFfBytes(z);
+    std::memcpy(dst + i, &z, len - i);  // the word's low bytes
+  }
+}
+
+// One instance of WritePayload per CPU level, picked by hand at the first
+// call: target_clones' ifunc resolver runs before main, where a TSan build
+// crashes.
+#if defined(__x86_64__)
+[[gnu::target("arch=x86-64-v4")]] void WritePayloadV4(uint64_t key, uint8_t* dst, size_t len) {
+  WritePayload(key, dst, len);
+}
+[[gnu::target("arch=x86-64-v3")]] void WritePayloadV3(uint64_t key, uint8_t* dst, size_t len) {
+  WritePayload(key, dst, len);
+}
+#endif
+void WritePayloadBaseline(uint64_t key, uint8_t* dst, size_t len) { WritePayload(key, dst, len); }
+
+using PayloadWriter = void (*)(uint64_t key, uint8_t* dst, size_t len);
+
+PayloadWriter PickPayloadWriter() {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("x86-64-v4")) {
+    return WritePayloadV4;  // AVX-512: one Words8 is one register
+  }
+  if (__builtin_cpu_supports("x86-64-v3")) {
+    return WritePayloadV3;  // AVX2: two registers, 64-bit multiplies emulated
+  }
+#endif
+  return WritePayloadBaseline;
 }
 
 struct Resolution {
@@ -62,18 +132,13 @@ void WriteFramePrefix(uint32_t seq, uint32_t resolution, uint8_t* dst, size_t n)
   // key is mixed so that no two (seq, resolution) streams are shifted copies
   // of each other, which a linear key would make them.
   size_t end = std::min(n, eoi);
-  uint64_t ctr = Mix64(uint64_t{seq} << 32 | resolution);
-  size_t i = 4;
-  for (; i + 8 <= end; i += 8) {
-    ctr += kGolden64;
-    uint64_t z = ClearFfBytes(Mix64(ctr));
-    std::memcpy(dst + i, &z, 8);
+  if (end > 4) {
+    static const PayloadWriter write_payload = PickPayloadWriter();
+    uint64_t key = uint64_t{seq} << 32 | resolution;
+    Mix64(key);
+    write_payload(key, dst + 4, end - 4);
   }
-  if (i < end) {
-    uint64_t z = ClearFfBytes(Mix64(ctr + kGolden64));
-    std::memcpy(dst + i, &z, end - i);  // the word's low bytes
-  }
-  for (i = eoi; i < n; ++i) {
+  for (size_t i = eoi; i < n; ++i) {
     dst[i] = kEoi[i - eoi];
   }
 }
@@ -364,8 +429,15 @@ void Vc4Firmware::CompleteBulkRx(uint32_t seq) {
   auto it = FrameOf(seq);
   Frame f = *it;
   frames_.erase(it);
-  (void)mem_->DmaFill(f.dest, f.n, [&f](uint8_t* dst) { WriteFramePrefix(f.seq, f.res, dst, f.n); });
-  uint32_t words[2] = {FrameBytes(f.res), 0};
+  Status s = mem_->DmaFill(f.dest, f.n,
+                           [&f](uint8_t* dst) { WriteFramePrefix(f.seq, f.res, dst, f.n); });
+  // {bytes moved, status}: a destination outside RAM moves nothing (status 1,
+  // as when there is nothing to transmit).
+  uint32_t words[2] = {f.n, 0};
+  if (s != Status::kOk) {
+    words[0] = 0;
+    words[1] = 1;
+  }
   PostMessage(VchiqMsgType::kBulkRxDone, words, 2);
   RingCpu();
 }

@@ -41,8 +41,8 @@ enum class VchiqMsgType : uint8_t {
   kOpenAck = 3,
   kClose = 4,
   kData = 5,
-  kBulkRx = 6,
-  kBulkRxDone = 7,
+  kBulkRx = 6,      // payload {dest, requested bytes}
+  kBulkRxDone = 7,  // (VC4->CPU) payload {bytes moved, status}
 };
 
 // MMAL sub-protocol: DATA payload = {u32 mmal_type, u32 a, u32 b}.

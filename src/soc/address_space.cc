@@ -119,7 +119,7 @@ MmioDevice* AddressSpace::DeviceAt(PhysAddr a, uint64_t* offset_out) const {
 }
 
 Result<uint32_t> AddressSpace::Read32(World w, PhysAddr a) {
-  if (tzasc_ != nullptr && !tzasc_->Allows(w, a)) {
+  if (tzasc_ != nullptr && !tzasc_->AllowsRange(w, a, 4)) {
     return Status::kPermissionDenied;
   }
   uint64_t off = 0;
@@ -142,7 +142,7 @@ Result<uint32_t> AddressSpace::Read32(World w, PhysAddr a) {
 }
 
 Status AddressSpace::Write32(World w, PhysAddr a, uint32_t v) {
-  if (tzasc_ != nullptr && !tzasc_->Allows(w, a)) {
+  if (tzasc_ != nullptr && !tzasc_->AllowsRange(w, a, 4)) {
     return Status::kPermissionDenied;
   }
   uint64_t off = 0;
@@ -165,7 +165,7 @@ Status AddressSpace::Write32(World w, PhysAddr a, uint32_t v) {
 }
 
 Status AddressSpace::ReadBytes(World w, PhysAddr a, void* dst, size_t n) {
-  if (tzasc_ != nullptr && !(tzasc_->Allows(w, a) && tzasc_->Allows(w, a + n - 1))) {
+  if (tzasc_ != nullptr && !tzasc_->AllowsRange(w, a, n)) {
     return Status::kPermissionDenied;
   }
   if (RamWindow* ram = RamAt(a, n); ram != nullptr) {
@@ -176,7 +176,7 @@ Status AddressSpace::ReadBytes(World w, PhysAddr a, void* dst, size_t n) {
 }
 
 Status AddressSpace::WriteBytes(World w, PhysAddr a, const void* src, size_t n) {
-  if (tzasc_ != nullptr && !(tzasc_->Allows(w, a) && tzasc_->Allows(w, a + n - 1))) {
+  if (tzasc_ != nullptr && !tzasc_->AllowsRange(w, a, n)) {
     return Status::kPermissionDenied;
   }
   if (RamWindow* ram = RamAt(a, n); ram != nullptr) {

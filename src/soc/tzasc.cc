@@ -16,11 +16,21 @@ World Tzasc::OwnerOf(PhysAddr addr) const {
   return World::kNormal;
 }
 
-bool Tzasc::Allows(World accessor, PhysAddr addr) const {
-  if (accessor == World::kSecure) {
+bool Tzasc::AllowsRange(World accessor, PhysAddr addr, uint64_t size) const {
+  if (accessor == World::kSecure || size == 0) {
     return true;
   }
+  // Ownership changes only at region edges, so the range is all normal when
+  // |addr| and every edge inside the range are. Offsets from |addr| keep the
+  // test free of addr + size, which may wrap.
   bool ok = OwnerOf(addr) == World::kNormal;
+  for (const Region& r : regions_) {
+    for (PhysAddr edge : {r.base, r.base + r.size}) {
+      if (edge > addr && edge - addr < size && OwnerOf(edge) != World::kNormal) {
+        ok = false;
+      }
+    }
+  }
   if (!ok) {
     NoteDenied();
   }

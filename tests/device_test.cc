@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <set>
 
@@ -327,10 +328,10 @@ class Vc4Link {
     return {m.w[1], m.w[2]};
   }
 
-  // Bulk-receives the captured frame's first |req| bytes into kDest; returns
+  // Bulk-receives the captured frame's first |req| bytes into |dest|; returns
   // BULK_RX_DONE's {actual, status}.
-  std::pair<uint32_t, uint32_t> BulkRx(uint32_t req) {
-    Msg m = Call(VchiqMsgType::kBulkRx, {static_cast<uint32_t>(kDest), req});
+  std::pair<uint32_t, uint32_t> BulkRx(uint32_t req, uint32_t dest = kDest) {
+    Msg m = Call(VchiqMsgType::kBulkRx, {dest, req});
     EXPECT_EQ(VchiqMsgType::kBulkRxDone, m.type);
     return {m.w[0], m.w[1]};
   }
@@ -370,7 +371,7 @@ TEST_F(NativeDeviceTest, BulkTransferWritesFramePrefixInPlace) {
 
   std::memset(dest, 0x5a, full + 64);
   EXPECT_EQ(std::make_pair(full, 0u), link.Capture());
-  EXPECT_EQ(std::make_pair(full, 0u), link.BulkRx(req));
+  EXPECT_EQ(std::make_pair(req, 0u), link.BulkRx(req));
   expect_prefix(0, req);
 
   std::memset(dest, 0x5a, full + 64);
@@ -390,7 +391,7 @@ TEST_F(NativeDeviceTest, BulkTransferWritesFramePrefixInPlace) {
   ASSERT_EQ(Status::kOk, inj.Arm(plan));
   std::memset(dest, 0x5a, full + 64);
   EXPECT_EQ(std::make_pair(full, 2u), link.Capture());
-  EXPECT_EQ(std::make_pair(full, 0u), link.BulkRx(req));
+  EXPECT_EQ(std::make_pair(req, 0u), link.BulkRx(req));
   inj.Disarm();
   EXPECT_EQ(1u, inj.opportunities());
   EXPECT_EQ(1u, inj.injected(FaultKind::kBusCorruptWrite));
@@ -402,6 +403,103 @@ TEST_F(NativeDeviceTest, BulkTransferWritesFramePrefixInPlace) {
   EXPECT_GE(corrupted, 1u);  // the hook got the bytes in RAM
   EXPECT_LE(corrupted, 2u);
   EXPECT_EQ(full + 64 - req, static_cast<size_t>(std::count(dest + req, dest + full + 64, 0x5a)));
+}
+
+// BULK_RX_DONE reports what the transfer moved: nothing, with status 1, when
+// the destination is not RAM, so the driver's img_size check can fire.
+TEST_F(NativeDeviceTest, BulkReceiveOutsideRamMovesNothing) {
+  const uint32_t full = Vc4Firmware::FrameBytes(720);
+  const uint32_t ram_tail = static_cast<uint32_t>(kRamBase + kRamSize - 64);
+  Vc4Link link(&tb_);
+  uint8_t* dest = link.Ram(Vc4Link::kDest, full);
+  uint8_t* ram_end = link.Ram(ram_tail, 64);
+  ASSERT_NE(nullptr, dest);
+  ASSERT_NE(nullptr, ram_end);
+  std::memset(dest, 0x5a, full);
+  std::memset(ram_end, 0x5a, 64);
+  link.OpenCamera(720);
+
+  EXPECT_EQ(std::make_pair(full, 0u), link.Capture());
+  EXPECT_EQ(std::make_pair(0u, 1u), link.BulkRx(full, 0xc5bc'0000));
+  EXPECT_EQ(std::make_pair(full, 1u), link.Capture());
+  EXPECT_EQ(std::make_pair(0u, 1u), link.BulkRx(full, ram_tail));  // runs off RAM
+  EXPECT_EQ(64, std::count(ram_end, ram_end + 64, 0x5a)) << "a failed transfer wrote RAM";
+  EXPECT_EQ(full, static_cast<size_t>(std::count(dest, dest + full, 0x5a)));
+
+  // The firmware still serves the next frame.
+  EXPECT_EQ(std::make_pair(full, 2u), link.Capture());
+  EXPECT_EQ(std::make_pair(full, 0u), link.BulkRx(full));
+  std::vector<uint8_t> frame = Vc4Firmware::MakeFrame(2, 720);
+  EXPECT_TRUE(std::equal(frame.begin(), frame.end(), dest));
+}
+
+// Byte i of frame (seq, res) from the frame's definition, one byte at a time:
+// SOI + APP0, then payload byte j = i - 4 is byte j % 8 (little-endian) of
+// splitmix64(key + (j / 8 + 1)·γ), key = splitmix64(seq << 32 | res), with
+// 0xff read as 0xfe; the last two bytes are EOI.
+uint8_t OracleFrameByte(uint32_t seq, uint32_t res, size_t i) {
+  auto splitmix64 = [](uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+  const size_t eoi = Vc4Firmware::FrameBytes(res) - 2;
+  if (i < 4) {
+    return std::array<uint8_t, 4>{0xff, 0xd8, 0xff, 0xe0}[i];
+  }
+  if (i >= eoi) {
+    return i == eoi ? 0xff : 0xd9;
+  }
+  const size_t j = i - 4;
+  const uint64_t key = splitmix64(uint64_t{seq} << 32 | res);
+  const uint64_t word = splitmix64(key + (j / 8 + 1) * 0x9e3779b97f4a7c15ull);
+  const uint8_t b = static_cast<uint8_t>(word >> (8 * (j % 8)));
+  return b == 0xff ? 0xfe : b;
+}
+
+// Checks the generator (whichever per-CPU instance this host runs) against
+// the oracle: whole frames, and bulk receives that end after every count of
+// words past the last eight-word block, mid-word, in the markers and in EOI.
+TEST_F(NativeDeviceTest, CameraFramesMatchBytewiseOracle) {
+  auto mismatch = [](uint32_t seq, uint32_t res, const uint8_t* bytes, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      if (bytes[i] != OracleFrameByte(seq, res, i)) {
+        return i;
+      }
+    }
+    return n;
+  };
+  for (uint32_t res : {720u, 1080u, 1440u}) {
+    for (uint32_t seq : {0u, 1u, 99u}) {
+      std::vector<uint8_t> f = Vc4Firmware::MakeFrame(seq, res);
+      EXPECT_EQ(f.size(), mismatch(seq, res, f.data(), f.size()))
+          << "seq " << seq << " res " << res;
+    }
+  }
+
+  const uint32_t full = Vc4Firmware::FrameBytes(720);
+  std::vector<uint32_t> lengths = {1, 2, 3, 4, 5};
+  for (uint32_t words = 0; words < 8; ++words) {
+    for (uint32_t extra : {0u, 1u, 7u}) {
+      lengths.push_back(4 + 64 * 1000 + 8 * words + extra);  // payload past 1000 blocks
+    }
+  }
+  for (uint32_t back : {9u, 3u, 2u, 1u, 0u}) {
+    lengths.push_back(full - back);
+  }
+  Vc4Link link(&tb_);
+  uint8_t* dest = link.Ram(Vc4Link::kDest, full + 64);
+  ASSERT_NE(nullptr, dest);
+  link.OpenCamera(720);
+  for (uint32_t seq = 0; seq < lengths.size(); ++seq) {
+    const uint32_t n = lengths[seq];
+    std::memset(dest, 0x5a, full + 64);
+    EXPECT_EQ(std::make_pair(full, seq), link.Capture());
+    EXPECT_EQ(std::make_pair(n, 0u), link.BulkRx(n));
+    EXPECT_EQ(n, mismatch(seq, 720, dest, n)) << "n " << n;
+    EXPECT_EQ(full + 64 - n, static_cast<size_t>(std::count(dest + n, dest + full + 64, 0x5a)))
+        << "bytes past n written, n " << n;
+  }
 }
 
 // Callbacks the firmware scheduled before a soft reset must not act after it:

@@ -2,6 +2,7 @@
 // replayer's pervasive boundary checks, and TEE device-mapping policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/core/replayer.h"
@@ -54,6 +55,27 @@ TEST_F(SecurityTest, NormalWorldDeniedOnAllSecureDevices) {
   }
   // TEE RAM reservation is also closed to the normal world.
   EXPECT_EQ(Status::kPermissionDenied, mem.Read32(World::kNormal, kTeePoolBase).status());
+}
+
+// The normal-world kernel passes driver-chosen addresses to its CPU copies;
+// none that overlaps the TEE pool may read or change a byte inside it.
+TEST_F(SecurityTest, NormalWorldCannotStraddleIntoTeePool) {
+  auto& mem = deploy_->machine().mem();
+  ASSERT_EQ(Status::kOk, mem.Write32(World::kSecure, kTeePoolBase, 0x5ec0'0001));
+  ASSERT_EQ(Status::kOk, mem.Write32(World::kSecure, kTeePoolBase + 64, 0x5ec0'0002));
+  std::vector<uint8_t> buf(kTeePoolSize + 8192);
+  EXPECT_EQ(Status::kPermissionDenied,
+            mem.ReadBytes(World::kNormal, kTeePoolBase - 4096, buf.data(), buf.size()));
+  EXPECT_EQ(0, std::count(buf.begin(), buf.end(), 0x02)) << "secure bytes copied out";
+  EXPECT_EQ(Status::kPermissionDenied,
+            mem.WriteBytes(World::kNormal, kTeePoolBase - 4096, buf.data(), buf.size()));
+  EXPECT_EQ(Status::kPermissionDenied, mem.Read32(World::kNormal, kTeePoolBase - 2).status());
+  EXPECT_EQ(Status::kPermissionDenied, mem.Write32(World::kNormal, kTeePoolBase - 2, 0));
+  EXPECT_EQ(0x5ec0'0001u, *mem.Read32(World::kSecure, kTeePoolBase));
+  EXPECT_EQ(0x5ec0'0002u, *mem.Read32(World::kSecure, kTeePoolBase + 64));
+  // An empty copy at the pool's end touches no secure byte.
+  EXPECT_EQ(Status::kOk,
+            mem.ReadBytes(World::kNormal, kTeePoolBase + kTeePoolSize, buf.data(), 0));
 }
 
 TEST_F(SecurityTest, TamperedPackageRefusedBeforeUse) {

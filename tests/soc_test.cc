@@ -2,6 +2,8 @@
 // CMA pool, DMA engine.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/soc/cma_pool.h"
 #include "src/soc/machine.h"
 
@@ -166,6 +168,27 @@ TEST(TzascTest, SecureAccessesEverythingNormalOnlyNormal) {
   EXPECT_EQ(1u, tz.denied_count());
 }
 
+TEST(TzascTest, RangeChecksEveryByte) {
+  Tzasc tz;
+  tz.AssignRegion(0x1000, 0x1000, World::kSecure);
+  tz.AssignRegion(0x1800, 0x100, World::kNormal);  // a normal hole in it
+  EXPECT_TRUE(tz.AllowsRange(World::kNormal, 0x0, 0x1000));
+  EXPECT_TRUE(tz.AllowsRange(World::kNormal, 0x1800, 0x100));
+  EXPECT_TRUE(tz.AllowsRange(World::kNormal, 0x2000, 0x1000));
+  EXPECT_TRUE(tz.AllowsRange(World::kSecure, 0x0, 0x3000));
+  EXPECT_EQ(0u, tz.denied_count());
+  EXPECT_FALSE(tz.AllowsRange(World::kNormal, 0x0, 0x1001));     // last byte secure
+  EXPECT_FALSE(tz.AllowsRange(World::kNormal, 0x17ff, 2));       // first byte secure
+  EXPECT_FALSE(tz.AllowsRange(World::kNormal, 0x1800, 0x101));   // runs out of the hole
+  EXPECT_FALSE(tz.AllowsRange(World::kNormal, 0x0, 0x3000));     // both ends normal
+  EXPECT_FALSE(tz.AllowsRange(World::kNormal, 0x1800, ~0ull));   // addr + size wraps
+  EXPECT_EQ(5u, tz.denied_count());
+  // Empty ranges touch no byte, at a region's edges too.
+  EXPECT_TRUE(tz.AllowsRange(World::kNormal, 0x1000, 0));
+  EXPECT_TRUE(tz.AllowsRange(World::kNormal, 0x2000, 0));
+  EXPECT_EQ(5u, tz.denied_count());
+}
+
 class ScratchDevice : public MmioDevice {
  public:
   std::string_view name() const override { return "scratch"; }
@@ -220,6 +243,39 @@ TEST(AddressSpaceTest, TzascChecksApplyToCpuAccess) {
   uint32_t v = 0;
   EXPECT_EQ(Status::kOk, mem.DmaRead(0x8000, &v, 4));
   EXPECT_EQ(1u, v);
+}
+
+// A CPU access is refused when any byte it touches is secure, not only its
+// first or last one, and the refusal leaves the secure bytes as they were.
+TEST(AddressSpaceTest, TzascChecksEveryByteOfCpuAccess) {
+  Tzasc tz;
+  AddressSpace mem(&tz);
+  ASSERT_EQ(Status::kOk, mem.AddRam(0, 0x10000));
+  tz.AssignRegion(0x8000, 0x1000, World::kSecure);
+  ASSERT_EQ(Status::kOk, mem.Write32(World::kSecure, 0x8000, 0x11223344));
+  ASSERT_EQ(Status::kOk, mem.Write32(World::kSecure, 0x8040, 0x55667788));
+  std::vector<uint8_t> buf(0x3000, 0xaa);
+
+  EXPECT_EQ(Status::kPermissionDenied, mem.ReadBytes(World::kNormal, 0x7000, buf.data(), 0x3000));
+  EXPECT_EQ(1u, tz.denied_count());
+  EXPECT_EQ(Status::kPermissionDenied, mem.WriteBytes(World::kNormal, 0x7000, buf.data(), 0x3000));
+  EXPECT_EQ(2u, tz.denied_count());
+  EXPECT_EQ(Status::kPermissionDenied, mem.Read32(World::kNormal, 0x7ffe).status());
+  EXPECT_EQ(3u, tz.denied_count());
+  EXPECT_EQ(Status::kPermissionDenied, mem.Write32(World::kNormal, 0x7ffe, 0xaaaaaaaa));
+  EXPECT_EQ(4u, tz.denied_count());
+  EXPECT_EQ(Status::kPermissionDenied, mem.Read32(World::kNormal, 0x8ffe).status());
+  EXPECT_EQ(5u, tz.denied_count());
+  EXPECT_EQ(0x11223344u, *mem.Read32(World::kSecure, 0x8000));
+  EXPECT_EQ(0x55667788u, *mem.Read32(World::kSecure, 0x8040));
+  EXPECT_EQ(0u, *mem.Read32(World::kNormal, 0x7ffc)) << "a refused write landed in normal RAM";
+
+  // Up to the edge is fine, and so is an empty access at either edge.
+  EXPECT_EQ(Status::kOk, mem.ReadBytes(World::kNormal, 0x7000, buf.data(), 0x1000));
+  EXPECT_EQ(Status::kOk, mem.WriteBytes(World::kNormal, 0x9000, buf.data(), 0x1000));
+  EXPECT_EQ(Status::kOk, mem.ReadBytes(World::kNormal, 0x9000, buf.data(), 0));
+  EXPECT_EQ(Status::kOk, mem.WriteBytes(World::kNormal, 0x8000, buf.data(), 0));
+  EXPECT_EQ(5u, tz.denied_count());
 }
 
 TEST(AddressSpaceTest, WrappingAccessIsOutOfRange) {
