@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "src/dev/vc4/frame_payload.h"
 #include "src/soc/log.h"
 
 namespace dlt {
@@ -77,9 +78,9 @@ template <typename W>
   }
 }
 
-// One instance of WritePayload per CPU level, picked by hand at the first
-// call: target_clones' ifunc resolver runs before main, where a TSan build
-// crashes.
+// One instance of WritePayload per CPU level, listed by
+// SupportedPayloadWriters and picked by hand: target_clones' ifunc resolver
+// runs before main, where a TSan build crashes.
 #if defined(__x86_64__)
 [[gnu::target("arch=x86-64-v4")]] void WritePayloadV4(uint64_t key, uint8_t* dst, size_t len) {
   WritePayload(key, dst, len);
@@ -89,20 +90,6 @@ template <typename W>
 }
 #endif
 void WritePayloadBaseline(uint64_t key, uint8_t* dst, size_t len) { WritePayload(key, dst, len); }
-
-using PayloadWriter = void (*)(uint64_t key, uint8_t* dst, size_t len);
-
-PayloadWriter PickPayloadWriter() {
-#if defined(__x86_64__)
-  if (__builtin_cpu_supports("x86-64-v4")) {
-    return WritePayloadV4;  // AVX-512: one Words8 is one register
-  }
-  if (__builtin_cpu_supports("x86-64-v3")) {
-    return WritePayloadV3;  // AVX2: two registers, 64-bit multiplies emulated
-  }
-#endif
-  return WritePayloadBaseline;
-}
 
 struct Resolution {
   uint32_t w;
@@ -118,9 +105,27 @@ bool LookupResolution(uint32_t res, Resolution* out) {
   }
 }
 
-// Writes bytes [0, n) of MakeFrame(seq, resolution) to |dst|, where
-// n <= FrameBytes(resolution).
-void WriteFramePrefix(uint32_t seq, uint32_t resolution, uint8_t* dst, size_t n) {
+}  // namespace
+
+std::span<const PayloadWriterInstance> SupportedPayloadWriters() {
+  static const std::vector<PayloadWriterInstance> supported = [] {
+    std::vector<PayloadWriterInstance> w;
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("x86-64-v4")) {
+      w.push_back({"x86-64-v4", WritePayloadV4});  // AVX-512: one Words8 is one register
+    }
+    if (__builtin_cpu_supports("x86-64-v3")) {
+      w.push_back({"x86-64-v3", WritePayloadV3});  // AVX2: two registers, 64-bit multiplies emulated
+    }
+#endif
+    w.push_back({"baseline", WritePayloadBaseline});
+    return w;
+  }();
+  return supported;
+}
+
+void WriteFramePrefix(uint32_t seq, uint32_t resolution, uint8_t* dst, size_t n,
+                      PayloadWriter write) {
   if (n == 0) {
     return;
   }
@@ -133,17 +138,14 @@ void WriteFramePrefix(uint32_t seq, uint32_t resolution, uint8_t* dst, size_t n)
   // of each other, which a linear key would make them.
   size_t end = std::min(n, eoi);
   if (end > 4) {
-    static const PayloadWriter write_payload = PickPayloadWriter();
     uint64_t key = uint64_t{seq} << 32 | resolution;
     Mix64(key);
-    write_payload(key, dst + 4, end - 4);
+    write(key, dst + 4, end - 4);
   }
   for (size_t i = eoi; i < n; ++i) {
     dst[i] = kEoi[i - eoi];
   }
 }
-
-}  // namespace
 
 Vc4Firmware::Vc4Firmware(AddressSpace* mem, SimClock* clock, InterruptController* irq,
                          const LatencyModel* lat, int irq_line)
@@ -160,7 +162,7 @@ uint32_t Vc4Firmware::FrameBytes(uint32_t resolution) {
 
 std::vector<uint8_t> Vc4Firmware::MakeFrame(uint32_t seq, uint32_t resolution) {
   std::vector<uint8_t> f(FrameBytes(resolution));
-  WriteFramePrefix(seq, resolution, f.data(), f.size());
+  WriteFramePrefix(seq, resolution, f.data(), f.size(), SupportedPayloadWriters().front().write);
   return f;
 }
 
@@ -429,8 +431,9 @@ void Vc4Firmware::CompleteBulkRx(uint32_t seq) {
   auto it = FrameOf(seq);
   Frame f = *it;
   frames_.erase(it);
-  Status s = mem_->DmaFill(f.dest, f.n,
-                           [&f](uint8_t* dst) { WriteFramePrefix(f.seq, f.res, dst, f.n); });
+  Status s = mem_->DmaFill(f.dest, f.n, [&f](uint8_t* dst) {
+    WriteFramePrefix(f.seq, f.res, dst, f.n, SupportedPayloadWriters().front().write);
+  });
   // {bytes moved, status}: a destination outside RAM moves nothing (status 1,
   // as when there is nothing to transmit).
   uint32_t words[2] = {f.n, 0};

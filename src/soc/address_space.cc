@@ -92,7 +92,7 @@ void AddressSpace::MmioCursor::Write(uint32_t v) {
 }
 
 Result<AddressSpace::MmioCursor> AddressSpace::MmioAt(World w, PhysAddr a) {
-  if (tzasc_ != nullptr && !tzasc_->Allows(w, a)) {
+  if (tzasc_ != nullptr && !tzasc_->AllowsRange(w, a, 4)) {
     return Status::kPermissionDenied;
   }
   for (auto& win : mmio_) {

@@ -25,11 +25,9 @@ class Tzasc {
   // Unassigned addresses default to the normal world.
   World OwnerOf(PhysAddr addr) const;
 
-  // Secure masters may access everything; normal masters only normal regions.
-  bool Allows(World accessor, PhysAddr addr) const { return AllowsRange(accessor, addr, 1); }
-
-  // Whether |accessor| may touch every byte of [addr, addr + size); an empty
-  // range is allowed. A refusal counts once in denied_count().
+  // Whether |accessor| may touch every byte of [addr, addr + size): secure
+  // masters may access everything, normal masters only normal regions. An
+  // empty range is allowed. A refusal counts once in denied_count().
   bool AllowsRange(World accessor, PhysAddr addr, uint64_t size) const;
 
   const std::vector<Region>& regions() const { return regions_; }

@@ -10,6 +10,7 @@
 
 #include "src/crypto/sha256.h"
 #include "src/dev/display/display_controller.h"
+#include "src/dev/vc4/frame_payload.h"
 #include "src/fault/fault_injector.h"
 #include "src/soc/machine.h"
 #include "src/workload/rpi3_testbed.h"
@@ -457,26 +458,26 @@ uint8_t OracleFrameByte(uint32_t seq, uint32_t res, size_t i) {
   return b == 0xff ? 0xfe : b;
 }
 
-// Checks the generator (whichever per-CPU instance this host runs) against
-// the oracle: whole frames, and bulk receives that end after every count of
-// words past the last eight-word block, mid-word, in the markers and in EOI.
-TEST_F(NativeDeviceTest, CameraFramesMatchBytewiseOracle) {
-  auto mismatch = [](uint32_t seq, uint32_t res, const uint8_t* bytes, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      if (bytes[i] != OracleFrameByte(seq, res, i)) {
-        return i;
-      }
-    }
-    return n;
-  };
-  for (uint32_t res : {720u, 1080u, 1440u}) {
-    for (uint32_t seq : {0u, 1u, 99u}) {
-      std::vector<uint8_t> f = Vc4Firmware::MakeFrame(seq, res);
-      EXPECT_EQ(f.size(), mismatch(seq, res, f.data(), f.size()))
-          << "seq " << seq << " res " << res;
-    }
+// Bytes [0, n) of frame (seq, res), built byte by byte with OracleFrameByte.
+std::vector<uint8_t> OracleFrame(uint32_t seq, uint32_t res, size_t n) {
+  std::vector<uint8_t> f(n);
+  for (size_t i = 0; i < n; ++i) {
+    f[i] = OracleFrameByte(seq, res, i);
   }
+  return f;
+}
 
+// Checks the generator against the oracle: every per-CPU payload writer this
+// host supports, and the one frames use through MakeFrame and bulk receives.
+// Whole frames, and prefixes that end after every count of words past the
+// last eight-word block, mid-word, in the markers and in EOI; no byte past
+// the prefix is written.
+TEST_F(NativeDeviceTest, CameraFramesMatchBytewiseOracle) {
+  // The first index in [0, want.size()) where |got| differs from |want|, or
+  // want.size().
+  auto first_diff = [](const std::vector<uint8_t>& want, const uint8_t* got) {
+    return static_cast<size_t>(std::mismatch(want.begin(), want.end(), got).first - want.begin());
+  };
   const uint32_t full = Vc4Firmware::FrameBytes(720);
   std::vector<uint32_t> lengths = {1, 2, 3, 4, 5};
   for (uint32_t words = 0; words < 8; ++words) {
@@ -487,6 +488,37 @@ TEST_F(NativeDeviceTest, CameraFramesMatchBytewiseOracle) {
   for (uint32_t back : {9u, 3u, 2u, 1u, 0u}) {
     lengths.push_back(full - back);
   }
+
+  ASSERT_FALSE(SupportedPayloadWriters().empty());
+  std::vector<uint8_t> buf(Vc4Firmware::FrameBytes(1440) + 64);
+  auto check_writer = [&](const PayloadWriterInstance& w, uint32_t seq, uint32_t res,
+                          const std::vector<uint8_t>& want) {
+    const size_t n = want.size();
+    std::fill(buf.begin(), buf.begin() + n + 64, 0x5a);
+    WriteFramePrefix(seq, res, buf.data(), n, w.write);
+    EXPECT_EQ(n, first_diff(want, buf.data())) << w.cpu << " seq " << seq << " res " << res
+                                               << " n " << n;
+    EXPECT_EQ(64, std::count(buf.begin() + n, buf.begin() + n + 64, 0x5a))
+        << w.cpu << " wrote past n " << n;
+  };
+  for (uint32_t res : {720u, 1080u, 1440u}) {
+    for (uint32_t seq : {0u, 1u, 99u}) {
+      const std::vector<uint8_t> want = OracleFrame(seq, res, Vc4Firmware::FrameBytes(res));
+      const std::vector<uint8_t> f = Vc4Firmware::MakeFrame(seq, res);
+      ASSERT_EQ(want.size(), f.size());
+      EXPECT_EQ(want.size(), first_diff(want, f.data())) << "seq " << seq << " res " << res;
+      for (const PayloadWriterInstance& w : SupportedPayloadWriters()) {
+        check_writer(w, seq, res, want);
+      }
+    }
+  }
+  for (uint32_t n : lengths) {
+    const std::vector<uint8_t> want = OracleFrame(0, 720, n);
+    for (const PayloadWriterInstance& w : SupportedPayloadWriters()) {
+      check_writer(w, 0, 720, want);
+    }
+  }
+
   Vc4Link link(&tb_);
   uint8_t* dest = link.Ram(Vc4Link::kDest, full + 64);
   ASSERT_NE(nullptr, dest);
@@ -496,7 +528,7 @@ TEST_F(NativeDeviceTest, CameraFramesMatchBytewiseOracle) {
     std::memset(dest, 0x5a, full + 64);
     EXPECT_EQ(std::make_pair(full, seq), link.Capture());
     EXPECT_EQ(std::make_pair(n, 0u), link.BulkRx(n));
-    EXPECT_EQ(n, mismatch(seq, 720, dest, n)) << "n " << n;
+    EXPECT_EQ(n, first_diff(OracleFrame(seq, 720, n), dest)) << "n " << n;
     EXPECT_EQ(full + 64 - n, static_cast<size_t>(std::count(dest + n, dest + full + 64, 0x5a)))
         << "bytes past n written, n " << n;
   }

@@ -161,10 +161,10 @@ TEST(TzascTest, LaterAssignmentsOverride) {
 TEST(TzascTest, SecureAccessesEverythingNormalOnlyNormal) {
   Tzasc tz;
   tz.AssignRegion(0x2000, 0x1000, World::kSecure);
-  EXPECT_TRUE(tz.Allows(World::kSecure, 0x2000));
-  EXPECT_TRUE(tz.Allows(World::kSecure, 0x9000));
-  EXPECT_FALSE(tz.Allows(World::kNormal, 0x2000));
-  EXPECT_TRUE(tz.Allows(World::kNormal, 0x9000));
+  EXPECT_TRUE(tz.AllowsRange(World::kSecure, 0x2000, 1));
+  EXPECT_TRUE(tz.AllowsRange(World::kSecure, 0x9000, 1));
+  EXPECT_FALSE(tz.AllowsRange(World::kNormal, 0x2000, 1));
+  EXPECT_TRUE(tz.AllowsRange(World::kNormal, 0x9000, 1));
   EXPECT_EQ(1u, tz.denied_count());
 }
 
