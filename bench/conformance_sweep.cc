@@ -14,7 +14,6 @@
 
 #include "src/workload/deploy_util.h"
 #include "src/check/conformance.h"
-#include "src/core/serialize_binary.h"
 
 int main(int argc, char** argv) {
   using namespace dlt;
@@ -79,7 +78,7 @@ int main(int argc, char** argv) {
   // Shrink demonstration: arm the planted decoder bug, catch it with the
   // serialize-roundtrip invariant, and report how small the shrinker gets.
   // This keeps the harness's failure path measured, not just its happy path.
-  SetBinaryValueQuirkForTest(true);
+  PlantDecoderBug(true);
   size_t shrunk_events = 0, original_events = 0;
   int shrink_steps = 0;
   uint64_t caught_seed = 0;
@@ -95,7 +94,7 @@ int main(int argc, char** argv) {
     }
     break;
   }
-  SetBinaryValueQuirkForTest(false);
+  PlantDecoderBug(false);
   std::printf("planted decoder bug: seed %llu shrunk %zu -> %zu events (%d steps)\n",
               static_cast<unsigned long long>(caught_seed), original_events, shrunk_events,
               shrink_steps);

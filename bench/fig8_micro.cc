@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/workload/deploy_util.h"
+#include "src/obs/chrome_trace.h"
 #include "src/obs/telemetry.h"
 #include "src/workload/sqlite_scripts.h"
 #include "tests/../src/kern/block_layer.h"
@@ -170,7 +171,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.counter("replay.template_miss").value()),
                 static_cast<unsigned long long>(m.counter("replay.soft_resets").value()),
                 static_cast<unsigned long long>(m.counter("replay.soft_resets_elided").value()));
-    std::printf("%s", m.Summary().c_str());
+    std::printf("%s", MetricsSummary(m).c_str());
   }
   return 0;
 }

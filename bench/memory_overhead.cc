@@ -5,7 +5,7 @@
 // compressed the way the envelope compresses its payload.
 #include <cstdio>
 
-#include "src/crypto/lzss.h"
+#include "src/record/package_writer.h"
 #include "src/record/serialize_text.h"
 #include "src/workload/deploy_util.h"
 
@@ -20,7 +20,7 @@ void Report(const char* name, const dlt::RecordCampaign& campaign) {
   (void)campaign.Seal(kDeveloperKey, &bin_sizes);
   int events = 0;
   for (const auto& t : campaign.templates()) {
-    events += t.CountEvents().total();
+    events += CountEvents(t).total();
   }
   std::printf("%-8s %9zu %7d %12zu %12zu %12zu %12zu\n", name, campaign.templates().size(),
               events, text.size(), text_lzss, bin_sizes.serialized, bin_sizes.compressed);

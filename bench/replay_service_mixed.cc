@@ -30,7 +30,7 @@
 #include <cstring>
 #include <string>
 
-#include "src/tee/attestation.h"
+#include "src/record/quote.h"
 #include "src/tee/replay_service.h"
 #include "src/obs/telemetry.h"
 #include "src/workload/deploy_util.h"

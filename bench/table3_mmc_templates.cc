@@ -44,8 +44,8 @@ int main() {
       int rv = 0;
       int wv = 0;
       if (rd != nullptr && wr != nullptr) {
-        EventBreakdown rb = rd->CountEvents();
-        EventBreakdown wb = wr->CountEvents();
+        EventBreakdown rb = CountEvents(*rd);
+        EventBreakdown wb = CountEvents(*wr);
         rv = row == 0 ? rb.input : row == 1 ? rb.output : rb.meta;
         wv = row == 0 ? wb.input : row == 1 ? wb.output : wb.meta;
       }

@@ -38,7 +38,7 @@ int main() {
       const InteractionTemplate* t = find(n);
       int v = 0;
       if (t != nullptr) {
-        EventBreakdown b = t->CountEvents();
+        EventBreakdown b = CountEvents(*t);
         v = row == 0 ? b.input : row == 1 ? b.output : b.meta;
       }
       std::printf("  %-10d", v);

@@ -61,7 +61,7 @@ int main() {
       }
     }
     if (shown > 14) {
-      std::printf("  ... (%d more)\n", tpl->CountEvents().input - shown);
+      std::printf("  ... (%d more)\n", CountEvents(*tpl).input - shown);
       break;
     }
   }

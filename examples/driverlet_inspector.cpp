@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   std::printf("coverage: %s\n\n", CoverageReport(ComputeCoverage(pkg->templates)).c_str());
 
   for (const auto& t : pkg->templates) {
-    EventBreakdown b = t.CountEvents();
+    EventBreakdown b = CountEvents(t);
     int state_changing = 0;
     for (const auto& e : t.events) {
       if (e.state_changing) {

@@ -14,6 +14,7 @@
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
 #include "src/obs/telemetry.h"
+#include "src/record/package_writer.h"
 #include "src/record/serialize_text.h"
 
 namespace dlt {
@@ -29,6 +30,19 @@ GenHarness::GenHarness()
 }
 
 namespace {
+
+bool g_planted_decoder_bug = false;
+
+// The planted decoder bug (PlantDecoderBug): every constant event value reads
+// one larger than it was written, poll bodies included.
+void AddOneToConstantValues(std::vector<TemplateEvent>* events) {
+  for (TemplateEvent& e : *events) {
+    if (e.value != nullptr && e.value->is_const()) {
+      e.value = Expr::Const(e.value->constant() + 1);
+    }
+    AddOneToConstantValues(&e.body);
+  }
+}
 
 // Everything about one replay run the normal world can observe — the oracle
 // surface every cross-run invariant compares.
@@ -260,6 +274,7 @@ std::optional<std::string> CheckSerializeRoundtrip(const GeneratedCase& g,
     return std::string("binary parse failed: ") + StatusName(from_bin.status());
   }
   if (from_bin->size() != 1) return std::string("binary parse yielded != 1 template");
+  if (g_planted_decoder_bug) AddOneToConstantValues(&(*from_bin)[0].events);
   if (TemplatesToBinary(*from_bin) != bin1) {
     return std::string("binary round-trip not a fixpoint");
   }
@@ -429,6 +444,8 @@ std::vector<std::string> ReproInvariants() {
   }
   return names;
 }
+
+void PlantDecoderBug(bool on) { g_planted_decoder_bug = on; }
 
 ConformanceOutcome RunConformance(const GeneratedCase& g,
                                   const std::vector<std::string>& invariants) {

@@ -59,6 +59,10 @@ std::vector<std::string> AllInvariants();
 // bytes, so re-executed repros check every self-relative invariant instead.
 std::vector<std::string> ReproInvariants();
 
+// The harness's regression guard: while on, serialize-roundtrip adds one to
+// every constant event value (poll bodies included) of the template it decoded.
+void PlantDecoderBug(bool on);
+
 // Runs the named invariants (every name must come from AllInvariants) against
 // one generated case, collecting all failures rather than stopping at the
 // first.

@@ -7,10 +7,10 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "src/check/template_gen.h"
 #include "src/core/package.h"
-#include "src/core/serialize_binary.h"
 #include "src/dev/cryptoacc/cryptoacc_device.h"
 #include "src/dev/ftpm/ftpm_device.h"
 #include "src/dev/vc4/vc4_firmware.h"
@@ -19,7 +19,8 @@
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
 #include "src/obs/telemetry.h"
-#include "src/tee/attestation.h"
+#include "src/record/package_writer.h"
+#include "src/record/quote.h"
 #include "src/workload/deploy_util.h"
 
 namespace dlt {
@@ -183,7 +184,8 @@ const char* EntryOf(size_t cls) {
 
 class BoundaryExec {
  public:
-  explicit BoundaryExec(const BoundaryProgram& p) : prog_(p) {
+  BoundaryExec(const BoundaryProgram& p, bool plant_ring_quirk)
+      : prog_(p), plant_ring_quirk_(plant_ring_quirk) {
     TestbedOptions opts;
     opts.secure_io = true;
     opts.probe_drivers = false;
@@ -349,6 +351,20 @@ class BoundaryExec {
 
   SessionId SlotId(uint64_t a) const { return slots_[a % kSlots]; }
 
+  // The planted ring bug (BoundaryFuzzConfig::plant_ring_quirk): once the
+  // session's ring has wrapped, a pop reports the seq held by the sibling of
+  // the slot it reaps (as if it indexed slots by reaped ^ 1): the latest seq
+  // pushed into that slot.
+  std::optional<uint64_t> PlantedRingSeq(SessionId id) const {
+    if (!plant_ring_quirk_) return std::nullopt;
+    Result<const InvocationRing*> ring = service_->Ring(id);
+    if (!ring.ok()) return std::nullopt;
+    const InvocationRing& r = **ring;
+    if (r.depth() < 2 || r.reaped() < r.depth()) return std::nullopt;
+    uint64_t slot = (r.reaped() ^ 1) % r.depth();
+    return r.pushed() - 1 - (r.pushed() - 1 - slot) % r.depth();
+  }
+
   size_t SlotClass(uint64_t a) const { return slot_class_[a % kSlots]; }
 
   void Step(const BoundaryAction& act, size_t idx) {
@@ -428,17 +444,19 @@ class BoundaryExec {
       }
       case BoundaryOp::kRingPop: {
         SessionId id = SlotId(act.a);
+        std::optional<uint64_t> planted_seq = PlantedRingSeq(id);
         Result<RingCompletion> c = service_->RingPop(id == 0 ? 999999 : id);
         CheckStatus(idx, "RingPop", c.ok() ? Status::kOk : c.status());
         if (c.ok()) {
-          line += " seq=" + std::to_string(c->seq);
+          uint64_t seq = planted_seq.value_or(c->seq);
+          line += " seq=" + std::to_string(seq);
           auto it = ring_last_seq_.find(id);
-          if (it != ring_last_seq_.end() && c->seq <= it->second) {
-            Fail("ring-order", "popped seq " + std::to_string(c->seq) + " after seq " +
+          if (it != ring_last_seq_.end() && seq <= it->second) {
+            Fail("ring-order", "popped seq " + std::to_string(seq) + " after seq " +
                                    std::to_string(it->second) + " at action #" +
                                    std::to_string(idx));
           }
-          ring_last_seq_[id] = c->seq;
+          ring_last_seq_[id] = seq;
         } else {
           line += std::string(" ") + StatusName(c.status());
         }
@@ -624,6 +642,7 @@ class BoundaryExec {
   }
 
   const BoundaryProgram& prog_;
+  bool plant_ring_quirk_;
   std::unique_ptr<Rpi3Testbed> tb_;
   std::unique_ptr<ReplayService> service_;
   std::unique_ptr<FaultInjector> injector_;
@@ -809,8 +828,8 @@ Result<BoundaryProgram> ParseBoundaryProgram(std::string_view text) {
 // Execution + built-in corpus
 // ---------------------------------------------------------------------------
 
-BoundaryRunResult RunBoundaryProgram(const BoundaryProgram& p) {
-  BoundaryExec exec(p);
+BoundaryRunResult RunBoundaryProgram(const BoundaryProgram& p, bool plant_ring_quirk) {
+  BoundaryExec exec(p, plant_ring_quirk);
   return exec.Run();
 }
 
@@ -865,8 +884,11 @@ std::vector<BoundaryProgram> BuiltinBoundaryCorpus() {
 // ---------------------------------------------------------------------------
 
 Result<BoundaryShrinkResult> ShrinkBoundary(const BoundaryProgram& p,
-                                            const std::string& invariant) {
-  if (RunBoundaryProgram(p).invariant != invariant) return Status::kInvalidArg;
+                                            const std::string& invariant,
+                                            bool plant_ring_quirk) {
+  if (RunBoundaryProgram(p, plant_ring_quirk).invariant != invariant) {
+    return Status::kInvalidArg;
+  }
 
   constexpr int kMaxSteps = 300;
   BoundaryShrinkResult result;
@@ -876,7 +898,7 @@ Result<BoundaryShrinkResult> ShrinkBoundary(const BoundaryProgram& p,
   auto still_fails = [&](const BoundaryProgram& cand) {
     if (steps >= kMaxSteps) return false;
     ++steps;
-    return RunBoundaryProgram(cand).invariant == invariant;
+    return RunBoundaryProgram(cand, plant_ring_quirk).invariant == invariant;
   };
 
   bool progress = true;
@@ -985,8 +1007,6 @@ Result<BoundaryRepro> ReadBoundaryRepro(const std::string& path) {
 // ---------------------------------------------------------------------------
 
 BoundaryFuzzStats RunBoundaryFuzz(const BoundaryFuzzConfig& cfg) {
-  if (cfg.plant_ring_quirk) SetRingWrapQuirkForTest(true);
-
   BoundaryFuzzStats stats;
   std::vector<BoundaryProgram> corpus = BuiltinBoundaryCorpus();
   for (const BoundaryProgram& p : cfg.extra_corpus) corpus.push_back(p);
@@ -1004,7 +1024,7 @@ BoundaryFuzzStats RunBoundaryFuzz(const BoundaryFuzzConfig& cfg) {
     f.detail = detail;
     f.program = p;
     f.shrunk = p;
-    Result<BoundaryShrinkResult> s = ShrinkBoundary(p, invariant);
+    Result<BoundaryShrinkResult> s = ShrinkBoundary(p, invariant, cfg.plant_ring_quirk);
     if (s.ok()) {
       f.shrunk = s->reduced;
       f.shrink_steps = s->steps;
@@ -1018,7 +1038,7 @@ BoundaryFuzzStats RunBoundaryFuzz(const BoundaryFuzzConfig& cfg) {
 
   // Seed phase: every corpus entry runs once, its features chart the floor.
   for (const BoundaryProgram& p : corpus) {
-    BoundaryRunResult r = RunBoundaryProgram(p);
+    BoundaryRunResult r = RunBoundaryProgram(p, cfg.plant_ring_quirk);
     features.insert(r.features.begin(), r.features.end());
     if (!r.ok()) record_finding(r.invariant, r.detail, p);
   }
@@ -1042,7 +1062,7 @@ BoundaryFuzzStats RunBoundaryFuzz(const BoundaryFuzzConfig& cfg) {
       const BoundaryProgram& other = corpus[rng.Next() % corpus.size()];
       cand = Mutate(base, other, rng, cfg.max_actions);
     }
-    BoundaryRunResult r = RunBoundaryProgram(cand);
+    BoundaryRunResult r = RunBoundaryProgram(cand, cfg.plant_ring_quirk);
     ++stats.runs;
     if (!r.ok()) {
       record_finding(r.invariant, r.detail, cand);
@@ -1057,7 +1077,7 @@ BoundaryFuzzStats RunBoundaryFuzz(const BoundaryFuzzConfig& cfg) {
       if (novel) {
         // Corpus admission doubles as the determinism invariant: the same
         // program must replay to the same observable trace.
-        BoundaryRunResult again = RunBoundaryProgram(cand);
+        BoundaryRunResult again = RunBoundaryProgram(cand, cfg.plant_ring_quirk);
         if (again.trace != r.trace) {
           record_finding("determinism", "trace differs across identical runs", cand);
         } else {
@@ -1071,8 +1091,6 @@ BoundaryFuzzStats RunBoundaryFuzz(const BoundaryFuzzConfig& cfg) {
   stats.coverage_curve.push_back(features.size());
   stats.corpus_size = corpus.size();
   stats.features = features.size();
-
-  if (cfg.plant_ring_quirk) SetRingWrapQuirkForTest(false);
   return stats;
 }
 

@@ -99,7 +99,8 @@ struct BoundaryRunResult {
 
 // Executes |p| against a fresh testbed + service and checks every boundary
 // invariant. Deterministic: equal programs produce equal results.
-BoundaryRunResult RunBoundaryProgram(const BoundaryProgram& p);
+// |plant_ring_quirk|: see BoundaryFuzzConfig.
+BoundaryRunResult RunBoundaryProgram(const BoundaryProgram& p, bool plant_ring_quirk = false);
 
 // Built-in seed corpus: one regression entry per driverlet class exercising
 // the open → invoke → ring cycle → attest → close lifecycle.
@@ -114,7 +115,8 @@ struct BoundaryShrinkResult {
 // ddmin over the action list: removes chunks while |p| keeps violating
 // |invariant|. kInvalidArg when |p| does not violate it.
 Result<BoundaryShrinkResult> ShrinkBoundary(const BoundaryProgram& p,
-                                            const std::string& invariant);
+                                            const std::string& invariant,
+                                            bool plant_ring_quirk = false);
 
 // Repro artifacts ("driverlet-boundary-repro v1"): invariant + detail + the
 // embedded program text.
@@ -148,9 +150,9 @@ struct BoundaryFuzzConfig {
   double seconds = 5.0;
   size_t max_actions = 48;        // programs are truncated to this length
   int max_findings = 4;           // stop fuzzing after this many findings
-  // Arms the planted ring wrap-around reap bug (SetRingWrapQuirkForTest) for
-  // the whole campaign — the regression guard that proves the fuzzer can
-  // still find and shrink a real ordering violation.
+  // Plants a ring wrap-around reap bug for the whole campaign (the pop step
+  // misreports seqs once a ring has wrapped): the regression guard that proves
+  // the fuzzer can still find and shrink a real ordering violation.
   bool plant_ring_quirk = false;
   std::string repro_dir;          // write shrunk .repro files here if set
   std::vector<BoundaryProgram> extra_corpus;  // e.g. tests/corpus/ entries

@@ -33,11 +33,7 @@ enum class EventKind : uint8_t {
   kPollShm,
 };
 
-enum class EventClass : uint8_t { kInput, kOutput, kMeta };
-
-EventClass ClassOf(EventKind k);
 const char* EventKindName(EventKind k);
-Result<EventKind> EventKindFromName(std::string_view name);
 
 struct TemplateEvent {
   EventKind kind = EventKind::kRegRead;
@@ -80,16 +76,7 @@ struct TemplateEvent {
   // Recording site in the gold driver, for divergence reports (§5).
   std::string file;
   int line = 0;
-
-  bool is_input() const { return ClassOf(kind) == EventClass::kInput; }
-  bool is_output() const { return ClassOf(kind) == EventClass::kOutput; }
-  bool is_meta() const { return ClassOf(kind) == EventClass::kMeta; }
 };
-
-// Structural equality ignoring recorded concrete artifacts (used for template
-// merging and by the differ's state-transition comparison).
-bool SameStateTransition(const TemplateEvent& a, const TemplateEvent& b);
-bool SameStateTransition(const std::vector<TemplateEvent>& a, const std::vector<TemplateEvent>& b);
 
 }  // namespace dlt
 

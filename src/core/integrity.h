@@ -58,13 +58,15 @@ std::string GoldenMeasurementHex(const InteractionTemplate& tpl);
 
 // What one Invoke measured, surfaced by Replayer::last_measurement() for the
 // service's attestation/quarantine policy (failed invokes return a bare
-// Status, so the record cannot ride on ReplayStats alone).
+// Status, so the record cannot ride on ReplayStats alone). The digest encodes
+// which template ran and how many of its top-level events completed, so a
+// mismatch means "reached the executor and failed", nothing more.
 struct MeasurementRecord {
   bool valid = false;
   std::string template_name;
   size_t events_measured = 0;     // top-level events folded on the final attempt
   Sha256::Digest digest{};        // final-attempt chain value
-  bool matches_golden = false;    // digest == GoldenMeasurement(template)
+  bool matches_golden = false;    // final attempt completed: digest == golden
   std::string Hex() const { return Sha256::HexDigest(digest); }
 };
 

@@ -16,13 +16,6 @@ struct ParamSpec {
   bool is_buffer = false;  // scalar (constraint-checked) vs data buffer
 };
 
-struct EventBreakdown {
-  int input = 0;
-  int output = 0;
-  int meta = 0;
-  int total() const { return input + output + meta; }
-};
-
 struct InteractionTemplate {
   // Template name within its driverlet, e.g. "RD_8", "WR_256", "OneShot".
   std::string name;
@@ -45,14 +38,8 @@ struct InteractionTemplate {
 
   std::vector<TemplateEvent> events;
 
-  EventBreakdown CountEvents() const;
-
   // Names of scalar params in declaration order.
   std::vector<std::string> ScalarParams() const;
-
-  // True when both templates externalize the same device state transition path
-  // (the recorder merges such duplicates, §4.3).
-  static bool Mergeable(const InteractionTemplate& a, const InteractionTemplate& b);
 };
 
 }  // namespace dlt

@@ -6,7 +6,8 @@
 // One envelope ("DLTPKG01", docs/template_format.md) carrying one payload
 // format, binary v1 (serialize_binary.h): verified, decompressed and fully
 // parsed before any template is usable. Any other magic or payload format is
-// refused. Sealing lives here too, so the envelope layout is in one file.
+// refused. The TEE never seals: the writer is src/record/package_writer.h,
+// which shares the envelope constants below.
 #ifndef SRC_CORE_PACKAGE_H_
 #define SRC_CORE_PACKAGE_H_
 
@@ -17,28 +18,15 @@
 
 namespace dlt {
 
+// Envelope magic, and the only format byte this build writes or accepts:
+// binary v1. Any other, including 0 (the retired text payload), fails closed.
+inline constexpr char kPackageMagic[8] = {'D', 'L', 'T', 'P', 'K', 'G', '0', '1'};
+inline constexpr uint8_t kPackageFormatBinaryV1 = 1;
+
 struct DriverletPackage {
   std::string driverlet;  // e.g. "mmc", "usb", "camera"
   std::vector<InteractionTemplate> templates;
 };
-
-struct PackageSizes {
-  size_t serialized = 0;  // before compression
-  size_t compressed = 0;  // LZSS payload
-  size_t sealed = 0;      // full envelope incl. signature
-};
-
-// Serializes + compresses + signs. |key| is the developer signing key.
-std::vector<uint8_t> SealPackage(const DriverletPackage& pkg, std::string_view key,
-                                 PackageSizes* sizes = nullptr);
-
-// Seals a caller-supplied SERIALIZED (pre-compression) binary-v1 payload into
-// a correctly signed envelope. This exists so the boundary fuzzer can mutate
-// the payload the parser sees while keeping the signature valid — a correctly
-// signed envelope with a garbage interior is exactly the adversarial input
-// RegisterDriverlet must reject cleanly.
-std::vector<uint8_t> SealPackageRaw(std::string_view driverlet,
-                                    const std::vector<uint8_t>& payload, std::string_view key);
 
 // Verifies the signature, decompresses and parses. Any tampering, and any
 // envelope or payload this build does not write, yields kCorrupt.

@@ -83,7 +83,6 @@ class Replayer {
   // (retry n waits backoff << (n-2) microseconds). 0 — the default — retries
   // immediately after the soft reset, the paper's behaviour; the ReplayService
   // raises it so a flapping device is not hammered at full rate.
-  uint64_t retry_backoff_us() const { return retry_backoff_us_; }
   void set_retry_backoff_us(uint64_t us) { retry_backoff_us_ = us; }
 
   void set_reset_policy(ResetPolicy p) { reset_policy_ = p; }

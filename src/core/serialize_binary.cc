@@ -1,98 +1,11 @@
 #include "src/core/serialize_binary.h"
 
-#include <atomic>
 #include <climits>
 #include <cstring>
 
 namespace dlt {
 
 namespace {
-
-// Planted decoder bug for the conformance harness's regression guard
-// (SetBinaryValueQuirkForTest). Atomic: packages may be decoded on several
-// threads at once.
-std::atomic<bool> g_value_quirk{false};
-
-constexpr uint32_t kMagic = 0x544c4442;  // "BDLT"
-constexpr uint8_t kVersion = 1;
-// Per-template flag byte in the template header. The decoder rejects every
-// other bit, so a flag a newer writer sets is never dropped.
-constexpr uint8_t kFlagLeavesClean = 0x1;
-
-uint8_t TemplateFlags(const InteractionTemplate& t) {
-  return t.leaves_clean_state ? kFlagLeavesClean : 0;
-}
-
-void PutVarint(uint64_t v, std::vector<uint8_t>* out) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out->push_back(static_cast<uint8_t>(v));
-}
-
-void PutString(const std::string& s, std::vector<uint8_t>* out) {
-  PutVarint(s.size(), out);
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-void PutExpr(const ExprRef& e, std::vector<uint8_t>* out) {
-  if (e == nullptr) {
-    out->push_back(0xff);  // absent marker
-    return;
-  }
-  out->push_back(static_cast<uint8_t>(e->op()));
-  switch (e->op()) {
-    case ExprOp::kConst:
-      PutVarint(e->constant(), out);
-      break;
-    case ExprOp::kInput:
-      PutString(e->input_name(), out);
-      break;
-    case ExprOp::kNot:
-      PutExpr(e->lhs(), out);
-      break;
-    default:
-      PutExpr(e->lhs(), out);
-      PutExpr(e->rhs(), out);
-      break;
-  }
-}
-
-void PutConstraint(const Constraint& c, std::vector<uint8_t>* out) {
-  PutVarint(c.atoms().size(), out);
-  for (const auto& a : c.atoms()) {
-    PutExpr(a.lhs, out);
-    out->push_back(static_cast<uint8_t>(a.cmp));
-    PutExpr(a.rhs, out);
-  }
-}
-
-void PutEvent(const TemplateEvent& e, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(e.kind));
-  PutVarint(e.device, out);
-  PutVarint(e.reg_off, out);
-  PutExpr(e.addr, out);
-  PutString(e.bind, out);
-  out->push_back(e.state_changing ? 1 : 0);
-  PutConstraint(e.constraint, out);
-  PutExpr(e.value, out);
-  PutString(e.buffer, out);
-  PutExpr(e.buf_offset, out);
-  PutVarint(static_cast<uint64_t>(e.irq_line + 1), out);
-  PutVarint(e.mask, out);
-  PutVarint(e.want, out);
-  out->push_back(static_cast<uint8_t>(e.poll_cmp));
-  PutVarint(e.timeout_us, out);
-  PutVarint(e.interval_us, out);
-  PutVarint(e.recorded_iters, out);
-  PutString(e.file, out);
-  PutVarint(static_cast<uint64_t>(e.line), out);
-  PutVarint(e.body.size(), out);
-  for (const auto& child : e.body) {
-    PutEvent(child, out);
-  }
-}
 
 class Cursor {
  public:
@@ -185,10 +98,10 @@ class Cursor {
 
   Status Flags(InteractionTemplate* t) {
     DLT_ASSIGN_OR_RETURN(uint8_t flags, Byte());
-    if ((flags & ~kFlagLeavesClean) != 0) {
+    if ((flags & ~kBinaryFlagLeavesClean) != 0) {
       return Status::kCorrupt;
     }
-    t->leaves_clean_state = (flags & kFlagLeavesClean) != 0;
+    t->leaves_clean_state = (flags & kBinaryFlagLeavesClean) != 0;
     return Status::kOk;
   }
 
@@ -231,10 +144,6 @@ class Cursor {
     e.state_changing = (sc != 0);
     DLT_ASSIGN_OR_RETURN(e.constraint, ConstraintSet());
     DLT_ASSIGN_OR_RETURN(e.value, ExprTree());
-    if (e.value != nullptr && e.value->is_const() &&
-        g_value_quirk.load(std::memory_order_relaxed)) {
-      e.value = Expr::Const(e.value->constant() + 1);
-    }
     DLT_ASSIGN_OR_RETURN(e.buffer, String());
     DLT_ASSIGN_OR_RETURN(e.buf_offset, ExprTree());
     DLT_ASSIGN_OR_RETURN(uint64_t irq, VarintAtMost(INT_MAX));
@@ -263,7 +172,6 @@ class Cursor {
     return e;
   }
 
-  size_t pos() const { return pos_; }
   bool AtEnd() const { return pos_ == len_; }
 
  private:
@@ -272,39 +180,7 @@ class Cursor {
   size_t pos_ = 0;
 };
 
-void AppendTemplateBinary(const InteractionTemplate& t, std::vector<uint8_t>* out) {
-  PutString(t.name, out);
-  PutString(t.entry, out);
-  PutVarint(t.primary_device, out);
-  out->push_back(TemplateFlags(t));
-  PutVarint(t.params.size(), out);
-  for (const auto& p : t.params) {
-    PutString(p.name, out);
-    out->push_back(p.is_buffer ? 1 : 0);
-  }
-  PutConstraint(t.initial, out);
-  PutVarint(t.events.size(), out);
-  for (const auto& e : t.events) {
-    PutEvent(e, out);
-  }
-}
-
 }  // namespace
-
-void SetBinaryValueQuirkForTest(bool on) { g_value_quirk.store(on, std::memory_order_relaxed); }
-
-std::vector<uint8_t> TemplatesToBinary(const std::vector<InteractionTemplate>& templates) {
-  std::vector<uint8_t> out;
-  uint32_t magic = kMagic;
-  out.resize(4);
-  std::memcpy(out.data(), &magic, 4);
-  out.push_back(kVersion);
-  PutVarint(templates.size(), &out);
-  for (const auto& t : templates) {
-    AppendTemplateBinary(t, &out);
-  }
-  return out;
-}
 
 Result<std::vector<InteractionTemplate>> TemplatesFromBinary(const uint8_t* data, size_t len) {
   if (len < 5) {
@@ -312,7 +188,7 @@ Result<std::vector<InteractionTemplate>> TemplatesFromBinary(const uint8_t* data
   }
   uint32_t magic = 0;
   std::memcpy(&magic, data, 4);
-  if (magic != kMagic || data[4] != kVersion) {
+  if (magic != kBinaryMagic || data[4] != kBinaryVersion) {
     return Status::kCorrupt;
   }
   Cursor cur(data + 5, len - 5);

@@ -7,7 +7,9 @@
 //
 // Layout ("BDLT" magic, version byte 1): templates stored back to back, parsed
 // eagerly and in full (docs/template_format.md). Any other version byte, and
-// any value wider than its field, is refused with kCorrupt.
+// any value wider than its field, is refused with kCorrupt. The encoder is the
+// developer-side writer (src/record/package_writer.h), which shares the
+// constants below.
 #ifndef SRC_CORE_SERIALIZE_BINARY_H_
 #define SRC_CORE_SERIALIZE_BINARY_H_
 
@@ -18,15 +20,13 @@
 
 namespace dlt {
 
-std::vector<uint8_t> TemplatesToBinary(const std::vector<InteractionTemplate>& templates);
+inline constexpr uint32_t kBinaryMagic = 0x544c4442;  // "BDLT"
+inline constexpr uint8_t kBinaryVersion = 1;
+// Per-template flag byte in the template header. The decoder rejects every
+// other bit, so a flag a newer writer sets is never dropped.
+inline constexpr uint8_t kBinaryFlagLeavesClean = 0x1;
 
 Result<std::vector<InteractionTemplate>> TemplatesFromBinary(const uint8_t* data, size_t len);
-
-// Test hook: arms a deliberate decoder bug — every constant event `value`
-// decodes one larger than it was written. Exists so the conformance harness
-// can prove its serialize-roundtrip invariant catches real codec bugs; never
-// set outside tests.
-void SetBinaryValueQuirkForTest(bool on);
 
 }  // namespace dlt
 

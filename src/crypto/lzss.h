@@ -5,7 +5,9 @@
 //
 // Stream format: little-endian u32 uncompressed size, then token groups of
 // 8 items preceded by a flag byte (bit i set = literal byte, clear = match).
-// A match is two bytes: 12-bit distance (1-4096), 4-bit length (3-18).
+// A match is two bytes: 12-bit distance (1-4096), 4-bit length (3-18). The
+// compressor is the developer-side package writer
+// (src/record/package_writer.h); the TEE only decompresses.
 #ifndef SRC_CRYPTO_LZSS_H_
 #define SRC_CRYPTO_LZSS_H_
 
@@ -16,7 +18,9 @@
 
 namespace dlt {
 
-std::vector<uint8_t> LzssCompress(const void* data, size_t len);
+inline constexpr size_t kLzssWindow = 4096;
+inline constexpr size_t kLzssMinMatch = 3;
+inline constexpr size_t kLzssMaxMatch = 18;
 
 Result<std::vector<uint8_t>> LzssDecompress(const void* data, size_t len);
 

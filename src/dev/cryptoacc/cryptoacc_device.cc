@@ -136,6 +136,12 @@ void CryptoaccDevice::Complete(bool error, bool want_irq) {
       uint32_t dkey = ReadRamWord(mem_, d + 16);
       uint32_t op = (dctrl >> kCaOpShift) & kCaOpMask;
 
+      // The length is guest-written: check the source range before sizing a
+      // host buffer by it. A range outside RAM fails here as DmaRead would.
+      if (mem_->RamPtr(src, len) == nullptr) {
+        error = true;
+        break;
+      }
       buf.resize(len);
       if (!Ok(mem_->DmaRead(src, buf.data(), len))) {
         error = true;

@@ -118,4 +118,40 @@ std::string ChromeTraceJson(const std::vector<TraceEvent>& events,
   return os.str();
 }
 
+std::string MetricsSummary(const MetricsRegistry& metrics) {
+  std::ostringstream os;
+  os << "counters:\n";
+  metrics.ForEachCounter([&os](const std::string& n, const Counter& c) {
+    if (c.value() != 0) {
+      os << "  " << n;
+      for (size_t i = n.size(); i < 32; ++i) {
+        os << ' ';
+      }
+      os << c.value() << "\n";
+    }
+  });
+  os << "gauges: value / max\n";
+  metrics.ForEachGauge([&os](const std::string& n, const Gauge& g) {
+    if (g.value() != 0 || g.max() != 0) {
+      os << "  " << n;
+      for (size_t i = n.size(); i < 32; ++i) {
+        os << ' ';
+      }
+      os << g.value() << " / " << g.max() << "\n";
+    }
+  });
+  os << "histograms (us): count / mean / p50 / p99 / max\n";
+  metrics.ForEachHistogram([&os](const std::string& n, const Histogram& h) {
+    if (h.count() != 0) {
+      os << "  " << n;
+      for (size_t i = n.size(); i < 32; ++i) {
+        os << ' ';
+      }
+      os << h.count() << " / " << static_cast<uint64_t>(h.mean()) << " / " << h.Percentile(50)
+         << " / " << h.Percentile(99) << " / " << h.max() << "\n";
+    }
+  });
+  return os.str();
+}
+
 }  // namespace dlt

@@ -3,6 +3,7 @@
 // (complete) events with virtual-microsecond timestamps/durations; instants
 // become "I" events; each TraceKind category gets its own named track.
 // Metrics, when provided, ride along under the "otherData" key viewers ignore.
+// MetricsSummary renders the same registry as a text table for terminals.
 #ifndef SRC_OBS_CHROME_TRACE_H_
 #define SRC_OBS_CHROME_TRACE_H_
 
@@ -20,6 +21,9 @@ void ExportChromeTrace(const std::vector<TraceEvent>& events, const MetricsRegis
 
 std::string ChromeTraceJson(const std::vector<TraceEvent>& events,
                             const MetricsRegistry* metrics = nullptr);
+
+// Human-readable table of all non-empty metrics.
+std::string MetricsSummary(const MetricsRegistry& metrics);
 
 }  // namespace dlt
 

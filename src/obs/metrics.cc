@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <sstream>
 
 namespace dlt {
 
@@ -133,42 +132,6 @@ void MetricsRegistry::ForEachHistogram(
   for (const auto& [n, h] : histograms_) {
     fn(n, *h);
   }
-}
-
-std::string MetricsRegistry::Summary() const {
-  std::ostringstream os;
-  os << "counters:\n";
-  ForEachCounter([&os](const std::string& n, const Counter& c) {
-    if (c.value() != 0) {
-      os << "  " << n;
-      for (size_t i = n.size(); i < 32; ++i) {
-        os << ' ';
-      }
-      os << c.value() << "\n";
-    }
-  });
-  os << "gauges: value / max\n";
-  ForEachGauge([&os](const std::string& n, const Gauge& g) {
-    if (g.value() != 0 || g.max() != 0) {
-      os << "  " << n;
-      for (size_t i = n.size(); i < 32; ++i) {
-        os << ' ';
-      }
-      os << g.value() << " / " << g.max() << "\n";
-    }
-  });
-  os << "histograms (us): count / mean / p50 / p99 / max\n";
-  ForEachHistogram([&os](const std::string& n, const Histogram& h) {
-    if (h.count() != 0) {
-      os << "  " << n;
-      for (size_t i = n.size(); i < 32; ++i) {
-        os << ' ';
-      }
-      os << h.count() << " / " << static_cast<uint64_t>(h.mean()) << " / " << h.Percentile(50)
-         << " / " << h.Percentile(99) << " / " << h.max() << "\n";
-    }
-  });
-  return os.str();
 }
 
 void MetricsRegistry::Reset() {

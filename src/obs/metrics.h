@@ -101,9 +101,6 @@ class MetricsRegistry {
   void ForEachGauge(const std::function<void(const std::string&, const Gauge&)>& fn) const;
   void ForEachHistogram(const std::function<void(const std::string&, const Histogram&)>& fn) const;
 
-  // Human-readable table of all non-empty metrics.
-  std::string Summary() const;
-
   // Zeroes all values; registrations (and cached pointers) survive.
   void Reset();
 

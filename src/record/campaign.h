@@ -7,10 +7,29 @@
 #include <string>
 #include <vector>
 
-#include "src/core/package.h"
 #include "src/record/coverage.h"
+#include "src/record/package_writer.h"
 
 namespace dlt {
+
+// A template's event count per class of the paper's Table 1 (Tables 3 and 5).
+struct EventBreakdown {
+  int input = 0;
+  int output = 0;
+  int meta = 0;
+  int total() const { return input + output + meta; }
+};
+
+EventBreakdown CountEvents(const InteractionTemplate& t);
+
+// Structural equality ignoring recorded concrete artifacts (source location,
+// recorded poll iterations).
+bool SameStateTransition(const TemplateEvent& a, const TemplateEvent& b);
+bool SameStateTransition(const std::vector<TemplateEvent>& a, const std::vector<TemplateEvent>& b);
+
+// True when both templates externalize the same device state transition path
+// (the recorder merges such duplicates, §4.3).
+bool Mergeable(const InteractionTemplate& a, const InteractionTemplate& b);
 
 class RecordCampaign {
  public:

@@ -17,7 +17,7 @@
 #include "src/soc/status.h"
 #include "src/soc/types.h"
 #include "src/sym/constraint.h"
-#include "src/sym/tvalue.h"
+#include "src/record/tvalue.h"
 
 namespace dlt {
 

@@ -9,6 +9,22 @@
 
 namespace dlt {
 
+Cmp NegateCmp(Cmp c) {
+  switch (c) {
+    case Cmp::kEq: return Cmp::kNe;
+    case Cmp::kNe: return Cmp::kEq;
+    case Cmp::kLt: return Cmp::kGe;
+    case Cmp::kLe: return Cmp::kGt;
+    case Cmp::kGt: return Cmp::kLe;
+    case Cmp::kGe: return Cmp::kLt;
+  }
+  return Cmp::kEq;
+}
+
+ConstraintAtom Negated(const ConstraintAtom& a) {
+  return ConstraintAtom{a.lhs, NegateCmp(a.cmp), a.rhs};
+}
+
 RecordSession::RecordSession(DriverIo* base, std::string entry, std::string template_name,
                              uint16_t primary_device)
     : base_(base) {
@@ -312,7 +328,7 @@ bool RecordSession::Branch(const TValue& lhs, Cmp cmp, const TValue& rhs, Source
   bool truth = base_->Branch(lhs, cmp, rhs, loc);
   if (lhs.tainted() || rhs.tainted()) {
     ConstraintAtom atom{lhs.expr(), cmp, rhs.expr()};
-    AttachPathCond(truth ? std::move(atom) : atom.Negated());
+    AttachPathCond(truth ? std::move(atom) : Negated(atom));
   }
   return truth;
 }

@@ -20,6 +20,10 @@
 
 namespace dlt {
 
+// A branch not taken records the negated condition.
+Cmp NegateCmp(Cmp c);
+ConstraintAtom Negated(const ConstraintAtom& a);
+
 // Everything one record run produces; input to BuildTemplate().
 struct RawRecording {
   std::string entry;

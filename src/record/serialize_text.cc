@@ -1,11 +1,187 @@
 #include "src/record/serialize_text.h"
 
+#include <cctype>
 #include <charconv>
 #include <sstream>
 
 namespace dlt {
 
 namespace {
+
+// Recursive-descent parser for the Expr::ToString() grammar.
+class Parser {
+ public:
+  explicit Parser(std::string_view text) : text_(text) {}
+
+  Result<ExprRef> ParseExpr() {
+    SkipWs();
+    if (Eof()) {
+      return Status::kCorrupt;
+    }
+    if (Peek() == '(') {
+      ++pos_;
+      SkipWs();
+      if (!Eof() && Peek() == '~') {
+        ++pos_;
+        DLT_ASSIGN_OR_RETURN(ExprRef inner, ParseExpr());
+        if (!Consume(')')) {
+          return Status::kCorrupt;
+        }
+        return Expr::Not(std::move(inner));
+      }
+      DLT_ASSIGN_OR_RETURN(ExprRef lhs, ParseExpr());
+      SkipWs();
+      DLT_ASSIGN_OR_RETURN(ExprOp op, ParseOp());
+      DLT_ASSIGN_OR_RETURN(ExprRef rhs, ParseExpr());
+      if (!Consume(')')) {
+        return Status::kCorrupt;
+      }
+      return Expr::Binary(op, std::move(lhs), std::move(rhs));
+    }
+    return ParseTerm();
+  }
+
+  bool AtEnd() {
+    SkipWs();
+    return Eof();
+  }
+
+ private:
+  bool Eof() const { return pos_ >= text_.size(); }
+  char Peek() const { return text_[pos_]; }
+  void SkipWs() {
+    while (!Eof() && std::isspace(static_cast<unsigned char>(Peek()))) {
+      ++pos_;
+    }
+  }
+  bool Consume(char c) {
+    SkipWs();
+    if (Eof() || Peek() != c) {
+      return false;
+    }
+    ++pos_;
+    return true;
+  }
+
+  Result<ExprOp> ParseOp() {
+    SkipWs();
+    if (Eof()) {
+      return Status::kCorrupt;
+    }
+    char c = Peek();
+    switch (c) {
+      case '&': ++pos_; return ExprOp::kAnd;
+      case '|': ++pos_; return ExprOp::kOr;
+      case '^': ++pos_; return ExprOp::kXor;
+      case '+': ++pos_; return ExprOp::kAdd;
+      case '-': ++pos_; return ExprOp::kSub;
+      case '*': ++pos_; return ExprOp::kMul;
+      case '/': ++pos_; return ExprOp::kDiv;
+      case '%': ++pos_; return ExprOp::kMod;
+      case '<':
+        if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '<') {
+          pos_ += 2;
+          return ExprOp::kShl;
+        }
+        return Status::kCorrupt;
+      case '>':
+        if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '>') {
+          pos_ += 2;
+          return ExprOp::kShr;
+        }
+        return Status::kCorrupt;
+      default:
+        return Status::kCorrupt;
+    }
+  }
+
+  Result<ExprRef> ParseTerm() {
+    SkipWs();
+    if (Eof()) {
+      return Status::kCorrupt;
+    }
+    char c = Peek();
+    if (std::isdigit(static_cast<unsigned char>(c))) {
+      uint64_t v = 0;
+      if (c == '0' && pos_ + 1 < text_.size() && (text_[pos_ + 1] == 'x' || text_[pos_ + 1] == 'X')) {
+        pos_ += 2;
+        size_t digits = 0;
+        while (!Eof() && std::isxdigit(static_cast<unsigned char>(Peek()))) {
+          char d = Peek();
+          uint64_t nib = std::isdigit(static_cast<unsigned char>(d))
+                             ? static_cast<uint64_t>(d - '0')
+                             : static_cast<uint64_t>(std::tolower(d) - 'a' + 10);
+          v = (v << 4) | nib;
+          ++pos_;
+          ++digits;
+        }
+        if (digits == 0) {
+          return Status::kCorrupt;
+        }
+      } else {
+        while (!Eof() && std::isdigit(static_cast<unsigned char>(Peek()))) {
+          v = v * 10 + static_cast<uint64_t>(Peek() - '0');
+          ++pos_;
+        }
+      }
+      return Expr::Const(v);
+    }
+    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+      std::string name;
+      while (!Eof() && (std::isalnum(static_cast<unsigned char>(Peek())) || Peek() == '_' ||
+                        Peek() == '.')) {
+        name.push_back(Peek());
+        ++pos_;
+      }
+      return Expr::Input(std::move(name));
+    }
+    return Status::kCorrupt;
+  }
+
+  std::string_view text_;
+  size_t pos_ = 0;
+};
+
+Result<ConstraintAtom> ParseAtom(std::string_view text) {
+  // Find the comparison operator at the top nesting level.
+  int depth = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    char c = text[i];
+    if (c == '(') {
+      ++depth;
+    } else if (c == ')') {
+      --depth;
+    } else if (depth == 0) {
+      Cmp cmp;
+      size_t op_len = 0;
+      if (c == '=' && i + 1 < text.size() && text[i + 1] == '=') {
+        cmp = Cmp::kEq;
+        op_len = 2;
+      } else if (c == '!' && i + 1 < text.size() && text[i + 1] == '=') {
+        cmp = Cmp::kNe;
+        op_len = 2;
+      } else if (c == '<' && i + 1 < text.size() && text[i + 1] == '=') {
+        cmp = Cmp::kLe;
+        op_len = 2;
+      } else if (c == '>' && i + 1 < text.size() && text[i + 1] == '=') {
+        cmp = Cmp::kGe;
+        op_len = 2;
+      } else if (c == '<' && (i + 1 >= text.size() || text[i + 1] != '<')) {
+        cmp = Cmp::kLt;
+        op_len = 1;
+      } else if (c == '>' && (i + 1 >= text.size() || text[i + 1] != '>')) {
+        cmp = Cmp::kGt;
+        op_len = 1;
+      } else {
+        continue;
+      }
+      DLT_ASSIGN_OR_RETURN(ExprRef lhs, ParseExpr(text.substr(0, i)));
+      DLT_ASSIGN_OR_RETURN(ExprRef rhs, ParseExpr(text.substr(i + op_len)));
+      return ConstraintAtom{std::move(lhs), cmp, std::move(rhs)};
+    }
+  }
+  return Status::kCorrupt;
+}
 
 void AppendEvent(const TemplateEvent& e, int indent, std::ostringstream* os) {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
@@ -122,19 +298,19 @@ Status ParseEventLine(std::string_view line, TemplateEvent* out) {
     } else if (key == "off") {
       DLT_ASSIGN_OR_RETURN(out->reg_off, ParseU64(val));
     } else if (key == "addr") {
-      DLT_ASSIGN_OR_RETURN(out->addr, Expr::Parse(val));
+      DLT_ASSIGN_OR_RETURN(out->addr, ParseExpr(val));
     } else if (key == "bind") {
       out->bind = std::string(val);
     } else if (key == "sc") {
       out->state_changing = (val == "1");
     } else if (key == "c") {
-      DLT_ASSIGN_OR_RETURN(out->constraint, Constraint::Parse(val));
+      DLT_ASSIGN_OR_RETURN(out->constraint, ParseConstraint(val));
     } else if (key == "value") {
-      DLT_ASSIGN_OR_RETURN(out->value, Expr::Parse(val));
+      DLT_ASSIGN_OR_RETURN(out->value, ParseExpr(val));
     } else if (key == "buffer") {
       out->buffer = std::string(val);
     } else if (key == "bufoff") {
-      DLT_ASSIGN_OR_RETURN(out->buf_offset, Expr::Parse(val));
+      DLT_ASSIGN_OR_RETURN(out->buf_offset, ParseExpr(val));
     } else if (key == "irq") {
       DLT_ASSIGN_OR_RETURN(uint64_t v, ParseU64(val));
       out->irq_line = static_cast<int>(v);
@@ -287,7 +463,7 @@ Result<std::vector<InteractionTemplate>> TemplatesFromText(std::string_view text
         p.is_buffer = (Trim(rest.substr(sp + 1)) == "buffer");
         t.params.push_back(std::move(p));
       } else if (line.substr(0, 8) == "require ") {
-        DLT_ASSIGN_OR_RETURN(t.initial, Constraint::Parse(Trim(line.substr(8))));
+        DLT_ASSIGN_OR_RETURN(t.initial, ParseConstraint(Trim(line.substr(8))));
         saw_require = true;
         break;
       } else {
@@ -301,6 +477,62 @@ Result<std::vector<InteractionTemplate>> TemplatesFromText(std::string_view text
     out.push_back(std::move(t));
   }
   return out;
+}
+
+Result<ExprRef> ParseExpr(std::string_view text) {
+  Parser p(text);
+  DLT_ASSIGN_OR_RETURN(ExprRef e, p.ParseExpr());
+  if (!p.AtEnd()) {
+    return Status::kCorrupt;
+  }
+  return e;
+}
+
+Result<Constraint> ParseConstraint(std::string_view text) {
+  Constraint c;
+  // Trim.
+  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front()))) {
+    text.remove_prefix(1);
+  }
+  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back()))) {
+    text.remove_suffix(1);
+  }
+  if (text == "true" || text.empty()) {
+    return c;
+  }
+  size_t start = 0;
+  int depth = 0;
+  for (size_t i = 0; i + 1 < text.size(); ++i) {
+    if (text[i] == '(') {
+      ++depth;
+    } else if (text[i] == ')') {
+      --depth;
+    } else if (depth == 0 && text[i] == '&' && text[i + 1] == '&') {
+      DLT_ASSIGN_OR_RETURN(ConstraintAtom atom, ParseAtom(text.substr(start, i - start)));
+      c.AddAtom(std::move(atom));
+      start = i + 2;
+      ++i;
+    }
+  }
+  DLT_ASSIGN_OR_RETURN(ConstraintAtom atom, ParseAtom(text.substr(start)));
+  c.AddAtom(std::move(atom));
+  return c;
+}
+
+Result<EventKind> EventKindFromName(std::string_view name) {
+  static constexpr EventKind kAll[] = {
+      EventKind::kRegRead,     EventKind::kShmRead,   EventKind::kDmaAlloc,
+      EventKind::kGetRandBytes, EventKind::kGetTimestamp, EventKind::kWaitIrq,
+      EventKind::kCopyFromDma, EventKind::kPioIn,     EventKind::kRegWrite,
+      EventKind::kShmWrite,    EventKind::kDelay,     EventKind::kCopyToDma,
+      EventKind::kPioOut,      EventKind::kPollReg,   EventKind::kPollShm,
+  };
+  for (EventKind k : kAll) {
+    if (name == EventKindName(k)) {
+      return k;
+    }
+  }
+  return Status::kCorrupt;
 }
 
 }  // namespace dlt

@@ -17,6 +17,13 @@ std::string TemplatesToText(const std::vector<InteractionTemplate>& templates);
 
 Result<std::vector<InteractionTemplate>> TemplatesFromText(std::string_view text);
 
+// Inverses of Expr::ToString() (expr := term | '(' expr op expr ')' |
+// '(~' expr ')'; term := 0x<hex> | <decimal> | identifier),
+// Constraint::ToString() and EventKindName.
+Result<ExprRef> ParseExpr(std::string_view text);
+Result<Constraint> ParseConstraint(std::string_view text);
+Result<EventKind> EventKindFromName(std::string_view name);
+
 }  // namespace dlt
 
 #endif  // SRC_RECORD_SERIALIZE_TEXT_H_

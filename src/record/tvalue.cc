@@ -1,4 +1,4 @@
-#include "src/sym/tvalue.h"
+#include "src/record/tvalue.h"
 
 namespace dlt {
 

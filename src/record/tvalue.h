@@ -2,8 +2,8 @@
 // Gold drivers compute request parameters with TValues; arithmetic/bitwise
 // operators propagate taints exactly as the paper's dynamic taint tracking
 // accumulates operations from source to sink (§4.2, Challenge II).
-#ifndef SRC_SYM_TVALUE_H_
-#define SRC_SYM_TVALUE_H_
+#ifndef SRC_RECORD_TVALUE_H_
+#define SRC_RECORD_TVALUE_H_
 
 #include <cstdint>
 
@@ -18,7 +18,6 @@ class TValue {
   TValue(uint64_t v) : v_(v) {}
   TValue(uint64_t v, ExprRef e) : v_(v), e_(std::move(e)) {}
 
-  static TValue Concrete(uint64_t v) { return TValue(v); }
   static TValue Input(const std::string& name, uint64_t concrete) {
     return TValue(concrete, Expr::Input(name));
   }
@@ -29,7 +28,6 @@ class TValue {
 
   // The symbolic form: the taint expression when tainted, a constant otherwise.
   ExprRef expr() const { return e_ != nullptr ? e_ : Expr::Const(v_); }
-  ExprRef raw_expr() const { return e_; }
 
  private:
   friend TValue BinOp(ExprOp op, const TValue& a, const TValue& b);
@@ -54,4 +52,4 @@ TValue operator~(const TValue& a);
 
 }  // namespace dlt
 
-#endif  // SRC_SYM_TVALUE_H_
+#endif  // SRC_RECORD_TVALUE_H_

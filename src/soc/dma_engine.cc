@@ -129,9 +129,15 @@ bool DmaEngine::RunOneBlock(const DmaControlBlock& cb, uint64_t* cost_us) {
     return true;
   }
   bytes_transferred_ += len;
-  bounce_.resize(len);
   bool src_dreq = (cb.ti & kDmaTiSrcDreq) != 0;
   bool dst_dreq = (cb.ti & kDmaTiDestDreq) != 0;
+  // The length is guest-written: a RAM source is range-checked before the
+  // bounce buffer is sized by it, and fails here as DmaRead would below. A
+  // DREQ source is not: its FIFO drains and the fault hook sees the block.
+  if (!src_dreq && mem_->RamPtr(cb.source_ad, len) == nullptr) {
+    return false;
+  }
+  bounce_.resize(len);
   if (src_dreq && dst_dreq) {
     return false;
   }

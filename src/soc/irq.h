@@ -35,7 +35,6 @@ class InterruptController {
   void Raise(int line);
   void Clear(int line);
   bool Pending(int line) const;
-  bool AnyPending() const { return pending_mask_ != 0 || pending_hi_ != 0; }
 
   // Lifetime statistics: how many distinct Raise() edges a line has seen. The camera
   // benchmarks use this to quantify IRQ coalescing (native) vs per-event IRQs (replay).

@@ -16,8 +16,6 @@ enum class World : uint8_t {
   kSecure = 1,
 };
 
-inline const char* WorldName(World w) { return w == World::kSecure ? "secure" : "normal"; }
-
 // True when [addr, addr + len) lies inside [base, base + size). Written without
 // addr + len or base + size, which wrap past 2^64 and would admit an address
 // just below base or a length that loops around the address space.

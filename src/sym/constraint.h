@@ -9,14 +9,12 @@
 #include <vector>
 
 #include "src/sym/expr.h"
-#include "src/sym/tvalue.h"
 
 namespace dlt {
 
 enum class Cmp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 
 const char* CmpToken(Cmp c);
-Cmp NegateCmp(Cmp c);
 bool CompareValues(Cmp cmp, uint64_t a, uint64_t b);
 
 struct ConstraintAtom {
@@ -25,20 +23,9 @@ struct ConstraintAtom {
   ExprRef rhs;
 
   Result<bool> Eval(const Bindings& bindings) const;
-  ConstraintAtom Negated() const { return ConstraintAtom{lhs, NegateCmp(cmp), rhs}; }
   std::string ToString() const;
-  static Result<ConstraintAtom> Parse(std::string_view text);
   static bool Equal(const ConstraintAtom& a, const ConstraintAtom& b);
 };
-
-// Convenience builders used at gold-driver branch points, e.g.
-//   if (io.Branch(CmpLe(blkcnt, 8), DLT_HERE)) { ... }
-ConstraintAtom CmpEq(const TValue& lhs, const TValue& rhs);
-ConstraintAtom CmpNe(const TValue& lhs, const TValue& rhs);
-ConstraintAtom CmpLt(const TValue& lhs, const TValue& rhs);
-ConstraintAtom CmpLe(const TValue& lhs, const TValue& rhs);
-ConstraintAtom CmpGt(const TValue& lhs, const TValue& rhs);
-ConstraintAtom CmpGe(const TValue& lhs, const TValue& rhs);
 
 class Constraint {
  public:
@@ -51,14 +38,8 @@ class Constraint {
   // True iff all atoms hold. Missing bindings are an error surfaced as kNotFound.
   Result<bool> Eval(const Bindings& bindings) const;
 
-  // Drops atoms structurally identical to already-present ones.
-  void Merge(const Constraint& other);
-
   void CollectInputs(std::set<std::string>* out) const;
   std::string ToString() const;  // "a && b && c" ("true" when empty)
-  static Result<Constraint> Parse(std::string_view text);
-  // Structural equality: the same atoms in the same order.
-  static bool Equal(const Constraint& a, const Constraint& b);
 
  private:
   std::vector<ConstraintAtom> atoms_;

@@ -1,6 +1,5 @@
 #include "src/sym/expr.h"
 
-#include <cctype>
 #include <sstream>
 
 namespace dlt {
@@ -160,153 +159,6 @@ bool Expr::Equal(const ExprRef& a, const ExprRef& b) {
     case ExprOp::kNot: return Equal(a->lhs_, b->lhs_);
     default: return Equal(a->lhs_, b->lhs_) && Equal(a->rhs_, b->rhs_);
   }
-}
-
-namespace {
-
-// Recursive-descent parser for the ToString() grammar.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Result<ExprRef> ParseExpr() {
-    SkipWs();
-    if (Eof()) {
-      return Status::kCorrupt;
-    }
-    if (Peek() == '(') {
-      ++pos_;
-      SkipWs();
-      if (!Eof() && Peek() == '~') {
-        ++pos_;
-        DLT_ASSIGN_OR_RETURN(ExprRef inner, ParseExpr());
-        if (!Consume(')')) {
-          return Status::kCorrupt;
-        }
-        return Expr::Not(std::move(inner));
-      }
-      DLT_ASSIGN_OR_RETURN(ExprRef lhs, ParseExpr());
-      SkipWs();
-      DLT_ASSIGN_OR_RETURN(ExprOp op, ParseOp());
-      DLT_ASSIGN_OR_RETURN(ExprRef rhs, ParseExpr());
-      if (!Consume(')')) {
-        return Status::kCorrupt;
-      }
-      return Expr::Binary(op, std::move(lhs), std::move(rhs));
-    }
-    return ParseTerm();
-  }
-
-  bool AtEnd() {
-    SkipWs();
-    return Eof();
-  }
-
- private:
-  bool Eof() const { return pos_ >= text_.size(); }
-  char Peek() const { return text_[pos_]; }
-  void SkipWs() {
-    while (!Eof() && std::isspace(static_cast<unsigned char>(Peek()))) {
-      ++pos_;
-    }
-  }
-  bool Consume(char c) {
-    SkipWs();
-    if (Eof() || Peek() != c) {
-      return false;
-    }
-    ++pos_;
-    return true;
-  }
-
-  Result<ExprOp> ParseOp() {
-    SkipWs();
-    if (Eof()) {
-      return Status::kCorrupt;
-    }
-    char c = Peek();
-    switch (c) {
-      case '&': ++pos_; return ExprOp::kAnd;
-      case '|': ++pos_; return ExprOp::kOr;
-      case '^': ++pos_; return ExprOp::kXor;
-      case '+': ++pos_; return ExprOp::kAdd;
-      case '-': ++pos_; return ExprOp::kSub;
-      case '*': ++pos_; return ExprOp::kMul;
-      case '/': ++pos_; return ExprOp::kDiv;
-      case '%': ++pos_; return ExprOp::kMod;
-      case '<':
-        if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '<') {
-          pos_ += 2;
-          return ExprOp::kShl;
-        }
-        return Status::kCorrupt;
-      case '>':
-        if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '>') {
-          pos_ += 2;
-          return ExprOp::kShr;
-        }
-        return Status::kCorrupt;
-      default:
-        return Status::kCorrupt;
-    }
-  }
-
-  Result<ExprRef> ParseTerm() {
-    SkipWs();
-    if (Eof()) {
-      return Status::kCorrupt;
-    }
-    char c = Peek();
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      uint64_t v = 0;
-      if (c == '0' && pos_ + 1 < text_.size() && (text_[pos_ + 1] == 'x' || text_[pos_ + 1] == 'X')) {
-        pos_ += 2;
-        size_t digits = 0;
-        while (!Eof() && std::isxdigit(static_cast<unsigned char>(Peek()))) {
-          char d = Peek();
-          uint64_t nib = std::isdigit(static_cast<unsigned char>(d))
-                             ? static_cast<uint64_t>(d - '0')
-                             : static_cast<uint64_t>(std::tolower(d) - 'a' + 10);
-          v = (v << 4) | nib;
-          ++pos_;
-          ++digits;
-        }
-        if (digits == 0) {
-          return Status::kCorrupt;
-        }
-      } else {
-        while (!Eof() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-          v = v * 10 + static_cast<uint64_t>(Peek() - '0');
-          ++pos_;
-        }
-      }
-      return Expr::Const(v);
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::string name;
-      while (!Eof() && (std::isalnum(static_cast<unsigned char>(Peek())) || Peek() == '_' ||
-                        Peek() == '.')) {
-        name.push_back(Peek());
-        ++pos_;
-      }
-      return Expr::Input(std::move(name));
-    }
-    return Status::kCorrupt;
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-Result<ExprRef> Expr::Parse(std::string_view text) {
-  Parser p(text);
-  DLT_ASSIGN_OR_RETURN(ExprRef e, p.ParseExpr());
-  if (!p.AtEnd()) {
-    return Status::kCorrupt;
-  }
-  return e;
 }
 
 }  // namespace dlt

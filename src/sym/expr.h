@@ -62,11 +62,6 @@ class Expr {
   // Structural equality.
   static bool Equal(const ExprRef& a, const ExprRef& b);
 
-  // Parses the ToString() grammar:
-  //   expr   := term | '(' expr op expr ')' | '(~' expr ')'
-  //   term   := 0x<hex> | <decimal> | identifier
-  static Result<ExprRef> Parse(std::string_view text);
-
  private:
   Expr() = default;
 

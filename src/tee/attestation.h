@@ -6,8 +6,9 @@
 // with the service's package key (HMAC-SHA256 stands in for the asymmetric
 // scheme, exactly as package sealing does — see src/crypto/hmac.h).
 //
-// The quote serializes to a small text artifact (repro-file idiom) that
-// `driverletc attest` prints and re-verifies; Parse + Verify round-trip it.
+// The TEE only builds and signs quotes. The verifier's side — the text
+// artifact `driverletc attest` prints, its parser and VerifyQuote — is
+// src/record/quote.h.
 #ifndef SRC_TEE_ATTESTATION_H_
 #define SRC_TEE_ATTESTATION_H_
 
@@ -18,6 +19,9 @@
 #include "src/soc/status.h"
 
 namespace dlt {
+
+// First line of every quote body.
+inline constexpr char kQuoteHeader[] = "driverlet-attest v1";
 
 struct AttestationQuote {
   std::string driverlet;
@@ -37,14 +41,8 @@ struct AttestationQuote {
 // Canonical body the MAC covers (every field except |mac| itself).
 std::string QuoteBody(const AttestationQuote& q);
 
-// Full text artifact: body plus the trailing "mac <hex>" line.
-std::string SerializeQuote(const AttestationQuote& q);
-Result<AttestationQuote> ParseQuote(std::string_view text);
-
 // Computes/refreshes |q->mac| with |key|.
 void SignQuote(AttestationQuote* q, std::string_view key);
-// True when |q.mac| is the valid MAC of the quote body under |key|.
-bool VerifyQuote(const AttestationQuote& q, std::string_view key);
 
 }  // namespace dlt
 

@@ -25,13 +25,6 @@
 
 namespace dlt {
 
-// Test hook for the boundary fuzzer's regression guard: when set, PopCompletion
-// mis-orders reaps after the ring has wrapped (it reads the *sibling* slot of
-// the wrapped index), breaking the strictly-increasing-seq invariant the fuzzer
-// asserts. Never enabled in production paths.
-void SetRingWrapQuirkForTest(bool enabled);
-bool RingWrapQuirkForTest();
-
 // One submission descriptor. Buffer views inside |args| are borrowed — the
 // client keeps the memory alive until the command's completion is reaped.
 struct RingCmd {
@@ -78,13 +71,7 @@ class InvocationRing {
     if (reaped_ == drained_) {
       return Status::kNotFound;
     }
-    uint64_t idx = reaped_;
-    if (RingWrapQuirkForTest() && reaped_ >= slots_.size() && slots_.size() > 1) {
-      // Planted wrap bug (see SetRingWrapQuirkForTest): reap the sibling slot
-      // once the sequence space has wrapped past the slot array.
-      idx = reaped_ ^ 1;
-    }
-    Slot& s = slots_[idx % slots_.size()];
+    Slot& s = slots_[reaped_ % slots_.size()];
     RingCompletion c;
     c.seq = s.seq;
     c.result = std::move(s.result);

@@ -8,13 +8,6 @@
 
 namespace dlt {
 
-namespace {
-bool g_ring_wrap_quirk = false;
-}  // namespace
-
-void SetRingWrapQuirkForTest(bool enabled) { g_ring_wrap_quirk = enabled; }
-bool RingWrapQuirkForTest() { return g_ring_wrap_quirk; }
-
 ReplayService::ReplayService(SecureWorld* tee, std::string signing_key,
                              ReplayServiceConfig cfg)
     : tee_(tee), signing_key_(std::move(signing_key)), cfg_(cfg) {}
@@ -131,8 +124,9 @@ Result<ReplayStats> ReplayService::DoInvokeOne(Session& s, std::string_view entr
   s.stats.last_invoke_us = tee_->TimestampUs();
   // Runtime integrity: fold the final attempt's measurement into the session
   // PCR and record it, whether or not the invoke succeeded — the attestation
-  // quote commits to failures too. A divergence from the template's golden
-  // hash is counted here; whether it *quarantines* depends on the policy knob.
+  // quote commits to failures too. A final attempt that reached the executor
+  // and failed measures short of the template's golden value. That mismatch
+  // is counted here; whether it *quarantines* depends on the policy knob.
   const MeasurementRecord& m = rep->last_measurement();
   bool mismatch = false;
   if (m.valid) {
@@ -156,10 +150,11 @@ Result<ReplayStats> ReplayService::DoInvokeOne(Session& s, std::string_view entr
   } else {
     ++s.stats.failures;
     if (cfg_.enforce_integrity && mismatch && IsDeviceHealthFailure(r.status())) {
-      // Ladder rung 0: the execution trace itself diverged from the template's
-      // golden measurement — quarantine immediately, below the consecutive-
-      // failure threshold. The streak still advances so telemetry stays
-      // comparable with the threshold-only policy.
+      // Ladder rung 0: a device-health failure that reached the executor
+      // (its measurement stopped short of the golden value) quarantines the
+      // session on the first occurrence, below the consecutive-failure
+      // threshold. The streak still advances so telemetry stays comparable
+      // with the threshold-only policy.
       ++s.stats.consecutive_device_failures;
       s.stats.quarantined = true;
       ++quarantined_total_;

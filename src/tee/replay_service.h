@@ -60,10 +60,10 @@ struct ReplayServiceConfig {
   uint64_t retry_backoff_us = 0;
   uint64_t quarantine_threshold = 4;
   // Integrity policy (docs/architecture.md "Runtime integrity measurement"):
-  // when set, a device-health failure whose runtime measurement diverges from
-  // the template's golden hash quarantines the session immediately — rung 0
-  // of the recovery ladder, below the consecutive-failure threshold. Off by
-  // default: measurement is always recorded, enforcement is opt-in.
+  // when set, the session's first device-health failure that reached the
+  // executor (so measured short of the golden value) quarantines it at once —
+  // rung 0 of the recovery ladder, below the consecutive-failure threshold.
+  // Off by default: measurement is always recorded, enforcement is opt-in.
   bool enforce_integrity = false;
 };
 
@@ -85,8 +85,8 @@ struct SessionStats {
   uint64_t consecutive_device_failures = 0;
   bool quarantined = false;
   // Runtime integrity (integrity.h): hex measurement of the most recent
-  // invoke's final attempt, and how many invokes diverged from their
-  // template's golden hash over the session lifetime.
+  // invoke's final attempt (which template ran, how many of its top-level
+  // events completed), and how many invokes reached the executor and failed.
   std::string last_measurement;
   uint64_t measurement_mismatches = 0;
 };

@@ -13,18 +13,9 @@
 #include <vector>
 
 #include "src/check/fuzz.h"
-#include "src/tee/invocation_ring.h"
 
 namespace dlt {
 namespace {
-
-// Restores the planted-quirk flag on scope exit so a failing test cannot
-// poison the rest of the suite.
-class RingQuirkGuard {
- public:
-  explicit RingQuirkGuard(bool on) { SetRingWrapQuirkForTest(on); }
-  ~RingQuirkGuard() { SetRingWrapQuirkForTest(false); }
-};
 
 std::string ReadFileText(const std::filesystem::path& path) {
   std::ifstream in(path);
@@ -194,13 +185,9 @@ TEST(BoundaryFuzzTest, PlantedRingWrapBugIsFoundAndShrunk) {
   EXPECT_LE(f.shrunk.actions.size(), f.program.actions.size());
   EXPECT_LE(f.shrunk.actions.size(), 16u);
 
-  // The shrunk program still reproduces under the quirk and is clean without
-  // it (the repro goes green once the bug is fixed).
-  {
-    RingQuirkGuard quirk(true);
-    BoundaryRunResult r = RunBoundaryProgram(f.shrunk);
-    EXPECT_EQ(r.invariant, "ring-order");
-  }
+  // The shrunk program still reproduces with the bug planted and is clean
+  // without it (the repro goes green once the bug is fixed).
+  EXPECT_EQ(RunBoundaryProgram(f.shrunk, /*plant_ring_quirk=*/true).invariant, "ring-order");
   EXPECT_TRUE(RunBoundaryProgram(f.shrunk).ok());
 }
 

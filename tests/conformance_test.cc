@@ -10,18 +10,17 @@
 #include <set>
 
 #include "src/check/conformance.h"
-#include "src/core/serialize_binary.h"
 #include "src/record/serialize_text.h"
 
 namespace dlt {
 namespace {
 
-// Arms the planted decoder bug for one scope; tests must not leak it into the
-// rest of the suite.
-class QuirkGuard {
+// Plants the harness's decoder bug for one scope; tests must not leak it into
+// the rest of the suite.
+class PlantedDecoderBug {
  public:
-  QuirkGuard() { SetBinaryValueQuirkForTest(true); }
-  ~QuirkGuard() { SetBinaryValueQuirkForTest(false); }
+  PlantedDecoderBug() { PlantDecoderBug(true); }
+  ~PlantedDecoderBug() { PlantDecoderBug(false); }
 };
 
 std::string TplText(const InteractionTemplate& tpl) { return TemplatesToText({tpl}); }
@@ -305,7 +304,7 @@ TEST(ConformanceTest, ShrinkRefusesAPassingCase) {
 }
 
 TEST(ConformanceTest, BinaryValueQuirkIsCaughtAndShrunkToATinyRepro) {
-  QuirkGuard armed;
+  PlantedDecoderBug armed;
   // The serialize-roundtrip invariant must notice the planted +1 on decoded
   // constant event values within a handful of seeds.
   GeneratedCase failing;
@@ -326,7 +325,7 @@ TEST(ConformanceTest, BinaryValueQuirkIsCaughtAndShrunkToATinyRepro) {
   EXPECT_LT(shrunk->reduced.tpl.events.size(), shrunk->original_events);
   EXPECT_TRUE(SymbolClosureValid(shrunk->reduced.tpl));
 
-  // The minimized case still fails while the quirk is armed, through the same
+  // The minimized case still fails while the bug is planted, through the same
   // file format the CLI uses...
   std::string path = ::testing::TempDir() + "/value_quirk.repro";
   ASSERT_TRUE(Ok(WriteRepro(path, shrunk->reduced, shrunk->invariant)));
@@ -335,7 +334,7 @@ TEST(ConformanceTest, BinaryValueQuirkIsCaughtAndShrunkToATinyRepro) {
   EXPECT_FALSE(RunConformance(repro->c, ReproInvariants()).ok());
 
   // ...and conforms again once the decoder is fixed.
-  SetBinaryValueQuirkForTest(false);
+  PlantDecoderBug(false);
   ConformanceOutcome healthy = RunConformance(repro->c, ReproInvariants());
   for (const ConformanceFailure& f : healthy.failures) {
     ADD_FAILURE() << f.invariant << ": " << f.detail;

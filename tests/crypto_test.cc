@@ -4,10 +4,10 @@
 #include <cstring>
 #include <random>
 
-#include "src/crypto/crc32.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/lzss.h"
 #include "src/crypto/sha256.h"
+#include "src/record/package_writer.h"
 
 namespace dlt {
 namespace {
@@ -75,17 +75,6 @@ TEST(HmacTest, LongKeysAreHashed) {
   std::string data = "x";
   Sha256::Digest mac = HmacSha256(key, data.data(), data.size());
   EXPECT_TRUE(HmacVerify(key, data.data(), data.size(), mac));
-}
-
-TEST(Crc32Test, KnownVector) {
-  // CRC32("123456789") = 0xcbf43926.
-  EXPECT_EQ(0xcbf43926u, Crc32("123456789", 9));
-}
-
-TEST(Crc32Test, SeedChaining) {
-  uint32_t direct = Crc32("helloworld", 10);
-  uint32_t chained = Crc32("world", 5, Crc32("hello", 5));
-  EXPECT_EQ(direct, chained);
 }
 
 TEST(LzssTest, EmptyInput) {

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "src/crypto/sha256.h"
+#include "src/dev/cryptoacc/cryptoacc_device.h"
 #include "src/dev/display/display_controller.h"
 #include "src/dev/vc4/frame_payload.h"
 #include "src/fault/fault_injector.h"
@@ -18,6 +19,30 @@
 
 namespace dlt {
 namespace {
+
+// A descriptor whose guest-written length is wild and whose source is outside
+// RAM fails the batch with the error status and the interrupt. The model checks
+// the range before it sizes a host buffer by that length, so it allocates
+// nothing.
+TEST(CryptoaccDeviceTest, WildLengthFromOutsideRamFailsTheBatch) {
+  Machine machine;
+  CryptoaccDevice dev(&machine.mem(), &machine.clock(), &machine.irq(), &machine.latency(),
+                      kCryptoIrq);
+  constexpr PhysAddr kRing = 0x1000;
+  const uint32_t desc[6] = {kCaDescValid | kCaDescIrq | (kCaOpEncrypt << kCaOpShift),
+                            0xc000'0000,  // src: past the end of RAM
+                            0x2000, 0xffff'fff0, 0, 0};
+  ASSERT_EQ(Status::kOk, machine.mem().DmaWrite(kRing, desc, sizeof(desc)));
+  dev.MmioWrite32(kCaRingBase, kRing);
+  dev.MmioWrite32(kCaRingSize, 4);
+  dev.MmioWrite32(kCaHead, 1);  // doorbell
+  EXPECT_EQ(kCaStatusBusy, dev.MmioRead32(kCaStatus));
+  // The engine prices the batch by its length: about 12.6 s of virtual time.
+  machine.clock().Advance(20'000'000);
+  EXPECT_EQ(kCaStatusError, dev.MmioRead32(kCaStatus));
+  EXPECT_TRUE(machine.irq().Pending(kCryptoIrq));
+  EXPECT_EQ(0u, dev.descriptors_processed());
+}
 
 TEST(DisplayControllerTest, PanelReadsBlackBeforeFirstBlit) {
   // The panel is allocated by the first completed blit; replay_display_test

@@ -14,8 +14,8 @@
 #include "src/drv/bcm_sdhost_driver.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
+#include "src/record/quote.h"
 #include "src/soc/status.h"
-#include "src/tee/attestation.h"
 #include "src/workload/deploy_util.h"
 #include "src/workload/record_campaigns.h"
 

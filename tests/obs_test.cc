@@ -263,7 +263,7 @@ TEST(MetricsTest, GaugeLevelAndWatermark) {
   std::vector<std::string> names;
   reg.ForEachGauge([&](const std::string& n, const Gauge&) { names.push_back(n); });
   EXPECT_EQ((std::vector<std::string>{"test.queue_depth", "test.sessions"}), names);
-  EXPECT_NE(std::string::npos, reg.Summary().find("test.sessions"));
+  EXPECT_NE(std::string::npos, MetricsSummary(reg).find("test.sessions"));
 }
 
 TEST(MetricsTest, HistogramAccuracy) {

@@ -7,6 +7,8 @@
 
 #include "src/core/package.h"
 #include "src/core/serialize_binary.h"
+#include "src/record/campaign.h"
+#include "src/record/package_writer.h"
 #include "src/record/serialize_text.h"
 #include "src/workload/record_campaigns.h"
 #include "src/workload/deploy_util.h"
@@ -105,7 +107,7 @@ TEST_F(PackageFuzzTest, CrossFormatAgreement) {
   ASSERT_TRUE(from_bin.ok());
   ASSERT_EQ(from_text->size(), from_bin->templates.size());
   for (size_t i = 0; i < from_text->size(); ++i) {
-    EXPECT_TRUE(InteractionTemplate::Mergeable((*from_text)[i], from_bin->templates[i])) << i;
+    EXPECT_TRUE(Mergeable((*from_text)[i], from_bin->templates[i])) << i;
     // The clean-state proof survives both formats (every MMC template is
     // recorded clean, so a dropped flag shows up as false here).
     EXPECT_TRUE((*from_text)[i].leaves_clean_state) << i;

@@ -80,7 +80,7 @@ TEST_F(CameraDriverletTest, EventCountsScaleWithBurstLength) {
   auto total = [&](const std::string& name) {
     for (const auto& t : campaign_->templates()) {
       if (t.name == name) {
-        return t.CountEvents().total();
+        return CountEvents(t).total();
       }
     }
     return -1;
@@ -93,7 +93,7 @@ TEST_F(CameraDriverletTest, TemplatesContainLiftedPolls) {
   // The slot-handler's open-coded wait loops must have been lifted into poll
   // meta events (paper §4.2, Challenge III).
   for (const auto& t : campaign_->templates()) {
-    EXPECT_GT(t.CountEvents().meta, 0) << t.name;
+    EXPECT_GT(CountEvents(t).meta, 0) << t.name;
   }
 }
 

@@ -63,7 +63,7 @@ TEST_F(MmcDriverletTest, CampaignProducesTenTemplates) {
   for (const auto& t : campaign_->templates()) {
     EXPECT_EQ(kMmcEntry, t.entry);
     EXPECT_GT(t.events.size(), 10u) << t.name;
-    EventBreakdown b = t.CountEvents();
+    EventBreakdown b = CountEvents(t);
     EXPECT_GT(b.input, 0) << t.name;
     EXPECT_GT(b.output, 0) << t.name;
     EXPECT_GT(b.meta, 0) << t.name;
@@ -74,7 +74,7 @@ TEST_F(MmcDriverletTest, EventCountsGrowWithBlockCount) {
   auto total = [&](const std::string& name) {
     for (const auto& t : campaign_->templates()) {
       if (t.name == name) {
-        return t.CountEvents().total();
+        return CountEvents(t).total();
       }
     }
     return -1;

@@ -71,7 +71,7 @@ TEST_F(UsbDriverletTest, ReadAndWriteTemplatesHaveSimilarEventCounts) {
   const InteractionTemplate* wr8 = find("WR_8");
   ASSERT_NE(nullptr, rd8);
   ASSERT_NE(nullptr, wr8);
-  EXPECT_NEAR(rd8->CountEvents().total(), wr8->CountEvents().total(), 3);
+  EXPECT_NEAR(CountEvents(*rd8).total(), CountEvents(*wr8).total(), 3);
 }
 
 TEST_F(UsbDriverletTest, WriteReadRoundTrip) {

@@ -12,6 +12,7 @@
 
 #include "src/fault/fault_injector.h"
 #include "src/obs/telemetry.h"
+#include "src/record/package_writer.h"
 #include "src/workload/deploy_util.h"
 
 namespace dlt {

@@ -8,7 +8,7 @@
 #include "src/core/replayer.h"
 #include "src/core/serialize_binary.h"
 #include "src/crypto/hmac.h"
-#include "src/crypto/lzss.h"
+#include "src/record/package_writer.h"
 #include "src/record/serialize_text.h"
 #include "src/tee/replay_service.h"
 #include "src/workload/record_campaigns.h"

@@ -4,6 +4,8 @@
 #include "src/core/package.h"
 #include "src/core/serialize_binary.h"
 #include "src/crypto/sha256.h"
+#include "src/record/campaign.h"
+#include "src/record/package_writer.h"
 #include "src/record/serialize_text.h"
 
 namespace dlt {
@@ -15,8 +17,10 @@ InteractionTemplate SampleTemplate() {
   t.entry = "replay_mmc";
   t.primary_device = 1;
   t.params = {{"rw", false}, {"blkcnt", false}, {"blkid", false}, {"buf", true}};
-  t.initial.AddAtom(CmpEq(TValue::Input("rw", 1), TValue(1)));
-  t.initial.AddAtom(CmpLe(TValue::Input("blkcnt", 8) * TValue(512), TValue(4096)));
+  t.initial.AddAtom(ConstraintAtom{Expr::Input("rw"), Cmp::kEq, Expr::Const(1)});
+  t.initial.AddAtom(ConstraintAtom{
+      Expr::Binary(ExprOp::kMul, Expr::Input("blkcnt"), Expr::Const(512)), Cmp::kLe,
+      Expr::Const(4096)});
 
   TemplateEvent w;
   w.kind = EventKind::kRegWrite;
@@ -195,7 +199,7 @@ InteractionTemplate SampleWriteTemplate() {
   t.primary_device = 300;  // a two-byte varint
   t.leaves_clean_state = true;
   t.params = {{"rw", false}, {"blkid", false}, {"buf", true}};
-  t.initial.AddAtom(CmpEq(TValue::Input("rw", 2), TValue(2)));
+  t.initial.AddAtom(ConstraintAtom{Expr::Input("rw"), Cmp::kEq, Expr::Const(2)});
 
   TemplateEvent arg;
   arg.kind = EventKind::kRegWrite;

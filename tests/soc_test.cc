@@ -381,6 +381,28 @@ TEST_F(MachineDmaTest, BadControlBlockSetsError) {
   EXPECT_TRUE(cs & kDmaCsError);
 }
 
+// A RAM-sourced block whose guest-written length is wild and whose source is
+// outside RAM fails with the error bit and its interrupt. The engine checks the
+// range before it sizes its bounce buffer by that length, so the block
+// allocates nothing.
+TEST_F(MachineDmaTest, WildLengthFromOutsideRamSetsError) {
+  auto& mem = machine_.mem();
+  DmaControlBlock cb{};
+  cb.ti = kDmaTiSrcInc | kDmaTiDestInc | kDmaTiIntEn;
+  cb.source_ad = 0xc000'0000;  // past the end of RAM
+  cb.dest_ad = 0x2000;
+  cb.txfr_len = 0xffff'fff0;
+  ASSERT_EQ(Status::kOk, mem.WriteBytes(World::kNormal, 0x3000, &cb, sizeof(cb)));
+  ASSERT_EQ(Status::kOk, mem.Write32(World::kNormal, kDmaEngineBase + kDmaConblkAd, 0x3000));
+  ASSERT_EQ(Status::kOk, mem.Write32(World::kNormal, kDmaEngineBase + kDmaCs, kDmaCsActive));
+  machine_.clock().Advance(1000);
+  uint32_t cs = *mem.Read32(World::kNormal, kDmaEngineBase + kDmaCs);
+  EXPECT_TRUE(cs & kDmaCsEnd);
+  EXPECT_TRUE(cs & kDmaCsError);
+  EXPECT_TRUE(cs & kDmaCsInt);
+  EXPECT_TRUE(machine_.irq().Pending(kDmaIrqBase));
+}
+
 TEST(MachineTest, DeviceRegistryLookups) {
   Machine machine;
   ScratchDevice dev;

@@ -1,6 +1,9 @@
 // Unit tests for the symbolic expression / taint / constraint substrate.
 #include <gtest/gtest.h>
 
+#include "src/record/record_session.h"
+#include "src/record/serialize_text.h"
+#include "src/record/tvalue.h"
 #include "src/sym/constraint.h"
 
 namespace dlt {
@@ -35,7 +38,7 @@ TEST(ExprTest, DivisionByZeroIsError) {
 TEST(ExprTest, ToStringParseRoundTrip) {
   // (blkid & ~0x7): the paper's Table 4 alignment expression shape.
   ExprRef e = Expr::Binary(ExprOp::kAnd, Expr::Input("blkid"), Expr::Not(Expr::Input("mask")));
-  Result<ExprRef> parsed = Expr::Parse(e->ToString());
+  Result<ExprRef> parsed = ParseExpr(e->ToString());
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(Expr::Equal(e, *parsed));
 }
@@ -56,10 +59,10 @@ class ExprRoundTripTest : public ::testing::TestWithParam<ExprRoundTripCase> {};
 
 TEST_P(ExprRoundTripTest, ParsePrintEvalAgree) {
   const ExprRoundTripCase& c = GetParam();
-  Result<ExprRef> e = Expr::Parse(c.text);
+  Result<ExprRef> e = ParseExpr(c.text);
   ASSERT_TRUE(e.ok()) << c.text;
   // Round-trip through the printer.
-  Result<ExprRef> e2 = Expr::Parse((*e)->ToString());
+  Result<ExprRef> e2 = ParseExpr((*e)->ToString());
   ASSERT_TRUE(e2.ok());
   EXPECT_TRUE(Expr::Equal(*e, *e2)) << c.text;
   Bindings b{{"x", c.x}};
@@ -82,11 +85,11 @@ INSTANTIATE_TEST_SUITE_P(
                       ExprRoundTripCase{"div_xor", "((x / 0x2) ^ 0xff)", 6, 0xfc}));
 
 TEST(ExprTest, ParseRejectsGarbage) {
-  EXPECT_FALSE(Expr::Parse("").ok());
-  EXPECT_FALSE(Expr::Parse("(x +)").ok());
-  EXPECT_FALSE(Expr::Parse("x y").ok());
-  EXPECT_FALSE(Expr::Parse("(x < y)").ok());
-  EXPECT_FALSE(Expr::Parse("0x").ok());
+  EXPECT_FALSE(ParseExpr("").ok());
+  EXPECT_FALSE(ParseExpr("(x +)").ok());
+  EXPECT_FALSE(ParseExpr("x y").ok());
+  EXPECT_FALSE(ParseExpr("(x < y)").ok());
+  EXPECT_FALSE(ParseExpr("0x").ok());
 }
 
 TEST(TValueTest, UntaintedStaysConcrete) {
@@ -125,8 +128,8 @@ TEST(TValueTest, BitwiseNotOnTainted) {
 
 TEST(ConstraintTest, EvalConjunction) {
   Constraint c;
-  c.AddAtom(CmpGt(TValue::Input("blkcnt", 8), TValue(0)));
-  c.AddAtom(CmpLe(TValue::Input("blkcnt", 8), TValue(8)));
+  c.AddAtom(ConstraintAtom{Expr::Input("blkcnt"), Cmp::kGt, Expr::Const(0)});
+  c.AddAtom(ConstraintAtom{Expr::Input("blkcnt"), Cmp::kLe, Expr::Const(8)});
   Bindings ok{{"blkcnt", 5}};
   Bindings nope{{"blkcnt", 20}};
   EXPECT_TRUE(*c.Eval(ok));
@@ -134,8 +137,8 @@ TEST(ConstraintTest, EvalConjunction) {
 }
 
 TEST(ConstraintTest, AtomNegation) {
-  ConstraintAtom a = CmpLe(TValue::Input("x", 1), TValue(8));
-  ConstraintAtom n = a.Negated();
+  ConstraintAtom a{Expr::Input("x"), Cmp::kLe, Expr::Const(8)};
+  ConstraintAtom n = Negated(a);
   EXPECT_EQ(Cmp::kGt, n.cmp);
   Bindings b{{"x", 9}};
   EXPECT_FALSE(*a.Eval(b));
@@ -144,10 +147,11 @@ TEST(ConstraintTest, AtomNegation) {
 
 TEST(ConstraintTest, ToStringParseRoundTrip) {
   Constraint c;
-  c.AddAtom(CmpGe(TValue::Input("blkcnt", 1), TValue(0)));
-  c.AddAtom(CmpLe(TValue::Input("blkcnt", 1) * TValue(512), TValue(0x1000)));
-  c.AddAtom(CmpEq(TValue::Input("rw", 1), TValue(1)));
-  Result<Constraint> parsed = Constraint::Parse(c.ToString());
+  c.AddAtom(ConstraintAtom{Expr::Input("blkcnt"), Cmp::kGe, Expr::Const(0)});
+  c.AddAtom(ConstraintAtom{Expr::Binary(ExprOp::kMul, Expr::Input("blkcnt"), Expr::Const(512)),
+                           Cmp::kLe, Expr::Const(0x1000)});
+  c.AddAtom(ConstraintAtom{Expr::Input("rw"), Cmp::kEq, Expr::Const(1)});
+  Result<Constraint> parsed = ParseConstraint(c.ToString());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(c.ToString(), parsed->ToString());
 }
@@ -155,7 +159,7 @@ TEST(ConstraintTest, ToStringParseRoundTrip) {
 TEST(ConstraintTest, EmptyConstraintIsTrue) {
   Constraint c;
   EXPECT_EQ("true", c.ToString());
-  Result<Constraint> parsed = Constraint::Parse("true");
+  Result<Constraint> parsed = ParseConstraint("true");
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed->empty());
   EXPECT_TRUE(*c.Eval({}));
@@ -163,8 +167,8 @@ TEST(ConstraintTest, EmptyConstraintIsTrue) {
 
 TEST(ConstraintTest, DuplicateAtomsDeduplicated) {
   Constraint c;
-  c.AddAtom(CmpEq(TValue::Input("rw", 1), TValue(1)));
-  c.AddAtom(CmpEq(TValue::Input("rw", 1), TValue(1)));
+  c.AddAtom(ConstraintAtom{Expr::Input("rw"), Cmp::kEq, Expr::Const(1)});
+  c.AddAtom(ConstraintAtom{Expr::Input("rw"), Cmp::kEq, Expr::Const(1)});
   EXPECT_EQ(1u, c.atoms().size());
 }
 

@@ -69,6 +69,7 @@
 #include "src/core/replayer.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/telemetry.h"
+#include "src/record/quote.h"
 #include "src/tee/replay_fleet.h"
 #include "src/workload/deploy_util.h"
 #include "src/workload/fault_campaign.h"
@@ -168,7 +169,7 @@ int CmdInspect(const char* path) {
               pkg->templates.size());
   std::printf("coverage: %s\n", CoverageReport(ComputeCoverage(pkg->templates)).c_str());
   for (const auto& t : pkg->templates) {
-    EventBreakdown b = t.CountEvents();
+    EventBreakdown b = CountEvents(t);
     std::printf("  %-12s entry=%-16s %4d in / %4d out / %3d meta  clean=%s\n", t.name.c_str(),
                 t.entry.c_str(), b.input, b.output, b.meta, t.leaves_clean_state ? "yes" : "no");
   }
@@ -272,7 +273,7 @@ int CmdTrace(int argc, char** argv) {
   std::printf("wrote %s: %zu trace events (%llu dropped)\n", out, events.size(),
               static_cast<unsigned long long>(tel.ring().dropped()));
   std::printf("open in chrome://tracing or https://ui.perfetto.dev\n\n%s",
-              tel.metrics().Summary().c_str());
+              MetricsSummary(tel.metrics()).c_str());
   std::printf("soft resets: %llu performed, %llu elided\n",
               static_cast<unsigned long long>(tel.metrics().counter("replay.soft_resets").value()),
               static_cast<unsigned long long>(
