@@ -160,9 +160,6 @@ std::optional<std::string> DiffObs(const Obs& a, const Obs& b) {
       return "measurement.events: " + Num(a.meas.events_measured) + " vs " +
              Num(b.meas.events_measured);
     }
-    if (a.meas.matches_golden != b.meas.matches_golden) {
-      return std::string("measurement.matches_golden differs");
-    }
   }
   if (a.total_events != b.total_events) {
     return "total_events: " + Num(a.total_events) + " vs " + Num(b.total_events);
@@ -327,25 +324,20 @@ std::optional<std::string> CheckBaseline(const GeneratedCase& g, ConformanceOutc
 // value itself.
 std::optional<std::string> CheckStrictPrefix(const GeneratedCase& g, const Obs& o,
                                              const std::string& golden) {
-  if (o.meas.matches_golden || o.meas.Hex() == golden) {
+  if (o.meas.Hex() == golden) {
     return std::string("still claims the golden measurement");
   }
   if (o.meas.events_measured >= g.tpl.events.size()) {
     return "measured " + Num(o.meas.events_measured) + " of " + Num(g.tpl.events.size()) +
            " events";
   }
-  IntegrityChain prefix;
-  prefix.Begin(g.tpl);
-  for (size_t i = 0; i < o.meas.events_measured; ++i) {
-    prefix.FoldEvent(g.tpl.events[i], i);
-  }
-  if (prefix.Hex() != o.meas.Hex()) {
+  if (Sha256::HexDigest(Measure(g.tpl, o.meas.events_measured)) != o.meas.Hex()) {
     return "chain is not the golden prefix of " + Num(o.meas.events_measured) + " events";
   }
   return std::nullopt;
 }
 
-// Runtime integrity measurement (ROADMAP item 3): a complete run's hash chain
+// Runtime integrity measurement (src/core/integrity.h): a complete run's chain
 // equals the template's golden measurement and repeats exactly on a fresh
 // harness; a failing run's chain is a strict prefix of it, with or without
 // seeded faults.
@@ -356,7 +348,7 @@ std::optional<std::string> CheckMeasurement(const GeneratedCase& g, ConformanceO
     return std::string("clean run left no measurement record");
   }
   if (clean.status == Status::kOk) {
-    if (!clean.meas.matches_golden || clean.meas.Hex() != golden) {
+    if (clean.meas.Hex() != golden) {
       return "successful run's measurement is not the golden hash (got " + clean.meas.Hex() +
              ", want " + golden + ")";
     }
@@ -704,27 +696,6 @@ std::string HexBytes(const std::vector<uint8_t>& bytes) {
   return s;
 }
 
-Result<uint64_t> ParseU64(std::string_view tok) {
-  if (tok.empty()) return Status::kCorrupt;
-  uint64_t v = 0;
-  if (tok.size() > 2 && tok[0] == '0' && (tok[1] == 'x' || tok[1] == 'X')) {
-    for (char c : tok.substr(2)) {
-      int d;
-      if (c >= '0' && c <= '9') d = c - '0';
-      else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-      else if (c >= 'A' && c <= 'F') d = c - 'A' + 10;
-      else return Status::kCorrupt;
-      v = (v << 4) | static_cast<uint64_t>(d);
-    }
-    return v;
-  }
-  for (char c : tok) {
-    if (c < '0' || c > '9') return Status::kCorrupt;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  return v;
-}
-
 Result<std::vector<uint8_t>> ParseHexBytes(std::string_view tok) {
   if (tok.size() % 2 != 0) return Status::kCorrupt;
   std::vector<uint8_t> out;
@@ -736,18 +707,6 @@ Result<std::vector<uint8_t>> ParseHexBytes(std::string_view tok) {
     out.push_back(static_cast<uint8_t>((*hi << 4) | *lo));
   }
   return out;
-}
-
-std::vector<std::string_view> SplitWs(std::string_view line) {
-  std::vector<std::string_view> toks;
-  size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && line[i] == ' ') ++i;
-    size_t start = i;
-    while (i < line.size() && line[i] != ' ') ++i;
-    if (i > start) toks.push_back(line.substr(start, i - start));
-  }
-  return toks;
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "src/obs/telemetry.h"
 #include "src/record/package_writer.h"
 #include "src/record/quote.h"
+#include "src/record/serialize_text.h"
 #include "src/workload/deploy_util.h"
 
 namespace dlt {
@@ -193,8 +194,7 @@ class BoundaryExec {
     ReplayServiceConfig cfg;
     cfg.max_sessions = kSlots;
     cfg.ring_depth = 4;       // small rings so wrap-around is routine
-    cfg.quarantine_threshold = 2;
-    cfg.enforce_integrity = true;  // rung 0 armed: fuzz the strictest policy
+    cfg.quarantine_threshold = 1;  // the strictest policy: fence on the first failure
     service_ = std::make_unique<ReplayService>(&tb_->tee(), kDeveloperKey, cfg);
     injector_ = std::make_unique<FaultInjector>(&tb_->machine());
   }
@@ -737,28 +737,6 @@ BoundaryProgram Mutate(const BoundaryProgram& base, const BoundaryProgram& other
   return p;
 }
 
-Result<uint64_t> ParseDec(std::string_view tok) {
-  if (tok.empty()) return Status::kCorrupt;
-  uint64_t v = 0;
-  for (char c : tok) {
-    if (c < '0' || c > '9') return Status::kCorrupt;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  return v;
-}
-
-std::vector<std::string_view> SplitWs(std::string_view line) {
-  std::vector<std::string_view> toks;
-  size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && line[i] == ' ') ++i;
-    size_t start = i;
-    while (i < line.size() && line[i] != ' ') ++i;
-    if (i > start) toks.push_back(line.substr(start, i - start));
-  }
-  return toks;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -810,13 +788,13 @@ Result<BoundaryProgram> ParseBoundaryProgram(std::string_view text) {
     }
     if (!known || toks.size() > 4) return Status::kCorrupt;
     if (toks.size() > 1) {
-      DLT_ASSIGN_OR_RETURN(a.a, ParseDec(toks[1]));
+      DLT_ASSIGN_OR_RETURN(a.a, ParseU64(toks[1]));
     }
     if (toks.size() > 2) {
-      DLT_ASSIGN_OR_RETURN(a.b, ParseDec(toks[2]));
+      DLT_ASSIGN_OR_RETURN(a.b, ParseU64(toks[2]));
     }
     if (toks.size() > 3) {
-      DLT_ASSIGN_OR_RETURN(a.c, ParseDec(toks[3]));
+      DLT_ASSIGN_OR_RETURN(a.c, ParseU64(toks[3]));
     }
     p.actions.push_back(a);
   }

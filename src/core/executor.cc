@@ -5,7 +5,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "src/core/integrity.h"
 #include "src/obs/telemetry.h"
 #include "src/soc/log.h"
 
@@ -338,14 +337,11 @@ Status Executor::RunEvents(const std::vector<TemplateEvent>& events, DivergenceR
 }
 
 Status Executor::Run(DivergenceReport* report) {
-  // Top-level loop folds the integrity chain itself (RunEvents also serves
-  // poll bodies, which the measurement parity contract excludes).
+  // Counts top-level events only (RunEvents also serves poll bodies, which
+  // the measurement excludes).
   const std::vector<TemplateEvent>& events = tpl_->events;
-  for (size_t i = 0; i < events.size(); ++i) {
-    DLT_RETURN_IF_ERROR(RunOne(events[i], i, report));
-    if (chain_ != nullptr) {
-      chain_->FoldEvent(events[i], i);
-    }
+  for (; events_completed_ < events.size(); ++events_completed_) {
+    DLT_RETURN_IF_ERROR(RunOne(events[events_completed_], events_completed_, report));
   }
   return Status::kOk;
 }

@@ -13,8 +13,6 @@
 
 namespace dlt {
 
-class IntegrityChain;
-
 // Deterministic replay CPU cost: the virtual time the executor charges per
 // executed event (poll-body events included) through the context's
 // replay-overhead hook.
@@ -28,11 +26,9 @@ class Executor {
   Status Run(DivergenceReport* report);
 
   size_t events_executed() const { return events_executed_; }
-
-  // Optional integrity measurement: Run folds every completed top-level event
-  // into |chain| (integrity.h). Poll bodies are excluded — only Run's own
-  // loop folds, so the chain is computable statically from the template.
-  void set_integrity_chain(IntegrityChain* chain) { chain_ = chain; }
+  // Top-level template events Run completed, in order; poll bodies do not
+  // count. The replayer measures the run by it (integrity.h).
+  size_t events_completed() const { return events_completed_; }
 
  private:
   Status RunEvents(const std::vector<TemplateEvent>& events, DivergenceReport* report);
@@ -72,7 +68,7 @@ class Executor {
   std::vector<Alloc> allocs_;
   std::vector<uint32_t> pio_scratch_;  // staging words for PIO block transfers
   size_t events_executed_ = 0;
-  IntegrityChain* chain_ = nullptr;
+  size_t events_completed_ = 0;
 };
 
 // Renders an event for reports: "reg_write mmc+0x34 @bcm_sdhost.cc:210".

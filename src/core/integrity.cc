@@ -6,6 +6,9 @@ namespace dlt {
 
 namespace {
 
+// Domain separator hashed into every chain's initial value.
+constexpr char kIntegritySeed[] = "dlt-integrity-v1";
+
 void PutU64(Sha256* h, uint64_t v) {
   uint8_t b[8];
   for (int i = 0; i < 8; ++i) {
@@ -21,50 +24,45 @@ void PutStr(Sha256* h, const std::string& s) {
 
 }  // namespace
 
-IntegrityChain::IntegrityChain() {
-  value_ = Sha256::Hash(kIntegritySeed, std::strlen(kIntegritySeed));
+Sha256::Digest IntegritySeed() {
+  return Sha256::Hash(kIntegritySeed, std::strlen(kIntegritySeed));
 }
 
-void IntegrityChain::Begin(const InteractionTemplate& tpl) {
-  Sha256 h;
-  h.Update(value_.data(), value_.size());
-  PutStr(&h, tpl.name);
-  PutStr(&h, tpl.entry);
-  PutU64(&h, tpl.events.size());
-  value_ = h.Finalize();
+Sha256::Digest Measure(const InteractionTemplate& tpl, size_t events) {
+  Sha256::Digest value = IntegritySeed();
+  Sha256 begin;
+  begin.Update(value.data(), value.size());
+  PutStr(&begin, tpl.name);
+  PutStr(&begin, tpl.entry);
+  PutU64(&begin, tpl.events.size());
+  value = begin.Finalize();
+  for (size_t i = 0; i < events && i < tpl.events.size(); ++i) {
+    const TemplateEvent& e = tpl.events[i];
+    Sha256 h;
+    h.Update(value.data(), value.size());
+    // Static template structure only: runtime values (bound reads,
+    // timestamps, poll iteration counts) would break cross-run parity.
+    PutU64(&h, i);
+    PutU64(&h, static_cast<uint64_t>(e.kind));
+    PutU64(&h, e.device);
+    PutU64(&h, e.reg_off);
+    PutU64(&h, static_cast<uint64_t>(static_cast<int64_t>(e.irq_line)));
+    PutStr(&h, e.bind);
+    PutStr(&h, e.buffer);
+    value = h.Finalize();
+  }
+  return value;
 }
 
-void IntegrityChain::FoldEvent(const TemplateEvent& e, size_t index) {
+Sha256::Digest Extend(const Sha256::Digest& pcr, const Sha256::Digest& d) {
   Sha256 h;
-  h.Update(value_.data(), value_.size());
-  // Static template structure only — runtime values (bound reads, timestamps,
-  // poll iteration counts) would break cross-engine and cross-run parity.
-  PutU64(&h, index);
-  PutU64(&h, static_cast<uint64_t>(e.kind));
-  PutU64(&h, e.device);
-  PutU64(&h, e.reg_off);
-  PutU64(&h, static_cast<uint64_t>(static_cast<int64_t>(e.irq_line)));
-  PutStr(&h, e.bind);
-  PutStr(&h, e.buffer);
-  value_ = h.Finalize();
-  ++folded_;
-}
-
-void IntegrityChain::Extend(const Sha256::Digest& d) {
-  Sha256 h;
-  h.Update(value_.data(), value_.size());
+  h.Update(pcr.data(), pcr.size());
   h.Update(d.data(), d.size());
-  value_ = h.Finalize();
-  ++folded_;
+  return h.Finalize();
 }
 
 Sha256::Digest GoldenMeasurement(const InteractionTemplate& tpl) {
-  IntegrityChain chain;
-  chain.Begin(tpl);
-  for (size_t i = 0; i < tpl.events.size(); ++i) {
-    chain.FoldEvent(tpl.events[i], i);
-  }
-  return chain.digest();
+  return Measure(tpl, tpl.events.size());
 }
 
 std::string GoldenMeasurementHex(const InteractionTemplate& tpl) {

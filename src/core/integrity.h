@@ -1,72 +1,53 @@
-// Runtime integrity measurement for replay (ROADMAP item 3, PDRIMA-style):
-// every invoke folds the events it actually executed into a SHA-256 hash
-// chain, and the chain of a clean run is — by construction — computable
-// statically from the template alone (GoldenMeasurement). Comparing the two
-// tells a verifier not just *that* an invoke failed but exactly how much of
-// the golden trace executed before it stopped.
+// Runtime integrity measurement for replay (PDRIMA-style): the measurement of
+// an invoke is a SHA-256 hash chain over the template's identity and its
+// top-level events, folded in template order up to the last event the final
+// attempt completed. Because it depends on nothing but the template and that
+// count, the measurement of a clean run is computable statically
+// (GoldenMeasurement), and a run that stopped early measures a strict prefix
+// of it.
 //
-// The executor folds one descriptor per completed *top-level* template event,
-// in template order. The descriptor covers only the fields that are static
-// template structure (kind, index, device, register offset, irq line,
-// bind/buffer names) — never runtime values — so every run of one template
-// produces the same chain, and a run that diverges mid-template folds a strict
-// prefix of it. Poll bodies are excluded: their iteration count is device
-// timing, not template structure, and the poll event itself is folded once on
-// success.
+// Each event descriptor covers only static template structure (kind, index,
+// device, register offset, irq line, bind/buffer names), never runtime
+// values. Poll bodies are excluded: their iteration count is device timing,
+// not template structure, and the poll event itself counts once on success.
+//
+// The measurement feeds attestation only: the session PCR the service extends
+// with every invoke's measurement, and the quote that carries it. It is not a
+// quarantine input; the quarantine ladder reads the invoke's status.
 #ifndef SRC_CORE_INTEGRITY_H_
 #define SRC_CORE_INTEGRITY_H_
 
 #include <string>
 
-#include "src/core/event.h"
 #include "src/core/interaction_template.h"
 #include "src/crypto/sha256.h"
 
 namespace dlt {
 
-// Domain separator folded into every chain's initial value.
-inline constexpr const char kIntegritySeed[] = "dlt-integrity-v1";
+// SHA256(domain separator): the value every chain starts from, and a session
+// PCR's value before its first invoke.
+Sha256::Digest IntegritySeed();
 
-class IntegrityChain {
- public:
-  IntegrityChain();
+// The measurement of a run of |tpl| that completed its first |events|
+// top-level events: the seed, extended with the template identity (name,
+// entry, top-level event count), then with one structural descriptor per
+// completed event, each step value = SHA256(value || data).
+Sha256::Digest Measure(const InteractionTemplate& tpl, size_t events);
 
-  // Folds the template identity (name, entry, top-level event count) into the
-  // chain. Call once, before any FoldEvent.
-  void Begin(const InteractionTemplate& tpl);
+// PCR extend of a session chain: SHA256(pcr || d).
+Sha256::Digest Extend(const Sha256::Digest& pcr, const Sha256::Digest& d);
 
-  // Extends the chain with the structural descriptor of one completed
-  // top-level event: value = SHA256(value || descriptor).
-  void FoldEvent(const TemplateEvent& e, size_t index);
-
-  // Generic PCR-style extend (session chains over per-invoke measurements).
-  void Extend(const Sha256::Digest& d);
-
-  const Sha256::Digest& digest() const { return value_; }
-  std::string Hex() const { return Sha256::HexDigest(value_); }
-  size_t folded() const { return folded_; }
-
- private:
-  Sha256::Digest value_;
-  size_t folded_ = 0;
-};
-
-// The chain a complete, divergence-free execution of |tpl| produces: Begin +
-// FoldEvent over every top-level event in order.
+// The measurement of a complete, divergence-free run of |tpl|.
 Sha256::Digest GoldenMeasurement(const InteractionTemplate& tpl);
 std::string GoldenMeasurementHex(const InteractionTemplate& tpl);
 
 // What one Invoke measured, surfaced by Replayer::last_measurement() for the
-// service's attestation/quarantine policy (failed invokes return a bare
-// Status, so the record cannot ride on ReplayStats alone). The digest encodes
-// which template ran and how many of its top-level events completed, so a
-// mismatch means "reached the executor and failed", nothing more.
+// service's session PCR (failed invokes return a bare Status, so the record
+// cannot ride on ReplayStats alone).
 struct MeasurementRecord {
   bool valid = false;
-  std::string template_name;
-  size_t events_measured = 0;     // top-level events folded on the final attempt
-  Sha256::Digest digest{};        // final-attempt chain value
-  bool matches_golden = false;    // final attempt completed: digest == golden
+  size_t events_measured = 0;  // top-level events the final attempt completed
+  Sha256::Digest digest{};     // Measure(template, events_measured)
   std::string Hex() const { return Sha256::HexDigest(digest); }
 };
 

@@ -47,10 +47,11 @@ struct ReplayStats {
   // The first attempt ran without a reset (ResetPolicy): the previous
   // template provably left the device clean, or the policy is kNever.
   bool reset_elided = false;
-  // Runtime integrity measurement of the successful attempt (integrity.h):
-  // hex SHA-256 chain over the executed top-level events and how many were
-  // folded. A successful invoke's chain always equals the template's golden
-  // measurement; the failed-invoke chain lives in Replayer::last_measurement.
+  // Runtime integrity measurement of the successful attempt (integrity.h),
+  // for attestation: hex Measure(template, events_measured), where
+  // events_measured is the template's top-level event count, so it always
+  // equals the golden measurement. A failed invoke's measurement lives in
+  // Replayer::last_measurement.
   std::string measurement;
   size_t events_measured = 0;
 };

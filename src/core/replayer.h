@@ -72,8 +72,8 @@ class Replayer {
   const DivergenceReport& last_report() const { return report_; }
   // Integrity measurement of the last Invoke's final attempt (valid after the
   // executor actually ran — a selection miss leaves it invalid). Failed invokes
-  // return a bare Status, so the chain of a diverged/aborted run is only
-  // reachable here; the service's quarantine policy reads it.
+  // return a bare Status, so the measurement of a diverged/aborted run is only
+  // reachable here; the service extends its session PCR with it.
   const MeasurementRecord& last_measurement() const { return measurement_; }
 
   int max_attempts() const { return max_attempts_; }

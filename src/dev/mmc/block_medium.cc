@@ -17,7 +17,6 @@ Status BlockMedium::ReadSector(uint64_t lba, uint8_t* out) {
   } else {
     std::memcpy(out, it->second.data(), kSectorSize);
   }
-  ++sectors_read_;
   return Status::kOk;
 }
 

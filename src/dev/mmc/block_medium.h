@@ -31,7 +31,6 @@ class BlockMedium {
   bool present() const { return present_; }
 
   uint64_t sectors_written() const { return sectors_written_; }
-  uint64_t sectors_read() const { return sectors_read_; }
 
  private:
   using Sector = std::array<uint8_t, kSectorSize>;
@@ -40,7 +39,6 @@ class BlockMedium {
   bool present_ = true;
   std::unordered_map<uint64_t, Sector> data_;
   uint64_t sectors_written_ = 0;
-  uint64_t sectors_read_ = 0;
 };
 
 }  // namespace dlt

@@ -150,12 +150,4 @@ void SdCard::HashState(StateHasher* h) const {
       set_block_count_);
 }
 
-void SdCard::PowerOnReset() {
-  state_ = State::kIdle;
-  rca_ = 0;
-  app_cmd_ = false;
-  blocklen_ = 512;
-  set_block_count_ = 0;
-}
-
 }  // namespace dlt

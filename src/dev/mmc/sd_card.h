@@ -52,8 +52,6 @@ class SdCard {
 
   // Clean slate "as if initialization just finished": selected, transfer state.
   void ResetToTransferState();
-  // Full power-on reset (used by Probe()-style full init).
-  void PowerOnReset();
 
   State state() const { return state_; }
   uint16_t rca() const { return rca_; }

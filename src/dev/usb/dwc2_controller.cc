@@ -119,7 +119,6 @@ void Dwc2Controller::StartChannel(int ch) {
   uint32_t xfersize = c.hctsiz & kHcTsizXferSizeMask;
   uint32_t pid = (c.hctsiz >> kHcTsizPidShift) & 0x3;
   uint32_t dma = c.hcdma;
-  ++transactions_;
 
   uint64_t wire_us = lat_->usb_xact_us + (xfersize * lat_->usb_data_per_kb_us + 1023) / 1024;
 

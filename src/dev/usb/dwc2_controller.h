@@ -87,7 +87,6 @@ class Dwc2Controller : public MmioDevice {
   void SoftReset() override;
 
   int irq_line() const { return irq_line_; }
-  uint64_t transactions() const { return transactions_; }
 
  private:
   struct Channel {
@@ -119,7 +118,6 @@ class Dwc2Controller : public MmioDevice {
   std::array<Channel, kNumChannels> channels_;
   UsbSetup pending_setup_{};
   bool have_setup_ = false;
-  uint64_t transactions_ = 0;
 };
 
 }  // namespace dlt

@@ -181,7 +181,6 @@ Status UsbMassStorage::BulkOut(const uint8_t* data, size_t len, uint64_t* extra_
     std::memcpy(&cbw_.data_len, data + 8, 4);
     cbw_.dir_in = (data[12] & 0x80) != 0;
     std::memcpy(cbw_.cb, data + 15, 16);
-    ++cbw_count_;
     return ExecuteScsi(extra_us);
   }
   if (state_ == BotState::kDataOut) {

@@ -45,7 +45,6 @@ class UsbMassStorage : public UsbDeviceModel {
 
   uint8_t usb_address() const { return address_; }
   uint8_t configuration() const { return configuration_; }
-  uint32_t cbw_count() const { return cbw_count_; }
 
  private:
   enum class BotState : uint8_t { kAwaitCbw, kDataOut, kDataIn, kAwaitCswRead };
@@ -73,7 +72,6 @@ class UsbMassStorage : public UsbDeviceModel {
   std::vector<uint8_t> data_out_;  // accumulated host-to-device data
   std::vector<uint8_t> csw_;
   uint8_t sense_key_ = 0;
-  uint32_t cbw_count_ = 0;
 };
 
 }  // namespace dlt

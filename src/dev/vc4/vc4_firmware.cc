@@ -243,7 +243,6 @@ void Vc4Firmware::ProcessQueue() {
       (void)mem_->DmaRead(queue_base_ + base + kMsgHdrBytes, payload.data(), size);
     }
     slave_rx_pos_ += kMsgHdrBytes + Pad8(size);
-    ++messages_handled_;
     HandleMessage(msgid, payload.data(), size);
   }
 }

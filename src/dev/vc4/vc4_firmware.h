@@ -36,7 +36,6 @@ class Vc4Firmware : public MmioDevice {
   void set_sensor_connected(bool c) { sensor_connected_ = c; }
 
   uint64_t frames_produced() const { return frames_produced_; }
-  uint64_t messages_handled() const { return messages_handled_; }
 
   // Deterministic synthetic JPEG produced for (sequence, resolution); exposed so
   // validation scripts can re-derive expected frame contents. A frame is
@@ -100,7 +99,6 @@ class Vc4Firmware : public MmioDevice {
   std::optional<Ready> ready_;
   uint32_t frame_seq_ = 0;
   uint64_t frames_produced_ = 0;
-  uint64_t messages_handled_ = 0;
   // Bumped by SoftReset. Every scheduled callback captures it and does nothing
   // once it has moved on. Captures stay within 16 bytes (this + two u32s) so
   // std::function stores them inline and scheduling allocates nothing.

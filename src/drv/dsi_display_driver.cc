@@ -11,8 +11,8 @@ constexpr uint64_t kVsyncTimeoutUs = 200'000;
 
 Status DsiDisplayDriver::Blit(const TValue& x, const TValue& y, const TValue& w, const TValue& h,
                               uint8_t* buf, size_t buf_len) {
-  ++blits_;
-  // Geometry validation: these become the template's selection constraints.
+  // Geometry validation: these branches become the template's selection
+  // constraints, so at replay an empty or off-panel rectangle finds none.
   if (!io_->Branch(w, Cmp::kGt, TValue(0), DLT_HERE) ||
       !io_->Branch(h, Cmp::kGt, TValue(0), DLT_HERE)) {
     return Status::kInvalidArg;

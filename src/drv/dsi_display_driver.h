@@ -22,12 +22,9 @@ class DsiDisplayDriver {
   Status Blit(const TValue& x, const TValue& y, const TValue& w, const TValue& h, uint8_t* buf,
               size_t buf_len);
 
-  uint64_t blits() const { return blits_; }
-
  private:
   DriverIo* io_;
   Config cfg_;
-  uint64_t blits_ = 0;
 };
 
 }  // namespace dlt

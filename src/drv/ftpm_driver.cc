@@ -4,14 +4,14 @@
 
 namespace dlt {
 
-Status FtpmDriver::Probe() {
-  TValue ver = io_->RegRead32(cfg_.ftpm_device, kFtpmVer, DLT_HERE);
-  if (!io_->Branch(ver, Cmp::kEq, TValue(kFtpmVersion), DLT_HERE)) {
-    return Status::kIoError;
-  }
-  return Status::kOk;
-}
-
+// Every DLT_HERE below is a recording site. The recorder stores each site's
+// file and line in the templates it emits, so the sites are part of every
+// sealed fTPM package, and RecordedPackageTest.SealedPackagesArePinned pins
+// those bytes: an edit that moves a site by one line changes the package. A
+// change that should leave the templates as they are keeps every site on
+// its line, so an edit above Execute keeps its line count; a change that
+// moves sites re-pins the digests and says why. The same holds for every
+// driver under src/drv.
 Status FtpmDriver::Execute(const TValue& ord, const TValue& arg, const uint8_t* req,
                            uint8_t* rsp_out, uint64_t timeout_us) {
   TValue ctrl = io_->RegRead32(cfg_.ftpm_device, kFtpmCtrl, DLT_HERE);

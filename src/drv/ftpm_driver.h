@@ -28,9 +28,6 @@ class FtpmDriver {
   Status Execute(const TValue& ord, const TValue& arg, const uint8_t* req, uint8_t* rsp_out,
                  uint64_t timeout_us = 5'000'000);
 
-  // Reads the interface version register and checks the magic (probe path).
-  Status Probe();
-
  private:
   DriverIo* io_;
   Config cfg_;

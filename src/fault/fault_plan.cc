@@ -1,7 +1,5 @@
 #include "src/fault/fault_plan.h"
 
-#include <cstdio>
-
 namespace dlt {
 
 const char* FaultPlaneName(FaultPlane p) {
@@ -27,41 +25,6 @@ const char* FaultKindName(FaultKind k) {
     case FaultKind::kKindCount: break;
   }
   return "unknown";
-}
-
-FaultPlane KindPlane(FaultKind k) {
-  switch (k) {
-    case FaultKind::kMmioCorruptRead:
-    case FaultKind::kMmioStuckValue:
-      return FaultPlane::kMmio;
-    case FaultKind::kDmaCorrupt:
-    case FaultKind::kDmaTruncate:
-    case FaultKind::kBusCorruptRead:
-    case FaultKind::kBusCorruptWrite:
-      return FaultPlane::kDma;
-    case FaultKind::kIrqDrop:
-    case FaultKind::kIrqDelay:
-    case FaultKind::kIrqSpurious:
-    case FaultKind::kKindCount:
-      break;
-  }
-  return FaultPlane::kIrq;
-}
-
-std::string FaultPlan::Describe() const {
-  std::string out = "seed=" + std::to_string(seed_) + "\n";
-  for (const FaultSpec& s : specs_) {
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "  %-18s dev=%u line=%d prob=%u.%02u%% skip=%llu max=%llu arg=0x%llx\n",
-                  FaultKindName(s.kind), s.device, s.irq_line, s.prob_bp / 100,
-                  s.prob_bp % 100, static_cast<unsigned long long>(s.skip),
-                  static_cast<unsigned long long>(
-                      s.max_faults == UINT64_MAX ? 0 : s.max_faults),
-                  static_cast<unsigned long long>(s.arg));
-    out += line;
-  }
-  return out;
 }
 
 uint64_t FaultRng::Next() {

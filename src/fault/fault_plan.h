@@ -39,7 +39,6 @@ enum class FaultKind : uint8_t {
   kKindCount,            // sentinel
 };
 const char* FaultKindName(FaultKind k);
-FaultPlane KindPlane(FaultKind k);
 
 // One fault source. Whether a matching opportunity fires is decided by the
 // skip/max_faults window plus a draw from the plan's seeded stream — never by
@@ -71,7 +70,6 @@ class FaultPlan {
   explicit FaultPlan(uint64_t seed) : seed_(seed) {}
 
   uint64_t seed() const { return seed_; }
-  void set_seed(uint64_t s) { seed_ = s; }
 
   FaultPlan& Add(const FaultSpec& spec) {
     specs_.push_back(spec);
@@ -79,9 +77,6 @@ class FaultPlan {
   }
   const std::vector<FaultSpec>& specs() const { return specs_; }
   bool empty() const { return specs_.empty(); }
-
-  // One line per spec, for logs and the campaign table.
-  std::string Describe() const;
 
  private:
   uint64_t seed_ = 1;

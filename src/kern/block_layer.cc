@@ -129,7 +129,6 @@ Status PageCacheBlockDevice::WriteExtents(const std::vector<uint64_t>& sorted_in
     DLT_RETURN_IF_ERROR(driver_->WriteBlocks(indices[i] * kExtentSectors,
                                              static_cast<uint32_t>(run * kExtentSectors),
                                              buf.data()));
-    ++device_writes_;
     i = j;
   }
   return Status::kOk;

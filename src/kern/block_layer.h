@@ -57,7 +57,6 @@ class PageCacheBlockDevice : public BlockDevice {
 
   uint64_t cache_hits() const { return hits_; }
   uint64_t cache_misses() const { return misses_; }
-  uint64_t device_writes() const { return device_writes_; }
 
  private:
   static constexpr uint32_t kExtentSectors = 8;  // 4 KB cache granule
@@ -82,7 +81,6 @@ class PageCacheBlockDevice : public BlockDevice {
   uint64_t ops_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  uint64_t device_writes_ = 0;
 };
 
 }  // namespace dlt

@@ -1,24 +1,8 @@
 #include "src/record/quote.h"
 
+#include "src/record/serialize_text.h"
+
 namespace dlt {
-
-namespace {
-
-Result<uint64_t> ParseDec(std::string_view tok) {
-  if (tok.empty()) {
-    return Status::kCorrupt;
-  }
-  uint64_t v = 0;
-  for (char c : tok) {
-    if (c < '0' || c > '9') {
-      return Status::kCorrupt;
-    }
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  return v;
-}
-
-}  // namespace
 
 std::string SerializeQuote(const AttestationQuote& q) {
   return QuoteBody(q) + "mac " + q.mac + "\n";
@@ -52,13 +36,13 @@ Result<AttestationQuote> ParseQuote(std::string_view text) {
     if (key == "driverlet") {
       q.driverlet = std::string(val);
     } else if (key == "session") {
-      DLT_ASSIGN_OR_RETURN(q.session_id, ParseDec(val));
+      DLT_ASSIGN_OR_RETURN(q.session_id, ParseU64(val));
     } else if (key == "invokes") {
-      DLT_ASSIGN_OR_RETURN(q.invokes, ParseDec(val));
+      DLT_ASSIGN_OR_RETURN(q.invokes, ParseU64(val));
     } else if (key == "failures") {
-      DLT_ASSIGN_OR_RETURN(q.failures, ParseDec(val));
+      DLT_ASSIGN_OR_RETURN(q.failures, ParseU64(val));
     } else if (key == "mismatches") {
-      DLT_ASSIGN_OR_RETURN(q.measurement_mismatches, ParseDec(val));
+      DLT_ASSIGN_OR_RETURN(q.measurement_mismatches, ParseU64(val));
     } else if (key == "quarantined") {
       q.quarantined = val == "1";
     } else if (key == "measurement") {

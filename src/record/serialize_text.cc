@@ -253,20 +253,6 @@ std::string_view Trim(std::string_view s) {
   return s;
 }
 
-Result<uint64_t> ParseU64(std::string_view s) {
-  uint64_t v = 0;
-  std::from_chars_result r{};
-  if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
-    r = std::from_chars(s.data() + 2, s.data() + s.size(), v, 16);
-  } else {
-    r = std::from_chars(s.data(), s.data() + s.size(), v, 10);
-  }
-  if (r.ec != std::errc{} || r.ptr != s.data() + s.size()) {
-    return Status::kCorrupt;
-  }
-  return v;
-}
-
 // Parses an "ev ..." line (without the body) into |out|.
 Status ParseEventLine(std::string_view line, TemplateEvent* out) {
   // Split on "; " — expression values never contain ';'.
@@ -533,6 +519,32 @@ Result<EventKind> EventKindFromName(std::string_view name) {
     }
   }
   return Status::kCorrupt;
+}
+
+Result<uint64_t> ParseU64(std::string_view s) {
+  uint64_t v = 0;
+  std::from_chars_result r{};
+  if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
+    r = std::from_chars(s.data() + 2, s.data() + s.size(), v, 16);
+  } else {
+    r = std::from_chars(s.data(), s.data() + s.size(), v, 10);
+  }
+  if (r.ec != std::errc{} || r.ptr != s.data() + s.size()) {
+    return Status::kCorrupt;
+  }
+  return v;
+}
+
+std::vector<std::string_view> SplitWs(std::string_view line) {
+  std::vector<std::string_view> toks;
+  size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && line[i] == ' ') ++i;
+    size_t start = i;
+    while (i < line.size() && line[i] != ' ') ++i;
+    if (i > start) toks.push_back(line.substr(start, i - start));
+  }
+  return toks;
 }
 
 }  // namespace dlt

@@ -6,6 +6,7 @@
 #define SRC_RECORD_SERIALIZE_TEXT_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/interaction_template.h"
@@ -23,6 +24,13 @@ Result<std::vector<InteractionTemplate>> TemplatesFromText(std::string_view text
 Result<ExprRef> ParseExpr(std::string_view text);
 Result<Constraint> ParseConstraint(std::string_view text);
 Result<EventKind> EventKindFromName(std::string_view name);
+
+// Integer and token helpers shared by every text artifact (templates, repro
+// files, boundary programs, quotes). ParseU64 takes decimal or 0x-prefixed
+// hex and returns kCorrupt for anything else, including overflow. SplitWs
+// splits a line on runs of spaces.
+Result<uint64_t> ParseU64(std::string_view s);
+std::vector<std::string_view> SplitWs(std::string_view line);
 
 }  // namespace dlt
 

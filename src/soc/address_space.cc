@@ -76,7 +76,6 @@ AddressSpace::RamWindow* AddressSpace::RamAt(PhysAddr a, uint64_t size) {
 }
 
 uint32_t AddressSpace::MmioCursor::Read() {
-  ++owner_->mmio_accesses_;
   if (Telemetry::Get().enabled()) {
     CountMmio(/*write=*/false);
   }
@@ -84,7 +83,6 @@ uint32_t AddressSpace::MmioCursor::Read() {
 }
 
 void AddressSpace::MmioCursor::Write(uint32_t v) {
-  ++owner_->mmio_accesses_;
   if (Telemetry::Get().enabled()) {
     CountMmio(/*write=*/true);
   }
@@ -100,7 +98,7 @@ Result<AddressSpace::MmioCursor> AddressSpace::MmioAt(World w, PhysAddr a) {
       if ((a & 3) != 0) {
         return Status::kInvalidArg;
       }
-      return MmioCursor(this, &win, a - win.base);
+      return MmioCursor(&win, a - win.base);
     }
   }
   return Status::kOutOfRange;
@@ -127,7 +125,6 @@ Result<uint32_t> AddressSpace::Read32(World w, PhysAddr a) {
     if ((a & 3) != 0) {
       return Status::kInvalidArg;
     }
-    ++mmio_accesses_;
     if (Telemetry::Get().enabled()) {
       CountMmio(/*write=*/false);
     }
@@ -150,7 +147,6 @@ Status AddressSpace::Write32(World w, PhysAddr a, uint32_t v) {
     if ((a & 3) != 0) {
       return Status::kInvalidArg;
     }
-    ++mmio_accesses_;
     if (Telemetry::Get().enabled()) {
       CountMmio(/*write=*/true);
     }

@@ -119,9 +119,7 @@ class AddressSpace {
 
    private:
     friend class AddressSpace;
-    MmioCursor(AddressSpace* owner, MmioWindow* win, uint64_t off)
-        : owner_(owner), win_(win), off_(off) {}
-    AddressSpace* owner_;
+    MmioCursor(MmioWindow* win, uint64_t off) : win_(win), off_(off) {}
     MmioWindow* win_;
     uint64_t off_;
   };
@@ -131,7 +129,6 @@ class AddressSpace {
   // slot; it must not outlive the AddressSpace or span MapMmio calls.
   Result<MmioCursor> MmioAt(World w, PhysAddr a);
 
-  uint64_t mmio_access_count() const { return mmio_accesses_; }
   Tzasc* tzasc() const { return tzasc_; }
 
  private:
@@ -142,7 +139,6 @@ class AddressSpace {
   const SimClock* clock_ = nullptr;
   std::vector<RamWindow> ram_;
   std::vector<MmioWindow> mmio_;
-  uint64_t mmio_accesses_ = 0;
   BusFaultHook* bus_fault_hook_ = nullptr;
 };
 

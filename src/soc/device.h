@@ -45,13 +45,6 @@ class StateHasher {
     }
     return *this;
   }
-  StateHasher& AddBytes(const uint8_t* p, size_t n) {
-    Add(n);
-    for (size_t i = 0; i < n; ++i) {
-      Byte(p[i]);
-    }
-    return *this;
-  }
   uint64_t digest() const { return h_; }
 
  private:

@@ -95,7 +95,6 @@ void DmaEngine::StartChannel(int ch) {
       cc.cs |= kDmaCsInt;
       irq_->Raise(line);
     }
-    ++transfers_completed_;
   });
 }
 

@@ -86,8 +86,6 @@ class DmaEngine : public MmioDevice {
   void SoftReset() override;
 
   int irq_line(int channel) const { return irq_base_ + channel; }
-  uint64_t transfers_completed() const { return transfers_completed_; }
-  uint64_t bytes_transferred() const { return bytes_transferred_; }
 
  private:
   struct Channel {
@@ -111,8 +109,7 @@ class DmaEngine : public MmioDevice {
   int irq_base_;
   std::array<Channel, kNumChannels> channels_;
   std::map<PhysAddr, DmaDataPort*> ports_;
-  uint64_t transfers_completed_ = 0;
-  uint64_t bytes_transferred_ = 0;
+  uint64_t bytes_transferred_ = 0;  // feeds the dma.bytes telemetry counter
   std::vector<uint8_t> bounce_;
   DmaFaultHook* fault_hook_ = nullptr;
 };

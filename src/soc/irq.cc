@@ -61,10 +61,4 @@ uint64_t InterruptController::raise_count(int line) const {
   return raise_counts_[static_cast<size_t>(line)];
 }
 
-void InterruptController::Reset() {
-  pending_mask_ = 0;
-  pending_hi_ = 0;
-  raise_counts_.fill(0);
-}
-
 }  // namespace dlt

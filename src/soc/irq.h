@@ -40,8 +40,6 @@ class InterruptController {
   // benchmarks use this to quantify IRQ coalescing (native) vs per-event IRQs (replay).
   uint64_t raise_count(int line) const;
 
-  void Reset();
-
  private:
   bool ValidLine(int line) const { return line >= 0 && line < kMaxLines; }
 

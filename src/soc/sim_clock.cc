@@ -36,7 +36,6 @@ SimClock::Entry SimClock::PopNext() {
 
 void SimClock::Fire(Entry& e) {
   now_us_ = e.t;
-  ++fired_;
   e.fn();
 }
 

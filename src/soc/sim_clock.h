@@ -47,9 +47,6 @@ class SimClock {
   // Events scheduled and neither fired nor cancelled.
   size_t pending_events() const;
 
-  // Total number of callbacks fired; handy for tests.
-  uint64_t fired_count() const { return fired_; }
-
  private:
   // A cancelled entry keeps its place in the heap with an empty |fn|.
   struct Entry {
@@ -69,7 +66,6 @@ class SimClock {
 
   uint64_t now_us_ = 0;
   EventId next_id_ = 1;
-  uint64_t fired_ = 0;
   std::vector<Entry> heap_;  // min-heap on (t, id): std::greater<Entry>
 };
 

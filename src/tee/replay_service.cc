@@ -122,18 +122,15 @@ Result<ReplayStats> ReplayService::DoInvokeOne(Session& s, std::string_view entr
   Result<ReplayStats> r = rep->Invoke(entry, args);
   ++s.stats.invokes;
   s.stats.last_invoke_us = tee_->TimestampUs();
-  // Runtime integrity: fold the final attempt's measurement into the session
-  // PCR and record it, whether or not the invoke succeeded — the attestation
-  // quote commits to failures too. A final attempt that reached the executor
-  // and failed measures short of the template's golden value. That mismatch
-  // is counted here; whether it *quarantines* depends on the policy knob.
+  // Runtime integrity: extend the session PCR with the final attempt's
+  // measurement and record it, whether or not the invoke succeeded — the
+  // attestation quote commits to failures too. A failed invoke that reached
+  // the executor measured short of the template's golden value.
   const MeasurementRecord& m = rep->last_measurement();
-  bool mismatch = false;
   if (m.valid) {
-    s.pcr.Extend(m.digest);
+    s.pcr = Extend(s.pcr, m.digest);
     s.stats.last_measurement = m.Hex();
-    if (!m.matches_golden) {
-      mismatch = true;
+    if (!r.ok()) {
       ++s.stats.measurement_mismatches;
       if (tel.enabled()) {
         tel.metrics().counter("service.integrity_mismatches").Inc();
@@ -149,24 +146,8 @@ Result<ReplayStats> ReplayService::DoInvokeOne(Session& s, std::string_view entr
     ++s.stats.per_template[r->template_name];
   } else {
     ++s.stats.failures;
-    if (cfg_.enforce_integrity && mismatch && IsDeviceHealthFailure(r.status())) {
-      // Ladder rung 0: a device-health failure that reached the executor
-      // (its measurement stopped short of the golden value) quarantines the
-      // session on the first occurrence, below the consecutive-failure
-      // threshold. The streak still advances so telemetry stays comparable
-      // with the threshold-only policy.
-      ++s.stats.consecutive_device_failures;
-      s.stats.quarantined = true;
-      ++quarantined_total_;
-      DLT_LOG(kWarn) << "session on " << s.driverlet
-                     << " quarantined: runtime measurement diverged from golden ("
-                     << StatusName(r.status()) << ")";
-      if (tel.enabled()) {
-        tel.metrics().counter("service.integrity_quarantines").Inc();
-        tel.metrics().counter("service.quarantines").Inc();
-      }
-    } else if (IsDeviceHealthFailure(r.status()) && cfg_.quarantine_threshold > 0 &&
-               ++s.stats.consecutive_device_failures >= cfg_.quarantine_threshold) {
+    if (IsDeviceHealthFailure(r.status()) && cfg_.quarantine_threshold > 0 &&
+        ++s.stats.consecutive_device_failures >= cfg_.quarantine_threshold) {
       s.stats.quarantined = true;
       ++quarantined_total_;
       DLT_LOG(kWarn) << "session on " << s.driverlet << " quarantined after "
@@ -328,7 +309,7 @@ Result<AttestationQuote> ReplayService::Attest(SessionId id, std::string nonce) 
   q.failures = s.stats.failures;
   q.measurement_mismatches = s.stats.measurement_mismatches;
   q.quarantined = s.stats.quarantined;
-  q.session_measurement = s.pcr.Hex();
+  q.session_measurement = Sha256::HexDigest(s.pcr);
   q.last_measurement = s.stats.last_measurement;
   q.nonce = std::move(nonce);
   SignQuote(&q, signing_key_);

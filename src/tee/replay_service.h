@@ -56,15 +56,13 @@ struct ReplayServiceConfig {
   //   - quarantine_threshold: after this many *consecutive* device-health
   //     failures (aborted / timeout / diverged / io-error) a session is
   //     quarantined — further Invoke/RingPush fail fast with kQuarantined and
-  //     only CloseSession frees the slot. 0 disables quarantine.
+  //     only CloseSession frees the slot. 1 fences a session on its first
+  //     device-health failure; 0 disables quarantine. The rule reads invoke
+  //     statuses only. The integrity measurement feeds the session PCR and
+  //     quotes, never quarantine: every device-health failure measures short
+  //     of golden, so it would add nothing.
   uint64_t retry_backoff_us = 0;
   uint64_t quarantine_threshold = 4;
-  // Integrity policy (docs/architecture.md "Runtime integrity measurement"):
-  // when set, the session's first device-health failure that reached the
-  // executor (so measured short of the golden value) quarantines it at once —
-  // rung 0 of the recovery ladder, below the consecutive-failure threshold.
-  // Off by default: measurement is always recorded, enforcement is opt-in.
-  bool enforce_integrity = false;
 };
 
 // Per-session accounting, aggregated from each invoke's ReplayStats.
@@ -84,9 +82,10 @@ struct SessionStats {
   // and whether the session has been quarantined (terminal until closed).
   uint64_t consecutive_device_failures = 0;
   bool quarantined = false;
-  // Runtime integrity (integrity.h): hex measurement of the most recent
-  // invoke's final attempt (which template ran, how many of its top-level
-  // events completed), and how many invokes reached the executor and failed.
+  // Runtime integrity (integrity.h), for attestation: hex measurement of the
+  // most recent invoke's final attempt (which template ran, how many of its
+  // top-level events completed), and how many invokes reached the executor
+  // and failed, so measured short of golden.
   std::string last_measurement;
   uint64_t measurement_mismatches = 0;
 };
@@ -154,9 +153,9 @@ class ReplayService {
     SessionStats stats;
     // Commands staged here when the session closes die with it, unrun.
     InvocationRing ring;
-    // Session PCR: extended with every completed invoke's measurement, so the
+    // Session PCR: extended with every measured invoke's measurement, so the
     // attestation quote commits to the whole execution history in order.
-    IntegrityChain pcr;
+    Sha256::Digest pcr = IntegritySeed();
   };
   // One command of a batch, resolved to its execution inputs/output.
   struct BatchItem {

@@ -77,10 +77,8 @@ Rpi3Testbed::Rpi3Testbed(const TestbedOptions& opts) {
   mmc_driver_ = std::make_unique<BcmSdhostDriver>(kern_io_.get(), mmc_cfg_);
   usb_driver_ = std::make_unique<Dwc2StorageDriver>(kern_io_.get(), usb_cfg_);
   cam_driver_ = std::make_unique<VchiqCameraDriver>(kern_io_.get(), cam_cfg_);
-  display_driver_ = std::make_unique<DsiDisplayDriver>(kern_io_.get(), display_cfg_);
   touch_driver_ = std::make_unique<TouchDriver>(kern_io_.get(), touch_cfg_);
   ftpm_driver_ = std::make_unique<FtpmDriver>(kern_io_.get(), ftpm_cfg_);
-  crypto_driver_ = std::make_unique<CryptoaccDriver>(kern_io_.get(), crypto_cfg_);
 
   if (opts.probe_drivers && !opts.secure_io) {
     Status s = mmc_driver_->Probe();

@@ -71,7 +71,6 @@ class Rpi3Testbed {
   BlockMedium& sd_medium() { return sd_medium_; }
   Dwc2Controller& usb() { return *usb_; }
   UsbMassStorage& usb_storage() { return *usb_storage_; }
-  BlockMedium& usb_medium() { return usb_medium_; }
   Vc4Firmware& vc4() { return *vc4_; }
   DisplayController& display() { return *display_; }
   TouchController& touch() { return *touch_; }
@@ -82,10 +81,8 @@ class Rpi3Testbed {
   BcmSdhostDriver& mmc_driver() { return *mmc_driver_; }
   Dwc2StorageDriver& usb_driver() { return *usb_driver_; }
   VchiqCameraDriver& cam_driver() { return *cam_driver_; }
-  DsiDisplayDriver& display_driver() { return *display_driver_; }
   TouchDriver& touch_driver() { return *touch_driver_; }
   FtpmDriver& ftpm_driver() { return *ftpm_driver_; }
-  CryptoaccDriver& crypto_driver() { return *crypto_driver_; }
 
   // Driver configs, for constructing per-record-run driver instances that
   // route through a RecordSession instead of the kernel io.
@@ -141,10 +138,8 @@ class Rpi3Testbed {
   std::unique_ptr<BcmSdhostDriver> mmc_driver_;
   std::unique_ptr<Dwc2StorageDriver> usb_driver_;
   std::unique_ptr<VchiqCameraDriver> cam_driver_;
-  std::unique_ptr<DsiDisplayDriver> display_driver_;
   std::unique_ptr<TouchDriver> touch_driver_;
   std::unique_ptr<FtpmDriver> ftpm_driver_;
-  std::unique_ptr<CryptoaccDriver> crypto_driver_;
 };
 
 }  // namespace dlt

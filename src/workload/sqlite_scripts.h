@@ -21,12 +21,10 @@ class CountingBlockDevice : public BlockDevice {
 
   Status Read(uint64_t lba, uint32_t count, uint8_t* out) override {
     ++reads_;
-    read_sectors_ += count;
     return inner_->Read(lba, count, out);
   }
   Status Write(uint64_t lba, uint32_t count, const uint8_t* data) override {
     ++writes_;
-    write_sectors_ += count;
     return inner_->Write(lba, count, data);
   }
   Status Flush() override { return inner_->Flush(); }
@@ -34,15 +32,11 @@ class CountingBlockDevice : public BlockDevice {
 
   uint64_t reads() const { return reads_; }
   uint64_t writes() const { return writes_; }
-  uint64_t read_sectors() const { return read_sectors_; }
-  uint64_t write_sectors() const { return write_sectors_; }
 
  private:
   BlockDevice* inner_;
   uint64_t reads_ = 0;
   uint64_t writes_ = 0;
-  uint64_t read_sectors_ = 0;
-  uint64_t write_sectors_ = 0;
 };
 
 inline const std::vector<std::string>& SqliteScriptNames() {

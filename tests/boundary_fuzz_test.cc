@@ -1,8 +1,8 @@
 // Tier-1 tests for the coverage-guided boundary fuzzer (src/check/fuzz.h):
 // program codec fixpoint, the checked-in tests/corpus/ entries replaying
 // clean, deterministic execution, coverage growth under mutation, the planted
-// ring wrap-around regression guard with ddmin shrinking, and the .repro
-// artifact round-trip.
+// ring wrap-around regression guard with ddmin shrinking, a fixed program
+// that drives a session into quarantine, and the .repro artifact round-trip.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -60,6 +60,19 @@ TEST(BoundaryFuzzTest, ParserRejectsBadHeaderOpAndOperand) {
   EXPECT_FALSE(ParseBoundaryProgram("driverlet-boundary v1\nopen zero\n").ok());
 }
 
+// Operands share the checked text parser: an operand past 2^64 - 1 is
+// corrupt instead of wrapping, and 0x-prefixed hex is accepted.
+TEST(BoundaryFuzzTest, ParserRejectsOverflowingOperand) {
+  Result<BoundaryProgram> big =
+      ParseBoundaryProgram("driverlet-boundary v1\ninvoke 0 0 123456789012345678901\n");
+  EXPECT_EQ(big.status(), Status::kCorrupt);
+  Result<BoundaryProgram> hex =
+      ParseBoundaryProgram("driverlet-boundary v1\ninvoke 0x1 0 0xffffffffffffffff\n");
+  ASSERT_TRUE(hex.ok());
+  EXPECT_EQ(hex->actions[0].a, 1u);
+  EXPECT_EQ(hex->actions[0].c, UINT64_MAX);
+}
+
 // ---------------------------------------------------------------------------
 // Corpus replay — every checked-in tests/corpus/*.boundary entry holds all
 // seven invariants (the fuzzer's regression suite).
@@ -94,6 +107,38 @@ TEST(BoundaryFuzzTest, BuiltinCorpusReplaysCleanAndDeterministically) {
     EXPECT_EQ(a.trace, b.trace);
     EXPECT_EQ(a.features, b.features);
   }
+}
+
+// The quarantine path under the fuzzer's own policy (threshold 1). The
+// built-in corpus and a 4800-mutant campaign never quarantine a session, so
+// this fixed program does: an MMIO fault plan on usb (plan seed 55) makes the
+// second invoke abort, and the session must then refuse invokes and ring
+// pushes while every invariant holds. It stays out of the built-in corpus,
+// which seeds every campaign.
+TEST(BoundaryFuzzTest, QuarantineProgramHoldsEveryInvariant) {
+  Result<BoundaryProgram> p = ParseBoundaryProgram(
+      "driverlet-boundary v1\n"
+      "open 1\n"
+      "fault 0 1 54\n"
+      "invoke 0 0 7\n"
+      "invoke 0 0 7\n"
+      "invoke 0 0 7\n"
+      "push 0 0 7\n"
+      "doorbell 0\n"
+      "attest 0 0 1\n");
+  ASSERT_TRUE(p.ok());
+  BoundaryRunResult a = RunBoundaryProgram(*p);
+  EXPECT_TRUE(a.ok()) << a.invariant << ": " << a.detail;
+  EXPECT_EQ(a.actions_run, p->actions.size());
+  EXPECT_NE(a.trace.find("3 invoke aborted\n"), std::string::npos) << a.trace;
+  EXPECT_NE(a.trace.find("4 invoke quarantined\n"), std::string::npos) << a.trace;
+  EXPECT_NE(a.trace.find("5 push quarantined\n"), std::string::npos) << a.trace;
+  EXPECT_NE(a.trace.find("6 doorbell n=0\n"), std::string::npos) << a.trace;
+  EXPECT_NE(a.trace.find("mismatches=1 quarantined=1"), std::string::npos) << a.trace;
+  EXPECT_NE(a.trace.find("end quarantined_total=1 "), std::string::npos) << a.trace;
+  BoundaryRunResult b = RunBoundaryProgram(*p);
+  EXPECT_EQ(a.trace, b.trace);
+  EXPECT_EQ(a.features, b.features);
 }
 
 TEST(BoundaryFuzzTest, RegisterOpParsesAndReplaysDeterministically) {

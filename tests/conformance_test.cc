@@ -287,6 +287,17 @@ TEST(ReproTest, RoundTripPreservesTheWholeCase) {
   EXPECT_EQ(TplText(reread->c.tpl), TplText(g.tpl));
 }
 
+// Repro integers share the checked text parser: a seed past 2^64 - 1 is
+// corrupt instead of wrapping.
+TEST(ReproTest, SeedThatOverflowsIsCorrupt) {
+  std::string text = ReproToString(GenerateCase(11), "serialize-roundtrip");
+  const std::string seed_line = "seed 11\n";
+  size_t at = text.find(seed_line);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, seed_line.size(), "seed 123456789012345678901\n");
+  EXPECT_EQ(ParseRepro(text).status(), Status::kCorrupt);
+}
+
 TEST(ReproTest, ParserRejectsGarbage) {
   EXPECT_FALSE(ParseRepro("not a repro").ok());
   EXPECT_FALSE(ParseRepro("driverlet-repro v1\nseed zzz\n").ok());

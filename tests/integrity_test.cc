@@ -1,8 +1,9 @@
 // Tier-1 tests for runtime integrity measurement (src/core/integrity.h) and
 // session attestation (src/tee/attestation.h): golden measurements on fresh
-// deployments for every driverlet class, measurement stability,
-// fault-plane divergence feeding the rung-0 integrity quarantine, and the
-// signed quote's round-trip + tamper rejection.
+// deployments for every driverlet class, measurement stability, fault-plane
+// failures measuring a strict prefix of golden (and quarantining by the
+// status threshold alone), and the signed quote's round-trip + tamper
+// rejection.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -97,7 +98,7 @@ TEST(IntegrityTest, MeasurementMatchesGoldenOnFreshDeploymentsForEveryClass) {
       // The replayer's record and the session stats agree with the result.
       const MeasurementRecord& m = d.replayer->last_measurement();
       EXPECT_TRUE(m.valid);
-      EXPECT_TRUE(m.matches_golden);
+      EXPECT_EQ(m.events_measured, tpl->events.size());
       EXPECT_EQ(m.Hex(), r->measurement);
       Result<SessionStats> st = d.service->Stats(d.session);
       ASSERT_TRUE(st.ok());
@@ -143,7 +144,7 @@ TEST(IntegrityTest, IdenticalHistoriesProduceIdenticalQuotes) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-plane divergence and the rung-0 integrity quarantine
+// Fault-plane failures: a strict prefix of golden, quarantined by status
 // ---------------------------------------------------------------------------
 
 // Corrupts every MMIO read from the MMC controller so the single allowed
@@ -158,10 +159,67 @@ FaultPlan CertainMmioCorruption(uint16_t device) {
   return plan;
 }
 
-TEST(IntegrityTest, FaultedRunDivergesFromGoldenAndQuarantinesAtRungZero) {
+// Drops every interrupt edge, so the first IRQ wait times out.
+FaultPlan CertainIrqDrop() {
+  FaultPlan plan(11);
+  FaultSpec spec;
+  spec.kind = FaultKind::kIrqDrop;
+  plan.Add(spec);
+  return plan;
+}
+
+// The premise behind the quarantine rule reading statuses only: a
+// device-health failure reached the executor, so it carries a valid
+// measurement, the golden prefix of the events its attempt completed, and
+// counts as a mismatch. The mismatch alone never fences the session
+// (threshold 0 turns quarantine off).
+TEST(IntegrityTest, DeviceHealthFailuresMeasureAStrictPrefixOfGolden) {
+  struct Case {
+    const char* label;
+    bool irq;
+  };
+  for (const Case& c : {Case{"mmio_corrupt", false}, Case{"irq_drop", true}}) {
+    SCOPED_TRACE(c.label);
+    ReplayServiceConfig cfg;
+    cfg.quarantine_threshold = 0;
+    Deployment d = MakeDeployment(MmcPkg(), cfg);
+    ASSERT_NE(d.session, 0u);
+    d.replayer->set_max_attempts(1);
+    const std::string entry = d.service->store().templates(d.driverlet).front()->entry;
+    std::vector<uint8_t> buf, aux;
+    ReplayArgs args = CoveredArgs(entry, &buf, &aux);
+
+    FaultInjector injector(&d.tb->machine());
+    ASSERT_EQ(injector.Arm(c.irq ? CertainIrqDrop() : CertainMmioCorruption(d.tb->mmc_id())),
+              Status::kOk);
+    Result<ReplayStats> r = d.service->Invoke(d.session, entry, args);
+    injector.Disarm();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status(), Status::kAborted) << StatusName(r.status());
+
+    const MeasurementRecord& m = d.replayer->last_measurement();
+    ASSERT_TRUE(m.valid);
+    Result<const InteractionTemplate*> sel =
+        d.service->store().Select(d.driverlet, entry, args.scalars);
+    ASSERT_TRUE(sel.ok());
+    const InteractionTemplate* tpl = *sel;
+    EXPECT_LT(m.events_measured, tpl->events.size());
+    EXPECT_EQ(m.digest, Measure(*tpl, m.events_measured));
+    EXPECT_NE(m.Hex(), GoldenMeasurementHex(*tpl));
+    Result<SessionStats> st = d.service->Stats(d.session);
+    ASSERT_TRUE(st.ok());
+    EXPECT_EQ(st->measurement_mismatches, 1u);
+    EXPECT_EQ(st->last_measurement, m.Hex());
+    EXPECT_FALSE(st->quarantined);
+    // The next invoke may need the recovery ladder, but it is not rejected
+    // out of hand.
+    EXPECT_NE(d.service->Invoke(d.session, entry, args).status(), Status::kQuarantined);
+  }
+}
+
+TEST(IntegrityTest, FaultedRunDivergesFromGoldenAndQuarantinesAtThresholdOne) {
   ReplayServiceConfig cfg;
-  cfg.enforce_integrity = true;
-  cfg.quarantine_threshold = 0;  // rung 0 must quarantine on its own
+  cfg.quarantine_threshold = 1;  // fence on the first device-health failure
   Deployment d = MakeDeployment(MmcPkg(), cfg);
   ASSERT_NE(d.session, 0u);
   d.replayer->set_max_attempts(1);
@@ -175,10 +233,9 @@ TEST(IntegrityTest, FaultedRunDivergesFromGoldenAndQuarantinesAtRungZero) {
   injector.Disarm();
   ASSERT_FALSE(r.ok());
 
-  // The failed attempt measured a strict prefix, not the golden chain.
-  const MeasurementRecord& m = d.replayer->last_measurement();
-  EXPECT_TRUE(m.valid);
-  EXPECT_FALSE(m.matches_golden);
+  // The failed attempt measured short of golden, and the first failure
+  // fenced the session.
+  EXPECT_TRUE(d.replayer->last_measurement().valid);
   Result<SessionStats> st = d.service->Stats(d.session);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->measurement_mismatches, 1u);
@@ -194,33 +251,6 @@ TEST(IntegrityTest, FaultedRunDivergesFromGoldenAndQuarantinesAtRungZero) {
   EXPECT_EQ(q->measurement_mismatches, 1u);
   EXPECT_TRUE(q->quarantined);
   EXPECT_TRUE(VerifyQuote(*q, kDeveloperKey));
-}
-
-TEST(IntegrityTest, MismatchWithoutEnforcementRecordsButDoesNotQuarantine) {
-  ReplayServiceConfig cfg;
-  cfg.enforce_integrity = false;
-  cfg.quarantine_threshold = 0;
-  Deployment d = MakeDeployment(MmcPkg(), cfg);
-  ASSERT_NE(d.session, 0u);
-  d.replayer->set_max_attempts(1);
-  const std::string entry = d.service->store().templates(d.driverlet).front()->entry;
-  std::vector<uint8_t> buf, aux;
-  ReplayArgs args = CoveredArgs(entry, &buf, &aux);
-
-  FaultInjector injector(&d.tb->machine());
-  ASSERT_EQ(injector.Arm(CertainMmioCorruption(d.tb->mmc_id())), Status::kOk);
-  Result<ReplayStats> r = d.service->Invoke(d.session, entry, args);
-  injector.Disarm();
-  ASSERT_FALSE(r.ok());
-
-  Result<SessionStats> st = d.service->Stats(d.session);
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(st->measurement_mismatches, 1u);
-  EXPECT_FALSE(st->quarantined);
-
-  // Without enforcement the session is never fenced: the next invoke may
-  // need the recovery ladder, but it is not rejected out of hand.
-  EXPECT_NE(d.service->Invoke(d.session, entry, args).status(), Status::kQuarantined);
 }
 
 // ---------------------------------------------------------------------------
@@ -263,6 +293,21 @@ TEST(AttestTest, QuoteRoundTripsAndRejectsTampering) {
   EXPECT_FALSE(VerifyQuote(*q, "not-the-developer-key"));
 
   EXPECT_EQ(d.service->Attest(9999, "n").status(), Status::kNotFound);
+}
+
+// Quote counters share the checked text parser: a counter past 2^64 - 1 is
+// corrupt instead of wrapping.
+TEST(AttestTest, CounterThatOverflowsIsCorrupt) {
+  Deployment d = MakeDeployment(MmcPkg());
+  ASSERT_NE(d.session, 0u);
+  Result<AttestationQuote> q = d.service->Attest(d.session, "n");
+  ASSERT_TRUE(q.ok());
+  std::string text = SerializeQuote(*q);
+  const std::string line = "invokes 0\n";
+  size_t at = text.find(line);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, line.size(), "invokes 123456789012345678901\n");
+  EXPECT_EQ(ParseQuote(text).status(), Status::kCorrupt);
 }
 
 TEST(AttestTest, SessionPcrExtendsWithEveryInvoke) {

@@ -215,7 +215,7 @@ TEST_F(FtpmDriverletTest, FreshDeploymentsAgreeByteForByteAndMatchGolden) {
     ASSERT_NE(nullptr, tpl);
     EXPECT_EQ(GoldenMeasurementHex(*tpl), r->measurement);
     EXPECT_TRUE(replayer_->last_measurement().valid);
-    EXPECT_TRUE(replayer_->last_measurement().matches_golden);
+    EXPECT_EQ(GoldenMeasurementHex(*tpl), replayer_->last_measurement().Hex());
   }
   EXPECT_EQ(out[0], out[1]);
   EXPECT_EQ(measurement[0], measurement[1]);
@@ -243,11 +243,10 @@ TEST_F(FtpmDriverletTest, BoundedStatusGlitchRecoversViaRetryLadder) {
 }
 
 TEST_F(FtpmDriverletTest, ServiceQuarantinesPersistentFault) {
-  // Session admission + rung-0 integrity for the new class: a persistent MMIO
-  // corruption diverges from golden and fences the session.
+  // Session admission + quarantine for the new class: a persistent MMIO
+  // corruption diverges from golden and, at threshold 1, fences the session.
   ReplayServiceConfig cfg;
-  cfg.enforce_integrity = true;
-  cfg.quarantine_threshold = 0;
+  cfg.quarantine_threshold = 1;
   Deployment d = MakeDeployment(*sealed_, cfg);
   ASSERT_NE(0u, d.session);
   d.replayer->set_max_attempts(1);

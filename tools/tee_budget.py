@@ -11,11 +11,13 @@ files:
   a counted file includes (so transitively), each with its .cc. The walk stops
   at STOP, the simulated SoC a TEE runs on, which is hardware, not TEE code.
 
-Prints the count and exits 1 when it is above CEILING, or when a counted file
-includes a header from a normal-world directory (FORBIDDEN). The tier-1 ctest
-TeeLinkCheck (tests/tee_link_check.cc) checks the same boundary on objects: it
-links the TEE libraries alone, so a TEE object that calls normal-world code
-fails to link. A change that lowers the count lowers CEILING with it.
+Prints the count and exits 1 when it differs from CEILING, or when a counted
+file includes a header from a normal-world directory (FORBIDDEN). Above the
+ceiling the TEE grew; below it, CEILING must come down to the count (the
+script prints the value to set), so every cut lowers the budget with it. The
+tier-1 ctest TeeLinkCheck (tests/tee_link_check.cc) checks the same boundary
+on objects: it links the TEE libraries alone, so a TEE object that calls
+normal-world code fails to link.
 """
 
 import os
@@ -29,7 +31,7 @@ SUPPORT_DIRS = ("src/obs", "src/soc")
 STOP = ("src/soc/machine.h",)
 FORBIDDEN = ("src/record", "src/kern", "src/drv", "src/workload", "src/check",
              "src/fault")
-CEILING = 3257
+CEILING = 3216
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
@@ -99,6 +101,10 @@ def main(argv):
         failed = True
     if count > CEILING:
         print(f"FAIL: {count} lines is above the ceiling of {CEILING}")
+        failed = True
+    elif count < CEILING:
+        print(f"FAIL: {count} lines is below the ceiling of {CEILING}; "
+              f"lower it: CEILING = {count}")
         failed = True
     if not tee:
         print(f"FAIL: no sources under {', '.join(TEE_DIRS)} in {root}")
