@@ -21,10 +21,10 @@ struct PayloadWriterInstance {
 // The instances this CPU can run, fastest first; frames use the first.
 std::span<const PayloadWriterInstance> SupportedPayloadWriters();
 
-// Writes bytes [0, n) of Vc4Firmware::MakeFrame(seq, resolution) to |dst|
-// with |write|, where n <= Vc4Firmware::FrameBytes(resolution).
-void WriteFramePrefix(uint32_t seq, uint32_t resolution, uint8_t* dst, size_t n,
-                      PayloadWriter write);
+// Writes bytes [off, off+len) of Vc4Firmware::MakeFrame(seq, resolution) to
+// |dst| with |write|, where off + len <= Vc4Firmware::FrameBytes(resolution).
+void WriteFrameRange(uint32_t seq, uint32_t resolution, size_t off, uint8_t* dst, size_t len,
+                     PayloadWriter write);
 
 }  // namespace dlt
 

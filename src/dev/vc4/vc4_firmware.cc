@@ -124,26 +124,45 @@ std::span<const PayloadWriterInstance> SupportedPayloadWriters() {
   return supported;
 }
 
-void WriteFramePrefix(uint32_t seq, uint32_t resolution, uint8_t* dst, size_t n,
-                      PayloadWriter write) {
-  if (n == 0) {
+void WriteFrameRange(uint32_t seq, uint32_t resolution, size_t off, uint8_t* dst, size_t len,
+                     PayloadWriter write) {
+  if (len == 0) {
     return;
   }
   static constexpr uint8_t kSoiApp0[4] = {0xff, 0xd8, 0xff, 0xe0};  // JPEG SOI + APP0
   static constexpr uint8_t kEoi[2] = {0xff, 0xd9};
-  size_t eoi = Vc4Firmware::FrameBytes(resolution) - 2;  // the payload is [4, eoi)
-  std::memcpy(dst, kSoiApp0, std::min<size_t>(n, 4));
+  const size_t end = off + len;
+  const size_t eoi = Vc4Firmware::FrameBytes(resolution) - 2;  // the payload is [4, eoi)
+  for (size_t i = off; i < std::min<size_t>(end, 4); ++i) {
+    dst[i - off] = kSoiApp0[i];
+  }
   // Counter-based payload: word k depends only on (seq, resolution, k). The
   // key is mixed so that no two (seq, resolution) streams are shifted copies
   // of each other, which a linear key would make them.
-  size_t end = std::min(n, eoi);
-  if (end > 4) {
+  const size_t from = std::max<size_t>(off, 4);
+  const size_t to = std::min(end, eoi);
+  if (from < to) {
     uint64_t key = uint64_t{seq} << 32 | resolution;
     Mix64(key);
-    write(key, dst + 4, end - 4);
+    // Word k is the writer's word 0 under key + k·γ. A range that starts
+    // mid-word takes the tail of that word from a local copy of it.
+    uint64_t word = (from - 4) / 8;
+    size_t skip = (from - 4) % 8;
+    uint8_t* out = dst + (from - off);
+    size_t left = to - from;
+    if (skip != 0) {
+      uint8_t first[8];
+      write(key + word * kGolden64, first, 8);
+      size_t take = std::min(left, 8 - skip);
+      std::memcpy(out, first + skip, take);
+      out += take;
+      left -= take;
+      ++word;
+    }
+    write(key + word * kGolden64, out, left);
   }
-  for (size_t i = eoi; i < n; ++i) {
-    dst[i] = kEoi[i - eoi];
+  for (size_t i = std::max(off, eoi); i < end; ++i) {
+    dst[i - off] = kEoi[i - eoi];
   }
 }
 
@@ -162,7 +181,7 @@ uint32_t Vc4Firmware::FrameBytes(uint32_t resolution) {
 
 std::vector<uint8_t> Vc4Firmware::MakeFrame(uint32_t seq, uint32_t resolution) {
   std::vector<uint8_t> f(FrameBytes(resolution));
-  WriteFramePrefix(seq, resolution, f.data(), f.size(), SupportedPayloadWriters().front().write);
+  WriteFrameRange(seq, resolution, 0, f.data(), f.size(), SupportedPayloadWriters().front().write);
   return f;
 }
 
@@ -430,8 +449,9 @@ void Vc4Firmware::CompleteBulkRx(uint32_t seq) {
   auto it = FrameOf(seq);
   Frame f = *it;
   frames_.erase(it);
-  Status s = mem_->DmaFill(f.dest, f.n, [&f](uint8_t* dst) {
-    WriteFramePrefix(f.seq, f.res, dst, f.n, SupportedPayloadWriters().front().write);
+  Status s = mem_->DmaFill(f.dest, f.n, [seq = f.seq, res = f.res](size_t off, uint8_t* dst,
+                                                                   size_t len) {
+    WriteFrameRange(seq, res, off, dst, len, SupportedPayloadWriters().front().write);
   });
   // {bytes moved, status}: a destination outside RAM moves nothing (status 1,
   // as when there is nothing to transmit).

@@ -2,8 +2,9 @@
 // mailbox/doorbell MMIO window (the paper found just 3 registers in use, §6.3.3);
 // everything else happens through the shared-memory slot queue. Implements an
 // MMAL-ish camera service that produces deterministic synthetic JPEG frames.
-// The model holds no frame bytes: a bulk transfer generates its frame straight
-// into the destination RAM when it completes.
+// The model holds no frame bytes: a bulk transfer's completion is a deferred
+// AddressSpace::DmaFill, so its frame is generated straight into the buffer
+// that reads it.
 #ifndef SRC_DEV_VC4_VC4_FIRMWARE_H_
 #define SRC_DEV_VC4_VC4_FIRMWARE_H_
 

@@ -1,5 +1,7 @@
 #include "src/soc/address_space.h"
 
+#include <algorithm>
+
 #include "src/obs/telemetry.h"
 #include "src/soc/log.h"
 
@@ -75,6 +77,38 @@ AddressSpace::RamWindow* AddressSpace::RamAt(PhysAddr a, uint64_t size) {
   return nullptr;
 }
 
+uint8_t* AddressSpace::Landed(RamWindow* ram, PhysAddr a, uint64_t n) {
+  if (fill_.n > 0 && n > 0 && a < fill_.a + fill_.n && fill_.a < a + n) {
+    fill_.gen(0, fill_.ram, fill_.n);
+    fill_ = PendingFill{};
+  }
+  return ram->bytes.get() + (a - ram->base);
+}
+
+void AddressSpace::CopyOut(RamWindow* ram, PhysAddr a, void* dst, size_t n) {
+  if (n > 0 && a >= fill_.a && a + n <= fill_.a + fill_.n) {
+    fill_.gen(a - fill_.a, static_cast<uint8_t*>(dst), n);
+    return;
+  }
+  std::memcpy(dst, Landed(ram, a, n), n);
+}
+
+void AddressSpace::LandFillOutside(PhysAddr a, uint64_t n) {
+  if (fill_.n == 0) {
+    return;
+  }
+  const PhysAddr end = fill_.a + fill_.n;
+  // The old bytes below |a|, then those from a + n on.
+  if (fill_.a < a) {
+    fill_.gen(0, fill_.ram, std::min(end, a) - fill_.a);
+  }
+  if (a + n < end) {
+    const PhysAddr from = std::max(fill_.a, a + n);
+    fill_.gen(from - fill_.a, fill_.ram + (from - fill_.a), end - from);
+  }
+  fill_ = PendingFill{};
+}
+
 uint32_t AddressSpace::MmioCursor::Read() {
   if (Telemetry::Get().enabled()) {
     CountMmio(/*write=*/false);
@@ -132,7 +166,7 @@ Result<uint32_t> AddressSpace::Read32(World w, PhysAddr a) {
   }
   if (RamWindow* ram = RamAt(a, 4); ram != nullptr) {
     uint32_t v = 0;
-    std::memcpy(&v, ram->bytes.get() + (a - ram->base), 4);
+    std::memcpy(&v, Landed(ram, a, 4), 4);
     return v;
   }
   return Status::kOutOfRange;
@@ -154,7 +188,7 @@ Status AddressSpace::Write32(World w, PhysAddr a, uint32_t v) {
     return Status::kOk;
   }
   if (RamWindow* ram = RamAt(a, 4); ram != nullptr) {
-    std::memcpy(ram->bytes.get() + (a - ram->base), &v, 4);
+    std::memcpy(Landed(ram, a, 4), &v, 4);
     return Status::kOk;
   }
   return Status::kOutOfRange;
@@ -165,7 +199,7 @@ Status AddressSpace::ReadBytes(World w, PhysAddr a, void* dst, size_t n) {
     return Status::kPermissionDenied;
   }
   if (RamWindow* ram = RamAt(a, n); ram != nullptr) {
-    std::memcpy(dst, ram->bytes.get() + (a - ram->base), n);
+    CopyOut(ram, a, dst, n);
     return Status::kOk;
   }
   return Status::kOutOfRange;
@@ -176,7 +210,7 @@ Status AddressSpace::WriteBytes(World w, PhysAddr a, const void* src, size_t n) 
     return Status::kPermissionDenied;
   }
   if (RamWindow* ram = RamAt(a, n); ram != nullptr) {
-    std::memcpy(ram->bytes.get() + (a - ram->base), src, n);
+    std::memcpy(Landed(ram, a, n), src, n);
     return Status::kOk;
   }
   return Status::kOutOfRange;
@@ -187,12 +221,12 @@ uint8_t* AddressSpace::RamPtr(PhysAddr a, uint64_t size) {
   if (ram == nullptr) {
     return nullptr;
   }
-  return ram->bytes.get() + (a - ram->base);
+  return Landed(ram, a, size);
 }
 
 Status AddressSpace::DmaRead(PhysAddr a, void* dst, size_t n) {
   if (RamWindow* ram = RamAt(a, n); ram != nullptr) {
-    std::memcpy(dst, ram->bytes.get() + (a - ram->base), n);
+    CopyOut(ram, a, dst, n);
     if (bus_fault_hook_ != nullptr) {
       bus_fault_hook_->OnDmaRead(a, static_cast<uint8_t*>(dst), n);
     }
@@ -202,7 +236,32 @@ Status AddressSpace::DmaRead(PhysAddr a, void* dst, size_t n) {
 }
 
 Status AddressSpace::DmaWrite(PhysAddr a, const void* src, size_t n) {
-  return DmaFill(a, n, [src, n](uint8_t* dst) { std::memcpy(dst, src, n); });
+  RamWindow* ram = RamAt(a, n);
+  if (ram == nullptr) {
+    return Status::kOutOfRange;
+  }
+  uint8_t* dst = Landed(ram, a, n);
+  std::memcpy(dst, src, n);
+  if (bus_fault_hook_ != nullptr) {
+    bus_fault_hook_->OnDmaWrite(a, dst, n);
+  }
+  return Status::kOk;
+}
+
+Status AddressSpace::DmaFill(PhysAddr a, size_t n, FillGen gen) {
+  RamWindow* ram = RamAt(a, n);
+  if (ram == nullptr) {
+    return Status::kOutOfRange;
+  }
+  LandFillOutside(a, n);
+  uint8_t* dst = ram->bytes.get() + (a - ram->base);
+  if (bus_fault_hook_ == nullptr) {
+    fill_ = PendingFill{a, n, dst, std::move(gen)};
+    return Status::kOk;
+  }
+  gen(0, dst, n);
+  bus_fault_hook_->OnDmaWrite(a, dst, n);
+  return Status::kOk;
 }
 
 }  // namespace dlt

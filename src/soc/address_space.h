@@ -2,11 +2,15 @@
 // CPU accesses carry a World and are checked against the TZASC; bus-master (device
 // DMA) accesses use RamPtr/DmaRead/DmaWrite/DmaFill and bypass world checks,
 // matching the paper's model where whole device instances are assigned to the TEE.
+// A DmaFill lands in RAM lazily: a read that lies inside it is generated straight
+// into the reader's buffer, so a device that generates its data writes each byte
+// once, into the buffer that consumes it.
 #ifndef SRC_SOC_ADDRESS_SPACE_H_
 #define SRC_SOC_ADDRESS_SPACE_H_
 
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -79,30 +83,31 @@ class AddressSpace {
   Status WriteBytes(World w, PhysAddr a, const void* src, size_t n);
 
   // Bus-master access to RAM. Returns nullptr when [a, a+size) is not fully
-  // RAM-backed. The returned pointer stays valid for the AddressSpace lifetime.
+  // RAM-backed. The pointer stays valid for the AddressSpace lifetime, but its
+  // bytes are current only as of the call: the call lands a pending DmaFill
+  // that overlaps the range, and a later DmaFill there lands lazily, so take
+  // the pointer again after a bus-master write and before writing through it.
   uint8_t* RamPtr(PhysAddr a, uint64_t size);
 
   // Bus-master byte copies (used by the DMA engine). Fail on non-RAM targets.
+  // DmaWrite copies from a caller buffer that may not outlive the call, so it
+  // lands at once; the bus fault hook sees what was read or written.
   Status DmaRead(PhysAddr a, void* dst, size_t n);
   Status DmaWrite(PhysAddr a, const void* src, size_t n);
 
-  // The one bus-master write path: |fill(dst)| writes the n bytes at |a| in
-  // place, then the bus fault hook sees them. DmaWrite is DmaFill with a
-  // memcpy; a device that generates its data writes it here without a
-  // staging buffer.
-  template <typename Fill>
-  Status DmaFill(PhysAddr a, size_t n, Fill&& fill) {
-    RamWindow* ram = RamAt(a, n);
-    if (ram == nullptr) {
-      return Status::kOutOfRange;
-    }
-    uint8_t* dst = ram->bytes.get() + (a - ram->base);
-    fill(dst);
-    if (bus_fault_hook_ != nullptr) {
-      bus_fault_hook_->OnDmaWrite(a, dst, n);
-    }
-    return Status::kOk;
-  }
+  // Writes bytes [off, off+len) of a bus-master write to |dst|.
+  using FillGen = std::function<void(size_t off, uint8_t* dst, size_t len)>;
+
+  // A bus-master write of n generated bytes at |a|, landed lazily. The fill
+  // stays pending: a ReadBytes (after its TZASC check) or DmaRead that lies
+  // wholly inside it calls |gen| straight into the caller's buffer, and any
+  // other RAM access that overlaps it (Read32, Write32, WriteBytes, DmaWrite,
+  // RamPtr) first writes it out whole. One fill is pending at a time: a newer
+  // one writes out the old bytes it does not cover. With a bus fault hook
+  // installed the fill is written at once and OnDmaWrite sees it whole.
+  // kOutOfRange when [a, a+n) is not RAM: nothing is written or recorded, and
+  // an older pending fill stays as it was.
+  Status DmaFill(PhysAddr a, size_t n, FillGen gen);
 
   // Returns the device mapped at |a| (if any) and its register offset.
   MmioDevice* DeviceAt(PhysAddr a, uint64_t* offset_out) const;
@@ -132,14 +137,31 @@ class AddressSpace {
   Tzasc* tzasc() const { return tzasc_; }
 
  private:
+  // The DmaFill not yet written out; n == 0 when none is pending.
+  struct PendingFill {
+    PhysAddr a = 0;
+    size_t n = 0;
+    uint8_t* ram = nullptr;  // where byte |a| lands
+    FillGen gen;
+  };
+
   RamWindow* RamAt(PhysAddr a, uint64_t size);
   bool Overlaps(PhysAddr base, uint64_t size) const;
+  // The RAM bytes at |a| in |ram|, current for an access of n bytes: lands the
+  // pending fill first when the access overlaps it.
+  uint8_t* Landed(RamWindow* ram, PhysAddr a, uint64_t n);
+  // Copies RAM bytes [a, a+n) to |dst|, generating them there when they lie
+  // wholly inside the pending fill.
+  void CopyOut(RamWindow* ram, PhysAddr a, void* dst, size_t n);
+  // Writes out the pending fill's bytes outside [a, a+n) and drops it.
+  void LandFillOutside(PhysAddr a, uint64_t n);
 
   Tzasc* tzasc_;
   const SimClock* clock_ = nullptr;
   std::vector<RamWindow> ram_;
   std::vector<MmioWindow> mmio_;
   BusFaultHook* bus_fault_hook_ = nullptr;
+  PendingFill fill_;
 };
 
 }  // namespace dlt

@@ -127,7 +127,6 @@ bool DmaEngine::RunOneBlock(const DmaControlBlock& cb, uint64_t* cost_us) {
   if (len == 0) {
     return true;
   }
-  bytes_transferred_ += len;
   bool src_dreq = (cb.ti & kDmaTiSrcDreq) != 0;
   bool dst_dreq = (cb.ti & kDmaTiDestDreq) != 0;
   // The length is guest-written: a RAM source is range-checked before the
@@ -172,6 +171,7 @@ bool DmaEngine::RunOneBlock(const DmaControlBlock& cb, uint64_t* cost_us) {
       return false;
     }
   }
+  bytes_transferred_ += deliver;  // what the block wrote, not what it asked for
   return true;
 }
 

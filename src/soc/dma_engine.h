@@ -109,7 +109,7 @@ class DmaEngine : public MmioDevice {
   int irq_base_;
   std::array<Channel, kNumChannels> channels_;
   std::map<PhysAddr, DmaDataPort*> ports_;
-  uint64_t bytes_transferred_ = 0;  // feeds the dma.bytes telemetry counter
+  uint64_t bytes_transferred_ = 0;  // bytes blocks wrote; feeds the dma.bytes counter
   std::vector<uint8_t> bounce_;
   DmaFaultHook* fault_hook_ = nullptr;
 };

@@ -380,27 +380,30 @@ class Vc4Link {
 
 // The firmware generates each frame into the bulk transfer's destination:
 // a request of n bytes writes exactly the frame's first n bytes, in one
-// bus-master write the fault plane sees whole.
+// bus-master write the fault plane sees whole. The write lands lazily, so
+// the test takes the RAM pointer again after each bulk receive and before
+// each memset.
 TEST_F(NativeDeviceTest, BulkTransferWritesFramePrefixInPlace) {
   const uint32_t full = Vc4Firmware::FrameBytes(720);
   const uint32_t req = full / 3 + 5;  // ends inside a payload word
   Vc4Link link(&tb_);
-  uint8_t* dest = link.Ram(Vc4Link::kDest, full + 64);
-  ASSERT_NE(nullptr, dest);
+  ASSERT_NE(nullptr, link.Ram(Vc4Link::kDest, full + 64));
+  auto dest = [&] { return link.Ram(Vc4Link::kDest, full + 64); };
   auto expect_prefix = [&](uint32_t seq, uint32_t n) {
     std::vector<uint8_t> frame = Vc4Firmware::MakeFrame(seq, 720);
-    EXPECT_TRUE(std::equal(frame.begin(), frame.begin() + n, dest)) << "seq " << seq;
-    EXPECT_EQ(full + 64 - n, static_cast<size_t>(std::count(dest + n, dest + full + 64, 0x5a)))
+    uint8_t* d = dest();
+    EXPECT_TRUE(std::equal(frame.begin(), frame.begin() + n, d)) << "seq " << seq;
+    EXPECT_EQ(full + 64 - n, static_cast<size_t>(std::count(d + n, d + full + 64, 0x5a)))
         << "bytes past the request were written";
   };
   link.OpenCamera(720);
 
-  std::memset(dest, 0x5a, full + 64);
+  std::memset(dest(), 0x5a, full + 64);
   EXPECT_EQ(std::make_pair(full, 0u), link.Capture());
   EXPECT_EQ(std::make_pair(req, 0u), link.BulkRx(req));
   expect_prefix(0, req);
 
-  std::memset(dest, 0x5a, full + 64);
+  std::memset(dest(), 0x5a, full + 64);
   EXPECT_EQ(std::make_pair(full, 1u), link.Capture());
   EXPECT_EQ(std::make_pair(full, 0u), link.BulkRx(full));
   expect_prefix(1, full);
@@ -415,20 +418,47 @@ TEST_F(NativeDeviceTest, BulkTransferWritesFramePrefixInPlace) {
   plan.Add(FaultSpec{.kind = FaultKind::kBusCorruptWrite, .addr = Vc4Link::kDest,
                      .addr_size = req - 1});
   ASSERT_EQ(Status::kOk, inj.Arm(plan));
-  std::memset(dest, 0x5a, full + 64);
+  std::memset(dest(), 0x5a, full + 64);
   EXPECT_EQ(std::make_pair(full, 2u), link.Capture());
   EXPECT_EQ(std::make_pair(req, 0u), link.BulkRx(req));
   inj.Disarm();
   EXPECT_EQ(1u, inj.opportunities());
   EXPECT_EQ(1u, inj.injected(FaultKind::kBusCorruptWrite));
   std::vector<uint8_t> frame = Vc4Firmware::MakeFrame(2, 720);
+  uint8_t* d = dest();
   size_t corrupted = 0;
   for (uint32_t i = 0; i < req; ++i) {
-    corrupted += dest[i] != frame[i];
+    corrupted += d[i] != frame[i];
   }
   EXPECT_GE(corrupted, 1u);  // the hook got the bytes in RAM
   EXPECT_LE(corrupted, 2u);
-  EXPECT_EQ(full + 64 - req, static_cast<size_t>(std::count(dest + req, dest + full + 64, 0x5a)));
+  EXPECT_EQ(full + 64 - req, static_cast<size_t>(std::count(d + req, d + full + 64, 0x5a)));
+}
+
+// With no fault hook, a bulk receive generates its frame once, straight into
+// the buffer that reads it: RAM receives no copy until an access needs the
+// bytes in place.
+TEST_F(NativeDeviceTest, BulkReceiveGeneratesFrameOnceIntoItsReader) {
+  const uint32_t full = Vc4Firmware::FrameBytes(720);
+  Vc4Link link(&tb_);
+  uint8_t* before = link.Ram(Vc4Link::kDest, full);  // RAM as it stands, taken before the transfer
+  ASSERT_NE(nullptr, before);
+  std::memset(before, 0x5a, full);
+  link.OpenCamera(720);
+  EXPECT_EQ(std::make_pair(full, 0u), link.Capture());
+  EXPECT_EQ(std::make_pair(full, 0u), link.BulkRx(full));
+
+  const std::vector<uint8_t> frame = Vc4Firmware::MakeFrame(0, 720);
+  std::vector<uint8_t> got(full);
+  ASSERT_EQ(Status::kOk,
+            tb_.machine().mem().ReadBytes(World::kNormal, Vc4Link::kDest, got.data(), full));
+  EXPECT_EQ(frame, got);
+  EXPECT_EQ(full, static_cast<size_t>(std::count(before, before + full, 0x5a)))
+      << "the frame was written to RAM as well as to its reader";
+
+  // Taking the pointer again lands the frame in RAM.
+  uint8_t* dest = link.Ram(Vc4Link::kDest, full);
+  EXPECT_TRUE(std::equal(frame.begin(), frame.end(), dest));
 }
 
 // BULK_RX_DONE reports what the transfer moved: nothing, with status 1, when
@@ -449,12 +479,15 @@ TEST_F(NativeDeviceTest, BulkReceiveOutsideRamMovesNothing) {
   EXPECT_EQ(std::make_pair(0u, 1u), link.BulkRx(full, 0xc5bc'0000));
   EXPECT_EQ(std::make_pair(full, 1u), link.Capture());
   EXPECT_EQ(std::make_pair(0u, 1u), link.BulkRx(full, ram_tail));  // runs off RAM
+  ram_end = link.Ram(ram_tail, 64);
+  dest = link.Ram(Vc4Link::kDest, full);
   EXPECT_EQ(64, std::count(ram_end, ram_end + 64, 0x5a)) << "a failed transfer wrote RAM";
   EXPECT_EQ(full, static_cast<size_t>(std::count(dest, dest + full, 0x5a)));
 
   // The firmware still serves the next frame.
   EXPECT_EQ(std::make_pair(full, 2u), link.Capture());
   EXPECT_EQ(std::make_pair(full, 0u), link.BulkRx(full));
+  dest = link.Ram(Vc4Link::kDest, full);
   std::vector<uint8_t> frame = Vc4Firmware::MakeFrame(2, 720);
   EXPECT_TRUE(std::equal(frame.begin(), frame.end(), dest));
 }
@@ -494,9 +527,10 @@ std::vector<uint8_t> OracleFrame(uint32_t seq, uint32_t res, size_t n) {
 
 // Checks the generator against the oracle: every per-CPU payload writer this
 // host supports, and the one frames use through MakeFrame and bulk receives.
-// Whole frames, and prefixes that end after every count of words past the
-// last eight-word block, mid-word, in the markers and in EOI; no byte past
-// the prefix is written.
+// Whole frames; prefixes that end after every count of words past the last
+// eight-word block, mid-word, in the markers and in EOI; and ranges that
+// start and end mid-word, inside SOI/APP0, across EOI and at the frame's end.
+// No byte past the range is written.
 TEST_F(NativeDeviceTest, CameraFramesMatchBytewiseOracle) {
   // The first index in [0, want.size()) where |got| differs from |want|, or
   // want.size().
@@ -516,43 +550,58 @@ TEST_F(NativeDeviceTest, CameraFramesMatchBytewiseOracle) {
 
   ASSERT_FALSE(SupportedPayloadWriters().empty());
   std::vector<uint8_t> buf(Vc4Firmware::FrameBytes(1440) + 64);
-  auto check_writer = [&](const PayloadWriterInstance& w, uint32_t seq, uint32_t res,
-                          const std::vector<uint8_t>& want) {
+  // Bytes [off, off + want.size()) of frame (seq, res) through |w|.
+  auto check_range = [&](const PayloadWriterInstance& w, uint32_t seq, uint32_t res, size_t off,
+                         const std::vector<uint8_t>& want) {
     const size_t n = want.size();
     std::fill(buf.begin(), buf.begin() + n + 64, 0x5a);
-    WriteFramePrefix(seq, res, buf.data(), n, w.write);
-    EXPECT_EQ(n, first_diff(want, buf.data())) << w.cpu << " seq " << seq << " res " << res
-                                               << " n " << n;
+    WriteFrameRange(seq, res, off, buf.data(), n, w.write);
+    EXPECT_EQ(n, first_diff(want, buf.data()))
+        << w.cpu << " seq " << seq << " res " << res << " off " << off << " n " << n;
     EXPECT_EQ(64, std::count(buf.begin() + n, buf.begin() + n + 64, 0x5a))
-        << w.cpu << " wrote past n " << n;
+        << w.cpu << " wrote past off " << off << " n " << n;
   };
   for (uint32_t res : {720u, 1080u, 1440u}) {
+    const size_t size = Vc4Firmware::FrameBytes(res);
+    // {off, len}: inside SOI/APP0, from the markers into the payload, from
+    // mid-word to mid-word within one word and across blocks, whole words,
+    // ending at EOI, across EOI, inside EOI and at the frame's end.
+    const std::vector<std::pair<size_t, size_t>> ranges = {
+        {0, 1}, {1, 2}, {3, 1}, {2, 5}, {1, 64 * 3 + 9}, {4, 8}, {5, 3}, {7, 10}, {13, 7},
+        {4 + 8 * 5 + 3, 64 * 1000 + 11}, {12, 64 * 2}, {size / 2 + 3, size / 4 + 5},
+        {size - 2 - 5, 5}, {size - 2 - 61, 62}, {size - 7, 6}, {size - 2, 1}, {size - 1, 1},
+        {size - 2, 2}, {size - 11, 11}, {size - 100, 100}, {size - 64 * 7 - 3, 64 * 7 + 3}};
     for (uint32_t seq : {0u, 1u, 99u}) {
-      const std::vector<uint8_t> want = OracleFrame(seq, res, Vc4Firmware::FrameBytes(res));
+      const std::vector<uint8_t> want = OracleFrame(seq, res, size);
       const std::vector<uint8_t> f = Vc4Firmware::MakeFrame(seq, res);
       ASSERT_EQ(want.size(), f.size());
       EXPECT_EQ(want.size(), first_diff(want, f.data())) << "seq " << seq << " res " << res;
       for (const PayloadWriterInstance& w : SupportedPayloadWriters()) {
-        check_writer(w, seq, res, want);
+        check_range(w, seq, res, 0, want);
+        for (auto [off, len] : ranges) {
+          check_range(w, seq, res, off,
+                      std::vector<uint8_t>(want.begin() + static_cast<ptrdiff_t>(off),
+                                           want.begin() + static_cast<ptrdiff_t>(off + len)));
+        }
       }
     }
   }
   for (uint32_t n : lengths) {
     const std::vector<uint8_t> want = OracleFrame(0, 720, n);
     for (const PayloadWriterInstance& w : SupportedPayloadWriters()) {
-      check_writer(w, 0, 720, want);
+      check_range(w, 0, 720, 0, want);
     }
   }
 
   Vc4Link link(&tb_);
-  uint8_t* dest = link.Ram(Vc4Link::kDest, full + 64);
-  ASSERT_NE(nullptr, dest);
+  ASSERT_NE(nullptr, link.Ram(Vc4Link::kDest, full + 64));
   link.OpenCamera(720);
   for (uint32_t seq = 0; seq < lengths.size(); ++seq) {
     const uint32_t n = lengths[seq];
-    std::memset(dest, 0x5a, full + 64);
+    std::memset(link.Ram(Vc4Link::kDest, full + 64), 0x5a, full + 64);
     EXPECT_EQ(std::make_pair(full, seq), link.Capture());
     EXPECT_EQ(std::make_pair(n, 0u), link.BulkRx(n));
+    uint8_t* dest = link.Ram(Vc4Link::kDest, full + 64);
     EXPECT_EQ(n, first_diff(OracleFrame(seq, 720, n), dest)) << "n " << n;
     EXPECT_EQ(full + 64 - n, static_cast<size_t>(std::count(dest + n, dest + full + 64, 0x5a)))
         << "bytes past n written, n " << n;
@@ -580,17 +629,17 @@ TEST_F(NativeDeviceTest, Vc4ResetDropsInFlightEvents) {
 
   // A bulk transfer taken by the firmware, its copy still in flight.
   const uint32_t full = Vc4Firmware::FrameBytes(720);
-  uint8_t* dest = link.Ram(Vc4Link::kDest, full);
-  ASSERT_NE(nullptr, dest);
+  ASSERT_NE(nullptr, link.Ram(Vc4Link::kDest, full));
   link.OpenCamera(720);
   EXPECT_EQ(std::make_pair(full, 0u), link.Capture());
-  std::memset(dest, 0x5a, full);
+  std::memset(link.Ram(Vc4Link::kDest, full), 0x5a, full);
   link.Send(VchiqMsgType::kBulkRx, {static_cast<uint32_t>(Vc4Link::kDest), full});
   tb_.clock().Advance(lat.vchiq_msg_us);
   raises = irq.raise_count(kMailboxIrq);
   tb_.vc4().SoftReset();
   link.Attach();
   tb_.clock().Advance(1'000'000);
+  uint8_t* dest = link.Ram(Vc4Link::kDest, full);
   EXPECT_EQ(full, static_cast<size_t>(std::count(dest, dest + full, 0x5a)))
       << "a transfer from before the reset wrote RAM";
   EXPECT_EQ(0u, link.MasterTx()) << "a transfer from before the reset posted BULK_RX_DONE";
@@ -601,6 +650,7 @@ TEST_F(NativeDeviceTest, Vc4ResetDropsInFlightEvents) {
   link.OpenCamera(720);
   EXPECT_EQ(std::make_pair(full, 0u), link.Capture());
   EXPECT_EQ(std::make_pair(full, 0u), link.BulkRx(full));
+  dest = link.Ram(Vc4Link::kDest, full);
   std::vector<uint8_t> frame = Vc4Firmware::MakeFrame(0, 720);
   EXPECT_TRUE(std::equal(frame.begin(), frame.end(), dest));
 }

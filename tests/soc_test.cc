@@ -2,8 +2,11 @@
 // CMA pool, DMA engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <vector>
 
+#include "src/obs/telemetry.h"
 #include "src/soc/cma_pool.h"
 #include "src/soc/machine.h"
 
@@ -287,6 +290,208 @@ TEST(AddressSpaceTest, WrappingAccessIsOutOfRange) {
   EXPECT_EQ(Status::kOutOfRange, mem.DmaRead(~0ull - 1, buf, sizeof(buf)));
 }
 
+using Calls = std::vector<std::pair<size_t, size_t>>;
+
+// A DmaFill generator that logs each call as {off, len} and writes byte i of
+// the fill as Byte(i).
+struct LoggedFill {
+  static uint8_t Byte(size_t i) { return static_cast<uint8_t>(i * 7 + 1); }
+  AddressSpace::FillGen Gen() {
+    return [this](size_t off, uint8_t* dst, size_t len) {
+      calls.emplace_back(off, len);
+      for (size_t i = 0; i < len; ++i) {
+        dst[i] = Byte(off + i);
+      }
+    };
+  }
+  // Whether |p| holds bytes [off, off + len) of the fill.
+  static bool Holds(const uint8_t* p, size_t off, size_t len) {
+    for (size_t i = 0; i < len; ++i) {
+      if (p[i] != Byte(off + i)) {
+        return false;
+      }
+    }
+    return true;
+  }
+  Calls calls;
+};
+
+// A read that lies wholly inside a pending fill is generated straight into
+// the reader's buffer, once per read and with exactly its range; RAM stays as
+// it was.
+TEST(AddressSpaceTest, ReadInsidePendingFillGeneratesIntoReader) {
+  AddressSpace mem(nullptr);
+  ASSERT_EQ(Status::kOk, mem.AddRam(0, 0x10000));
+  const uint8_t* ram = mem.RamPtr(0x1000, 0x100);
+  LoggedFill fill;
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000, 0x100, fill.Gen()));
+  EXPECT_TRUE(fill.calls.empty()) << "the fill was written at once";
+
+  std::vector<uint8_t> buf(0x100, 0xaa);
+  ASSERT_EQ(Status::kOk, mem.ReadBytes(World::kNormal, 0x1013, buf.data(), 0x21));
+  EXPECT_EQ((Calls{{0x13, 0x21}}), fill.calls);
+  EXPECT_TRUE(LoggedFill::Holds(buf.data(), 0x13, 0x21));
+  EXPECT_EQ(0xaa, buf[0x21]);
+  ASSERT_EQ(Status::kOk, mem.DmaRead(0x1000, buf.data(), 0x100));
+  EXPECT_EQ((Calls{{0x13, 0x21}, {0, 0x100}}), fill.calls);
+  EXPECT_TRUE(LoggedFill::Holds(buf.data(), 0, 0x100));
+  EXPECT_EQ(0x100, std::count(ram, ram + 0x100, 0)) << "a read inside the fill wrote RAM";
+
+  // Accesses that only touch its edges leave it pending.
+  ASSERT_EQ(Status::kOk, mem.Write32(World::kNormal, 0xffc, 1));
+  ASSERT_EQ(Status::kOk, mem.WriteBytes(World::kNormal, 0x1100, buf.data(), 4));
+  ASSERT_NE(nullptr, mem.RamPtr(0x1100, 0x10));
+  ASSERT_EQ(Status::kOk, mem.ReadBytes(World::kNormal, 0x1000, buf.data(), 0));
+  EXPECT_EQ(2u, fill.calls.size());
+}
+
+// Any other access that overlaps a pending fill writes it out whole, once,
+// and then sees RAM.
+TEST(AddressSpaceTest, OverlappingAccessWritesPendingFillOutOnce) {
+  const std::vector<std::pair<const char*, std::function<void(AddressSpace&)>>> accesses = {
+      {"partial ReadBytes",
+       [](AddressSpace& m) {
+         uint8_t b[0x20];
+         ASSERT_EQ(Status::kOk, m.ReadBytes(World::kNormal, 0x10f0, b, sizeof(b)));
+         EXPECT_TRUE(LoggedFill::Holds(b, 0xf0, 0x10));
+         EXPECT_EQ(0, b[0x10]);
+       }},
+      {"partial DmaRead",
+       [](AddressSpace& m) {
+         uint8_t b[8];
+         ASSERT_EQ(Status::kOk, m.DmaRead(0xffc, b, sizeof(b)));
+         EXPECT_TRUE(LoggedFill::Holds(b + 4, 0, 4));
+       }},
+      {"Read32", [](AddressSpace& m) { EXPECT_TRUE(m.Read32(World::kNormal, 0x1040).ok()); }},
+      {"Write32",
+       [](AddressSpace& m) { ASSERT_EQ(Status::kOk, m.Write32(World::kNormal, 0x1040, 0)); }},
+      {"WriteBytes",
+       [](AddressSpace& m) {
+         uint8_t b[0x10] = {};
+         ASSERT_EQ(Status::kOk, m.WriteBytes(World::kNormal, 0x1040, b, sizeof(b)));
+       }},
+      {"DmaWrite",
+       [](AddressSpace& m) {
+         uint8_t b[0x10] = {};
+         ASSERT_EQ(Status::kOk, m.DmaWrite(0x10f8, b, sizeof(b)));
+       }},
+      {"RamPtr", [](AddressSpace& m) { ASSERT_NE(nullptr, m.RamPtr(0x10ff, 1)); }},
+  };
+  for (const auto& [name, access] : accesses) {
+    SCOPED_TRACE(name);
+    AddressSpace mem(nullptr);
+    ASSERT_EQ(Status::kOk, mem.AddRam(0, 0x10000));
+    const uint8_t* ram = mem.RamPtr(0x1000, 0x100);
+    LoggedFill fill;
+    ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000, 0x100, fill.Gen()));
+    access(mem);
+    EXPECT_EQ((Calls{{0, 0x100}}), fill.calls);
+    // The fill landed whole; a write above then replaced its own bytes only.
+    EXPECT_TRUE(LoggedFill::Holds(ram, 0, 0x40));
+    EXPECT_TRUE(LoggedFill::Holds(ram + 0x50, 0x50, 0xa8));
+    uint8_t b[0x100];
+    ASSERT_EQ(Status::kOk, mem.ReadBytes(World::kNormal, 0x1000, b, sizeof(b)));
+    ASSERT_EQ(Status::kOk, mem.DmaRead(0x1000, b, sizeof(b)));
+    EXPECT_EQ(1u, fill.calls.size()) << "a landed fill was generated again";
+  }
+}
+
+// The VC4 lands frames of three sizes at one address: a newer fill writes out
+// only the old bytes it does not cover, and the old fill is then gone.
+TEST(AddressSpaceTest, NewerFillWritesOutOnlyUncoveredOldBytes) {
+  AddressSpace mem(nullptr);
+  ASSERT_EQ(Status::kOk, mem.AddRam(0, 0x10000));
+  const uint8_t* ram = mem.RamPtr(0x1000, 0x100);
+  LoggedFill old_fill;
+  LoggedFill new_fill;
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000, 0x100, old_fill.Gen()));
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x1040, 0x40, new_fill.Gen()));
+  EXPECT_EQ((Calls{{0, 0x40}, {0x80, 0x80}}), old_fill.calls);
+  EXPECT_TRUE(new_fill.calls.empty());
+  EXPECT_TRUE(LoggedFill::Holds(ram, 0, 0x40));
+  EXPECT_TRUE(LoggedFill::Holds(ram + 0x80, 0x80, 0x80));
+  EXPECT_EQ(0x40, std::count(ram + 0x40, ram + 0x80, 0)) << "covered old bytes were written";
+  ASSERT_NE(nullptr, mem.RamPtr(0x1000, 0x100));
+  EXPECT_EQ((Calls{{0, 0x40}}), new_fill.calls);
+  EXPECT_TRUE(LoggedFill::Holds(ram + 0x40, 0, 0x40));
+  EXPECT_EQ(2u, old_fill.calls.size());
+
+  // A newer fill that covers the old one writes none of it; a disjoint one
+  // writes it all.
+  LoggedFill covered;
+  LoggedFill larger;
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000, 0x80, covered.Gen()));
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000, 0x100, larger.Gen()));
+  EXPECT_TRUE(covered.calls.empty());
+  LoggedFill disjoint;
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x2000, 0x10, disjoint.Gen()));
+  EXPECT_EQ((Calls{{0, 0x100}}), larger.calls);
+  EXPECT_TRUE(disjoint.calls.empty());
+}
+
+// The TZASC check comes first: a refused read generates nothing and leaves
+// the fill pending for a reader the TZASC allows.
+TEST(AddressSpaceTest, RefusedReadOfPendingFillGeneratesNothing) {
+  Tzasc tz;
+  AddressSpace mem(&tz);
+  ASSERT_EQ(Status::kOk, mem.AddRam(0, 0x10000));
+  tz.AssignRegion(0x1000, 0x1000, World::kSecure);
+  LoggedFill fill;
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000, 0x100, fill.Gen()));
+  uint8_t b[0x10] = {};
+  EXPECT_EQ(Status::kPermissionDenied, mem.ReadBytes(World::kNormal, 0x1000, b, sizeof(b)));
+  EXPECT_EQ(Status::kPermissionDenied, mem.Read32(World::kNormal, 0x1000).status());
+  EXPECT_EQ(Status::kPermissionDenied, mem.WriteBytes(World::kNormal, 0x1000, b, sizeof(b)));
+  EXPECT_TRUE(fill.calls.empty());
+  ASSERT_EQ(Status::kOk, mem.ReadBytes(World::kSecure, 0x1000, b, sizeof(b)));
+  EXPECT_EQ((Calls{{0, 0x10}}), fill.calls);
+}
+
+// A fill that is not wholly RAM moves nothing and leaves nothing pending.
+TEST(AddressSpaceTest, FillOutsideRamIsOutOfRangeAndLeavesNothingPending) {
+  AddressSpace mem(nullptr);
+  ASSERT_EQ(Status::kOk, mem.AddRam(0, 0x10000));
+  LoggedFill fill;
+  EXPECT_EQ(Status::kOutOfRange, mem.DmaFill(0x20000, 0x10, fill.Gen()));
+  EXPECT_EQ(Status::kOutOfRange, mem.DmaFill(0xfff0, 0x20, fill.Gen()));  // runs off RAM
+  EXPECT_EQ(Status::kOutOfRange, mem.DmaFill(~0ull - 1, 0x10, fill.Gen()));  // wraps
+  const uint8_t* ram = mem.RamPtr(0, 0x10000);
+  ASSERT_NE(nullptr, ram);
+  EXPECT_TRUE(fill.calls.empty());
+  EXPECT_EQ(0x10000, std::count(ram, ram + 0x10000, 0));
+}
+
+// Records what the bus fault hook sees.
+class RecordingBusHook : public BusFaultHook {
+ public:
+  void OnDmaRead(PhysAddr, uint8_t*, size_t) override {}
+  void OnDmaWrite(PhysAddr a, uint8_t* data, size_t n) override {
+    writes.push_back({a, std::vector<uint8_t>(data, data + n)});
+  }
+  std::vector<std::pair<PhysAddr, std::vector<uint8_t>>> writes;
+};
+
+// With a bus fault hook installed a fill is written at once, and OnDmaWrite
+// sees the whole write in RAM, as a fault plan expects.
+TEST(AddressSpaceTest, FaultHookMakesFillImmediate) {
+  AddressSpace mem(nullptr);
+  ASSERT_EQ(Status::kOk, mem.AddRam(0, 0x10000));
+  RecordingBusHook hook;
+  mem.set_bus_fault_hook(&hook);
+  LoggedFill fill;
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000, 0x100, fill.Gen()));
+  EXPECT_EQ((Calls{{0, 0x100}}), fill.calls);
+  ASSERT_EQ(1u, hook.writes.size());
+  EXPECT_EQ(0x1000u, hook.writes[0].first);
+  ASSERT_EQ(0x100u, hook.writes[0].second.size());
+  EXPECT_TRUE(LoggedFill::Holds(hook.writes[0].second.data(), 0, 0x100));
+  uint8_t b[0x10];
+  ASSERT_EQ(Status::kOk, mem.ReadBytes(World::kNormal, 0x1010, b, sizeof(b)));
+  EXPECT_TRUE(LoggedFill::Holds(b, 0x10, 0x10));
+  EXPECT_EQ(1u, fill.calls.size());
+  mem.set_bus_fault_hook(nullptr);
+}
+
 TEST(CmaPoolTest, WrappingRangesAreRejected) {
   // The TEE pool's window: 3 MB at 48 MB. Each rejected request below wraps
   // past 2^64 under an addr + len <= base + size check.
@@ -384,8 +589,12 @@ TEST_F(MachineDmaTest, BadControlBlockSetsError) {
 // A RAM-sourced block whose guest-written length is wild and whose source is
 // outside RAM fails with the error bit and its interrupt. The engine checks the
 // range before it sizes its bounce buffer by that length, so the block
-// allocates nothing.
+// allocates nothing, and it moved nothing, so dma.bytes does not count it.
 TEST_F(MachineDmaTest, WildLengthFromOutsideRamSetsError) {
+  Telemetry& tel = Telemetry::Get();
+  tel.Enable();
+  tel.Reset();
+  const uint64_t moved = tel.metrics().counter("dma.bytes").value();
   auto& mem = machine_.mem();
   DmaControlBlock cb{};
   cb.ti = kDmaTiSrcInc | kDmaTiDestInc | kDmaTiIntEn;
@@ -401,6 +610,11 @@ TEST_F(MachineDmaTest, WildLengthFromOutsideRamSetsError) {
   EXPECT_TRUE(cs & kDmaCsError);
   EXPECT_TRUE(cs & kDmaCsInt);
   EXPECT_TRUE(machine_.irq().Pending(kDmaIrqBase));
+  const uint64_t transfers = tel.metrics().counter("dma.transfers").value();
+  EXPECT_EQ(moved, tel.metrics().counter("dma.bytes").value()) << "a failed block counted bytes";
+  tel.Disable();
+  tel.Reset();
+  EXPECT_EQ(1u, transfers);
 }
 
 TEST(MachineTest, DeviceRegistryLookups) {
