@@ -57,11 +57,7 @@ std::string DescribeEvent(const TemplateEvent& e) {
 }
 
 Executor::Executor(ReplayContext* ctx, const InteractionTemplate* tpl, const ReplayArgs* args)
-    : ctx_(ctx), tpl_(tpl), args_(args) {
-  for (const auto& [name, value] : args->scalars) {
-    bindings_[name] = value;
-  }
-}
+    : ctx_(ctx), tpl_(tpl), args_(args), bindings_(args->scalars) {}
 
 Result<uint64_t> Executor::EvalExpr(const ExprRef& e) const {
   if (e == nullptr) {

@@ -20,16 +20,17 @@ Replayer::Replayer(ReplayContext* ctx, std::string signing_key, TemplateStore* s
 
 Status Replayer::LoadPackage(const uint8_t* data, size_t len) {
   DLT_ASSIGN_OR_RETURN(DriverletPackage pkg, OpenPackage(data, len, signing_key_));
-  return LoadPackage(pkg);
+  return LoadPackage(std::move(pkg));
 }
 
-Status Replayer::LoadPackage(const DriverletPackage& pkg) {
+Status Replayer::LoadPackage(DriverletPackage pkg) {
   if (!driverlet_.empty() && pkg.driverlet != driverlet_) {
     return Status::kInvalidArg;  // a replayer serves exactly one driverlet
   }
-  DLT_RETURN_IF_ERROR(store_->AddPackage(pkg));
+  // AddPackage refuses only an unnamed package, and then driverlet_ stays
+  // empty: only a replayer that serves no driverlet yet gets this far with one.
   driverlet_ = pkg.driverlet;
-  return Status::kOk;
+  return store_->AddPackage(std::move(pkg));
 }
 
 std::vector<const InteractionTemplate*> Replayer::templates() const {

@@ -56,7 +56,7 @@ class Replayer {
   // another driverlet than the one this replayer serves (a standalone
   // replayer serves the driverlet of its first loaded package).
   Status LoadPackage(const uint8_t* data, size_t len);
-  Status LoadPackage(const DriverletPackage& pkg);  // pre-parsed (tests)
+  Status LoadPackage(DriverletPackage pkg);  // opened; its templates move into the store
 
   // Invokes the driverlet entry: selects the template whose initial constraints
   // are satisfied by |args|, then executes it. kNoTemplate when the input is

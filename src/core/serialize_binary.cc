@@ -1,7 +1,9 @@
 #include "src/core/serialize_binary.h"
 
-#include <climits>
 #include <cstring>
+#include <limits>
+#include <set>
+#include <tuple>
 
 namespace dlt {
 
@@ -30,14 +32,27 @@ class Cursor {
     }
   }
 
-  // A varint for a field narrower than 64 bits. The encoder never writes more
-  // than |max|, so a larger value is a forged payload, not one to truncate.
-  Result<uint64_t> VarintAtMost(uint64_t max) {
+  // A varint into |*field|, narrower than 64 bits. The encoder never writes
+  // more than the field holds, so a larger value is a forged payload, not one
+  // to truncate.
+  template <typename T>
+  Status VarintInto(T* field) {
     DLT_ASSIGN_OR_RETURN(uint64_t v, Varint());
-    if (v > max) {
+    if (v > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
       return Status::kCorrupt;
     }
-    return v;
+    *field = static_cast<T>(v);
+    return Status::kOk;
+  }
+
+  // A byte holding an enumerator no larger than |last|.
+  template <typename E>
+  Result<E> EnumByte(E last) {
+    DLT_ASSIGN_OR_RETURN(uint8_t b, Byte());
+    if (b > static_cast<uint8_t>(last)) {
+      return Status::kCorrupt;
+    }
+    return static_cast<E>(b);
   }
 
   Result<uint8_t> Byte() {
@@ -72,18 +87,18 @@ class Cursor {
     switch (op) {
       case ExprOp::kConst: {
         DLT_ASSIGN_OR_RETURN(uint64_t v, Varint());
-        return Expr::Const(v);
+        return Shared(Expr::Const(v));
       }
       case ExprOp::kInput: {
         DLT_ASSIGN_OR_RETURN(std::string name, String());
-        return Expr::Input(std::move(name));
+        return Shared(Expr::Input(std::move(name)));
       }
       case ExprOp::kNot: {
         DLT_ASSIGN_OR_RETURN(ExprRef inner, ExprTree(depth + 1));
         if (inner == nullptr) {
           return Status::kCorrupt;
         }
-        return Expr::Not(std::move(inner));
+        return Shared(Expr::Not(std::move(inner)));
       }
       default: {
         DLT_ASSIGN_OR_RETURN(ExprRef lhs, ExprTree(depth + 1));
@@ -91,10 +106,16 @@ class Cursor {
         if (lhs == nullptr || rhs == nullptr) {
           return Status::kCorrupt;
         }
-        return Expr::Binary(op, std::move(lhs), std::move(rhs));
+        return Shared(Expr::Binary(op, std::move(lhs), std::move(rhs)));
       }
     }
   }
+
+  // The payload's node equal to |e|, which becomes it if none was decoded
+  // yet. Expressions are immutable and every node's children are already
+  // shared, so two nodes are equal when their op, leaf value and child
+  // pointers are: a package decodes to one node per distinct sub-expression.
+  ExprRef Shared(ExprRef e) { return *exprs_.insert(std::move(e)).first; }
 
   Status Flags(InteractionTemplate* t) {
     DLT_ASSIGN_OR_RETURN(uint8_t flags, Byte());
@@ -111,11 +132,7 @@ class Cursor {
     for (uint64_t i = 0; i < n; ++i) {
       ConstraintAtom a;
       DLT_ASSIGN_OR_RETURN(a.lhs, ExprTree());
-      DLT_ASSIGN_OR_RETURN(uint8_t cmp, Byte());
-      if (cmp > static_cast<uint8_t>(Cmp::kGe)) {
-        return Status::kCorrupt;
-      }
-      a.cmp = static_cast<Cmp>(cmp);
+      DLT_ASSIGN_OR_RETURN(a.cmp, EnumByte(Cmp::kGe));
       DLT_ASSIGN_OR_RETURN(a.rhs, ExprTree());
       if (a.lhs == nullptr || a.rhs == nullptr) {
         return Status::kCorrupt;
@@ -130,13 +147,8 @@ class Cursor {
       return Status::kCorrupt;
     }
     TemplateEvent e;
-    DLT_ASSIGN_OR_RETURN(uint8_t kind, Byte());
-    if (kind > static_cast<uint8_t>(EventKind::kPollShm)) {
-      return Status::kCorrupt;
-    }
-    e.kind = static_cast<EventKind>(kind);
-    DLT_ASSIGN_OR_RETURN(uint64_t dev, VarintAtMost(UINT16_MAX));
-    e.device = static_cast<uint16_t>(dev);
+    DLT_ASSIGN_OR_RETURN(e.kind, EnumByte(EventKind::kPollShm));
+    DLT_RETURN_IF_ERROR(VarintInto(&e.device));
     DLT_ASSIGN_OR_RETURN(e.reg_off, Varint());
     DLT_ASSIGN_OR_RETURN(e.addr, ExprTree());
     DLT_ASSIGN_OR_RETURN(e.bind, String());
@@ -146,24 +158,16 @@ class Cursor {
     DLT_ASSIGN_OR_RETURN(e.value, ExprTree());
     DLT_ASSIGN_OR_RETURN(e.buffer, String());
     DLT_ASSIGN_OR_RETURN(e.buf_offset, ExprTree());
-    DLT_ASSIGN_OR_RETURN(uint64_t irq, VarintAtMost(INT_MAX));
-    e.irq_line = static_cast<int>(irq) - 1;
-    DLT_ASSIGN_OR_RETURN(uint64_t mask, VarintAtMost(UINT32_MAX));
-    e.mask = static_cast<uint32_t>(mask);
-    DLT_ASSIGN_OR_RETURN(uint64_t want, VarintAtMost(UINT32_MAX));
-    e.want = static_cast<uint32_t>(want);
-    DLT_ASSIGN_OR_RETURN(uint8_t pcmp, Byte());
-    if (pcmp > static_cast<uint8_t>(Cmp::kGe)) {
-      return Status::kCorrupt;
-    }
-    e.poll_cmp = static_cast<Cmp>(pcmp);
+    DLT_RETURN_IF_ERROR(VarintInto(&e.irq_line));
+    --e.irq_line;  // stored as line + 1, so "none" (-1) is 0
+    DLT_RETURN_IF_ERROR(VarintInto(&e.mask));
+    DLT_RETURN_IF_ERROR(VarintInto(&e.want));
+    DLT_ASSIGN_OR_RETURN(e.poll_cmp, EnumByte(Cmp::kGe));
     DLT_ASSIGN_OR_RETURN(e.timeout_us, Varint());
     DLT_ASSIGN_OR_RETURN(e.interval_us, Varint());
-    DLT_ASSIGN_OR_RETURN(uint64_t iters, VarintAtMost(UINT32_MAX));
-    e.recorded_iters = static_cast<uint32_t>(iters);
+    DLT_RETURN_IF_ERROR(VarintInto(&e.recorded_iters));
     DLT_ASSIGN_OR_RETURN(e.file, String());
-    DLT_ASSIGN_OR_RETURN(uint64_t line, VarintAtMost(INT_MAX));
-    e.line = static_cast<int>(line);
+    DLT_RETURN_IF_ERROR(VarintInto(&e.line));
     DLT_ASSIGN_OR_RETURN(uint64_t nbody, Varint());
     for (uint64_t i = 0; i < nbody; ++i) {
       DLT_ASSIGN_OR_RETURN(TemplateEvent child, Event(depth + 1));
@@ -175,9 +179,17 @@ class Cursor {
   bool AtEnd() const { return pos_ == len_; }
 
  private:
+  struct NodeLess {
+    bool operator()(const ExprRef& a, const ExprRef& b) const {
+      return std::forward_as_tuple(a->op(), a->constant(), a->input_name(), a->lhs(), a->rhs()) <
+             std::forward_as_tuple(b->op(), b->constant(), b->input_name(), b->lhs(), b->rhs());
+    }
+  };
+
   const uint8_t* data_;
   size_t len_;
   size_t pos_ = 0;
+  std::set<ExprRef, NodeLess> exprs_;
 };
 
 }  // namespace
@@ -198,8 +210,7 @@ Result<std::vector<InteractionTemplate>> TemplatesFromBinary(const uint8_t* data
     InteractionTemplate t;
     DLT_ASSIGN_OR_RETURN(t.name, cur.String());
     DLT_ASSIGN_OR_RETURN(t.entry, cur.String());
-    DLT_ASSIGN_OR_RETURN(uint64_t dev, cur.VarintAtMost(UINT16_MAX));
-    t.primary_device = static_cast<uint16_t>(dev);
+    DLT_RETURN_IF_ERROR(cur.VarintInto(&t.primary_device));
     DLT_RETURN_IF_ERROR(cur.Flags(&t));
     DLT_ASSIGN_OR_RETURN(uint64_t nparams, cur.Varint());
     for (uint64_t p = 0; p < nparams; ++p) {

@@ -32,19 +32,19 @@ void CollectDevices(const std::vector<TemplateEvent>& events, std::set<uint16_t>
 
 }  // namespace
 
-Status TemplateStore::AddPackage(const DriverletPackage& pkg) {
+Status TemplateStore::AddPackage(DriverletPackage pkg) {
   if (pkg.driverlet.empty()) {
     return Status::kInvalidArg;
   }
   // Build the whole entry first, then move it in over the old one: only this
   // driverlet's templates are freed, and no other entry moves.
   Driverlet next;
-  next.templates = pkg.templates;
+  next.templates = std::move(pkg.templates);
   for (const InteractionTemplate& t : next.templates) {
     // Precompiled: never rebuilt per invoke.
     next.slots[t.entry].push_back(Candidate{&t, t.ScalarParams()});
   }
-  driverlets_.insert_or_assign(pkg.driverlet, std::move(next));
+  driverlets_.insert_or_assign(std::move(pkg.driverlet), std::move(next));
   return Status::kOk;
 }
 

@@ -9,7 +9,7 @@
 //
 // The store is single-threaded and has one owner. Packages load one way
 // (docs/template_store.md): the owner opens a sealed package, and AddPackage
-// copies its parsed templates into a complete new entry for that driverlet,
+// moves its parsed templates into a complete new entry for that driverlet,
 // then replaces only that entry. Pointer contract: a driverlet's template
 // pointers (from templates() and Select) stay valid until that driverlet is
 // re-registered; registering any other driverlet never moves them.
@@ -32,9 +32,9 @@ class TemplateStore {
   TemplateStore& operator=(const TemplateStore&) = delete;
 
   // Adds (or, for an already-loaded driverlet, replaces) one driverlet's
-  // templates; other loaded driverlets are untouched. kInvalidArg for an
-  // unnamed package, which changes nothing.
-  Status AddPackage(const DriverletPackage& pkg);
+  // templates, moved in from |pkg|; other loaded driverlets are untouched.
+  // kInvalidArg for an unnamed package, which changes nothing.
+  Status AddPackage(DriverletPackage pkg);
 
   bool HasDriverlet(std::string_view driverlet) const;
   size_t package_count() const { return driverlets_.size(); }

@@ -11,20 +11,25 @@ Result<std::vector<uint8_t>> LzssDecompress(const void* data, size_t len) {
   }
   uint32_t expect = 0;
   std::memcpy(&expect, in, 4);
-  std::vector<uint8_t> out;
-  out.reserve(expect);
+  // A 17-byte group (flag byte and eight 2-byte matches) expands to at most
+  // 144 bytes, so a larger header is forged; refuse it before sizing |out|.
+  if (uint64_t{expect} * 17 > uint64_t{len - 4} * 144) {
+    return Status::kCorrupt;
+  }
+  std::vector<uint8_t> out(expect);
+  size_t n = 0;  // bytes of |out| written
   size_t pos = 4;
-  while (out.size() < expect) {
+  while (n < expect) {
     if (pos >= len) {
       return Status::kCorrupt;
     }
     uint8_t flags = in[pos++];
-    for (int bit = 0; bit < 8 && out.size() < expect; ++bit) {
+    for (int bit = 0; bit < 8 && n < expect; ++bit) {
       if (flags & (1u << bit)) {
         if (pos >= len) {
           return Status::kCorrupt;
         }
-        out.push_back(in[pos++]);
+        out[n++] = in[pos++];
       } else {
         if (pos + 1 >= len) {
           return Status::kCorrupt;
@@ -33,18 +38,14 @@ Result<std::vector<uint8_t>> LzssDecompress(const void* data, size_t len) {
         pos += 2;
         size_t dist = static_cast<size_t>((token >> 4)) + 1;
         size_t mlen = static_cast<size_t>(token & 0xf) + kLzssMinMatch;
-        if (dist > out.size()) {
+        if (dist > n || mlen > expect - n) {
           return Status::kCorrupt;
         }
-        size_t start = out.size() - dist;
-        for (size_t i = 0; i < mlen; ++i) {
-          out.push_back(out[start + i]);
+        for (size_t i = 0; i < mlen; ++i, ++n) {
+          out[n] = out[n - dist];
         }
       }
     }
-  }
-  if (out.size() != expect) {
-    return Status::kCorrupt;
   }
   return out;
 }

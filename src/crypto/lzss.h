@@ -7,7 +7,9 @@
 // 8 items preceded by a flag byte (bit i set = literal byte, clear = match).
 // A match is two bytes: 12-bit distance (1-4096), 4-bit length (3-18). The
 // compressor is the developer-side package writer
-// (src/record/package_writer.h); the TEE only decompresses.
+// (src/record/package_writer.h); the TEE only decompresses. LzssDecompress
+// refuses a size header larger than the stream can expand to (144 output
+// bytes per 17 input bytes) before it allocates the output.
 #ifndef SRC_CRYPTO_LZSS_H_
 #define SRC_CRYPTO_LZSS_H_
 

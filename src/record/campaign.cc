@@ -102,7 +102,7 @@ DriverletPackage RecordCampaign::MakePackage() const {
 }
 
 std::vector<uint8_t> RecordCampaign::Seal(std::string_view key, PackageSizes* sizes) const {
-  return SealPackage(MakePackage(), key, sizes);
+  return SealPackage(driverlet_name_, templates_, key, sizes);
 }
 
 }  // namespace dlt

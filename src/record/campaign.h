@@ -46,8 +46,9 @@ class RecordCampaign {
   Coverage ComputeCoverage() const { return ::dlt::ComputeCoverage(templates_); }
   std::string CoverageReport() const { return ::dlt::CoverageReport(ComputeCoverage()); }
 
-  // Concludes the campaign: signs the (immutable) templates into a package.
+  // A copy of the templates as an unsealed package.
   DriverletPackage MakePackage() const;
+  // Concludes the campaign: signs the templates, read in place, into a package.
   std::vector<uint8_t> Seal(std::string_view key, PackageSizes* sizes = nullptr) const;
 
  private:

@@ -242,11 +242,12 @@ std::vector<uint8_t> LzssCompress(const void* data, size_t len) {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wstringop-overflow"
 
-std::vector<uint8_t> SealPackage(const DriverletPackage& pkg, std::string_view key,
-                                 PackageSizes* sizes) {
-  std::vector<uint8_t> serialized = TemplatesToBinary(pkg.templates);
+std::vector<uint8_t> SealPackage(std::string_view driverlet,
+                                 const std::vector<InteractionTemplate>& templates,
+                                 std::string_view key, PackageSizes* sizes) {
+  std::vector<uint8_t> serialized = TemplatesToBinary(templates);
   std::vector<uint8_t> compressed = LzssCompress(serialized.data(), serialized.size());
-  std::vector<uint8_t> out = SealEnvelope(pkg.driverlet, compressed, key);
+  std::vector<uint8_t> out = SealEnvelope(driverlet, compressed, key);
   if (sizes != nullptr) {
     sizes->serialized = serialized.size();
     sizes->compressed = compressed.size();

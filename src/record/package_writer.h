@@ -20,9 +20,11 @@ struct PackageSizes {
   size_t sealed = 0;      // full envelope incl. signature
 };
 
-// Serializes + compresses + signs. |key| is the developer signing key.
-std::vector<uint8_t> SealPackage(const DriverletPackage& pkg, std::string_view key,
-                                 PackageSizes* sizes = nullptr);
+// Serializes + compresses + signs |driverlet|'s templates, reading them in
+// place. |key| is the developer signing key.
+std::vector<uint8_t> SealPackage(std::string_view driverlet,
+                                 const std::vector<InteractionTemplate>& templates,
+                                 std::string_view key, PackageSizes* sizes = nullptr);
 
 // Seals a caller-supplied SERIALIZED (pre-compression) binary-v1 payload into
 // a correctly signed envelope. This exists so the boundary fuzzer can mutate

@@ -10,8 +10,8 @@
 #define SRC_RECORD_RECORD_SESSION_H_
 
 #include <deque>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/event.h"
@@ -89,7 +89,7 @@ class RecordSession : public DriverIo {
   DriverIo* base_;
   RawRecording raw_;
   // Bind symbol -> index of the event binding it (binds are unique per run).
-  std::map<std::string, size_t> bind_event_;
+  std::unordered_map<std::string, size_t> bind_event_;
   bool failed_ = false;
   int din_count_ = 0;
   int dma_count_ = 0;

@@ -7,30 +7,6 @@ namespace dlt {
 
 namespace {
 
-// Renders |e| with occurrences of Input(bind) replaced by "$" — used to compare
-// loop-iteration atoms that differ only in their iteration-local bind symbol.
-std::string RenderRenamed(const ExprRef& e, const std::string& bind) {
-  if (e == nullptr) {
-    return "<null>";
-  }
-  switch (e->op()) {
-    case ExprOp::kConst:
-      return e->ToString();
-    case ExprOp::kInput:
-      return e->input_name() == bind ? "$" : e->input_name();
-    case ExprOp::kNot:
-      return std::string("(~").append(RenderRenamed(e->lhs(), bind)).append(")");
-    default:
-      return std::string("(")
-          .append(RenderRenamed(e->lhs(), bind))
-          .append(" ")
-          .append(ExprOpToken(e->op()))
-          .append(" ")
-          .append(RenderRenamed(e->rhs(), bind))
-          .append(")");
-  }
-}
-
 // Matches atoms of the form  bind <cmp> C  or  (bind & M) <cmp> C.
 bool ExtractPollCond(const ConstraintAtom& atom, const std::string& bind, uint32_t* mask,
                      uint32_t* want, Cmp* cmp) {
@@ -66,12 +42,10 @@ bool ExtractPollCond(const ConstraintAtom& atom, const std::string& bind, uint32
 struct PollUnit {
   size_t start;         // index of the read event
   size_t len;           // 1 (read) or 2 (read + delay)
-  std::string sig;      // structural signature excluding cmp polarity
   uint32_t mask = 0;
   uint32_t want = 0;
   Cmp cmp = Cmp::kEq;  // this iteration's atom comparison
   uint64_t delay_us = 0;
-  std::string bind;
 };
 
 // Tries to parse a poll unit starting at |i|. Returns nullopt when the event is
@@ -88,7 +62,6 @@ std::optional<PollUnit> ParseUnit(const Events& events, size_t i) {
   PollUnit u;
   u.start = i;
   u.len = 1;
-  u.bind = e.bind;
   if (!ExtractPollCond(e.constraint.atoms()[0], e.bind, &u.mask, &u.want, &u.cmp)) {
     return std::nullopt;
   }
@@ -97,12 +70,23 @@ std::optional<PollUnit> ParseUnit(const Events& events, size_t i) {
     u.len = 2;
     u.delay_us = events[i + 1].value->constant();
   }
-  std::string addr_sig = e.kind == EventKind::kShmRead
-                             ? RenderRenamed(e.addr, e.bind)
-                             : std::to_string(e.device) + "+" + std::to_string(e.reg_off);
-  u.sig = std::string(EventKindName(e.kind)) + "|" + addr_sig + "|" + std::to_string(u.mask) +
-          "|" + std::to_string(u.want);
   return u;
+}
+
+// Whether units |a| and |b| of |events| are iterations of one loop, up to the
+// polarity of their comparison: the same kind of read of the same location
+// (register, or shared-memory address expression) under the same mask and
+// wanted value. A read's own bind never occurs in its address, so the
+// addresses compare as they are.
+template <typename Events>
+bool SameLoop(const Events& events, const PollUnit& a, const PollUnit& b) {
+  const TemplateEvent& x = events[a.start];
+  const TemplateEvent& y = events[b.start];
+  if (x.kind != y.kind || a.mask != b.mask || a.want != b.want) {
+    return false;
+  }
+  return x.kind == EventKind::kShmRead ? Expr::Equal(x.addr, y.addr)
+                                       : x.device == y.device && x.reg_off == y.reg_off;
 }
 
 // Lifts the loops of |events| in place and returns how many events remain in
@@ -126,12 +110,12 @@ size_t LiftInPlace(Events* events, int* lifted) {
       keep();
       continue;
     }
-    // Gather the maximal run of same-signature units.
+    // Gather the maximal run of iterations of one loop.
     std::vector<PollUnit> run{*first};
     size_t j = i + first->len;
     while (j < ev.size()) {
       std::optional<PollUnit> u = ParseUnit(ev, j);
-      if (!u.has_value() || u->sig != first->sig) {
+      if (!u.has_value() || !SameLoop(ev, *first, *u)) {
         break;
       }
       run.push_back(*u);
@@ -163,7 +147,7 @@ size_t LiftInPlace(Events* events, int* lifted) {
     poll.device = read0.device;
     poll.reg_off = read0.reg_off;
     poll.addr = std::move(read0.addr);
-    poll.bind = terminal.bind;  // the terminal value may feed later events
+    poll.bind = ev[terminal.start].bind;  // the terminal value may feed later events
     poll.mask = terminal.mask;
     poll.want = terminal.want;
     poll.poll_cmp = terminal.cmp;

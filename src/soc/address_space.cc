@@ -1,7 +1,5 @@
 #include "src/soc/address_space.h"
 
-#include <algorithm>
-
 #include "src/obs/telemetry.h"
 #include "src/soc/log.h"
 
@@ -78,35 +76,43 @@ AddressSpace::RamWindow* AddressSpace::RamAt(PhysAddr a, uint64_t size) {
 }
 
 uint8_t* AddressSpace::Landed(RamWindow* ram, PhysAddr a, uint64_t n) {
-  if (fill_.n > 0 && n > 0 && a < fill_.a + fill_.n && fill_.a < a + n) {
-    fill_.gen(0, fill_.ram, fill_.n);
-    fill_ = PendingFill{};
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    if (it->Overlaps(a, n)) {
+      it->Land();
+      it = pending_.erase(it);
+    } else {
+      ++it;
+    }
   }
   return ram->bytes.get() + (a - ram->base);
 }
 
 void AddressSpace::CopyOut(RamWindow* ram, PhysAddr a, void* dst, size_t n) {
-  if (n > 0 && a >= fill_.a && a + n <= fill_.a + fill_.n) {
-    fill_.gen(a - fill_.a, static_cast<uint8_t*>(dst), n);
-    return;
+  for (const PendingPiece& p : pending_) {
+    if (n > 0 && a >= p.a && a + n <= p.a + p.n) {
+      p.gen(p.off + (a - p.a), static_cast<uint8_t*>(dst), n);
+      return;
+    }
   }
   std::memcpy(dst, Landed(ram, a, n), n);
 }
 
-void AddressSpace::LandFillOutside(PhysAddr a, uint64_t n) {
-  if (fill_.n == 0) {
-    return;
+void AddressSpace::TrimPending(PhysAddr a, uint64_t n) {
+  std::vector<PendingPiece> kept;
+  for (PendingPiece& p : pending_) {
+    if (!p.Overlaps(a, n)) {
+      kept.push_back(std::move(p));
+      continue;
+    }
+    if (p.a < a) {
+      kept.push_back(PendingPiece{p.a, a - p.a, p.off, p.ram, p.gen});
+    }
+    if (a + n < p.a + p.n) {
+      const size_t cut = a + n - p.a;
+      kept.push_back(PendingPiece{a + n, p.n - cut, p.off + cut, p.ram + cut, std::move(p.gen)});
+    }
   }
-  const PhysAddr end = fill_.a + fill_.n;
-  // The old bytes below |a|, then those from a + n on.
-  if (fill_.a < a) {
-    fill_.gen(0, fill_.ram, std::min(end, a) - fill_.a);
-  }
-  if (a + n < end) {
-    const PhysAddr from = std::max(fill_.a, a + n);
-    fill_.gen(from - fill_.a, fill_.ram + (from - fill_.a), end - from);
-  }
-  fill_ = PendingFill{};
+  pending_ = std::move(kept);
 }
 
 uint32_t AddressSpace::MmioCursor::Read() {
@@ -253,10 +259,16 @@ Status AddressSpace::DmaFill(PhysAddr a, size_t n, FillGen gen) {
   if (ram == nullptr) {
     return Status::kOutOfRange;
   }
-  LandFillOutside(a, n);
+  TrimPending(a, n);
   uint8_t* dst = ram->bytes.get() + (a - ram->base);
   if (bus_fault_hook_ == nullptr) {
-    fill_ = PendingFill{a, n, dst, std::move(gen)};
+    if (n > 0) {
+      pending_.push_back(PendingPiece{a, n, 0, dst, std::move(gen)});
+    }
+    while (pending_.size() > kMaxPendingPieces) {
+      pending_.front().Land();
+      pending_.erase(pending_.begin());
+    }
     return Status::kOk;
   }
   gen(0, dst, n);

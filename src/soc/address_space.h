@@ -4,7 +4,8 @@
 // matching the paper's model where whole device instances are assigned to the TEE.
 // A DmaFill lands in RAM lazily: a read that lies inside it is generated straight
 // into the reader's buffer, so a device that generates its data writes each byte
-// once, into the buffer that consumes it.
+// once, into the buffer that consumes it, and bytes nobody reads are never
+// written.
 #ifndef SRC_SOC_ADDRESS_SPACE_H_
 #define SRC_SOC_ADDRESS_SPACE_H_
 
@@ -84,9 +85,10 @@ class AddressSpace {
 
   // Bus-master access to RAM. Returns nullptr when [a, a+size) is not fully
   // RAM-backed. The pointer stays valid for the AddressSpace lifetime, but its
-  // bytes are current only as of the call: the call lands a pending DmaFill
-  // that overlaps the range, and a later DmaFill there lands lazily, so take
-  // the pointer again after a bus-master write and before writing through it.
+  // bytes are current only as of the call: the call lands the pending DmaFill
+  // pieces that overlap the range, and a later DmaFill there lands lazily, so
+  // take the pointer again after a bus-master write and before writing
+  // through it.
   uint8_t* RamPtr(PhysAddr a, uint64_t size);
 
   // Bus-master byte copies (used by the DMA engine). Fail on non-RAM targets.
@@ -99,15 +101,23 @@ class AddressSpace {
   using FillGen = std::function<void(size_t off, uint8_t* dst, size_t len)>;
 
   // A bus-master write of n generated bytes at |a|, landed lazily. The fill
-  // stays pending: a ReadBytes (after its TZASC check) or DmaRead that lies
-  // wholly inside it calls |gen| straight into the caller's buffer, and any
-  // other RAM access that overlaps it (Read32, Write32, WriteBytes, DmaWrite,
-  // RamPtr) first writes it out whole. One fill is pending at a time: a newer
-  // one writes out the old bytes it does not cover. With a bus fault hook
-  // installed the fill is written at once and OnDmaWrite sees it whole.
-  // kOutOfRange when [a, a+n) is not RAM: nothing is written or recorded, and
-  // an older pending fill stays as it was.
+  // stays pending as one piece: a ReadBytes (after its TZASC check) or DmaRead
+  // that lies wholly inside one pending piece calls that piece's |gen|
+  // straight into the caller's buffer, and any other RAM access (Read32,
+  // Write32, WriteBytes, DmaWrite, RamPtr) first writes out, whole, each piece
+  // it overlaps. A newer fill trims the pieces it overlaps instead: their
+  // covered bytes are dropped unwritten, and the bytes below and above it stay
+  // pending as pieces that keep their generator offsets, so a frame that
+  // follows a larger one at the same address never writes the older tail. At
+  // most kMaxPendingPieces pieces are pending; past that the oldest lands.
+  // With a bus fault hook installed the fill is written at once and
+  // OnDmaWrite sees it whole. kOutOfRange when [a, a+n) is not RAM: nothing is
+  // written or recorded, and the pending pieces stay as they were.
   Status DmaFill(PhysAddr a, size_t n, FillGen gen);
+
+  // A constant, not a setting: the VC4 lands frames of three sizes at one
+  // address, which leaves at most two pieces pending.
+  static constexpr size_t kMaxPendingPieces = 4;
 
   // Returns the device mapped at |a| (if any) and its register offset.
   MmioDevice* DeviceAt(PhysAddr a, uint64_t* offset_out) const;
@@ -137,31 +147,36 @@ class AddressSpace {
   Tzasc* tzasc() const { return tzasc_; }
 
  private:
-  // The DmaFill not yet written out; n == 0 when none is pending.
-  struct PendingFill {
+  // RAM bytes [a, a+n) not yet written out: bytes [off, off+n) of one
+  // DmaFill's generator. Never empty.
+  struct PendingPiece {
     PhysAddr a = 0;
     size_t n = 0;
+    size_t off = 0;
     uint8_t* ram = nullptr;  // where byte |a| lands
     FillGen gen;
+
+    bool Overlaps(PhysAddr b, uint64_t len) const { return len > 0 && b < a + n && a < b + len; }
+    void Land() const { gen(off, ram, n); }
   };
 
   RamWindow* RamAt(PhysAddr a, uint64_t size);
   bool Overlaps(PhysAddr base, uint64_t size) const;
-  // The RAM bytes at |a| in |ram|, current for an access of n bytes: lands the
-  // pending fill first when the access overlaps it.
+  // The RAM bytes at |a| in |ram|, current for an access of n bytes: lands
+  // first every pending piece the access overlaps.
   uint8_t* Landed(RamWindow* ram, PhysAddr a, uint64_t n);
   // Copies RAM bytes [a, a+n) to |dst|, generating them there when they lie
-  // wholly inside the pending fill.
+  // wholly inside one pending piece.
   void CopyOut(RamWindow* ram, PhysAddr a, void* dst, size_t n);
-  // Writes out the pending fill's bytes outside [a, a+n) and drops it.
-  void LandFillOutside(PhysAddr a, uint64_t n);
+  // Drops the pending bytes in [a, a+n), splitting the pieces they belong to.
+  void TrimPending(PhysAddr a, uint64_t n);
 
   Tzasc* tzasc_;
   const SimClock* clock_ = nullptr;
   std::vector<RamWindow> ram_;
   std::vector<MmioWindow> mmio_;
   BusFaultHook* bus_fault_hook_ = nullptr;
-  PendingFill fill_;
+  std::vector<PendingPiece> pending_;  // disjoint, oldest first
 };
 
 }  // namespace dlt

@@ -43,18 +43,20 @@ const char* ExprOpToken(ExprOp op) {
   return "?";
 }
 
+// Nodes are built on the stack and moved into make_shared, so each is one
+// allocation with its reference counts.
 ExprRef Expr::Const(uint64_t v) {
-  auto e = std::shared_ptr<Expr>(new Expr());
-  e->op_ = ExprOp::kConst;
-  e->constant_ = v;
-  return e;
+  Expr e;
+  e.op_ = ExprOp::kConst;
+  e.constant_ = v;
+  return std::make_shared<const Expr>(std::move(e));
 }
 
 ExprRef Expr::Input(std::string name) {
-  auto e = std::shared_ptr<Expr>(new Expr());
-  e->op_ = ExprOp::kInput;
-  e->input_name_ = std::move(name);
-  return e;
+  Expr e;
+  e.op_ = ExprOp::kInput;
+  e.input_name_ = std::move(name);
+  return std::make_shared<const Expr>(std::move(e));
 }
 
 ExprRef Expr::Binary(ExprOp op, ExprRef lhs, ExprRef rhs) {
@@ -67,11 +69,11 @@ ExprRef Expr::Binary(ExprOp op, ExprRef lhs, ExprRef rhs) {
       return Const(*folded);
     }
   }
-  auto e = std::shared_ptr<Expr>(new Expr());
-  e->op_ = op;
-  e->lhs_ = std::move(lhs);
-  e->rhs_ = std::move(rhs);
-  return e;
+  Expr e;
+  e.op_ = op;
+  e.lhs_ = std::move(lhs);
+  e.rhs_ = std::move(rhs);
+  return std::make_shared<const Expr>(std::move(e));
 }
 
 ExprRef Expr::Not(ExprRef operand) {
@@ -81,10 +83,10 @@ ExprRef Expr::Not(ExprRef operand) {
   if (operand->is_const()) {
     return Const(~operand->constant_);
   }
-  auto e = std::shared_ptr<Expr>(new Expr());
-  e->op_ = ExprOp::kNot;
-  e->lhs_ = std::move(operand);
-  return e;
+  Expr e;
+  e.op_ = ExprOp::kNot;
+  e.lhs_ = std::move(operand);
+  return std::make_shared<const Expr>(std::move(e));
 }
 
 Result<uint64_t> Expr::Eval(const Bindings& bindings) const {

@@ -14,10 +14,10 @@ ReplayService::ReplayService(SecureWorld* tee, std::string signing_key,
 
 Result<std::string> ReplayService::RegisterDriverlet(const uint8_t* data, size_t len) {
   DLT_ASSIGN_OR_RETURN(DriverletPackage pkg, OpenPackage(data, len, signing_key_));
-  return RegisterDriverlet(pkg);
+  return RegisterDriverlet(std::move(pkg));
 }
 
-Result<std::string> ReplayService::RegisterDriverlet(const DriverletPackage& pkg) {
+Result<std::string> ReplayService::RegisterDriverlet(DriverletPackage pkg) {
   Telemetry& tel = Telemetry::Get();
   // Admission: every device the templates touch must already be mapped into
   // this SecureWorld — a package naming an unmapped device would fail deep in
@@ -32,21 +32,21 @@ Result<std::string> ReplayService::RegisterDriverlet(const DriverletPackage& pkg
       return Status::kPermissionDenied;
     }
   }
-  auto it = replayers_.find(pkg.driverlet);
+  std::string name = pkg.driverlet;
+  auto it = replayers_.find(name);
   if (it == replayers_.end()) {
-    auto replayer =
-        std::make_unique<Replayer>(tee_, signing_key_, &store_, pkg.driverlet);
+    auto replayer = std::make_unique<Replayer>(tee_, signing_key_, &store_, name);
     replayer->set_retry_backoff_us(cfg_.retry_backoff_us);
-    DLT_RETURN_IF_ERROR(replayer->LoadPackage(pkg));
-    replayers_.emplace(pkg.driverlet, std::move(replayer));
+    DLT_RETURN_IF_ERROR(replayer->LoadPackage(std::move(pkg)));
+    replayers_.emplace(name, std::move(replayer));
   } else {
     // Re-registering a device class replaces its templates only.
-    DLT_RETURN_IF_ERROR(it->second->LoadPackage(pkg));
+    DLT_RETURN_IF_ERROR(it->second->LoadPackage(std::move(pkg)));
   }
   if (tel.enabled()) {
     tel.metrics().counter("service.packages_registered").Inc();
   }
-  return pkg.driverlet;
+  return name;
 }
 
 bool ReplayService::IsRegistered(std::string_view driverlet) const {

@@ -99,7 +99,8 @@ class ReplayService {
   // Returns the driverlet name. kCorrupt on signature/framing mismatch,
   // kPermissionDenied when a referenced device is not mapped into the TEE.
   Result<std::string> RegisterDriverlet(const uint8_t* data, size_t len);
-  Result<std::string> RegisterDriverlet(const DriverletPackage& pkg);
+  // An opened package; its templates move into the store.
+  Result<std::string> RegisterDriverlet(DriverletPackage pkg);
 
   // ---- Session lifecycle ----
   // kNotFound for an unregistered driverlet; kBusy when the table is full.

@@ -32,7 +32,8 @@ std::optional<uint64_t> BeginRun(Rpi3Testbed* tb, uint16_t device) {
 // digest now, after the gold driver returned, equals |clean|, the digest
 // BeginRun took; a device without a digest never proves clean. Callers end
 // their driver and program buffers first, so those are not live while the
-// template is built (a camera run's buffer is 2.46 MB).
+// template is built (the camera's one capture buffer, 2.46 MB, is the
+// exception: its campaign keeps it across runs).
 Result<InteractionTemplate> FinishRun(RecordSession* sess, Rpi3Testbed* tb, uint16_t device,
                                       std::optional<uint64_t> clean) {
   std::optional<uint64_t> after = tb->DeviceStateDigest(device);
@@ -87,28 +88,44 @@ Result<InteractionTemplate> RecordUsbRun(Rpi3Testbed* tb, const std::string& nam
   return FinishRun(&sess, tb, tb->usb_id(), clean);
 }
 
-Result<InteractionTemplate> RecordCameraRun(Rpi3Testbed* tb, const std::string& name,
-                                            uint64_t frames, uint64_t resolution) {
+namespace {
+
+// A capture buffer that covers every resolution.
+std::vector<uint8_t> CameraBuffer() {
+  return std::vector<uint8_t>(Vc4Firmware::FrameBytes(1440) + 4096);
+}
+
+// One camera record run into |buf|, a CameraBuffer. The gold driver only
+// writes it, so what an earlier run left there does not reach the template.
+Result<InteractionTemplate> RecordCameraRunInto(Rpi3Testbed* tb, const std::string& name,
+                                                uint64_t frames, uint64_t resolution,
+                                                std::vector<uint8_t>* buf) {
   std::optional<uint64_t> clean = BeginRun(tb, tb->vchiq_id());
   RecordSession sess(&tb->kern_io(), kCameraEntry, name, tb->vchiq_id());
   TValue frames_v = sess.ScalarParam("frame", frames);
   TValue res_v = sess.ScalarParam("resolution", resolution);
-  uint64_t buf_size = Vc4Firmware::FrameBytes(1440) + 4096;  // covers every resolution
-  TValue buf_size_v = sess.ScalarParam("buf_size", buf_size);
+  TValue buf_size_v = sess.ScalarParam("buf_size", buf->size());
   {
-    std::vector<uint8_t> buf(buf_size);
-    sess.BufferParam("buf", buf.data(), buf.size());
+    sess.BufferParam("buf", buf->data(), buf->size());
     std::vector<uint8_t> img_size(4);
     sess.BufferParam("img_size", img_size.data(), img_size.size());
     VchiqCameraDriver driver(&sess, tb->cam_config());
     Status s =
-        driver.Capture(frames_v, res_v, buf.data(), buf.size(), buf_size_v, img_size.data());
+        driver.Capture(frames_v, res_v, buf->data(), buf->size(), buf_size_v, img_size.data());
     if (!Ok(s)) {
       DLT_LOG(kError) << "camera record run " << name << " failed: " << StatusName(s);
       return s;
     }
   }
   return FinishRun(&sess, tb, tb->vchiq_id(), clean);
+}
+
+}  // namespace
+
+Result<InteractionTemplate> RecordCameraRun(Rpi3Testbed* tb, const std::string& name,
+                                            uint64_t frames, uint64_t resolution) {
+  std::vector<uint8_t> buf = CameraBuffer();
+  return RecordCameraRunInto(tb, name, frames, resolution, &buf);
 }
 
 Result<InteractionTemplate> RecordDisplayRun(Rpi3Testbed* tb, const std::string& name, uint64_t x,
@@ -312,9 +329,13 @@ Result<RecordCampaign> RecordCameraCampaign(Rpi3Testbed* tb) {
   };
   const Run kRuns[] = {{"OneShot", 1}, {"ShortBurst", 10}, {"LongBurst", 100}};
   const uint64_t kResolutions[] = {720, 1080, 1440};
+  // One buffer for all nine runs: a fresh 2.46 MB buffer per run would be
+  // zero-filled each time, and the heap grows around each freed one.
+  std::vector<uint8_t> buf = CameraBuffer();
   for (const Run& run : kRuns) {
     for (uint64_t res : kResolutions) {
-      DLT_ASSIGN_OR_RETURN(InteractionTemplate t, RecordCameraRun(tb, run.name, run.frames, res));
+      DLT_ASSIGN_OR_RETURN(InteractionTemplate t,
+                           RecordCameraRunInto(tb, run.name, run.frames, res, &buf));
       bool kept = campaign.AddTemplate(std::move(t));
       if (!kept) {
         DLT_LOG(kInfo) << "camera run " << run.name << "@" << res

@@ -103,6 +103,53 @@ TEST(LzssTest, TruncatedStreamRejected) {
   EXPECT_FALSE(d.ok());
 }
 
+// Writes |size| as a stream's little-endian u32 header.
+void SetLzssHeader(std::vector<uint8_t>* stream, uint32_t size) {
+  std::memcpy(stream->data(), &size, 4);
+}
+
+// Each 17 bytes after the header expand to at most 144 (a flag byte and eight
+// 18-byte matches). A header past that bound is forged and refused before the
+// decoder sizes its output by it; streams near the bound still decode.
+TEST(LzssTest, ImpossibleHeadersAreCorrupt) {
+  const std::vector<uint8_t> zeros(100000, 0);  // compresses close to the bound
+  std::vector<uint8_t> c = LzssCompress(zeros.data(), zeros.size());
+  const uint64_t bound = (c.size() - 4) * 144 / 17;
+  ASSERT_LE(zeros.size(), bound);
+  EXPECT_GT(zeros.size() * 10, bound * 9) << "zeros should compress near the bound";
+  Result<std::vector<uint8_t>> d = LzssDecompress(c.data(), c.size());
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(zeros, *d);
+  for (uint64_t forged : {bound + 1, uint64_t{0x7fff'ffff}, uint64_t{0xffff'ffff}}) {
+    SCOPED_TRACE(forged);
+    SetLzssHeader(&c, static_cast<uint32_t>(forged));
+    EXPECT_EQ(Status::kCorrupt, LzssDecompress(c.data(), c.size()).status());
+  }
+  // A bare header with no stream holds nothing.
+  std::vector<uint8_t> bare(4);
+  SetLzssHeader(&bare, 1);
+  EXPECT_EQ(Status::kCorrupt, LzssDecompress(bare.data(), bare.size()).status());
+}
+
+// "abc" as literals, then one match copying it: six bytes. A header that ends
+// inside that final match is corrupt, as is one past the end of the stream.
+TEST(LzssTest, FinalMatchOverrunningHeaderIsCorrupt) {
+  std::vector<uint8_t> stream = {0, 0, 0, 0, 0x07, 'a', 'b', 'c', 0x20, 0x00};
+  SetLzssHeader(&stream, 6);
+  Result<std::vector<uint8_t>> d = LzssDecompress(stream.data(), stream.size());
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ((std::vector<uint8_t>{'a', 'b', 'c', 'a', 'b', 'c'}), *d);
+  for (uint32_t size : {4u, 5u, 7u}) {
+    SCOPED_TRACE(size);
+    SetLzssHeader(&stream, size);
+    EXPECT_EQ(Status::kCorrupt, LzssDecompress(stream.data(), stream.size()).status());
+  }
+  // A match reaching back past the start of the output is corrupt too.
+  stream[8] = 0x30;  // distance 4 after three bytes
+  SetLzssHeader(&stream, 6);
+  EXPECT_EQ(Status::kCorrupt, LzssDecompress(stream.data(), stream.size()).status());
+}
+
 class LzssRoundTripTest : public ::testing::TestWithParam<std::pair<size_t, uint32_t>> {};
 
 TEST_P(LzssRoundTripTest, RandomDataRoundTrips) {

@@ -346,10 +346,10 @@ class Vc4Link {
     Mmal(MmalMsgType::kPortEnable, 0, 0);
   }
 
-  // Captures one frame; returns BUFFER_DONE's {img_size, seq}.
-  std::pair<uint32_t, uint32_t> Capture() {
-    Msg m = Call(VchiqMsgType::kData, {static_cast<uint32_t>(MmalMsgType::kCapture), 0, 0},
-                 /*us=*/3'000'000);
+  // Captures one frame, letting the firmware run for |us|; returns
+  // BUFFER_DONE's {img_size, seq}. A first capture at 1440p takes 3.3 s.
+  std::pair<uint32_t, uint32_t> Capture(uint64_t us = 3'000'000) {
+    Msg m = Call(VchiqMsgType::kData, {static_cast<uint32_t>(MmalMsgType::kCapture), 0, 0}, us);
     EXPECT_EQ(static_cast<uint32_t>(MmalMsgType::kBufferDone) | kMmalReplyFlag, m.w[0]);
     return {m.w[1], m.w[2]};
   }
@@ -459,6 +459,67 @@ TEST_F(NativeDeviceTest, BulkReceiveGeneratesFrameOnceIntoItsReader) {
   // Taking the pointer again lands the frame in RAM.
   uint8_t* dest = link.Ram(Vc4Link::kDest, full);
   EXPECT_TRUE(std::equal(frame.begin(), frame.end(), dest));
+}
+
+// Frames of three sizes land at one address. A smaller frame after a larger
+// one leaves the larger frame's tail pending instead of writing it out, and
+// the next larger frame drops that tail, so bulk receives at 1440, 720 and
+// 1440p leave RAM untouched while every reader gets its frame.
+TEST_F(NativeDeviceTest, StepDownBulkReceivesLeaveRamUntouched) {
+  const uint32_t big = Vc4Firmware::FrameBytes(1440);
+  Vc4Link link(&tb_);
+  uint8_t* before = link.Ram(Vc4Link::kDest, big);  // RAM as it stands, taken before the transfers
+  ASSERT_NE(nullptr, before);
+  std::memset(before, 0x5a, big);
+  link.OpenCamera(1440);
+  const uint32_t kRes[] = {1440, 720, 1440};
+  for (uint32_t seq = 0; seq < 3; ++seq) {
+    SCOPED_TRACE(seq);
+    link.Mmal(MmalMsgType::kPortParamSet, kMmalParamResolution, kRes[seq]);
+    const uint32_t full = Vc4Firmware::FrameBytes(kRes[seq]);
+    EXPECT_EQ(std::make_pair(full, seq), link.Capture(/*us=*/4'000'000));
+    EXPECT_EQ(std::make_pair(full, 0u), link.BulkRx(full));
+    std::vector<uint8_t> got(full);
+    ASSERT_EQ(Status::kOk,
+              tb_.machine().mem().ReadBytes(World::kNormal, Vc4Link::kDest, got.data(), full));
+    EXPECT_EQ(Vc4Firmware::MakeFrame(seq, kRes[seq]), got);
+  }
+  // No frame reached RAM; taking the pointer lands the last one, which
+  // covers the first one's tail.
+  EXPECT_EQ(big, static_cast<size_t>(std::count(before, before + big, 0x5a)))
+      << "a frame was written to RAM as well as to its reader";
+  uint8_t* dest = link.Ram(Vc4Link::kDest, big);
+  const std::vector<uint8_t> last = Vc4Firmware::MakeFrame(2, 1440);
+  EXPECT_TRUE(std::equal(last.begin(), last.end(), dest));
+}
+
+// Between a 1440p and a 720p frame at one address, a reader past the 720p
+// frame still sees the 1440p frame's tail, generated from the pending piece.
+TEST_F(NativeDeviceTest, StepDownBulkReceiveKeepsOlderTailReadable) {
+  const uint32_t big = Vc4Firmware::FrameBytes(1440);
+  const uint32_t small = Vc4Firmware::FrameBytes(720);
+  Vc4Link link(&tb_);
+  uint8_t* before = link.Ram(Vc4Link::kDest, big);
+  ASSERT_NE(nullptr, before);
+  std::memset(before, 0x5a, big);
+  link.OpenCamera(1440);
+  EXPECT_EQ(std::make_pair(big, 0u), link.Capture(/*us=*/4'000'000));
+  EXPECT_EQ(std::make_pair(big, 0u), link.BulkRx(big));
+  link.Mmal(MmalMsgType::kPortParamSet, kMmalParamResolution, 720);
+  EXPECT_EQ(std::make_pair(small, 1u), link.Capture());
+  EXPECT_EQ(std::make_pair(small, 0u), link.BulkRx(small));
+
+  const std::vector<uint8_t> first = Vc4Firmware::MakeFrame(0, 1440);
+  std::vector<uint8_t> tail(big - small);
+  ASSERT_EQ(Status::kOk, tb_.machine().mem().ReadBytes(World::kNormal, Vc4Link::kDest + small,
+                                                       tail.data(), tail.size()));
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(), first.begin() + small));
+  EXPECT_EQ(big, static_cast<size_t>(std::count(before, before + big, 0x5a)));
+  // Landing writes both: the 720p frame, then the 1440p frame's tail.
+  uint8_t* dest = link.Ram(Vc4Link::kDest, big);
+  const std::vector<uint8_t> second = Vc4Firmware::MakeFrame(1, 720);
+  EXPECT_TRUE(std::equal(second.begin(), second.end(), dest));
+  EXPECT_TRUE(std::equal(first.begin() + small, first.end(), dest + small));
 }
 
 // BULK_RX_DONE reports what the transfer moved: nothing, with status 1, when

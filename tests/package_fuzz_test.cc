@@ -382,10 +382,7 @@ TEST(SerializePropertyTest, UnknownTemplateFlagBitsRejected) {
 // Builds a deliberately small sealed package so the every-byte sweeps below
 // stay cheap (sealing is O(n); a whole-package sweep is O(n^2)).
 std::vector<uint8_t> SmallSealedPackage() {
-  DriverletPackage pkg;
-  pkg.driverlet = "fuzz";
-  pkg.templates = MakeRandomCampaign(7, 1);
-  return SealPackage(pkg, kDeveloperKey);
+  return SealPackage("fuzz", MakeRandomCampaign(7, 1), kDeveloperKey);
 }
 
 TEST(SerializePropertyTest, SealedTruncationAtEveryByteRejected) {

@@ -256,6 +256,45 @@ TEST(LoopLiftTest, ConsecutiveChecksWithSamePolarityNotALoop) {
   EXPECT_EQ(3u, events.size());
 }
 
+// Reads under one mask and wanted value at different locations are not
+// iterations of one loop, even when their polarities flip like one.
+TEST(LoopLiftTest, SameMaskReadsAtDifferentAddressesAreNotOneLoop) {
+  // A read of (bind & 1) <cmp> 0 at shared-memory dma0 + |off|, or at
+  // register |off| of |device|.
+  auto read = [](EventKind kind, uint16_t device, uint64_t off, const std::string& bind,
+                 Cmp cmp) {
+    TemplateEvent rd;
+    rd.kind = kind;
+    rd.device = device;
+    if (kind == EventKind::kShmRead) {
+      rd.addr = Expr::Binary(ExprOp::kAdd, Expr::Input("dma0"), Expr::Const(off));
+    } else {
+      rd.reg_off = off;
+    }
+    rd.bind = bind;
+    rd.constraint.AddAtom(ConstraintAtom{
+        Expr::Binary(ExprOp::kAnd, Expr::Input(bind), Expr::Const(1)), cmp, Expr::Const(0)});
+    rd.state_changing = true;
+    return rd;
+  };
+  for (EventKind kind : {EventKind::kShmRead, EventKind::kRegRead}) {
+    SCOPED_TRACE(EventKindName(kind));
+    std::vector<TemplateEvent> events = {read(kind, 1, 0x10, "din0", Cmp::kEq),
+                                         read(kind, 1, 0x14, "din1", Cmp::kNe)};
+    EXPECT_EQ(0, LiftPollingLoops(&events));
+    EXPECT_EQ(2u, events.size());
+    // The same two reads at one location are a loop.
+    events = {read(kind, 1, 0x10, "din0", Cmp::kEq), read(kind, 1, 0x10, "din1", Cmp::kNe)};
+    EXPECT_EQ(1, LiftPollingLoops(&events));
+    EXPECT_EQ(1u, events.size());
+  }
+  // One register offset on two devices is two locations.
+  std::vector<TemplateEvent> events = {read(EventKind::kRegRead, 1, 0x10, "din0", Cmp::kEq),
+                                       read(EventKind::kRegRead, 2, 0x10, "din1", Cmp::kNe)};
+  EXPECT_EQ(0, LiftPollingLoops(&events));
+  EXPECT_EQ(2u, events.size());
+}
+
 TEST_F(RecorderTest, DifferDetectsStateTransitionDivergence) {
   // Two record runs with blkcnt on the same side of the 8-block boundary take
   // the same path; crossing the boundary changes DMA allocations (§4.2 I).

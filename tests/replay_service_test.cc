@@ -428,6 +428,39 @@ TEST(TemplateStoreTest, ReloadReplacesOnlyThatDriverlet) {
   EXPECT_EQ("Keep", beta[0]->name);
 }
 
+// AddPackage moves a package's templates into the store, so the pointers it
+// hands out are the package's own template objects; registering and
+// re-registering other driverlets moves none of them.
+TEST(TemplateStoreTest, MovedInTemplatePointersSurviveOtherRegistrations) {
+  DriverletPackage pkg;
+  pkg.driverlet = "alpha";
+  for (uint64_t i = 0; i < 4; ++i) {
+    pkg.templates.push_back(
+        SynthTemplate("A" + std::to_string(i), "replay_a", {"x"}, InputEq("x", i)));
+  }
+  const InteractionTemplate* moved = pkg.templates.data();
+  TemplateStore store;
+  ASSERT_EQ(Status::kOk, store.AddPackage(std::move(pkg)));
+  const std::vector<const InteractionTemplate*> alpha = store.templates("alpha");
+  ASSERT_EQ(4u, alpha.size());
+  EXPECT_EQ(moved, alpha[0]) << "the templates were copied in";
+
+  for (int i = 0; i < 12; ++i) {
+    DriverletPackage other;
+    other.driverlet = "other" + std::to_string(i % 4);
+    other.templates.push_back(SynthTemplate("O", "replay_o", {"x"}, InputEq("x", 1)));
+    ASSERT_EQ(Status::kOk, store.AddPackage(std::move(other)));
+  }
+  EXPECT_EQ(5u, store.package_count());
+  EXPECT_EQ(alpha, store.templates("alpha"));
+  for (uint64_t i = 0; i < 4; ++i) {
+    Result<const InteractionTemplate*> sel = store.Select("alpha", "replay_a", {{"x", i}});
+    ASSERT_TRUE(sel.ok());
+    EXPECT_EQ(alpha[i], *sel);
+    EXPECT_EQ("A" + std::to_string(i), alpha[i]->name);
+  }
+}
+
 TEST(TemplateStoreTest, AmbiguousMatchKeepsFirst) {
   // Rows 0..9 carry sel==i, except row 7 repeats row 3's constraint. The scan
   // visits every row, rejects the eight that evaluate false, and first match

@@ -259,7 +259,7 @@ TEST_F(ResetElisionTest, InvokeAfterUnflaggedTemplateResets) {
       t.leaves_clean_state = false;
     }
   }
-  Deployment d = MakeDeployment(SealPackage(pkg, kDeveloperKey));
+  Deployment d = MakeDeployment(SealPackage(pkg.driverlet, pkg.templates, kDeveloperKey));
   ASSERT_NE(0u, d.session);
   const char* kSequence[] = {"WR_8", "WR_8", "RD_8", "WR_8"};
   const bool kElided[] = {false, false, false, true};

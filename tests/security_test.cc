@@ -156,7 +156,7 @@ TEST_F(SecurityTest, RetiredTextPackagesFailClosed) {
   // The same assembly with format byte 1 over the binary payload is exactly
   // what the sealer writes, so only the format byte is on trial.
   std::vector<uint8_t> bin = TemplatesToBinary(pkg_->templates);
-  ASSERT_EQ(SealPackage(*pkg_, kDeveloperKey),
+  ASSERT_EQ(SealPackage(pkg_->driverlet, pkg_->templates, kDeveloperKey),
             SignedEnvelope("DLTPKG01", 1, pkg_->driverlet, LzssCompress(bin.data(), bin.size())));
 
   Replayer replayer(&deploy_->tee(), kDeveloperKey);

@@ -1,6 +1,8 @@
 // Template serialization (text + binary) and signed-package tests.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/core/package.h"
 #include "src/core/serialize_binary.h"
 #include "src/crypto/sha256.h"
@@ -179,7 +181,7 @@ TEST(PackageTest, SealOpenRoundTrip) {
   pkg.driverlet = "mmc";
   pkg.templates = {SampleTemplate()};
   PackageSizes sizes;
-  std::vector<uint8_t> sealed = SealPackage(pkg, "key", &sizes);
+  std::vector<uint8_t> sealed = SealPackage(pkg.driverlet, pkg.templates, "key", &sizes);
   EXPECT_GT(sizes.serialized, 0u);
   EXPECT_GT(sizes.compressed, 0u);
   EXPECT_EQ(sizes.sealed, sealed.size());
@@ -223,6 +225,67 @@ InteractionTemplate SampleWriteTemplate() {
   return t;
 }
 
+// Every expression node under some templates, by address and by rendering.
+struct NodeCensus {
+  std::set<const Expr*> nodes;
+  std::set<std::string> shapes;
+
+  void Add(const ExprRef& e) {
+    if (e != nullptr && nodes.insert(e.get()).second) {
+      shapes.insert(e->ToString());
+      Add(e->lhs());
+      Add(e->rhs());
+    }
+  }
+  void Add(const Constraint& c) {
+    for (const ConstraintAtom& a : c.atoms()) {
+      Add(a.lhs);
+      Add(a.rhs);
+    }
+  }
+  void Add(const std::vector<TemplateEvent>& events) {
+    for (const TemplateEvent& e : events) {
+      Add(e.addr);
+      Add(e.value);
+      Add(e.buf_offset);
+      Add(e.constraint);
+      Add(e.body);
+    }
+  }
+  void Add(const std::vector<InteractionTemplate>& templates) {
+    for (const InteractionTemplate& t : templates) {
+      Add(t.initial);
+      Add(t.events);
+    }
+  }
+};
+
+// A package decodes to one node per distinct sub-expression, across events
+// and templates, and the shared nodes encode back to the same bytes.
+TEST(SerializeBinaryTest, IdenticalSubExpressionsDecodeToOneNode) {
+  InteractionTemplate again = SampleTemplate();
+  again.name = "RD_8_again";
+  const std::vector<InteractionTemplate> in = {SampleTemplate(), again, SampleWriteTemplate()};
+  std::vector<uint8_t> bin = TemplatesToBinary(in);
+  Result<std::vector<InteractionTemplate>> out = TemplatesFromBinary(bin.data(), bin.size());
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(bin, TemplatesToBinary(*out));
+
+  NodeCensus built;
+  NodeCensus decoded;
+  built.Add(in);
+  decoded.Add(*out);
+  EXPECT_EQ(built.shapes, decoded.shapes);
+  EXPECT_EQ(decoded.shapes.size(), decoded.nodes.size()) << "two decoded nodes are equal";
+  EXPECT_LT(decoded.nodes.size(), built.nodes.size());
+  // The copy's length is the initial constraint's product, within a template
+  // and across the two copies of it.
+  const InteractionTemplate& t = (*out)[0];
+  EXPECT_EQ(t.initial.atoms()[1].lhs, t.events.back().value);
+  EXPECT_EQ(t.events.back().value, (*out)[1].events.back().value);
+  EXPECT_NE(t.initial.atoms()[0].lhs, t.events[0].value);  // rw and blkcnt stay apart
+}
+
 TEST(PackageTest, SealedBinaryBytesAreStable) {
   // Pins the wire bytes of a sealed package: envelope, format byte, LZSS
   // stream and binary-v1 payload. The digest is what the build that still
@@ -231,7 +294,7 @@ TEST(PackageTest, SealedBinaryBytesAreStable) {
   DriverletPackage pkg;
   pkg.driverlet = "mmc";
   pkg.templates = {SampleTemplate(), SampleWriteTemplate()};
-  std::vector<uint8_t> sealed = SealPackage(pkg, "key");
+  std::vector<uint8_t> sealed = SealPackage(pkg.driverlet, pkg.templates, "key");
   EXPECT_EQ(355u, sealed.size());
   EXPECT_EQ("ba6f74c978643a38885e20944a3f318a8b5e9225dd3c55bd9f00e2ad416b4fa5",
             Sha256::HexDigest(Sha256::Hash(sealed.data(), sealed.size())));
@@ -242,7 +305,7 @@ TEST(PackageTest, SignatureTamperRejected) {
   DriverletPackage pkg;
   pkg.driverlet = "mmc";
   pkg.templates = {SampleTemplate()};
-  std::vector<uint8_t> sealed = SealPackage(pkg, "key");
+  std::vector<uint8_t> sealed = SealPackage(pkg.driverlet, pkg.templates, "key");
   // Flip one payload bit: fabricated templates must not verify (paper §7.2.2).
   std::vector<uint8_t> bad = sealed;
   bad[sealed.size() / 2] ^= 1;

@@ -396,8 +396,9 @@ TEST(AddressSpaceTest, OverlappingAccessWritesPendingFillOutOnce) {
   }
 }
 
-// The VC4 lands frames of three sizes at one address: a newer fill writes out
-// only the old bytes it does not cover, and the old fill is then gone.
+// The VC4 lands frames of three sizes at one address: a newer fill trims the
+// old one instead of writing it out. Only the old bytes it does not cover are
+// ever written, and they stay pending until an access needs them in RAM.
 TEST(AddressSpaceTest, NewerFillWritesOutOnlyUncoveredOldBytes) {
   AddressSpace mem(nullptr);
   ASSERT_EQ(Status::kOk, mem.AddRam(0, 0x10000));
@@ -406,27 +407,143 @@ TEST(AddressSpaceTest, NewerFillWritesOutOnlyUncoveredOldBytes) {
   LoggedFill new_fill;
   ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000, 0x100, old_fill.Gen()));
   ASSERT_EQ(Status::kOk, mem.DmaFill(0x1040, 0x40, new_fill.Gen()));
-  EXPECT_EQ((Calls{{0, 0x40}, {0x80, 0x80}}), old_fill.calls);
+  EXPECT_TRUE(old_fill.calls.empty()) << "the newer fill wrote old bytes out";
   EXPECT_TRUE(new_fill.calls.empty());
-  EXPECT_TRUE(LoggedFill::Holds(ram, 0, 0x40));
-  EXPECT_TRUE(LoggedFill::Holds(ram + 0x80, 0x80, 0x80));
-  EXPECT_EQ(0x40, std::count(ram + 0x40, ram + 0x80, 0)) << "covered old bytes were written";
-  ASSERT_NE(nullptr, mem.RamPtr(0x1000, 0x100));
-  EXPECT_EQ((Calls{{0, 0x40}}), new_fill.calls);
-  EXPECT_TRUE(LoggedFill::Holds(ram + 0x40, 0, 0x40));
-  EXPECT_EQ(2u, old_fill.calls.size());
+  EXPECT_EQ(0x100, std::count(ram, ram + 0x100, 0));
 
-  // A newer fill that covers the old one writes none of it; a disjoint one
-  // writes it all.
+  // Reads inside the uncovered old bytes generate them with their own offsets.
+  uint8_t b[0x20];
+  ASSERT_EQ(Status::kOk, mem.ReadBytes(World::kNormal, 0x1010, b, 0x20));
+  EXPECT_TRUE(LoggedFill::Holds(b, 0x10, 0x20));
+  ASSERT_EQ(Status::kOk, mem.DmaRead(0x10e0, b, 0x20));
+  EXPECT_TRUE(LoggedFill::Holds(b, 0xe0, 0x20));
+  EXPECT_EQ((Calls{{0x10, 0x20}, {0xe0, 0x20}}), old_fill.calls);
+  EXPECT_EQ(0x100, std::count(ram, ram + 0x100, 0)) << "a read inside a piece wrote RAM";
+
+  // RamPtr lands what is pending: the old bytes outside the newer fill, and
+  // the newer fill itself. The covered old bytes are never written.
+  ASSERT_NE(nullptr, mem.RamPtr(0x1000, 0x100));
+  EXPECT_EQ((Calls{{0x10, 0x20}, {0xe0, 0x20}, {0, 0x40}, {0x80, 0x80}}), old_fill.calls);
+  EXPECT_EQ((Calls{{0, 0x40}}), new_fill.calls);
+  EXPECT_TRUE(LoggedFill::Holds(ram, 0, 0x40));
+  EXPECT_TRUE(LoggedFill::Holds(ram + 0x40, 0, 0x40));
+  EXPECT_TRUE(LoggedFill::Holds(ram + 0x80, 0x80, 0x80));
+  ASSERT_NE(nullptr, mem.RamPtr(0x1000, 0x100));
+  EXPECT_EQ(4u, old_fill.calls.size());
+
+  // A newer fill that covers the old one drops all of it; a disjoint one
+  // leaves it pending.
   LoggedFill covered;
   LoggedFill larger;
   ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000, 0x80, covered.Gen()));
   ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000, 0x100, larger.Gen()));
-  EXPECT_TRUE(covered.calls.empty());
   LoggedFill disjoint;
   ASSERT_EQ(Status::kOk, mem.DmaFill(0x2000, 0x10, disjoint.Gen()));
+  ASSERT_NE(nullptr, mem.RamPtr(0x1000, 0x100));
+  EXPECT_TRUE(covered.calls.empty());
   EXPECT_EQ((Calls{{0, 0x100}}), larger.calls);
   EXPECT_TRUE(disjoint.calls.empty());
+  ASSERT_EQ(Status::kOk, mem.ReadBytes(World::kNormal, 0x2004, b, 8));
+  EXPECT_EQ((Calls{{4, 8}}), disjoint.calls);
+}
+
+// A newer fill inside an older one splits it: the bytes below and above stay
+// pending as two pieces, each generating from its own offset, and splitting a
+// piece again keeps the offsets right.
+TEST(AddressSpaceTest, FillSplitByNewerFillInsideIt) {
+  AddressSpace mem(nullptr);
+  ASSERT_EQ(Status::kOk, mem.AddRam(0, 0x10000));
+  const uint8_t* ram = mem.RamPtr(0x1000, 0x100);
+  LoggedFill outer;
+  LoggedFill inner;
+  LoggedFill again;
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000, 0x100, outer.Gen()));
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x1040, 0x20, inner.Gen()));
+  // Landing the newer fill alone leaves both ends of the outer one pending.
+  ASSERT_NE(nullptr, mem.RamPtr(0x1040, 0x20));
+  EXPECT_EQ((Calls{{0, 0x20}}), inner.calls);
+  EXPECT_TRUE(outer.calls.empty());
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x10a0, 0x10, again.Gen()));  // inside the upper piece
+  uint8_t b[0x10];
+  // The first and last bytes of each of the outer fill's three pieces.
+  const PhysAddr edges[] = {0x1000, 0x1030, 0x1060, 0x1090, 0x10b0, 0x10f0};
+  for (PhysAddr a : edges) {
+    SCOPED_TRACE(a);
+    ASSERT_EQ(Status::kOk, mem.ReadBytes(World::kNormal, a, b, sizeof(b)));
+    EXPECT_TRUE(LoggedFill::Holds(b, a - 0x1000, sizeof(b)));
+  }
+  ASSERT_EQ(Status::kOk, mem.ReadBytes(World::kNormal, 0x10a0, b, sizeof(b)));
+  EXPECT_TRUE(LoggedFill::Holds(b, 0, sizeof(b)));
+  EXPECT_EQ(6u, outer.calls.size());
+  EXPECT_EQ(1u, again.calls.size());
+  EXPECT_EQ(0xe0, std::count(ram, ram + 0x100, 0)) << "a read inside a piece wrote RAM";
+
+  // Landing writes each piece once, at its own place.
+  ASSERT_NE(nullptr, mem.RamPtr(0x1000, 0x100));
+  EXPECT_EQ((Calls{{0, 0x40}, {0x60, 0x40}, {0xb0, 0x50}}),
+            Calls(outer.calls.begin() + 6, outer.calls.end()));
+  EXPECT_EQ((Calls{{0, 0x10}, {0, 0x10}}), again.calls);
+  EXPECT_TRUE(LoggedFill::Holds(ram, 0, 0x40));
+  EXPECT_TRUE(LoggedFill::Holds(ram + 0x40, 0, 0x20));
+  EXPECT_TRUE(LoggedFill::Holds(ram + 0x60, 0x60, 0x40));
+  EXPECT_TRUE(LoggedFill::Holds(ram + 0xa0, 0, 0x10));
+  EXPECT_TRUE(LoggedFill::Holds(ram + 0xb0, 0xb0, 0x50));
+}
+
+// A read that spans two pieces lies inside neither: it lands both, and only
+// them, then reads RAM.
+TEST(AddressSpaceTest, ReadSpanningTwoPiecesLandsBoth) {
+  AddressSpace mem(nullptr);
+  ASSERT_EQ(Status::kOk, mem.AddRam(0, 0x10000));
+  const uint8_t* ram = mem.RamPtr(0x1000, 0x100);
+  LoggedFill old_fill;
+  LoggedFill new_fill;
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000, 0x100, old_fill.Gen()));
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x1040, 0x40, new_fill.Gen()));
+  uint8_t b[0x20];
+  ASSERT_EQ(Status::kOk, mem.ReadBytes(World::kNormal, 0x1030, b, sizeof(b)));
+  EXPECT_TRUE(LoggedFill::Holds(b, 0x30, 0x10));
+  EXPECT_TRUE(LoggedFill::Holds(b + 0x10, 0, 0x10));
+  EXPECT_EQ((Calls{{0, 0x40}}), old_fill.calls);
+  EXPECT_EQ((Calls{{0, 0x40}}), new_fill.calls);
+  EXPECT_TRUE(LoggedFill::Holds(ram, 0, 0x40));
+  EXPECT_TRUE(LoggedFill::Holds(ram + 0x40, 0, 0x40));
+  EXPECT_EQ(0x80, std::count(ram + 0x80, ram + 0x100, 0)) << "the third piece landed";
+
+  // The piece the read did not touch is still pending.
+  ASSERT_EQ(Status::kOk, mem.DmaRead(0x1080, b, sizeof(b)));
+  EXPECT_TRUE(LoggedFill::Holds(b, 0x80, 0x20));
+  EXPECT_EQ((Calls{{0, 0x40}, {0x80, 0x20}}), old_fill.calls);
+}
+
+// Past kMaxPendingPieces pieces the oldest lands, so a stream of disjoint
+// fills keeps a bounded list.
+TEST(AddressSpaceTest, PieceCapLandsTheOldest) {
+  AddressSpace mem(nullptr);
+  ASSERT_EQ(Status::kOk, mem.AddRam(0, 0x10000));
+  const uint8_t* ram = mem.RamPtr(0, 0x10000);
+  const size_t cap = AddressSpace::kMaxPendingPieces;
+  std::vector<LoggedFill> fills(cap + 2);
+  for (size_t i = 0; i < cap; ++i) {
+    ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000 * (i + 1), 0x10, fills[i].Gen()));
+  }
+  for (const LoggedFill& f : fills) {
+    EXPECT_TRUE(f.calls.empty()) << "a fill landed below the cap";
+  }
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000 * (cap + 1), 0x10, fills[cap].Gen()));
+  EXPECT_EQ((Calls{{0, 0x10}}), fills[0].calls);
+  EXPECT_TRUE(LoggedFill::Holds(ram + 0x1000, 0, 0x10));
+  for (size_t i = 1; i <= cap; ++i) {
+    EXPECT_TRUE(fills[i].calls.empty()) << i;
+  }
+
+  // A fill that splits a piece adds two: the two oldest land.
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000 * cap + 4, 4, fills[cap + 1].Gen()));
+  EXPECT_EQ((Calls{{0, 0x10}}), fills[1].calls);
+  EXPECT_EQ((Calls{{0, 0x10}}), fills[2].calls);
+  for (size_t i = 3; i <= cap + 1; ++i) {
+    EXPECT_TRUE(fills[i].calls.empty()) << i;
+  }
 }
 
 // The TZASC check comes first: a refused read generates nothing and leaves
