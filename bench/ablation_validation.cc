@@ -17,12 +17,12 @@ namespace {
 Result<std::string> ProbeMmc(Rpi3Testbed* tb, const Bindings& inputs) {
   tb->ResetDevices();
   tb->kern_io().ReleaseDma();
+  std::vector<uint8_t> buf(inputs.at("blkcnt") * 512, 0x5c);  // outlives the session
   RecordSession sess(&tb->kern_io(), kMmcEntry, "probe", tb->mmc_id());
   TValue rw = sess.ScalarParam("rw", inputs.at("rw"));
   TValue cnt = sess.ScalarParam("blkcnt", inputs.at("blkcnt"));
   TValue id = sess.ScalarParam("blkid", inputs.at("blkid"));
   TValue fl = sess.ScalarParam("flag", 0);
-  std::vector<uint8_t> buf(inputs.at("blkcnt") * 512, 0x5c);
   sess.BufferParam("buf", buf.data(), buf.size());
   BcmSdhostDriver driver(&sess, tb->mmc_config());
   Status s = driver.Transfer(rw, cnt, id, fl, buf.data(), buf.size());

@@ -142,6 +142,16 @@ void PassthroughIo::CopyFromDma(uint8_t* dst_base, const TValue& dst_off, const 
                                   static_cast<size_t>(len.value()));
 }
 
+Result<AddressSpace::FillBytes> PassthroughIo::CopyFromDmaOrDefer(uint8_t* dst_base,
+                                                                  const TValue& dst_off,
+                                                                  const TValue& src,
+                                                                  const TValue& len,
+                                                                  SourceLoc loc) {
+  (void)loc;
+  return machine_->mem().ReadBytesOrDefer(world_, src.value(), dst_base + dst_off.value(),
+                                          static_cast<size_t>(len.value()));
+}
+
 void PassthroughIo::PioIn(uint16_t device, uint64_t offset, uint8_t* dst_base,
                           const TValue& dst_off, const TValue& len, SourceLoc loc) {
   uint64_t total = len.value();

@@ -34,6 +34,11 @@ class PassthroughIo : public DriverIo {
                  const TValue& len, SourceLoc loc) override;
   void CopyFromDma(uint8_t* dst_base, const TValue& dst_off, const TValue& src, const TValue& len,
                    SourceLoc loc) override;
+  // Defers exactly the copies AddressSpace::ReadBytesOrDefer defers: those
+  // whose source lies wholly inside one pending DmaFill piece.
+  Result<AddressSpace::FillBytes> CopyFromDmaOrDefer(uint8_t* dst_base, const TValue& dst_off,
+                                                     const TValue& src, const TValue& len,
+                                                     SourceLoc loc) override;
   void PioIn(uint16_t device, uint64_t offset, uint8_t* dst_base, const TValue& dst_off,
              const TValue& len, SourceLoc loc) override;
   void PioOut(uint16_t device, uint64_t offset, const uint8_t* src_base, const TValue& src_off,

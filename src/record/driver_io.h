@@ -4,8 +4,10 @@
 //   Env     <-> Driver   (DMA allocation, random bytes, timekeeping)
 //   Device  <-> Driver   (registers, shared-memory descriptors, interrupts)
 //
-// Gold drivers perform ALL such traffic through this facade. Two
-// implementations exist:
+// Gold drivers perform ALL such traffic through this facade, program buffers
+// included: a driver never reads a buffer it handed to a copy except through
+// these calls, so an implementation may leave a copy-out for later
+// (CopyFromDmaOrDefer). Two implementations exist:
 //   kern::PassthroughIo   — native execution (baselines), zero recording cost;
 //   record::RecordSession — logs raw events + taints + path conditions (§4);
 //   (the replayer does not use DriverIo — it interprets template events, §5).
@@ -14,6 +16,7 @@
 
 #include <cstdint>
 
+#include "src/soc/address_space.h"
 #include "src/soc/status.h"
 #include "src/soc/types.h"
 #include "src/sym/constraint.h"
@@ -66,6 +69,20 @@ class DriverIo {
                      const TValue& len, SourceLoc loc) = 0;
   virtual void PioOut(uint16_t device, uint64_t offset, const uint8_t* src_base,
                       const TValue& src_off, const TValue& len, SourceLoc loc) = 0;
+
+  // CopyFromDma that may leave the copy for later. When the source bytes are
+  // a device fill that has not landed yet, an implementation may make the
+  // copy's checks, write nothing and return the fill's bytes: writing them
+  // to the destination at any later time gives what the copy would give
+  // now. Otherwise the copy happens now and the result holds no generator;
+  // an error means nothing was written. The default copies at once.
+  virtual Result<AddressSpace::FillBytes> CopyFromDmaOrDefer(uint8_t* dst_base,
+                                                             const TValue& dst_off,
+                                                             const TValue& src, const TValue& len,
+                                                             SourceLoc loc) {
+    CopyFromDma(dst_base, dst_off, src, len, loc);
+    return AddressSpace::FillBytes{};
+  }
 
   // ---- Control-flow observation ----
   // Drivers branch on tainted values through Branch(); the recorder logs the

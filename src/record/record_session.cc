@@ -33,6 +33,22 @@ RecordSession::RecordSession(DriverIo* base, std::string entry, std::string temp
   raw_.primary_device = primary_device;
 }
 
+RecordSession::~RecordSession() { LandCopy(); }
+
+void RecordSession::LandCopy() {
+  if (pending_copy_.has_value()) {
+    pending_copy_->bytes.WriteTo(pending_copy_->dst);
+    pending_copy_.reset();
+  }
+}
+
+void RecordSession::LandCopyOver(const uint8_t* p, size_t n) {
+  if (pending_copy_.has_value() && n > 0 && p < pending_copy_->dst + pending_copy_->bytes.n &&
+      pending_copy_->dst < p + n) {
+    LandCopy();
+  }
+}
+
 std::string RecordSession::NewBind(const char* prefix) {
   int* counter = nullptr;
   if (prefix[0] == 'd' && prefix[1] == 'i') {
@@ -74,6 +90,7 @@ void RecordSession::BufferParam(const std::string& name, uint8_t* base_ptr, size
 }
 
 Result<InteractionTemplate> RecordSession::Finish() {
+  LandCopy();
   if (failed_) {
     return Status::kBadState;
   }
@@ -219,6 +236,7 @@ TValue RecordSession::DmaAlloc(const TValue& size, SourceLoc loc) {
 void RecordSession::DmaReleaseAll(SourceLoc loc) {
   // Allocation lifetime is the whole template; the replayer releases at the end
   // of each execution, so no event is emitted.
+  LandCopy();
   base_->DmaReleaseAll(loc);
 }
 
@@ -250,6 +268,7 @@ TValue RecordSession::GetTimestampUs(SourceLoc loc) {
 
 void RecordSession::CopyToDma(const TValue& dst, const uint8_t* src_base, const TValue& src_off,
                               const TValue& len, SourceLoc loc) {
+  LandCopyOver(src_base + src_off.value(), len.value());
   base_->CopyToDma(dst, src_base, src_off, len, loc);
   std::string buffer = BufferOf(src_base + src_off.value(), len.value());
   TemplateEvent e;
@@ -269,8 +288,25 @@ void RecordSession::CopyToDma(const TValue& dst, const uint8_t* src_base, const 
 
 void RecordSession::CopyFromDma(uint8_t* dst_base, const TValue& dst_off, const TValue& src,
                                 const TValue& len, SourceLoc loc) {
-  base_->CopyFromDma(dst_base, dst_off, src, len, loc);
-  std::string buffer = BufferOf(dst_base + dst_off.value(), len.value());
+  uint8_t* dst = dst_base + dst_off.value();
+  const size_t n = len.value();
+  const bool covers = pending_copy_.has_value() && dst <= pending_copy_->dst &&
+                      pending_copy_->dst + pending_copy_->bytes.n <= dst + n;
+  if (!covers) {
+    LandCopyOver(dst, n);
+  }
+  Result<AddressSpace::FillBytes> later =
+      base_->CopyFromDmaOrDefer(dst_base, dst_off, src, len, loc);
+  if (later.ok()) {
+    if (covers) {
+      pending_copy_.reset();  // this copy overwrites all of it
+    }
+    if (later->gen) {
+      LandCopy();  // one slot: a disjoint pending copy lands first
+      pending_copy_ = PendingCopy{dst, std::move(*later)};
+    }
+  }
+  std::string buffer = BufferOf(dst, n);
   TemplateEvent e;
   e.kind = EventKind::kCopyFromDma;
   e.addr = src.expr();
@@ -288,6 +324,7 @@ void RecordSession::CopyFromDma(uint8_t* dst_base, const TValue& dst_off, const 
 
 void RecordSession::PioIn(uint16_t device, uint64_t offset, uint8_t* dst_base,
                           const TValue& dst_off, const TValue& len, SourceLoc loc) {
+  LandCopyOver(dst_base + dst_off.value(), len.value());
   base_->PioIn(device, offset, dst_base, dst_off, len, loc);
   std::string buffer = BufferOf(dst_base + dst_off.value(), len.value());
   TemplateEvent e;
@@ -307,6 +344,7 @@ void RecordSession::PioIn(uint16_t device, uint64_t offset, uint8_t* dst_base,
 
 void RecordSession::PioOut(uint16_t device, uint64_t offset, const uint8_t* src_base,
                            const TValue& src_off, const TValue& len, SourceLoc loc) {
+  LandCopyOver(src_base + src_off.value(), len.value());
   base_->PioOut(device, offset, src_base, src_off, len, loc);
   std::string buffer = BufferOf(src_base + src_off.value(), len.value());
   TemplateEvent e;

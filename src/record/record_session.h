@@ -6,10 +6,22 @@
 // one of its symbols and makes that event state-changing. Finish() hands the
 // log to the template builder, which only lifts polling loops and moves the
 // events into the template.
+//
+// A copy-out whose source is still a pending device fill (a camera frame the
+// VC4 has not written to RAM) is deferred: the session keeps the fill's bytes
+// and the destination in one slot. A later CopyFromDma that covers the same
+// destination bytes drops it, so a capture of N frames into one buffer
+// generates one frame. Otherwise it lands (is generated into the program
+// buffer) before any access that reads or partly overwrites those bytes
+// (CopyToDma, PioOut, PioIn, another CopyFromDma), at DmaReleaseAll, at
+// Finish and when the session is destroyed, so the gold driver's caller sees
+// the same buffers as with an immediate copy. Program buffers must therefore
+// outlive the session.
 #ifndef SRC_RECORD_RECORD_SESSION_H_
 #define SRC_RECORD_RECORD_SESSION_H_
 
 #include <deque>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -41,14 +53,18 @@ class RecordSession : public DriverIo {
   // machine); the session interposes and logs.
   RecordSession(DriverIo* base, std::string entry, std::string template_name,
                 uint16_t primary_device);
+  // Lands a copy still pending, e.g. after a driver returned an error.
+  ~RecordSession() override;
+  RecordSession(const RecordSession&) = delete;
+  RecordSession& operator=(const RecordSession&) = delete;
 
   // ---- Program <-> Driver seeding ----
   TValue ScalarParam(const std::string& name, uint64_t concrete);
   void BufferParam(const std::string& name, uint8_t* base_ptr, size_t len);
 
-  // Distills the raw log into a template (loop lifting); kBadState if the run
-  // failed or a path condition named a symbol no event bound. The session is
-  // spent afterwards.
+  // Lands a pending copy, then distills the raw log into a template (loop
+  // lifting); kBadState if the run failed or a path condition named a symbol
+  // no event bound. The session is spent afterwards.
   Result<InteractionTemplate> Finish();
 
   // Raw access for the differ and tests.
@@ -85,6 +101,10 @@ class RecordSession : public DriverIo {
   // Resolves a raw data pointer to a registered buffer param name; empty if
   // the pointer is not inside a registered program buffer.
   std::string BufferOf(const uint8_t* ptr, size_t len) const;
+  // Writes the pending copy, if any, to its destination.
+  void LandCopy();
+  // Lands the pending copy when [p, p+n) overlaps its destination.
+  void LandCopyOver(const uint8_t* p, size_t n);
 
   DriverIo* base_;
   RawRecording raw_;
@@ -102,6 +122,13 @@ class RecordSession : public DriverIo {
     size_t len;
   };
   std::vector<BufferReg> buffers_;
+
+  // A deferred CopyFromDma: |bytes| belong at [dst, dst + bytes.n).
+  struct PendingCopy {
+    uint8_t* dst;
+    AddressSpace::FillBytes bytes;
+  };
+  std::optional<PendingCopy> pending_copy_;
 };
 
 }  // namespace dlt

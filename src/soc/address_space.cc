@@ -75,6 +75,15 @@ AddressSpace::RamWindow* AddressSpace::RamAt(PhysAddr a, uint64_t size) {
   return nullptr;
 }
 
+const AddressSpace::PendingPiece* AddressSpace::PieceHolding(PhysAddr a, uint64_t n) const {
+  for (const PendingPiece& p : pending_) {
+    if (n > 0 && a >= p.a && a + n <= p.a + p.n) {
+      return &p;
+    }
+  }
+  return nullptr;
+}
+
 uint8_t* AddressSpace::Landed(RamWindow* ram, PhysAddr a, uint64_t n) {
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->Overlaps(a, n)) {
@@ -88,11 +97,9 @@ uint8_t* AddressSpace::Landed(RamWindow* ram, PhysAddr a, uint64_t n) {
 }
 
 void AddressSpace::CopyOut(RamWindow* ram, PhysAddr a, void* dst, size_t n) {
-  for (const PendingPiece& p : pending_) {
-    if (n > 0 && a >= p.a && a + n <= p.a + p.n) {
-      p.gen(p.off + (a - p.a), static_cast<uint8_t*>(dst), n);
-      return;
-    }
+  if (const PendingPiece* p = PieceHolding(a, n); p != nullptr) {
+    p->gen(p->off + (a - p->a), static_cast<uint8_t*>(dst), n);
+    return;
   }
   std::memcpy(dst, Landed(ram, a, n), n);
 }
@@ -172,7 +179,7 @@ Result<uint32_t> AddressSpace::Read32(World w, PhysAddr a) {
   }
   if (RamWindow* ram = RamAt(a, 4); ram != nullptr) {
     uint32_t v = 0;
-    std::memcpy(&v, Landed(ram, a, 4), 4);
+    CopyOut(ram, a, &v, 4);
     return v;
   }
   return Status::kOutOfRange;
@@ -209,6 +216,18 @@ Status AddressSpace::ReadBytes(World w, PhysAddr a, void* dst, size_t n) {
     return Status::kOk;
   }
   return Status::kOutOfRange;
+}
+
+Result<AddressSpace::FillBytes> AddressSpace::ReadBytesOrDefer(World w, PhysAddr a, void* dst,
+                                                                size_t n) {
+  if (const PendingPiece* p = PieceHolding(a, n); p != nullptr) {
+    if (tzasc_ != nullptr && !tzasc_->AllowsRange(w, a, n)) {
+      return Status::kPermissionDenied;
+    }
+    return FillBytes{p->gen, p->off + (a - p->a), n};
+  }
+  DLT_RETURN_IF_ERROR(ReadBytes(w, a, dst, n));
+  return FillBytes{};
 }
 
 Status AddressSpace::WriteBytes(World w, PhysAddr a, const void* src, size_t n) {

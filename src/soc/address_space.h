@@ -2,10 +2,12 @@
 // CPU accesses carry a World and are checked against the TZASC; bus-master (device
 // DMA) accesses use RamPtr/DmaRead/DmaWrite/DmaFill and bypass world checks,
 // matching the paper's model where whole device instances are assigned to the TEE.
-// A DmaFill lands in RAM lazily: a read that lies inside it is generated straight
-// into the reader's buffer, so a device that generates its data writes each byte
-// once, into the buffer that consumes it, and bytes nobody reads are never
-// written.
+// A DmaFill lands in RAM lazily: a read that lies inside it (ReadBytes, DmaRead,
+// a contained Read32) is generated straight into the reader's buffer, so a
+// device that generates its data writes each byte once, into the buffer that
+// consumes it, and bytes nobody reads are never written. A reader that can take
+// its bytes later (ReadBytesOrDefer) gets the fill's generator instead, so a
+// copy that is overwritten before anyone reads it generates nothing.
 #ifndef SRC_SOC_ADDRESS_SPACE_H_
 #define SRC_SOC_ADDRESS_SPACE_H_
 
@@ -83,6 +85,26 @@ class AddressSpace {
   Status ReadBytes(World w, PhysAddr a, void* dst, size_t n);
   Status WriteBytes(World w, PhysAddr a, const void* src, size_t n);
 
+  // Writes bytes [off, off+len) of a bus-master write to |dst|.
+  using FillGen = std::function<void(size_t off, uint8_t* dst, size_t len)>;
+
+  // Bytes [off, off+n) of one DmaFill's generator. They do not change when
+  // RAM is written later, so they can be written out at any time.
+  struct FillBytes {
+    FillGen gen;  // empty: no bytes
+    size_t off = 0;
+    size_t n = 0;
+
+    void WriteTo(uint8_t* dst) const { gen(off, dst, n); }
+  };
+
+  // ReadBytes for a reader that can take its bytes later. It makes the same
+  // TZASC and RAM checks. When [a, a+n) lies wholly inside one pending
+  // piece it writes nothing and returns that piece's bytes; otherwise it
+  // copies to |dst| as ReadBytes does and returns no generator. On an error
+  // nothing is written.
+  Result<FillBytes> ReadBytesOrDefer(World w, PhysAddr a, void* dst, size_t n);
+
   // Bus-master access to RAM. Returns nullptr when [a, a+size) is not fully
   // RAM-backed. The pointer stays valid for the AddressSpace lifetime, but its
   // bytes are current only as of the call: the call lands the pending DmaFill
@@ -97,19 +119,17 @@ class AddressSpace {
   Status DmaRead(PhysAddr a, void* dst, size_t n);
   Status DmaWrite(PhysAddr a, const void* src, size_t n);
 
-  // Writes bytes [off, off+len) of a bus-master write to |dst|.
-  using FillGen = std::function<void(size_t off, uint8_t* dst, size_t len)>;
-
   // A bus-master write of n generated bytes at |a|, landed lazily. The fill
-  // stays pending as one piece: a ReadBytes (after its TZASC check) or DmaRead
-  // that lies wholly inside one pending piece calls that piece's |gen|
-  // straight into the caller's buffer, and any other RAM access (Read32,
-  // Write32, WriteBytes, DmaWrite, RamPtr) first writes out, whole, each piece
-  // it overlaps. A newer fill trims the pieces it overlaps instead: their
-  // covered bytes are dropped unwritten, and the bytes below and above it stay
-  // pending as pieces that keep their generator offsets, so a frame that
-  // follows a larger one at the same address never writes the older tail. At
-  // most kMaxPendingPieces pieces are pending; past that the oldest lands.
+  // stays pending as one piece: a ReadBytes or Read32 (after its TZASC check)
+  // or DmaRead that lies wholly inside one pending piece calls that piece's
+  // |gen| straight into the caller's buffer, and any other RAM access
+  // (Write32, WriteBytes, DmaWrite, RamPtr, or a read that is not wholly
+  // inside one piece) first writes out, whole, each piece it overlaps. A
+  // newer fill trims the pieces it overlaps instead: their covered bytes are
+  // dropped unwritten, and the bytes below and above it stay pending as
+  // pieces that keep their generator offsets, so a frame that follows a
+  // larger one at the same address never writes the older tail. At most
+  // kMaxPendingPieces pieces are pending; past that the oldest lands.
   // With a bus fault hook installed the fill is written at once and
   // OnDmaWrite sees it whole. kOutOfRange when [a, a+n) is not RAM: nothing is
   // written or recorded, and the pending pieces stay as they were.
@@ -162,6 +182,8 @@ class AddressSpace {
 
   RamWindow* RamAt(PhysAddr a, uint64_t size);
   bool Overlaps(PhysAddr base, uint64_t size) const;
+  // The pending piece that holds all of [a, a+n), or nullptr.
+  const PendingPiece* PieceHolding(PhysAddr a, uint64_t n) const;
   // The RAM bytes at |a| in |ram|, current for an access of n bytes: lands
   // first every pending piece the access overlaps.
   uint8_t* Landed(RamWindow* ram, PhysAddr a, uint64_t n);

@@ -31,9 +31,11 @@ std::optional<uint64_t> BeginRun(Rpi3Testbed* tb, uint16_t device) {
 // Distils the run's template. It leaves its device clean when the device's
 // digest now, after the gold driver returned, equals |clean|, the digest
 // BeginRun took; a device without a digest never proves clean. Callers end
-// their driver and program buffers first, so those are not live while the
-// template is built (the camera's one capture buffer, 2.46 MB, is the
-// exception: its campaign keeps it across runs).
+// their driver first. Their program buffers are declared before the session
+// and outlive it, because the session may land a deferred copy-out into one
+// in Finish or in its destructor (an error return). Apart from the camera's
+// shared capture buffer (2.46 MB, kept across a campaign's runs), each is at
+// most 200 KB.
 Result<InteractionTemplate> FinishRun(RecordSession* sess, Rpi3Testbed* tb, uint16_t device,
                                       std::optional<uint64_t> clean) {
   std::optional<uint64_t> after = tb->DeviceStateDigest(device);
@@ -47,15 +49,15 @@ Result<InteractionTemplate> FinishRun(RecordSession* sess, Rpi3Testbed* tb, uint
 Result<InteractionTemplate> RecordMmcRun(Rpi3Testbed* tb, const std::string& name, uint64_t rw,
                                          uint64_t blkcnt, uint64_t blkid) {
   std::optional<uint64_t> clean = BeginRun(tb, tb->mmc_id());
+  std::vector<uint8_t> buf(blkcnt * 512);
+  FillPattern(&buf, blkid);
   RecordSession sess(&tb->kern_io(), kMmcEntry, name, tb->mmc_id());
   TValue rw_v = sess.ScalarParam("rw", rw);
   TValue cnt_v = sess.ScalarParam("blkcnt", blkcnt);
   TValue id_v = sess.ScalarParam("blkid", blkid);
   TValue flag_v = sess.ScalarParam("flag", 0);
+  sess.BufferParam("buf", buf.data(), buf.size());
   {
-    std::vector<uint8_t> buf(blkcnt * 512);
-    FillPattern(&buf, blkid);
-    sess.BufferParam("buf", buf.data(), buf.size());
     BcmSdhostDriver driver(&sess, tb->mmc_config());
     Status s = driver.Transfer(rw_v, cnt_v, id_v, flag_v, buf.data(), buf.size());
     if (!Ok(s)) {
@@ -69,15 +71,15 @@ Result<InteractionTemplate> RecordMmcRun(Rpi3Testbed* tb, const std::string& nam
 Result<InteractionTemplate> RecordUsbRun(Rpi3Testbed* tb, const std::string& name, uint64_t rw,
                                          uint64_t blkcnt, uint64_t blkid) {
   std::optional<uint64_t> clean = BeginRun(tb, tb->usb_id());
+  std::vector<uint8_t> buf(blkcnt * 512);
+  FillPattern(&buf, blkid + 1);
   RecordSession sess(&tb->kern_io(), kUsbEntry, name, tb->usb_id());
   TValue rw_v = sess.ScalarParam("rw", rw);
   TValue cnt_v = sess.ScalarParam("blkcnt", blkcnt);
   TValue id_v = sess.ScalarParam("blkid", blkid);
   TValue flag_v = sess.ScalarParam("flag", 0);
+  sess.BufferParam("buf", buf.data(), buf.size());
   {
-    std::vector<uint8_t> buf(blkcnt * 512);
-    FillPattern(&buf, blkid + 1);
-    sess.BufferParam("buf", buf.data(), buf.size());
     Dwc2StorageDriver driver(&sess, tb->usb_config());
     Status s = driver.Transfer(rw_v, cnt_v, id_v, flag_v, buf.data(), buf.size());
     if (!Ok(s)) {
@@ -101,14 +103,14 @@ Result<InteractionTemplate> RecordCameraRunInto(Rpi3Testbed* tb, const std::stri
                                                 uint64_t frames, uint64_t resolution,
                                                 std::vector<uint8_t>* buf) {
   std::optional<uint64_t> clean = BeginRun(tb, tb->vchiq_id());
+  std::vector<uint8_t> img_size(4);
   RecordSession sess(&tb->kern_io(), kCameraEntry, name, tb->vchiq_id());
   TValue frames_v = sess.ScalarParam("frame", frames);
   TValue res_v = sess.ScalarParam("resolution", resolution);
   TValue buf_size_v = sess.ScalarParam("buf_size", buf->size());
+  sess.BufferParam("buf", buf->data(), buf->size());
+  sess.BufferParam("img_size", img_size.data(), img_size.size());
   {
-    sess.BufferParam("buf", buf->data(), buf->size());
-    std::vector<uint8_t> img_size(4);
-    sess.BufferParam("img_size", img_size.data(), img_size.size());
     VchiqCameraDriver driver(&sess, tb->cam_config());
     Status s =
         driver.Capture(frames_v, res_v, buf->data(), buf->size(), buf_size_v, img_size.data());
@@ -131,15 +133,15 @@ Result<InteractionTemplate> RecordCameraRun(Rpi3Testbed* tb, const std::string& 
 Result<InteractionTemplate> RecordDisplayRun(Rpi3Testbed* tb, const std::string& name, uint64_t x,
                                              uint64_t y, uint64_t w, uint64_t h) {
   std::optional<uint64_t> clean = BeginRun(tb, tb->display_id());
+  std::vector<uint8_t> buf(w * h * 4);
+  FillPattern(&buf, x ^ y);
   RecordSession sess(&tb->kern_io(), kDisplayEntry, name, tb->display_id());
   TValue x_v = sess.ScalarParam("x", x);
   TValue y_v = sess.ScalarParam("y", y);
   TValue w_v = sess.ScalarParam("w", w);
   TValue h_v = sess.ScalarParam("h", h);
+  sess.BufferParam("buf", buf.data(), buf.size());
   {
-    std::vector<uint8_t> buf(w * h * 4);
-    FillPattern(&buf, x ^ y);
-    sess.BufferParam("buf", buf.data(), buf.size());
     DsiDisplayDriver driver(&sess, tb->display_config());
     Status s = driver.Blit(x_v, y_v, w_v, h_v, buf.data(), buf.size());
     if (!Ok(s)) {
@@ -156,10 +158,10 @@ Result<RecordCampaign> RecordTouchCampaign(Rpi3Testbed* tb) {
   // The record run needs a user: inject a sample press shortly after the wait
   // begins (the developer taps the panel during recording).
   tb->touch().InjectTouch(400, 240, /*delay_us=*/3'000);
+  std::vector<uint8_t> evt(4);
   RecordSession sess(&tb->kern_io(), kTouchEntry, "Sample", tb->touch_id());
+  sess.BufferParam("evt", evt.data(), evt.size());
   {
-    std::vector<uint8_t> evt(4);
-    sess.BufferParam("evt", evt.data(), evt.size());
     TouchDriver driver(&sess, tb->touch_config());
     Status s = driver.ReadEvent(evt.data());
     if (!Ok(s)) {
@@ -197,17 +199,17 @@ Result<RecordCampaign> RecordDisplayCampaign(Rpi3Testbed* tb) {
 Result<InteractionTemplate> RecordFtpmRun(Rpi3Testbed* tb, const std::string& name, uint64_t ord,
                                           uint64_t arg) {
   std::optional<uint64_t> clean = BeginRun(tb, tb->ftpm_id());
+  // Request payload sized for the largest ordinal payload (PCR digest);
+  // response sized for the largest response (get-random cap).
+  std::vector<uint8_t> req(kFtpmPcrBytes);
+  FillPattern(&req, ord * 17 + arg);
+  std::vector<uint8_t> rsp(kFtpmMaxRandom);
   RecordSession sess(&tb->kern_io(), kFtpmEntry, name, tb->ftpm_id());
   TValue ord_v = sess.ScalarParam("ord", ord);
   TValue arg_v = sess.ScalarParam("arg", arg);
+  sess.BufferParam("req", req.data(), req.size());
+  sess.BufferParam("rsp", rsp.data(), rsp.size());
   {
-    // Request payload sized for the largest ordinal payload (PCR digest);
-    // response sized for the largest response (get-random cap).
-    std::vector<uint8_t> req(kFtpmPcrBytes);
-    FillPattern(&req, ord * 17 + arg);
-    std::vector<uint8_t> rsp(kFtpmMaxRandom);
-    sess.BufferParam("req", req.data(), req.size());
-    sess.BufferParam("rsp", rsp.data(), rsp.size());
     FtpmDriver driver(&sess, tb->ftpm_config());
     Status s = driver.Execute(ord_v, arg_v, req.data(), rsp.data());
     if (!Ok(s)) {
@@ -221,16 +223,16 @@ Result<InteractionTemplate> RecordFtpmRun(Rpi3Testbed* tb, const std::string& na
 Result<InteractionTemplate> RecordCryptoaccRun(Rpi3Testbed* tb, const std::string& name,
                                                uint64_t op, uint64_t key, uint64_t len) {
   std::optional<uint64_t> clean = BeginRun(tb, tb->crypto_id());
+  std::vector<uint8_t> buf(len);
+  FillPattern(&buf, key + len);
+  std::vector<uint8_t> out(len < kCaDigestBytes ? kCaDigestBytes : len);
   RecordSession sess(&tb->kern_io(), kCryptoaccEntry, name, tb->crypto_id());
   TValue op_v = sess.ScalarParam("op", op);
   TValue key_v = sess.ScalarParam("key", key);
   TValue len_v = sess.ScalarParam("len", len);
+  sess.BufferParam("buf", buf.data(), buf.size());
+  sess.BufferParam("out", out.data(), out.size());
   {
-    std::vector<uint8_t> buf(len);
-    FillPattern(&buf, key + len);
-    std::vector<uint8_t> out(len < kCaDigestBytes ? kCaDigestBytes : len);
-    sess.BufferParam("buf", buf.data(), buf.size());
-    sess.BufferParam("out", out.data(), out.size());
     CryptoaccDriver driver(&sess, tb->crypto_config());
     Status s = driver.Transform(op_v, key_v, len_v, buf.data(), buf.size(), out.data());
     if (!Ok(s)) {

@@ -17,12 +17,12 @@ Result<InteractionTemplate> RecordDirectRun(Rpi3Testbed* tb, const std::string& 
                                             uint64_t blkcnt) {
   tb->ResetDevices();
   tb->kern_io().ReleaseDma();
+  std::vector<uint8_t> buf = PatternBuf(blkcnt * 512, 0xd1);  // outlives the session
   RecordSession sess(&tb->kern_io(), kMmcEntry, name, tb->mmc_id());
   TValue rw_v = sess.ScalarParam("rw", rw);
   TValue cnt_v = sess.ScalarParam("blkcnt", blkcnt);
   TValue id_v = sess.ScalarParam("blkid", 4096);
   TValue flag_v = sess.ScalarParam("flag", kMmcFlagDirect);
-  std::vector<uint8_t> buf = PatternBuf(blkcnt * 512, 0xd1);
   sess.BufferParam("buf", buf.data(), buf.size());
   BcmSdhostDriver driver(&sess, tb->mmc_config());
   Status s = driver.Transfer(rw_v, cnt_v, id_v, flag_v, buf.data(), buf.size());

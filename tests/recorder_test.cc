@@ -1,7 +1,10 @@
 // Recorder-internals tests: raw event capture, taint sinks, path-condition
 // attachment, state-changing classification, loop lifting, template merging,
-// the differ, and coverage computation.
+// the differ, coverage computation, and copy-outs deferred while recording.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
 
 #include "src/crypto/sha256.h"
 #include "src/record/differ.h"
@@ -126,6 +129,319 @@ TEST_F(RecorderTest, RecordingSitesArePreserved) {
   ASSERT_TRUE(t.ok());
   EXPECT_EQ("my_driver.cc", t->events[0].file);
   EXPECT_EQ(123, t->events[0].line);
+}
+
+// ---- Deferred copy-outs ----
+// A copy out of a pending DmaFill is left for later: the session keeps the
+// fill's bytes and lands them only where the caller or the device could see
+// the difference.
+
+using Calls = std::vector<std::pair<size_t, size_t>>;
+
+// A DmaFill generator that logs each call as {off, len} and writes byte i of
+// the fill as Byte(i).
+struct CountingFill {
+  static uint8_t Byte(size_t i) { return static_cast<uint8_t>(i * 13 + 5); }
+  AddressSpace::FillGen Gen() {
+    return [this](size_t off, uint8_t* dst, size_t len) {
+      calls.emplace_back(off, len);
+      for (size_t i = 0; i < len; ++i) {
+        dst[i] = Byte(off + i);
+      }
+    };
+  }
+  // Whether |p| holds bytes [off, off + len) of the fill.
+  static bool Holds(const uint8_t* p, size_t off, size_t len) {
+    for (size_t i = 0; i < len; ++i) {
+      if (p[i] != Byte(off + i)) {
+        return false;
+      }
+    }
+    return true;
+  }
+  Calls calls;
+};
+
+// Normal-world RAM in the kernel's DMA pool, where the fills land.
+constexpr PhysAddr kFillAt = kKernPoolBase + 0x10'0000;
+constexpr uint8_t kUntouched = 0xee;
+
+// Whether the copies left buf[from, to) alone.
+bool Untouched(const std::vector<uint8_t>& buf, size_t from, size_t to) {
+  return std::all_of(buf.begin() + from, buf.begin() + to,
+                     [](uint8_t b) { return b == kUntouched; });
+}
+
+TEST_F(RecorderTest, CopiesOfOnePendingRangeGenerateItOnceAtDmaReleaseAll) {
+  CountingFill fill;
+  std::vector<uint8_t> buf(0x100, kUntouched);
+  RecordSession sess(&tb_.kern_io(), "entry", "t", tb_.mmc_id());
+  sess.BufferParam("buf", buf.data(), buf.size());
+  ASSERT_EQ(Status::kOk, tb_.machine().mem().DmaFill(kFillAt, 0x100, fill.Gen()));
+  for (int i = 0; i < 10; ++i) {
+    sess.CopyFromDma(buf.data(), TValue(0x20), TValue(kFillAt + 0x10), TValue(0x80), DLT_HERE);
+  }
+  EXPECT_TRUE(fill.calls.empty()) << "a copy out of a pending fill was generated at once";
+  EXPECT_TRUE(Untouched(buf, 0, 0x100));
+  sess.DmaReleaseAll(DLT_HERE);
+  EXPECT_EQ((Calls{{0x10, 0x80}}), fill.calls);
+  EXPECT_TRUE(Untouched(buf, 0, 0x20));
+  EXPECT_TRUE(CountingFill::Holds(buf.data() + 0x20, 0x10, 0x80));
+  EXPECT_TRUE(Untouched(buf, 0xa0, 0x100));
+  Result<InteractionTemplate> t = sess.Finish();
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(10, std::count_if(t->events.begin(), t->events.end(), [](const TemplateEvent& e) {
+              return e.kind == EventKind::kCopyFromDma;
+            }));
+  EXPECT_EQ(1u, fill.calls.size()) << "Finish landed a copy again";
+}
+
+// A CopyToDma or PioOut reads the program buffer, so a pending copy into the
+// bytes it reads lands first and the device sees the copied bytes.
+TEST_F(RecorderTest, CopyToDmaOrPioOutFromTheDestinationLandsTheCopyFirst) {
+  AddressSpace& mem = tb_.machine().mem();
+  ASSERT_EQ(Status::kOk, mem.Write32(World::kNormal, tb_.machine().DeviceById(tb_.uart_id())->base +
+                                                         kUartCr,
+                                     kUartCrEnable));
+  CountingFill fill;
+  std::vector<uint8_t> buf(0x100, kUntouched);
+  RecordSession sess(&tb_.kern_io(), "entry", "t", tb_.mmc_id());
+  sess.BufferParam("buf", buf.data(), buf.size());
+  ASSERT_EQ(Status::kOk, mem.DmaFill(kFillAt, 0x100, fill.Gen()));
+
+  sess.CopyFromDma(buf.data(), TValue(0), TValue(kFillAt), TValue(0x40), DLT_HERE);
+  sess.CopyToDma(TValue(kFillAt + 0x1000), buf.data(), TValue(0x30), TValue(0x20), DLT_HERE);
+  EXPECT_EQ((Calls{{0, 0x40}}), fill.calls);
+  std::vector<uint8_t> sent(0x20);
+  ASSERT_EQ(Status::kOk, mem.ReadBytes(World::kNormal, kFillAt + 0x1000, sent.data(), sent.size()));
+  EXPECT_TRUE(CountingFill::Holds(sent.data(), 0x30, 0x10)) << "the device read stale bytes";
+  EXPECT_TRUE(Untouched(sent, 0x10, 0x20));
+
+  // PioOut of two words to the UART's data register sends their low bytes.
+  sess.CopyFromDma(buf.data(), TValue(0x80), TValue(kFillAt + 0x40), TValue(0x40), DLT_HERE);
+  sess.PioOut(tb_.uart_id(), kUartDr, buf.data(), TValue(0x88), TValue(8), DLT_HERE);
+  EXPECT_EQ((Calls{{0, 0x40}, {0x40, 0x40}}), fill.calls);
+  EXPECT_EQ(std::string({static_cast<char>(CountingFill::Byte(0x48)),
+                         static_cast<char>(CountingFill::Byte(0x4c))}),
+            tb_.uart().transmitted());
+  sess.DmaReleaseAll(DLT_HERE);
+  EXPECT_EQ(2u, fill.calls.size()) << "a landed copy was generated again";
+}
+
+// A copy that only partly overwrites a pending one lands it first: the older
+// bytes it does not overwrite must reach the buffer, and the bytes it does
+// must not be overwritten by the older copy later.
+TEST_F(RecorderTest, PartlyOverlappingCopyFromDmaOrPioInLandsTheOlderCopyFirst) {
+  AddressSpace& mem = tb_.machine().mem();
+  CountingFill older;
+  CountingFill newer;
+  ASSERT_EQ(Status::kOk, mem.DmaFill(kFillAt, 0x100, older.Gen()));
+  ASSERT_EQ(Status::kOk, mem.DmaFill(kFillAt + 0x1000, 0x100, newer.Gen()));
+  // RAM that is already written: a copy out of it happens at once.
+  const PhysAddr written = kFillAt + 0x2000;
+  const std::vector<uint8_t> pattern(0x80, 0x77);
+  ASSERT_EQ(Status::kOk, mem.WriteBytes(World::kNormal, written, pattern.data(), pattern.size()));
+  const PhysAddr sdarg = tb_.machine().DeviceById(tb_.mmc_id())->base + kSdArg;
+  ASSERT_EQ(Status::kOk, mem.Write32(World::kNormal, sdarg, 0x04030201));
+
+  struct Case {
+    const char* name;
+    std::function<void(RecordSession&, std::vector<uint8_t>&)> newer_copy;
+    std::function<void(const std::vector<uint8_t>&)> check_newer_bytes;
+  };
+  const Case cases[] = {
+      {"deferred CopyFromDma",
+       [&](RecordSession& sess, std::vector<uint8_t>& buf) {
+         sess.CopyFromDma(buf.data(), TValue(0x40), TValue(kFillAt + 0x1000), TValue(0x80),
+                          DLT_HERE);
+         EXPECT_TRUE(newer.calls.empty()) << "the newer copy did not wait";
+       },
+       [&](const std::vector<uint8_t>& buf) {
+         EXPECT_EQ((Calls{{0, 0x80}}), newer.calls);
+         EXPECT_TRUE(CountingFill::Holds(buf.data() + 0x40, 0, 0x80));
+       }},
+      {"immediate CopyFromDma",
+       [&](RecordSession& sess, std::vector<uint8_t>& buf) {
+         sess.CopyFromDma(buf.data(), TValue(0x40), TValue(written), TValue(0x80), DLT_HERE);
+       },
+       [&](const std::vector<uint8_t>& buf) {
+         EXPECT_TRUE(std::equal(pattern.begin(), pattern.end(), buf.begin() + 0x40));
+       }},
+      {"PioIn of one word",
+       [&](RecordSession& sess, std::vector<uint8_t>& buf) {
+         sess.PioIn(tb_.mmc_id(), kSdArg, buf.data(), TValue(0x40), TValue(4), DLT_HERE);
+       },
+       [&](const std::vector<uint8_t>& buf) {
+         EXPECT_EQ((std::vector<uint8_t>{1, 2, 3, 4}),
+                   std::vector<uint8_t>(buf.begin() + 0x40, buf.begin() + 0x44));
+         EXPECT_TRUE(CountingFill::Holds(buf.data() + 0x44, 0x44, 0x3c));
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    older.calls.clear();
+    newer.calls.clear();
+    std::vector<uint8_t> buf(0x100, kUntouched);
+    RecordSession sess(&tb_.kern_io(), "entry", "t", tb_.mmc_id());
+    sess.BufferParam("buf", buf.data(), buf.size());
+    sess.CopyFromDma(buf.data(), TValue(0), TValue(kFillAt), TValue(0x80), DLT_HERE);
+    c.newer_copy(sess, buf);
+    EXPECT_EQ((Calls{{0, 0x80}}), older.calls) << "the older copy did not land first";
+    sess.DmaReleaseAll(DLT_HERE);
+    EXPECT_EQ(1u, older.calls.size()) << "a landed copy was generated again";
+    EXPECT_TRUE(CountingFill::Holds(buf.data(), 0, 0x40));
+    c.check_newer_bytes(buf);
+    EXPECT_TRUE(Untouched(buf, 0xc0, 0x100));
+  }
+}
+
+// The session has one slot: a copy deferred into other bytes of the buffer
+// lands the pending one first, and each lands once.
+TEST_F(RecorderTest, DisjointDeferredCopyLandsThePendingOne) {
+  CountingFill fill;
+  std::vector<uint8_t> buf(0x100, kUntouched);
+  RecordSession sess(&tb_.kern_io(), "entry", "t", tb_.mmc_id());
+  sess.BufferParam("buf", buf.data(), buf.size());
+  ASSERT_EQ(Status::kOk, tb_.machine().mem().DmaFill(kFillAt, 0x100, fill.Gen()));
+  sess.CopyFromDma(buf.data(), TValue(0), TValue(kFillAt), TValue(0x40), DLT_HERE);
+  sess.CopyFromDma(buf.data(), TValue(0x80), TValue(kFillAt + 0x80), TValue(0x40), DLT_HERE);
+  EXPECT_EQ((Calls{{0, 0x40}}), fill.calls);
+  sess.DmaReleaseAll(DLT_HERE);
+  EXPECT_EQ((Calls{{0, 0x40}, {0x80, 0x40}}), fill.calls);
+  EXPECT_TRUE(CountingFill::Holds(buf.data(), 0, 0x40));
+  EXPECT_TRUE(Untouched(buf, 0x40, 0x80));
+  EXPECT_TRUE(CountingFill::Holds(buf.data() + 0x80, 0x80, 0x40));
+  EXPECT_TRUE(Untouched(buf, 0xc0, 0x100));
+}
+
+TEST_F(RecorderTest, FinishLandsWhatIsLeft) {
+  CountingFill fill;
+  std::vector<uint8_t> buf(0x100, kUntouched);
+  RecordSession sess(&tb_.kern_io(), "entry", "t", tb_.mmc_id());
+  sess.BufferParam("buf", buf.data(), buf.size());
+  ASSERT_EQ(Status::kOk, tb_.machine().mem().DmaFill(kFillAt, 0x100, fill.Gen()));
+  sess.CopyFromDma(buf.data(), TValue(0), TValue(kFillAt + 4), TValue(0xf0), DLT_HERE);
+  EXPECT_TRUE(fill.calls.empty());
+  ASSERT_TRUE(sess.Finish().ok());
+  EXPECT_EQ((Calls{{4, 0xf0}}), fill.calls);
+  EXPECT_TRUE(CountingFill::Holds(buf.data(), 4, 0xf0));
+}
+
+// The TZASC check is made at copy time: a refused copy writes nothing and
+// leaves nothing to land later, and a pending copy it would have covered
+// still lands.
+TEST_F(RecorderTest, RefusedCopyLeavesNothingPending) {
+  AddressSpace& mem = tb_.machine().mem();
+  CountingFill secure;
+  CountingFill normal;
+  std::vector<uint8_t> buf(0x100, kUntouched);
+  RecordSession sess(&tb_.kern_io(), "entry", "t", tb_.mmc_id());
+  sess.BufferParam("buf", buf.data(), buf.size());
+  // Bus-master fills are not world-checked; the normal world may not read
+  // the TEE pool.
+  ASSERT_EQ(Status::kOk, mem.DmaFill(kTeePoolBase, 0x100, secure.Gen()));
+  ASSERT_EQ(Status::kOk, mem.DmaFill(kFillAt, 0x100, normal.Gen()));
+  const uint64_t denied = tb_.machine().tzasc().denied_count();
+  sess.CopyFromDma(buf.data(), TValue(0), TValue(kTeePoolBase), TValue(0x100), DLT_HERE);
+  EXPECT_EQ(denied + 1, tb_.machine().tzasc().denied_count());
+  sess.DmaReleaseAll(DLT_HERE);
+  EXPECT_TRUE(secure.calls.empty());
+  EXPECT_TRUE(Untouched(buf, 0, 0x100));
+
+  sess.CopyFromDma(buf.data(), TValue(0x10), TValue(kFillAt), TValue(0x40), DLT_HERE);
+  sess.CopyFromDma(buf.data(), TValue(0), TValue(kTeePoolBase), TValue(0x100), DLT_HERE);
+  EXPECT_EQ(denied + 2, tb_.machine().tzasc().denied_count());
+  ASSERT_TRUE(sess.Finish().ok());
+  EXPECT_TRUE(secure.calls.empty());
+  EXPECT_EQ((Calls{{0, 0x40}}), normal.calls);
+  EXPECT_TRUE(Untouched(buf, 0, 0x10));
+  EXPECT_TRUE(CountingFill::Holds(buf.data() + 0x10, 0, 0x40));
+  EXPECT_TRUE(Untouched(buf, 0x50, 0x100));
+}
+
+// A capture buffer that covers every resolution, as the camera campaign's.
+size_t CaptureBytes() { return Vc4Firmware::FrameBytes(1440) + 4096; }
+
+// Puts the camera where a record run starts it.
+void BeginCapture(Rpi3Testbed* tb) {
+  tb->ResetDevices();
+  tb->kern_io().ReleaseDma();
+}
+
+// Unplugs the camera sensor once the VC4 has produced one more frame, so the
+// next capture request gets no BUFFER_DONE and the driver times out.
+void UnplugSensorAfterNextFrame(Rpi3Testbed* tb, uint64_t produced) {
+  tb->clock().ScheduleIn(500, [tb, produced] {
+    if (tb->vc4().frames_produced() == produced) {
+      UnplugSensorAfterNextFrame(tb, produced);
+      return;
+    }
+    tb->vc4().set_sensor_connected(false);
+  });
+}
+
+// The oracle: whenever a recorded capture returns, its buffers hold what the
+// same capture leaves over PassthroughIo alone.
+TEST_F(RecorderTest, RecordedCaptureReturnsTheBuffersOfANativeCapture) {
+  for (uint64_t frames : {1, 10, 100}) {
+    for (uint64_t res : {720, 1080, 1440}) {
+      SCOPED_TRACE(std::to_string(frames) + " frames at " + std::to_string(res) + "p");
+      std::vector<uint8_t> native(CaptureBytes(), kUntouched);
+      std::vector<uint8_t> native_img(4);
+      BeginCapture(&tb_);
+      {
+        VchiqCameraDriver driver(&tb_.kern_io(), tb_.cam_config());
+        ASSERT_EQ(Status::kOk, driver.Capture(TValue(frames), TValue(res), native.data(),
+                                              native.size(), TValue(native.size()),
+                                              native_img.data()));
+      }
+      std::vector<uint8_t> recorded(CaptureBytes(), kUntouched);
+      std::vector<uint8_t> recorded_img(4);
+      BeginCapture(&tb_);
+      RecordSession sess(&tb_.kern_io(), kCameraEntry, "t", tb_.vchiq_id());
+      TValue frames_v = sess.ScalarParam("frame", frames);
+      TValue res_v = sess.ScalarParam("resolution", res);
+      TValue size_v = sess.ScalarParam("buf_size", recorded.size());
+      sess.BufferParam("buf", recorded.data(), recorded.size());
+      sess.BufferParam("img_size", recorded_img.data(), recorded_img.size());
+      VchiqCameraDriver driver(&sess, tb_.cam_config());
+      ASSERT_EQ(Status::kOk, driver.Capture(frames_v, res_v, recorded.data(), recorded.size(),
+                                            size_v, recorded_img.data()));
+      EXPECT_TRUE(native == recorded) << "the recorded capture returned other frame bytes";
+      EXPECT_EQ(native_img, recorded_img);
+    }
+  }
+}
+
+// A driver that fails with a copy still pending: the copy lands when the
+// session goes away, into program buffers that outlive it. The ASan+UBSan
+// job runs this test, so a record run that freed its buffers first fails it.
+TEST_F(RecorderTest, FailedCaptureLandsItsPendingCopyWhenTheSessionEnds) {
+  const std::vector<uint8_t> first = Vc4Firmware::MakeFrame(0, 720);
+  std::vector<uint8_t> buf(CaptureBytes(), kUntouched);
+  std::vector<uint8_t> img_size(4);
+  {
+    BeginCapture(&tb_);
+    RecordSession sess(&tb_.kern_io(), kCameraEntry, "t", tb_.vchiq_id());
+    TValue frames_v = sess.ScalarParam("frame", 2);
+    TValue res_v = sess.ScalarParam("resolution", 720);
+    TValue size_v = sess.ScalarParam("buf_size", buf.size());
+    sess.BufferParam("buf", buf.data(), buf.size());
+    sess.BufferParam("img_size", img_size.data(), img_size.size());
+    VchiqCameraDriver driver(&sess, tb_.cam_config());
+    UnplugSensorAfterNextFrame(&tb_, tb_.vc4().frames_produced());
+    EXPECT_EQ(Status::kTimeout,
+              driver.Capture(frames_v, res_v, buf.data(), buf.size(), size_v, img_size.data()));
+    EXPECT_TRUE(Untouched(buf, 0, buf.size())) << "the frame copy was not left pending";
+  }
+  EXPECT_TRUE(std::equal(first.begin(), first.end(), buf.begin()));
+  EXPECT_TRUE(Untouched(buf, first.size(), buf.size()));
+
+  // The same failure inside the campaign's record run.
+  tb_.vc4().set_sensor_connected(true);
+  UnplugSensorAfterNextFrame(&tb_, tb_.vc4().frames_produced());
+  EXPECT_EQ(Status::kTimeout, RecordCameraRun(&tb_, "Unplugged", 2, 720).status());
+  tb_.vc4().set_sensor_connected(true);
 }
 
 TEST(LoopLiftTest, CollapsesRepeatedReadDelayPattern) {
@@ -304,12 +620,12 @@ TEST_F(RecorderTest, DifferDetectsStateTransitionDivergence) {
   {
     tb_.ResetDevices();
     tb_.kern_io().ReleaseDma();
+    std::vector<uint8_t> buf(5 * 512);
     RecordSession s(&tb_.kern_io(), kMmcEntry, "A", tb_.mmc_id());
     TValue rw = s.ScalarParam("rw", kMmcRwRead);
     TValue cnt = s.ScalarParam("blkcnt", 5);
     TValue id = s.ScalarParam("blkid", 2048);
     TValue fl = s.ScalarParam("flag", 0);
-    std::vector<uint8_t> buf(5 * 512);
     s.BufferParam("buf", buf.data(), buf.size());
     BcmSdhostDriver d(&s, tb_.mmc_config());
     ASSERT_EQ(Status::kOk, d.Transfer(rw, cnt, id, fl, buf.data(), buf.size()));
@@ -319,12 +635,12 @@ TEST_F(RecorderTest, DifferDetectsStateTransitionDivergence) {
   {
     tb_.ResetDevices();
     tb_.kern_io().ReleaseDma();
+    std::vector<uint8_t> buf(7 * 512);
     RecordSession s(&tb_.kern_io(), kMmcEntry, "B", tb_.mmc_id());
     TValue rw = s.ScalarParam("rw", kMmcRwRead);
     TValue cnt = s.ScalarParam("blkcnt", 7);
     TValue id = s.ScalarParam("blkid", 4096);
     TValue fl = s.ScalarParam("flag", 0);
-    std::vector<uint8_t> buf(7 * 512);
     s.BufferParam("buf", buf.data(), buf.size());
     BcmSdhostDriver d(&s, tb_.mmc_config());
     ASSERT_EQ(Status::kOk, d.Transfer(rw, cnt, id, fl, buf.data(), buf.size()));
@@ -334,12 +650,12 @@ TEST_F(RecorderTest, DifferDetectsStateTransitionDivergence) {
   {
     tb_.ResetDevices();
     tb_.kern_io().ReleaseDma();
+    std::vector<uint8_t> buf(12 * 512);
     RecordSession s(&tb_.kern_io(), kMmcEntry, "C", tb_.mmc_id());
     TValue rw = s.ScalarParam("rw", kMmcRwRead);
     TValue cnt = s.ScalarParam("blkcnt", 12);
     TValue id = s.ScalarParam("blkid", 2048);
     TValue fl = s.ScalarParam("flag", 0);
-    std::vector<uint8_t> buf(12 * 512);
     s.BufferParam("buf", buf.data(), buf.size());
     BcmSdhostDriver d(&s, tb_.mmc_config());
     ASSERT_EQ(Status::kOk, d.Transfer(rw, cnt, id, fl, buf.data(), buf.size()));
@@ -365,12 +681,12 @@ TEST_F(RecorderTest, MergeableTemplatesAreDeduplicated) {
 TEST_F(RecorderTest, FailedRecordRunDoesNotYieldTemplate) {
   tb_.ResetDevices();
   tb_.sd_medium().set_present(false);
+  std::vector<uint8_t> buf(512);
   RecordSession s(&tb_.kern_io(), kMmcEntry, "bad", tb_.mmc_id());
   TValue rw = s.ScalarParam("rw", kMmcRwRead);
   TValue cnt = s.ScalarParam("blkcnt", 1);
   TValue id = s.ScalarParam("blkid", 0);
   TValue fl = s.ScalarParam("flag", 0);
-  std::vector<uint8_t> buf(512);
   s.BufferParam("buf", buf.data(), buf.size());
   BcmSdhostDriver d(&s, tb_.mmc_config());
   EXPECT_NE(Status::kOk, d.Transfer(rw, cnt, id, fl, buf.data(), buf.size()));

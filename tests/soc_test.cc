@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -345,6 +346,23 @@ TEST(AddressSpaceTest, ReadInsidePendingFillGeneratesIntoReader) {
   EXPECT_EQ(2u, fill.calls.size());
 }
 
+// A Read32 inside a pending fill generates its own word into the result,
+// as ReadBytes does: a stray CPU word read never writes the fill to RAM.
+TEST(AddressSpaceTest, Read32InsidePendingFillGeneratesOnlyItsWord) {
+  AddressSpace mem(nullptr);
+  ASSERT_EQ(Status::kOk, mem.AddRam(0, 0x10000));
+  const uint8_t* ram = mem.RamPtr(0x1000, 0x100);
+  LoggedFill fill;
+  ASSERT_EQ(Status::kOk, mem.DmaFill(0x1000, 0x100, fill.Gen()));
+  Result<uint32_t> v = mem.Read32(World::kNormal, 0x1040);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ((Calls{{0x40, 4}}), fill.calls);
+  uint8_t word[4];
+  std::memcpy(word, &*v, sizeof(word));
+  EXPECT_TRUE(LoggedFill::Holds(word, 0x40, 4));
+  EXPECT_EQ(0x100, std::count(ram, ram + 0x100, 0)) << "a contained Read32 wrote RAM";
+}
+
 // Any other access that overlaps a pending fill writes it out whole, once,
 // and then sees RAM.
 TEST(AddressSpaceTest, OverlappingAccessWritesPendingFillOutOnce) {
@@ -362,7 +380,14 @@ TEST(AddressSpaceTest, OverlappingAccessWritesPendingFillOutOnce) {
          ASSERT_EQ(Status::kOk, m.DmaRead(0xffc, b, sizeof(b)));
          EXPECT_TRUE(LoggedFill::Holds(b + 4, 0, 4));
        }},
-      {"Read32", [](AddressSpace& m) { EXPECT_TRUE(m.Read32(World::kNormal, 0x1040).ok()); }},
+      {"Read32 across the fill's start",
+       [](AddressSpace& m) {
+         Result<uint32_t> v = m.Read32(World::kNormal, 0xffe);
+         ASSERT_TRUE(v.ok());
+         EXPECT_EQ(static_cast<uint32_t>(LoggedFill::Byte(0)) << 16 |
+                       static_cast<uint32_t>(LoggedFill::Byte(1)) << 24,
+                   *v);
+       }},
       {"Write32",
        [](AddressSpace& m) { ASSERT_EQ(Status::kOk, m.Write32(World::kNormal, 0x1040, 0)); }},
       {"WriteBytes",
